@@ -225,17 +225,21 @@ def overlap(zp, z, m: int) -> complex:
 
 def kernel_idempotence_check(z, zp, m: int, grid: QuadratureGrid) -> float:
     """|quadrature of K(z,u) K(u,zp) du - K(z,zp)|: the reproducing-kernel
-    self-consistency residual on the given grid."""
+    self-consistency residual on the given grid.
+
+    The normalising series S_m(|u|^2) depends only on the radius, so it is
+    summed once per radial node and broadcast over the angles; the two
+    label-dependent series run on the full node matrix."""
     z, zp = _as_label(z), _as_label(zp)
     dz = bessel_i_reduced(m, z.rho * z.rho).real
     dzp = bessel_i_reduced(m, zp.rho * zp.rho).real
     zc = z.z.conjugate()
     zpv = zp.z
+    mid = reduced_series_matrix(m, grid.nodes ** 2).real[:, None]
 
     def integrand(u):
         left = reduced_series_matrix(m, zc * u)
         right = reduced_series_matrix(m, np.conj(u) * zpv)
-        mid = reduced_series_matrix(m, np.abs(u) ** 2).real
         return left * right / (mid * math.sqrt(dz * dzp))
 
     quad = integrate(integrand, m, grid, vectorized=True)

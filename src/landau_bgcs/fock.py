@@ -45,6 +45,10 @@ class PhysicalParams:
     mass: float = 1.0
 
     def __post_init__(self):
+        for name in ("omega0", "omega_c", "hbar", "mass"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value}")
         if self.omega0 < 0.0 or self.omega_c < 0.0:
             raise DomainError("frequencies must be non-negative")
         if self.omega0 == 0.0 and self.omega_c == 0.0:

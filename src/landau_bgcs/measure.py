@@ -9,6 +9,14 @@ trigonometric polynomials below the node count.  Integration is deterministic:
 fixed radial-then-angular order with pairwise reductions, so identical inputs
 give bit-identical results.
 
+The radial weight dr-weight * r * density depends only on the grid and the
+sector, so each grid builds it once per order m (QuadratureGrid.radial_weight)
+and every integral on that sector reuses it.  Because the angular trapezoid
+rule is a discrete Fourier transform, every matrix element
+int f(z) a_nu(|z|) a_up(|z|) e^{i(nu-up)phi} dmeasure comes from one inverse
+FFT of the sampled f per radius (angular_mode_matrix); the quadrature
+quantization and the frame-identity Gram matrix are both assembled there.
+
 Note the plane carries infinite total mass under this measure: the radial
 density (2/pi) I_m K_m r tends to the constant 1/(2 pi), exactly as for the
 standard Glauber d^2alpha/pi case.  What is finite, and what the grid is
@@ -19,7 +27,7 @@ Gamma(n-m+1) Gamma(n+1) underlying the resolution of the identity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -51,7 +59,9 @@ def measure_density(label, m: int) -> float:
     Accepts a coherent label, a complex number, or a radius.  Uses scaled
     Bessel products beyond |z| = 40 where the plain factors would lose
     accuracy; at |z| = 0 the product limit is 1/(2m) for m >= 1 and the
-    m = 0 density diverges logarithmically (returned as inf).
+    m = 0 density diverges logarithmically (returned as inf).  Away from the
+    origin a product that is not finite and positive (I_m underflowing while
+    K_m overflows, as at large m and small |z|) raises EvaluationError.
     """
     if m < 0:
         raise DomainError(f"order must be >= 0, got {m}")
@@ -63,6 +73,10 @@ def measure_density(label, m: int) -> float:
         val = bessel_i_scaled(m, x) * bessel_k_scaled(m, x)
     else:
         val = bessel_i(m, x) * bessel_k(m, x)
+    if not (math.isfinite(val) and val > 0.0):
+        raise EvaluationError(
+            f"order-{m} measure density at |z| = {r:.6g} is out of range "
+            f"(I_m K_m = {val})")
     return (2.0 / math.pi) * val
 
 
@@ -74,7 +88,8 @@ class QuadratureGrid:
     dr-weights (the r dr dphi area Jacobian is applied by integrate, not
     stored here, so the same weights serve one-dimensional radial moments).
     max_degree and max_mode declare the polynomial degree and Fourier mode
-    content the grid guarantees to resolve.
+    content the grid guarantees to resolve.  radial_weight(m) caches the
+    per-sector radial factor on the instance.
     """
 
     nodes: np.ndarray
@@ -84,6 +99,8 @@ class QuadratureGrid:
     max_degree: int
     max_mode: int
     tail_tol: float = 1e-12
+    _radial_weights: dict = field(init=False, repr=False, compare=False,
+                                  default_factory=dict)
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=np.float64)
@@ -115,6 +132,22 @@ class QuadratureGrid:
     @property
     def angles(self) -> np.ndarray:
         return _TWO_PI * np.arange(self.n_angular) / self.n_angular
+
+    @property
+    def z_nodes(self) -> np.ndarray:
+        """Complex node matrix r e^{i phi}, shape (n_radial, n_angular)."""
+        return self.nodes[:, None] * np.exp(1j * self.angles)[None, :]
+
+    def radial_weight(self, m: int) -> np.ndarray:
+        """Read-only radial factor weights * nodes * density_m, built once
+        per sector and reused by every integral on this grid."""
+        w = self._radial_weights.get(m)
+        if w is None:
+            density = np.array([measure_density(r, m) for r in self.nodes])
+            w = self.weights * self.nodes * density
+            w.flags.writeable = False
+            self._radial_weights[m] = w
+        return w
 
 
 def _ln_relative_tail(radius: float, degree: int) -> float:
@@ -198,36 +231,56 @@ def build_grid(max_degree: int = 24,
                           tail_tol=tail_tol)
 
 
-def _density_vector(grid: QuadratureGrid, m: int) -> np.ndarray:
-    return np.array([measure_density(r, m) for r in grid.nodes])
-
-
-def integrate(f, m: int, grid: QuadratureGrid, vectorized: bool = False) -> complex:
-    """Integral of f(z) against the order-m measure over the disk of radius R.
-
-    The area element r dr dphi and the measure density are applied here; f
-    receives bare complex labels r e^{i phi}.  With vectorized=True, f is
-    called once with the full (n_radial, n_angular) complex node matrix and
-    must return a like-shaped array.  Summation is angular-first then radial,
-    both via pairwise reduction, for run-to-run bit identity.
-    """
-    z_nodes = grid.nodes[:, None] * np.exp(1j * grid.angles)[None, :]
-    if vectorized:
-        vals = np.asarray(f(z_nodes), dtype=np.complex128)
-        if vals.shape != z_nodes.shape:
-            raise ValueError("vectorized integrand returned a wrong shape")
-    else:
-        vals = np.array([[f(z) for z in row] for row in z_nodes],
-                        dtype=np.complex128)
+def _checked_samples(vals, grid: QuadratureGrid) -> np.ndarray:
+    vals = np.asarray(vals, dtype=np.complex128)
+    if vals.shape != (grid.nodes.size, grid.n_angular):
+        raise ValueError("vectorized integrand returned a wrong shape")
     bad = ~np.isfinite(vals)
     if np.any(bad):
         i, j = np.argwhere(bad)[0]
         raise EvaluationError(
             f"non-finite integrand sample at r = {grid.nodes[i]:.6g}, "
             f"phi = {grid.angles[j]:.6g}")
+    return vals
+
+
+def integrate(f, m: int, grid: QuadratureGrid, vectorized: bool = False) -> complex:
+    """Integral of f(z) against the order-m measure over the disk of radius R.
+
+    The area element r dr dphi and the measure density are applied here,
+    through the grid's cached radial_weight(m); f receives bare complex
+    labels r e^{i phi}.  With vectorized=True, f is called once with the full
+    (n_radial, n_angular) complex node matrix and must return a like-shaped
+    array.  Summation is angular-first then radial, both via pairwise
+    reduction, for run-to-run bit identity.
+    """
+    z_nodes = grid.z_nodes
+    if vectorized:
+        vals = f(z_nodes)
+    else:
+        vals = [[f(z) for z in row] for row in z_nodes]
+    vals = _checked_samples(vals, grid)
     angular = vals.sum(axis=1) * (_TWO_PI / grid.n_angular)
-    radial_factor = grid.weights * grid.nodes * _density_vector(grid, m)
-    return complex((radial_factor * angular).sum())
+    return complex((grid.radial_weight(m) * angular).sum())
+
+
+def angular_mode_matrix(vals, amp: np.ndarray, m: int,
+                        grid: QuadratureGrid) -> np.ndarray:
+    """Matrix M[nu, up] = int f(z) a_nu(|z|) a_up(|z|) e^{i(nu-up)phi} dmeasure.
+
+    vals samples f on the (n_radial, n_angular) node matrix and amp holds the
+    real radial amplitudes, one row per radial node.  The angular trapezoid
+    sum of f e^{ik phi} is 2 pi ifft(f)[k mod n_angular], so one inverse FFT
+    per radius yields every entry with no approximation beyond the
+    quadrature itself; the radial sum runs against radial_weight(m).
+    """
+    coef = np.fft.ifft(_checked_samples(vals, grid), axis=1)
+    d = np.arange(amp.shape[1])
+    modes = np.subtract.outer(d, d) % grid.n_angular
+    # 2 pi applied after the radial sum: a constant symbol then reproduces
+    # the plain Gram sum sum_r w a_nu a_up times 2 pi bit for bit
+    return _TWO_PI * np.einsum("r,ra,rb,rab->ab", grid.radial_weight(m),
+                               amp, amp, coef[:, modes])
 
 
 def radial_moment_check(n: int, m: int, grid: QuadratureGrid) -> float:
@@ -253,7 +306,8 @@ def resolution_of_identity_check(spec: SubspaceSpec, n_check: int,
                                  grid: QuadratureGrid) -> float:
     """Max deviation from the identity of the quadrature Gram matrix
     M[nu, up] = int a_nu(z) conj(a_up(z)) dmeasure over the first
-    n_check+1 coherent-amplitude modes."""
+    n_check+1 coherent-amplitude modes, assembled by angular_mode_matrix
+    with the constant symbol (the quadrature quantization's code path)."""
     from .bgcs import CoherentLabel, bgcs_state
 
     if n_check < 0:
@@ -277,11 +331,5 @@ def resolution_of_identity_check(spec: SubspaceSpec, n_check: int,
             raise ValueError("state depth too small for requested check")
         amp[i] = state.amplitudes[:n_check + 1].real
 
-    radial_factor = grid.weights * grid.nodes * _density_vector(grid, spec.m)
-    s = np.einsum("i,ia,ib->ab", radial_factor, amp, amp)
-    d = np.arange(n_check + 1)
-    # numerically summed angular harmonics: exactly the trapezoid-rule factor
-    harmonics = np.exp(1j * np.subtract.outer(d, d)[..., None] * grid.angles)
-    g = harmonics.sum(axis=-1) * (_TWO_PI / grid.n_angular)
-    matrix = s * g
+    matrix = angular_mode_matrix(np.ones((nr, grid.n_angular)), amp, spec.m, grid)
     return float(np.max(np.abs(matrix - np.eye(n_check + 1))))

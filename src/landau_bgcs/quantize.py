@@ -19,7 +19,7 @@ import numpy as np
 
 from .bgcs import CoherentLabel, _as_label, bgcs_state, mean_k3
 from .fock import OperatorMatrix, SubspaceSpec, adjoint
-from .measure import QuadratureGrid, integrate
+from .measure import QuadratureGrid, angular_mode_matrix
 
 NAMED_SYMBOLS = ("z", "z_bar", "z_sq", "z_bar_sq", "abs_z_sq",
                  "q", "p", "q_sq", "p_sq")
@@ -151,8 +151,15 @@ def quantize_closed_form(sym: SymbolSpec, spec: SubspaceSpec) -> OperatorMatrix:
 
 def quantize_by_quadrature(sym: SymbolSpec, spec: SubspaceSpec,
                            grid: QuadratureGrid) -> OperatorMatrix:
-    """Matrix of the quantized symbol assembled entry by entry through the
-    measure-weighted quadrature of f(z) a_nu(z) conj(a_up(z))."""
+    """Matrix of the quantized symbol, A_f[nu, up] = int f(z) a_nu(z)
+    conj(a_up(z)) dmeasure, by quadrature on the grid.
+
+    The symbol is sampled once on the node matrix and the amplitudes once per
+    radius; measure.angular_mode_matrix then takes one angular inverse FFT
+    per radius (the trapezoid rule in angle is a DFT, so mode nu - up of
+    that transform is exactly the angular sum of entry (nu, up)) and sums
+    every entry against the grid's cached radial weight.  A non-finite
+    symbol sample raises EvaluationError."""
     depth = spec.require_depth()
     m = spec.m
     need_degree = 2 * depth + m + sym.degree + 1
@@ -168,18 +175,8 @@ def quantize_by_quadrature(sym: SymbolSpec, spec: SubspaceSpec,
     for i, r in enumerate(grid.nodes):
         amp[i] = bgcs_state(CoherentLabel(re=float(r), im=0.0), spec).amplitudes.real
 
-    dim = depth + 1
-    entries = np.empty((dim, dim), dtype=np.complex128)
-    for nu in range(dim):
-        for up in range(dim):
-            a_nu = amp[:, nu][:, None]
-            a_up = amp[:, up][:, None]
-
-            def integrand(z, k=nu - up, a_nu=a_nu, a_up=a_up):
-                return sym.evaluate(z) * a_nu * a_up * np.exp(1j * k * np.angle(z))
-
-            entries[nu, up] = integrate(integrand, m, grid, vectorized=True)
-    return OperatorMatrix(entries, dim - 1, label=f"quadrature({sym.tag})")
+    entries = angular_mode_matrix(sym.evaluate(grid.z_nodes), amp, m, grid)
+    return OperatorMatrix(entries, depth, label=f"quadrature({sym.tag})")
 
 
 # ------------------------------------------------------------- mean values

@@ -254,6 +254,15 @@ def test_invalid_physical_parameters(capsys):
     assert rc == 2 and "frequencies" in err
 
 
+@pytest.mark.parametrize("flag,value", [("--omega0", "nan"), ("--omega-c", "inf"),
+                                        ("--mass", "nan")])
+def test_non_finite_physical_parameters(capsys, flag, value):
+    rc, out, err = _run(capsys, "thermal", "--beta", "1", flag, value)
+    field = flag[2:].replace("-", "_")
+    assert rc == 2 and out == ""
+    assert err == f"error: {field} must be finite, got {float(value)}\n"
+
+
 def test_bad_label_syntax(capsys):
     rc, _, err = _run(capsys, "stats", "--z", "1;2")
     assert rc == 2 and "re,im" in err

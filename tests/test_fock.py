@@ -166,6 +166,14 @@ def test_params_validation():
         PhysicalParams(mass=-2.0)
 
 
+@pytest.mark.parametrize("name", ["omega0", "omega_c", "hbar", "mass"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_params_reject_non_finite(name, bad):
+    # every comparison is False for NaN, so finiteness is checked by name
+    with pytest.raises(DomainError, match=name):
+        PhysicalParams(**{name: bad})
+
+
 def test_slow_length_requires_confinement():
     p = PhysicalParams(omega0=0.0, omega_c=2.0)
     assert p.omega == pytest.approx(2.0)

@@ -16,7 +16,7 @@ from landau_bgcs.measure import (
     radial_moment_check,
     resolution_of_identity_check,
 )
-from landau_bgcs.specfun import DomainError, ln_factorial
+from landau_bgcs.specfun import DomainError, EvaluationError, ln_factorial
 
 # density values frozen from a 40-digit reference evaluation
 _DENSITY_CASES = [
@@ -57,6 +57,13 @@ def test_density_scaled_route_continuous():
 def test_density_negative_order_rejected():
     with pytest.raises(DomainError):
         measure_density(1.0, -1)
+
+
+def test_density_out_of_range_raises():
+    # I_200(1) underflows to 0 while K_200(1) overflows: the product would be NaN
+    with pytest.raises(EvaluationError, match="order-200"):
+        measure_density(0.5, 200)
+    assert measure_density(0.0, 200) == pytest.approx(1.0 / (200.0 * math.pi), rel=1e-15)
 
 
 def test_radial_density_flattens_at_large_radius():
@@ -113,6 +120,11 @@ def test_integrate_rejects_nonfinite_samples(grid):
     with pytest.raises(Exception) as err:
         integrate(bad, 0, grid, vectorized=True)
     assert "non-finite" in str(err.value)
+
+
+def test_integrate_out_of_range_sector_raises(grid):
+    with pytest.raises(EvaluationError):
+        integrate(lambda u: np.ones_like(u), 200, grid, vectorized=True)
 
 
 def test_integrate_deterministic(grid):
@@ -231,6 +243,26 @@ def test_grid_validation_errors():
 def test_grid_arrays_read_only(grid):
     with pytest.raises(ValueError):
         grid.nodes[0] = 5.0
+
+
+def test_radial_weight_cached_read_only():
+    g = build_grid(max_degree=8, max_mode=4, points_per_panel=8)
+    w = g.radial_weight(3)
+    assert g.radial_weight(3) is w
+    density = np.array([measure_density(r, 3) for r in g.nodes])
+    assert np.array_equal(w, g.weights * g.nodes * density)
+    with pytest.raises(ValueError):
+        w[0] = 1.0
+    assert g.radial_weight(0) is not w
+
+
+def test_radial_weight_cache_is_per_instance():
+    a = build_grid(max_degree=8, max_mode=4, points_per_panel=8)
+    b = build_grid(max_degree=8, max_mode=4, points_per_panel=8)
+    w = a.radial_weight(1)
+    assert b.radial_weight(1) is not w
+    assert np.array_equal(b.radial_weight(1), w)
+    assert "_radial_weights" not in repr(a)
 
 
 # ---------------------------------------------------------------- properties

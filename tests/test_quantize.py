@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from landau_bgcs.bgcs import CoherentLabel, bgcs_state, mean_k3
 from landau_bgcs.fock import SubspaceSpec, adjoint, ladder_matrix
-from landau_bgcs.measure import build_grid
+from landau_bgcs.measure import build_grid, integrate
 from landau_bgcs.quantize import (
     CommutatorReport,
     DecompositionReport,
@@ -22,6 +22,7 @@ from landau_bgcs.quantize import (
     quantize_by_quadrature,
     quantize_closed_form,
 )
+from landau_bgcs.specfun import EvaluationError
 
 
 def _spec(m, depth=16):
@@ -160,6 +161,39 @@ def test_quadrature_quadratic_coordinate(grid):
     quad = quantize_by_quadrature(SymbolSpec("q_sq"), sp, grid)
     closed = quantize_closed_form(SymbolSpec("q_sq"), sp)
     assert _interior_err(quad.entries, closed.entries, 2) < 1e-6
+
+
+def _entry_by_entry_quadrature(sym, spec, grid):
+    # reference: one full 2-D integrate call per matrix entry, with the
+    # angular phase e^{i(nu-up)phi} applied sample by sample
+    depth = spec.depth
+    amp = np.array([bgcs_state(CoherentLabel(re=float(r), im=0.0), spec).amplitudes.real
+                    for r in grid.nodes])
+    entries = np.empty((depth + 1, depth + 1), dtype=np.complex128)
+    for nu in range(depth + 1):
+        for up in range(depth + 1):
+            def integrand(z, k=nu - up, a=amp[:, nu:nu + 1] * amp[:, up:up + 1]):
+                return sym.evaluate(z) * a * np.exp(1j * k * np.angle(z))
+            entries[nu, up] = integrate(integrand, spec.m, grid, vectorized=True)
+    return entries
+
+
+@pytest.mark.parametrize("m", [0, 2])
+def test_quadrature_fft_route_matches_entry_by_entry(m):
+    # a symbol with no closed form, carrying angular modes +2, 0 and -2
+    sym = SymbolSpec("custom", terms=((3, 1, 0.5), (0, 2, 1j), (1, 1, -0.25)))
+    sp = SubspaceSpec(m, depth=8)
+    g = build_grid(max_degree=2 * 8 + m + 5, max_mode=12, points_per_panel=16,
+                   n_angular=64)
+    got = quantize_by_quadrature(sym, sp, g).entries
+    want = _entry_by_entry_quadrature(sym, sp, g)
+    assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
+def test_quadrature_non_finite_symbol_raises(grid):
+    bad = SymbolSpec("custom", terms=((1, 0, 1.0), (0, 0, complex(math.nan, 0.0))))
+    with pytest.raises(EvaluationError, match="non-finite"):
+        quantize_by_quadrature(bad, SubspaceSpec(0, depth=8), grid)
 
 
 def test_quadrature_grid_validation(grid):
