@@ -26,6 +26,7 @@ from .specfun import (
     DomainError,
     bessel_i_reduced,
     bessel_i_scaled,
+    ln_bessel_i,
     ln_factorial,
 )
 
@@ -174,6 +175,22 @@ def bgcs_state(label, spec: SubspaceSpec,
     ln_mag = np.array([_ln_amplitude(m, r, k, ln_i) for k in range(depth + 1)])
     amps = np.exp(ln_mag) * np.exp(1j * label.phi * nu)
     return StateVector(m=m, amplitudes=amps, label=label, tail_tol=checked)
+
+
+def radial_amplitudes(m: int, r, n: int) -> np.ndarray:
+    """Amplitudes a_nu(r), nu < n, of the states with real labels r > 0, one
+    row per radius: shape (r.size, n).
+
+    The same log-space formula as bgcs_state, with ln I_m(2r) from the array
+    kernel over the whole radius vector; a quadrature route that needs the
+    amplitudes at every radial node builds them here in one pass.
+    """
+    r = np.asarray(r, dtype=np.float64)
+    ln_i = ln_bessel_i(m, 2.0 * r)
+    ln_fact = np.array([ln_factorial(k) + ln_factorial(k + m) for k in range(n)])
+    ln_mag = (0.5 * m + np.arange(n))[None, :] * np.log(r)[:, None] \
+        - 0.5 * ln_i[:, None] - 0.5 * ln_fact[None, :]
+    return np.exp(ln_mag)
 
 
 def probability_density(label, m: int, nu: int) -> float:

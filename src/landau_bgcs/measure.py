@@ -10,8 +10,10 @@ fixed radial-then-angular order with pairwise reductions, so identical inputs
 give bit-identical results.
 
 The radial weight dr-weight * r * density depends only on the grid and the
-sector, so each grid builds it once per order m (QuadratureGrid.radial_weight)
-and every integral on that sector reuses it.  Because the angular trapezoid
+sector, so each grid builds it once per order m (QuadratureGrid.radial_weight,
+one array density call on the node vector) and every integral on that sector
+reuses it; an integrand of |z| alone needs no angles at all
+(integrate_radial).  Because the angular trapezoid
 rule is a discrete Fourier transform, every matrix element
 int f(z) a_nu(|z|) a_up(|z|) e^{i(nu-up)phi} dmeasure comes from one inverse
 FFT of the sampled f per radius (angular_mode_matrix); the quadrature
@@ -27,6 +29,7 @@ Gamma(n-m+1) Gamma(n+1) underlying the resolution of the identity.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -36,14 +39,16 @@ from .fock import SubspaceSpec
 from .specfun import (
     DomainError,
     EvaluationError,
-    bessel_i,
-    bessel_i_scaled,
-    bessel_k,
-    bessel_k_scaled,
+    _ln_bessel_i_scaled,
+    _ln_bessel_k_scaled,
+    ln_bessel_k,
     ln_factorial,
 )
 
 _TWO_PI = 2.0 * math.pi
+# ln of the largest double and of the smallest subnormal
+_LN_LARGEST = math.log(sys.float_info.max)
+_LN_SMALLEST = math.log(5e-324)
 
 
 def _label_radius(label) -> float:
@@ -53,31 +58,44 @@ def _label_radius(label) -> float:
     return abs(complex(label))
 
 
-def measure_density(label, m: int) -> float:
+def measure_density(label, m: int):
     """Density (2/pi) I_m(2|z|) K_m(2|z|) of the reproducing measure.
 
-    Accepts a coherent label, a complex number, or a radius.  Uses scaled
-    Bessel products beyond |z| = 40 where the plain factors would lose
-    accuracy; at |z| = 0 the product limit is 1/(2m) for m >= 1 and the
-    m = 0 density diverges logarithmically (returned as inf).  Away from the
-    origin a product that is not finite and positive (I_m underflowing while
-    K_m overflows, as at large m and small |z|) raises EvaluationError.
+    Accepts a coherent label, a complex number or a radius, and returns a
+    float; or an array of radii (or complex labels), and returns the density
+    array.  Both go through one elementwise route, the array kernels'
+    ln(e^{-x} I_m(x)) + ln(e^x K_m(x)) at x = 2|z|, so a scalar call is
+    bit-identical to the same radius inside an array.  At |z| = 0 the
+    product limit is 1/(pi m) for m >= 1 and the m = 0 density diverges
+    logarithmically (returned as inf).  Away from the origin, where the
+    factors I_m and K_m (scaled by e^{-2|z|} and e^{2|z|} beyond |z| = 40)
+    leave double range, as I_m does at large m and small |z|,
+    EvaluationError is raised; a non-finite |z| raises DomainError.
     """
     if m < 0:
         raise DomainError(f"order must be >= 0, got {m}")
-    r = _label_radius(label)
-    if r == 0.0:
-        return math.inf if m == 0 else 1.0 / (math.pi * m)
-    x = 2.0 * r
-    if r > 40.0:
-        val = bessel_i_scaled(m, x) * bessel_k_scaled(m, x)
-    else:
-        val = bessel_i(m, x) * bessel_k(m, x)
-    if not (math.isfinite(val) and val > 0.0):
+    if isinstance(label, np.ndarray):
+        return _density(np.abs(label).astype(np.float64, copy=False), m)
+    return float(_density(np.array([_label_radius(label)]), m)[0])
+
+
+def _density(r: np.ndarray, m: int) -> np.ndarray:
+    if not np.all(np.isfinite(r)):
+        raise DomainError("measure density needs a finite |z|")
+    out = np.full(r.shape, math.inf if m == 0 else 1.0 / (math.pi * m))
+    pos = r > 0.0
+    rp = r[pos]
+    x = 2.0 * rp
+    # ln(e^{-x} I_m) + ln(e^x K_m): the large x and -x never enter the sum
+    ln_ie, ln_ke = _ln_bessel_i_scaled(m, x), _ln_bessel_k_scaled(m, x)
+    shift = np.where(rp > 40.0, 0.0, x)
+    bad = (ln_ie + shift < _LN_SMALLEST) | (ln_ke - shift > _LN_LARGEST)
+    if bad.any():
         raise EvaluationError(
-            f"order-{m} measure density at |z| = {r:.6g} is out of range "
-            f"(I_m K_m = {val})")
-    return (2.0 / math.pi) * val
+            f"order-{m} measure density at |z| = {rp[np.argmax(bad)]:.6g} is "
+            "out of range (I_m or K_m leaves double range)")
+    out[pos] = (2.0 / math.pi) * np.exp(ln_ie + ln_ke)
+    return out
 
 
 @dataclass(frozen=True)
@@ -143,8 +161,7 @@ class QuadratureGrid:
         per sector and reused by every integral on this grid."""
         w = self._radial_weights.get(m)
         if w is None:
-            density = np.array([measure_density(r, m) for r in self.nodes])
-            w = self.weights * self.nodes * density
+            w = self.weights * self.nodes * measure_density(self.nodes, m)
             w.flags.writeable = False
             self._radial_weights[m] = w
         return w
@@ -231,16 +248,17 @@ def build_grid(max_degree: int = 24,
                           tail_tol=tail_tol)
 
 
-def _checked_samples(vals, grid: QuadratureGrid) -> np.ndarray:
-    vals = np.asarray(vals, dtype=np.complex128)
-    if vals.shape != (grid.nodes.size, grid.n_angular):
-        raise ValueError("vectorized integrand returned a wrong shape")
+def _checked_samples(vals, grid: QuadratureGrid, shape, dtype) -> np.ndarray:
+    vals = np.asarray(vals, dtype=dtype)
+    if vals.shape != shape:
+        raise ValueError("integrand samples have the wrong shape")
     bad = ~np.isfinite(vals)
     if np.any(bad):
-        i, j = np.argwhere(bad)[0]
-        raise EvaluationError(
-            f"non-finite integrand sample at r = {grid.nodes[i]:.6g}, "
-            f"phi = {grid.angles[j]:.6g}")
+        at = np.argwhere(bad)[0]
+        where = f"r = {grid.nodes[at[0]]:.6g}"
+        if at.size > 1:
+            where += f", phi = {grid.angles[at[1]]:.6g}"
+        raise EvaluationError(f"non-finite integrand sample at {where}")
     return vals
 
 
@@ -259,9 +277,21 @@ def integrate(f, m: int, grid: QuadratureGrid, vectorized: bool = False) -> comp
         vals = f(z_nodes)
     else:
         vals = [[f(z) for z in row] for row in z_nodes]
-    vals = _checked_samples(vals, grid)
+    vals = _checked_samples(vals, grid, (grid.nodes.size, grid.n_angular),
+                            np.complex128)
     angular = vals.sum(axis=1) * (_TWO_PI / grid.n_angular)
     return complex((grid.radial_weight(m) * angular).sum())
+
+
+def integrate_radial(vals, m: int, grid: QuadratureGrid) -> float:
+    """Integral of a radially symmetric f(|z|) against the order-m measure.
+
+    vals samples f on grid.nodes; the angular integral of a constant is
+    2 pi, so the result is 2 pi sum_r radial_weight(m) f(r).  A non-finite
+    sample raises EvaluationError, as in integrate.
+    """
+    vals = _checked_samples(vals, grid, grid.nodes.shape, np.float64)
+    return _TWO_PI * float((grid.radial_weight(m) * vals).sum())
 
 
 def angular_mode_matrix(vals, amp: np.ndarray, m: int,
@@ -274,7 +304,8 @@ def angular_mode_matrix(vals, amp: np.ndarray, m: int,
     per radius yields every entry with no approximation beyond the
     quadrature itself; the radial sum runs against radial_weight(m).
     """
-    coef = np.fft.ifft(_checked_samples(vals, grid), axis=1)
+    shape = (grid.nodes.size, grid.n_angular)
+    coef = np.fft.ifft(_checked_samples(vals, grid, shape, np.complex128), axis=1)
     d = np.arange(amp.shape[1])
     modes = np.subtract.outer(d, d) % grid.n_angular
     # 2 pi applied after the radial sum: a constant symbol then reproduces
@@ -293,9 +324,7 @@ def radial_moment_check(n: int, m: int, grid: QuadratureGrid) -> float:
         raise ValueError(
             f"grid built for degree {grid.max_degree}, moment needs {p}")
     r = grid.nodes
-    ln_terms = np.array([math.log(w) + p * math.log(ri)
-                         + math.log(bessel_k_scaled(m, 2.0 * ri)) - 2.0 * ri
-                         for w, ri in zip(grid.weights, r)])
+    ln_terms = np.log(grid.weights) + p * np.log(r) + ln_bessel_k(m, 2.0 * r)
     peak = ln_terms.max()
     ln_quad = math.log(4.0) + peak + math.log(np.exp(ln_terms - peak).sum())
     ln_target = ln_factorial(n - m) + ln_factorial(n)
@@ -308,7 +337,7 @@ def resolution_of_identity_check(spec: SubspaceSpec, n_check: int,
     M[nu, up] = int a_nu(z) conj(a_up(z)) dmeasure over the first
     n_check+1 coherent-amplitude modes, assembled by angular_mode_matrix
     with the constant symbol (the quadrature quantization's code path)."""
-    from .bgcs import CoherentLabel, bgcs_state
+    from .bgcs import radial_amplitudes
 
     if n_check < 0:
         raise ValueError("n_check must be >= 0")
@@ -324,12 +353,6 @@ def resolution_of_identity_check(spec: SubspaceSpec, n_check: int,
             f"grid built for degree {grid.max_degree}, need {need_degree}")
 
     nr = grid.nodes.size
-    amp = np.empty((nr, n_check + 1))
-    for i, r in enumerate(grid.nodes):
-        state = bgcs_state(CoherentLabel(re=float(r), im=0.0), spec)
-        if state.amplitudes.size < n_check + 1:
-            raise ValueError("state depth too small for requested check")
-        amp[i] = state.amplitudes[:n_check + 1].real
-
+    amp = radial_amplitudes(spec.m, grid.nodes, n_check + 1)
     matrix = angular_mode_matrix(np.ones((nr, grid.n_angular)), amp, spec.m, grid)
     return float(np.max(np.abs(matrix - np.eye(n_check + 1))))

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bgcs import CoherentLabel, _as_label, bgcs_state, mean_k3
+from .bgcs import _as_label, bgcs_state, mean_k3, radial_amplitudes
 from .fock import OperatorMatrix, SubspaceSpec, adjoint
 from .measure import QuadratureGrid, angular_mode_matrix
 
@@ -154,11 +154,12 @@ def quantize_by_quadrature(sym: SymbolSpec, spec: SubspaceSpec,
     """Matrix of the quantized symbol, A_f[nu, up] = int f(z) a_nu(z)
     conj(a_up(z)) dmeasure, by quadrature on the grid.
 
-    The symbol is sampled once on the node matrix and the amplitudes once per
-    radius; measure.angular_mode_matrix then takes one angular inverse FFT
-    per radius (the trapezoid rule in angle is a DFT, so mode nu - up of
-    that transform is exactly the angular sum of entry (nu, up)) and sums
-    every entry against the grid's cached radial weight.  A non-finite
+    The symbol is sampled once on the node matrix and the amplitudes once
+    over the node radii (bgcs.radial_amplitudes); measure.angular_mode_matrix
+    then takes one angular inverse FFT per radius (the trapezoid rule in
+    angle is a DFT, so mode nu - up of that transform is exactly the angular
+    sum of entry (nu, up)) and sums every entry against the grid's cached
+    radial weight.  A non-finite
     symbol sample raises EvaluationError."""
     depth = spec.require_depth()
     m = spec.m
@@ -171,10 +172,7 @@ def quantize_by_quadrature(sym: SymbolSpec, spec: SubspaceSpec,
         raise ValueError(
             f"grid resolves modes to {grid.max_mode}, symbol needs {need_mode}")
 
-    amp = np.empty((grid.nodes.size, depth + 1))
-    for i, r in enumerate(grid.nodes):
-        amp[i] = bgcs_state(CoherentLabel(re=float(r), im=0.0), spec).amplitudes.real
-
+    amp = radial_amplitudes(m, grid.nodes, depth + 1)
     entries = angular_mode_matrix(sym.evaluate(grid.z_nodes), amp, m, grid)
     return OperatorMatrix(entries, depth, label=f"quadrature({sym.tag})")
 

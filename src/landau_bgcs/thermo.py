@@ -23,14 +23,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bgcs import CoherentLabel, _as_label, _ln_bessel_i, mean_k3, mean_n, mean_n_sq
+from .bgcs import _as_label
 from .fock import PhysicalParams, SubspaceSpec
-from .measure import QuadratureGrid, build_grid, integrate
+from .measure import QuadratureGrid, build_grid, integrate, integrate_radial
 from .specfun import (
     DomainError,
     EvaluationError,
-    bessel_k_scaled,
     gauss_2f1,
+    ln_bessel_i,
+    ln_bessel_k,
     ln_factorial,
 )
 
@@ -179,11 +180,10 @@ def level_weight(nu: int, ts: ThermalSpec) -> float:
 
 # ------------------------------------------------------------------------
 # diagonal density (Husimi) and diagonal expansion weight (P-function)
-
-def _ln_bessel_k(m: int, r: float) -> float:
-    # log of K_m(2r) without overflow at large r
-    return math.log(bessel_k_scaled(m, 2.0 * r)) - 2.0 * r
-
+#
+# Both depend on |z| alone, so each is evaluated once over an array of radii
+# with the array Bessel kernels; the quadrature routes integrate these
+# profiles in 1-D against the grid's radial weight (integrate_radial).
 
 def _husimi_exponents(ts: ThermalSpec, strong_field: bool) -> tuple[float, float]:
     # returns (decay exponent a, log prefactor excluding the e^{a(m-1)} factor)
@@ -197,14 +197,30 @@ def _husimi_exponents(ts: ThermalSpec, strong_field: bool) -> tuple[float, float
     return a, math.log(2.0 * math.sinh(a))
 
 
-def _ln_husimi(r: float, ts: ThermalSpec, strong_field: bool = False) -> float:
+def _ln_husimi(r: np.ndarray, ts: ThermalSpec, strong_field: bool = False) -> np.ndarray:
     a, ln_pref = _husimi_exponents(ts, strong_field)
     m = ts.m
-    if r == 0.0:
-        # ratio limit I_m(2ru)/I_m(2r) -> u^m
-        return ln_pref + a * (m - 1) - a * m
-    return ln_pref + a * (m - 1) \
-        + _ln_bessel_i(m, r * math.exp(-a)) - _ln_bessel_i(m, r)
+    # at the origin the ratio I_m(2ru)/I_m(2r) -> u^m
+    out = np.full(r.shape, ln_pref + a * (m - 1) - a * m)
+    pos = r > 0.0
+    x = 2.0 * r[pos]
+    out[pos] = ln_pref + a * (m - 1) \
+        + ln_bessel_i(m, x * math.exp(-a)) - ln_bessel_i(m, x)
+    return out
+
+
+def _ln_p(r: np.ndarray, ts: ThermalSpec) -> np.ndarray:
+    # r > 0
+    a = ts.half_beta_gap
+    x = 2.0 * r
+    return math.log(math.expm1(ts.beta_gap)) + a * ts.m \
+        + ln_bessel_k(ts.m, x * math.exp(a)) - ln_bessel_k(ts.m, x)
+
+
+def _i_ratio(m: int, k: int, r: np.ndarray) -> np.ndarray:
+    # r^k I_{m+k}(2r) / I_m(2r)
+    x = 2.0 * r
+    return r ** k * np.exp(ln_bessel_i(m + k, x) - ln_bessel_i(m, x))
 
 
 def husimi_thermal(label, ts: ThermalSpec) -> float:
@@ -215,7 +231,7 @@ def husimi_thermal(label, ts: ThermalSpec) -> float:
     (0, 1) and integrate to 1 against the reproducing measure.
     """
     lab = _as_label(label)
-    return math.exp(_ln_husimi(lab.rho, ts))
+    return float(np.exp(_ln_husimi(np.array([lab.rho]), ts))[0])
 
 
 def husimi_thermal_strong_field(label, ts: ThermalSpec) -> float:
@@ -227,13 +243,7 @@ def husimi_thermal_strong_field(label, ts: ThermalSpec) -> float:
     tolerance.
     """
     lab = _as_label(label)
-    return math.exp(_ln_husimi(lab.rho, ts, strong_field=True))
-
-
-def _ln_p(r: float, ts: ThermalSpec) -> float:
-    a = ts.half_beta_gap
-    return math.log(math.expm1(ts.beta_gap)) + a * ts.m \
-        + _ln_bessel_k(ts.m, r * math.exp(a)) - _ln_bessel_k(ts.m, r)
+    return float(np.exp(_ln_husimi(np.array([lab.rho]), ts, strong_field=True))[0])
 
 
 def p_function(label, ts: ThermalSpec) -> float:
@@ -245,19 +255,11 @@ def p_function(label, ts: ThermalSpec) -> float:
     lab = _as_label(label)
     if lab.rho == 0.0:
         raise DomainError("diagonal weight undefined at z = 0")
-    return math.exp(_ln_p(lab.rho, ts))
+    return float(np.exp(_ln_p(np.array([lab.rho]), ts))[0])
 
 
 # ------------------------------------------------------------------------
 # quadrature plumbing
-
-def _radial_profile(z: np.ndarray, fn) -> np.ndarray:
-    # quadrature rows share a single radius; evaluate once per row
-    radii = np.abs(z[:, 0])
-    vals = np.fromiter((fn(float(r)) for r in radii), dtype=float,
-                       count=radii.size)
-    return np.broadcast_to(vals[:, None], z.shape)
-
 
 def thermal_grid(ts: ThermalSpec, max_degree: int = 24, max_mode: int = 8,
                  tail_tol: float = 1e-12) -> QuadratureGrid:
@@ -285,16 +287,13 @@ def thermal_grid(ts: ThermalSpec, max_degree: int = 24, max_mode: int = 8,
 def husimi_normalization_check(ts: ThermalSpec, grid: QuadratureGrid,
                                strong_field: bool = False) -> float:
     """|integral of the diagonal density against the measure - 1|."""
-    def f(z):
-        return _radial_profile(z, lambda r: math.exp(_ln_husimi(r, ts, strong_field)))
-    return abs(integrate(f, ts.m, grid, vectorized=True).real - 1.0)
+    h = np.exp(_ln_husimi(grid.nodes, ts, strong_field))
+    return abs(integrate_radial(h, ts.m, grid) - 1.0)
 
 
 def p_normalization_check(ts: ThermalSpec, grid: QuadratureGrid) -> float:
     """|integral of the diagonal weight against the measure - 1|."""
-    def f(z):
-        return _radial_profile(z, lambda r: math.exp(_ln_p(r, ts)))
-    return abs(integrate(f, ts.m, grid, vectorized=True).real - 1.0)
+    return abs(integrate_radial(np.exp(_ln_p(grid.nodes, ts)), ts.m, grid) - 1.0)
 
 
 def fock_population_reconstruction(nu: int, ts: ThermalSpec,
@@ -308,16 +307,10 @@ def fock_population_reconstruction(nu: int, ts: ThermalSpec,
         raise DomainError(f"nu must be an integer >= 0, got {nu!r}")
     nu = int(nu)
     m = ts.m
-    ln_fact = ln_factorial(nu) + ln_factorial(nu + m)
-
-    def sq_amp(r):
-        if r == 0.0:
-            return 1.0 if nu + m == 0 else 0.0
-        return math.exp((m + 2 * nu) * math.log(r) - _ln_bessel_i(m, r) - ln_fact)
-
-    def f(z):
-        return _radial_profile(z, lambda r: math.exp(_ln_p(r, ts)) * sq_amp(r))
-    return integrate(f, m, grid, vectorized=True).real
+    r = grid.nodes
+    ln_sq_amp = (m + 2 * nu) * np.log(r) - ln_bessel_i(m, 2.0 * r) \
+        - (ln_factorial(nu) + ln_factorial(nu + m))
+    return integrate_radial(np.exp(_ln_p(r, ts) + ln_sq_amp), m, grid)
 
 
 def thermal_average(mean_fn, ts: ThermalSpec, grid: QuadratureGrid) -> complex:
@@ -326,10 +319,9 @@ def thermal_average(mean_fn, ts: ThermalSpec, grid: QuadratureGrid) -> complex:
     mean_fn receives the full complex node matrix and must return a
     like-shaped array of coherent-state mean values.
     """
-    def f(z):
-        w = _radial_profile(z, lambda r: math.exp(_ln_p(r, ts)))
-        return w * np.asarray(mean_fn(z))
-    return integrate(f, ts.m, grid, vectorized=True)
+    w = np.exp(_ln_p(grid.nodes, ts))[:, None]
+    return integrate(lambda z: w * np.asarray(mean_fn(z)), ts.m, grid,
+                     vectorized=True)
 
 
 # ------------------------------------------------------------------------
@@ -352,17 +344,15 @@ def thermal_g(ts: ThermalSpec) -> float:
 
 
 def thermal_mean_n_quadrature(ts: ThermalSpec, grid: QuadratureGrid) -> float:
-    m = ts.m
-    return thermal_average(
-        lambda z: _radial_profile(z, lambda r: mean_n(CoherentLabel(r), m)),
-        ts, grid).real
+    r = grid.nodes
+    vals = np.exp(_ln_p(r, ts)) * _i_ratio(ts.m, 1, r)
+    return integrate_radial(vals, ts.m, grid)
 
 
 def thermal_mean_n_sq_quadrature(ts: ThermalSpec, grid: QuadratureGrid) -> float:
-    m = ts.m
-    return thermal_average(
-        lambda z: _radial_profile(z, lambda r: mean_n_sq(CoherentLabel(r), m)),
-        ts, grid).real
+    r = grid.nodes
+    vals = np.exp(_ln_p(r, ts)) * (_i_ratio(ts.m, 2, r) + _i_ratio(ts.m, 1, r))
+    return integrate_radial(vals, ts.m, grid)
 
 
 def thermal_g_quadrature(ts: ThermalSpec, grid: QuadratureGrid) -> float:
@@ -402,7 +392,7 @@ def _q2_fock_trace(ts: ThermalSpec, depth: int | None) -> float:
         depth = _q2_trace_depth(ts)
     sp = SubspaceSpec(ts.m, depth=max(16, depth))
     q = quantize_closed_form(SymbolSpec("q"), sp).entries
-    diag = np.real(np.diag(q @ q))
+    diag = np.real(np.einsum("ij,ji->i", q, q))
     y = ts.boltzmann_factor
     dim = diag.size
     # last diagonal entry is corrupted by truncation; weights there are
@@ -411,15 +401,17 @@ def _q2_fock_trace(ts: ThermalSpec, depth: int | None) -> float:
     return float(np.sum((weights * diag[:-1])[::-1]))
 
 
-def _q2_quadrature(ts: ThermalSpec, grid: QuadratureGrid, second: bool) -> float:
-    m = ts.m
-
-    def mean_sq(z):
-        k3 = _radial_profile(z, lambda r: mean_k3(CoherentLabel(r), m))
-        r_sq = np.abs(z[:, :1]) ** 2
-        trig = np.sin(np.angle(z[0, :])) if second else np.cos(np.angle(z[0, :]))
-        return k3 + 2.0 * r_sq * trig[None, :] ** 2
-    return thermal_average(mean_sq, ts, grid).real
+def _q2_quadratures(ts: ThermalSpec, grid: QuadratureGrid) -> tuple[float, float]:
+    # int P (k3 + 2 r^2 trig^2) dmeasure for trig = cos (q) and sin (p): both
+    # share the radial profile P k3; trig^2 enters through its angular mean
+    # under the grid's trapezoid rule
+    r = grid.nodes
+    weight = np.exp(_ln_p(r, ts))
+    p_k3 = weight * (_i_ratio(ts.m, 1, r) + 0.5 * (ts.m + 1))
+    p_r_sq = 2.0 * weight * r * r
+    phi = grid.angles
+    return tuple(integrate_radial(p_k3 + np.mean(trig(phi) ** 2) * p_r_sq, ts.m, grid)
+                 for trig in (np.cos, np.sin))
 
 
 @dataclass(frozen=True)
@@ -474,13 +466,14 @@ def thermal_q2_three_ways(ts: ThermalSpec, grid: QuadratureGrid | None = None,
     if grid is None:
         grid = thermal_grid(ts)
     used_depth = _q2_trace_depth(ts) if depth is None else depth
+    first, second = _q2_quadratures(ts, grid)
     return SecondMomentReport(
         m=ts.m,
         beta_gap=ts.beta_gap,
         closed_form=thermal_q2_closed(ts),
-        p_quadrature=_q2_quadrature(ts, grid, second=False),
+        p_quadrature=first,
         fock_trace=_q2_fock_trace(ts, used_depth),
-        second_component_quadrature=_q2_quadrature(ts, grid, second=True),
+        second_component_quadrature=second,
         trace_depth=used_depth,
     )
 
@@ -538,17 +531,10 @@ def wehrl_entropy(ts: ThermalSpec, grid: QuadratureGrid | None = None,
     if area is not None and not area > 0.0:
         raise DomainError(f"area must be positive, got {area!r}")
 
-    def h_ln_h(r):
-        ln_h = _ln_husimi(r, ts)
-        h = math.exp(ln_h)
-        if h < _UNDERFLOW_FLOOR:
-            return 0.0
-        return h * ln_h
-
-    def f(z):
-        return _radial_profile(z, h_ln_h)
-
-    w_quad = -integrate(f, ts.m, grid, vectorized=True).real
+    ln_h = _ln_husimi(grid.nodes, ts)
+    h = np.exp(ln_h)
+    h_ln_h = np.where(h < _UNDERFLOW_FLOOR, 0.0, h * ln_h)
+    w_quad = -integrate_radial(h_ln_h, ts.m, grid)
     approx = -math.log1p(-ts.boltzmann_factor)
     scaled = None
     if area is not None:

@@ -25,6 +25,7 @@ from landau_bgcs.bgcs import (
     overlap,
     overlap_density,
     probability_density,
+    radial_amplitudes,
     reduced_series_matrix,
     snr,
 )
@@ -135,6 +136,18 @@ def test_lowering_eigenvector_property():
     # final component of the matrix action is corrupted by truncation
     err = np.linalg.norm((lhs - rhs)[:-1]) / np.linalg.norm(v.amplitudes)
     assert err < 1e-10
+
+
+@pytest.mark.parametrize("m", [0, 2])
+def test_radial_amplitudes_match_bgcs_state(m):
+    # the amplitude matrix over a depth-8 quadrature grid's radii, row by
+    # row against the per-node state construction
+    g = build_grid(max_degree=2 * 8 + m + 3, max_mode=10)
+    got = radial_amplitudes(m, g.nodes, 9)
+    assert got.shape == (g.nodes.size, 9)
+    want = np.array([bgcs_state(CoherentLabel(float(r)), SubspaceSpec(m, depth=8))
+                     .amplitudes.real for r in g.nodes])
+    assert np.max(np.abs(got - want) / want) <= 1e-13
 
 
 # ---------------------------------------------------------------- overlap

@@ -12,6 +12,7 @@ from landau_bgcs.measure import (
     QuadratureGrid,
     build_grid,
     integrate,
+    integrate_radial,
     measure_density,
     radial_moment_check,
     resolution_of_identity_check,
@@ -64,6 +65,31 @@ def test_density_out_of_range_raises():
     with pytest.raises(EvaluationError, match="order-200"):
         measure_density(0.5, 200)
     assert measure_density(0.0, 200) == pytest.approx(1.0 / (200.0 * math.pi), rel=1e-15)
+
+
+def test_density_array_route_is_the_scalar_route():
+    # an array of radii (or complex labels) gives, element by element, the
+    # bits of the scalar call, the origin limit included
+    r = np.array([0.0, 1e-3, 1.0, 2.5, 39.9, 40.1, 250.0])
+    for m in (0, 3):
+        got = measure_density(r, m)
+        assert np.array_equal(got, [measure_density(float(v), m) for v in r])
+        assert np.array_equal(measure_density(r * np.exp(0.4j), m), got)
+    with pytest.raises(EvaluationError, match="order-200"):
+        measure_density(np.array([3.0, 0.5]), 200)
+
+
+@pytest.mark.parametrize("m", [0, 1, 4, 12])
+def test_density_vs_mpmath_across_radii(m):
+    # the large e^{2r} and e^{-2r} of I_m and K_m never enter the sum, so the
+    # density keeps a few ulps out to the thermal cutoffs
+    mpmath = pytest.importorskip("mpmath")
+    r = np.array([1e-3, 0.1, 1.0, 7.0, 15.0, 22.5, 30.0, 40.0, 41.0, 60.0,
+                  100.0, 150.0, 300.0])
+    with mpmath.workdps(30):
+        want = np.array([float(2 / mpmath.pi * mpmath.besseli(m, 2 * mpmath.mpf(v))
+                               * mpmath.besselk(m, 2 * mpmath.mpf(v))) for v in r])
+    assert np.max(np.abs(measure_density(r, m) / want - 1.0)) <= 1e-14
 
 
 def test_radial_density_flattens_at_large_radius():
@@ -120,6 +146,23 @@ def test_integrate_rejects_nonfinite_samples(grid):
     with pytest.raises(Exception) as err:
         integrate(bad, 0, grid, vectorized=True)
     assert "non-finite" in str(err.value)
+
+
+def test_integrate_radial_is_integrate_of_a_radial_profile(grid):
+    r = grid.nodes
+    vals = r ** 3 * np.exp(-r)
+    want = integrate(lambda u: np.broadcast_to(vals[:, None], u.shape), 2, grid,
+                     vectorized=True)
+    assert integrate_radial(vals, 2, grid) == pytest.approx(want.real, rel=1e-14)
+
+
+def test_integrate_radial_rejects_bad_samples(grid):
+    vals = np.ones(grid.nodes.size)
+    vals[7] = np.inf
+    with pytest.raises(EvaluationError, match="non-finite"):
+        integrate_radial(vals, 0, grid)
+    with pytest.raises(ValueError):
+        integrate_radial(np.ones(grid.nodes.size + 1), 0, grid)
 
 
 def test_integrate_out_of_range_sector_raises(grid):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -248,3 +249,78 @@ def test_property_scaled_i_bounded(m, x):
     # 0 <= e^{-x} I_m(x) <= 1 on the real axis
     v = sf.bessel_i_scaled(m, x)
     assert 0.0 <= v <= 1.0
+
+
+# ------------------------------------------------- array ln I_m / ln K_m kernels
+
+_ARRAY_ORDERS = (0, 1, 2, 4, 8, 30)
+_ARRAY_X = np.geomspace(1e-6, 700.0, 41)
+
+
+def _ln_err(got, want):
+    # absolute error measured against max(1, |ln|)
+    return np.abs(got - want) / np.maximum(1.0, np.abs(want))
+
+
+@pytest.mark.parametrize("m", _ARRAY_ORDERS)
+def test_ln_bessel_kernels_vs_mpmath(m):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        want_i = np.array([float(mpmath.log(mpmath.besseli(m, mpmath.mpf(x))))
+                           for x in _ARRAY_X])
+        want_k = np.array([float(mpmath.log(mpmath.besselk(m, mpmath.mpf(x))))
+                           for x in _ARRAY_X])
+    assert _ln_err(sf.ln_bessel_i(m, _ARRAY_X), want_i).max() <= 1e-14
+    assert _ln_err(sf.ln_bessel_k(m, _ARRAY_X), want_k).max() <= 1e-14
+
+
+@pytest.mark.parametrize("m", _ARRAY_ORDERS)
+def test_ln_bessel_kernels_vs_scipy(m):
+    special = pytest.importorskip("scipy.special")
+    want_i = np.log(special.ive(m, _ARRAY_X)) + _ARRAY_X
+    want_k = np.log(special.kve(m, _ARRAY_X)) - _ARRAY_X
+    assert _ln_err(sf.ln_bessel_i(m, _ARRAY_X), want_i).max() <= 1e-13
+    assert _ln_err(sf.ln_bessel_k(m, _ARRAY_X), want_k).max() <= 1e-13
+
+
+@pytest.mark.parametrize("m", [0, 3, 30])
+def test_ln_bessel_kernels_elementwise_independent(m):
+    # each element runs to its own convergence: alone or inside any array,
+    # in any order or shape, it gets the same bits
+    x = np.concatenate([_ARRAY_X, [1.9, 2.0, 2.1, 31.0, 33.0, 1200.0]])
+    for fn in (sf.ln_bessel_i, sf.ln_bessel_k):
+        whole = fn(m, x)
+        alone = np.array([fn(m, np.array([v]))[0] for v in x])
+        assert np.array_equal(whole, alone)
+        assert np.array_equal(fn(m, x[::-1])[::-1], whole)
+        assert np.array_equal(fn(m, x[:46].reshape(2, 23)), whole[:46].reshape(2, 23))
+
+
+def test_ln_bessel_kernels_match_scalar_kernels():
+    # the scalar and array routes are separate code; they agree to rounding
+    for m in (0, 1, 5):
+        for x in (0.01, 1.5, 2.5, 40.0, 250.0):
+            got_i = sf.ln_bessel_i(m, np.array([x]))[0]
+            got_k = sf.ln_bessel_k(m, np.array([x]))[0]
+            assert got_i == pytest.approx(math.log(sf.bessel_i_scaled(m, x)) + x,
+                                          rel=1e-14, abs=1e-14)
+            assert got_k == pytest.approx(math.log(sf.bessel_k_scaled(m, x)) - x,
+                                          rel=1e-14, abs=1e-14)
+
+
+def test_ln_bessel_kernels_stay_finite_at_extreme_orders():
+    # I_200(1) underflows and K_200(1) overflows as plain doubles; their logs
+    # do not, and the Wronskian-type product I_m K_m -> 1/(2m) holds
+    x = np.array([1.0])
+    total = sf.ln_bessel_i(200, x)[0] + sf.ln_bessel_k(200, x)[0]
+    assert total == pytest.approx(math.log(1.0 / 400.0), abs=1e-3)
+
+
+def test_ln_bessel_kernels_domain():
+    for fn in (sf.ln_bessel_i, sf.ln_bessel_k):
+        for bad in ([0.0], [-1.0], [math.nan], [math.inf]):
+            with pytest.raises(sf.DomainError):
+                fn(0, np.array(bad))
+        with pytest.raises(sf.DomainError):
+            fn(-1, np.array([1.0]))
+        assert fn(2, np.array([])).shape == (0,)

@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from landau_bgcs.bgcs import CoherentLabel, _ln_bessel_i, mean_k3, mean_n, mean_n_sq
 from landau_bgcs.fock import DomainError, PhysicalParams
+from landau_bgcs.measure import integrate
+from landau_bgcs.specfun import bessel_k_scaled, ln_factorial
 from landau_bgcs.thermo import (
     SecondMomentReport,
     ThermalSpec,
@@ -379,6 +382,107 @@ def test_summary_row_schema(grids):
     assert row["Q2"] == row["P2"]
     assert row["g"] == pytest.approx(2.0, rel=1e-14)
     assert row["N_mean"] == pytest.approx(thermal_mean_n(_ts(1.0, m=1)), rel=1e-15)
+
+
+# ------------------------------------- per-node scalar reference routes
+#
+# The routes above integrate radial profiles built by the array kernels.
+# These references are the earlier integrands: every profile evaluated node
+# by node with the scalar Bessel kernels, spread over the angles and summed
+# by the full 2-D integrate.
+
+def _ref_ln_bessel_k(m, r):
+    # ln K_m(2r)
+    return math.log(bessel_k_scaled(m, 2.0 * r)) - 2.0 * r
+
+
+def _ref_profiles(ts, grid):
+    m = ts.m
+    a = ts.half_beta_gap
+    p = ts.params
+    a_sf = 0.5 * ts.beta * p.hbar * p.omega0 ** 2 / p.omega_c
+    out = {key: [] for key in ("ln_h", "ln_h_sf", "ln_p", "n", "n_sq", "k3", "sq_amp1")}
+    for r in map(float, grid.nodes):
+        ln_i = _ln_bessel_i(m, r)
+        out["ln_h"].append(math.log(2.0 * math.sinh(a)) + a * (m - 1)
+                           + _ln_bessel_i(m, r * math.exp(-a)) - ln_i)
+        out["ln_h_sf"].append(math.log(2.0 * a_sf) + a_sf * (m - 1)
+                              + _ln_bessel_i(m, r * math.exp(-a_sf)) - ln_i)
+        out["ln_p"].append(math.log(math.expm1(ts.beta_gap)) + a * m
+                           + _ref_ln_bessel_k(m, r * math.exp(a)) - _ref_ln_bessel_k(m, r))
+        lab = CoherentLabel(r)
+        out["n"].append(mean_n(lab, m))
+        out["n_sq"].append(mean_n_sq(lab, m))
+        out["k3"].append(mean_k3(lab, m))
+        out["sq_amp1"].append(math.exp((m + 2) * math.log(r) - ln_i
+                                       - ln_factorial(1) - ln_factorial(1 + m)))
+    return {key: np.array(v) for key, v in out.items()}
+
+
+def _ref_integral(vals, ts, grid, angular=None):
+    def f(z):
+        col = vals[:, None]
+        return np.broadcast_to(col, z.shape) if angular is None else angular(col, z)
+    return integrate(f, ts.m, grid, vectorized=True).real
+
+
+@pytest.fixture(scope="module")
+def reference_routes():
+    cache = {}
+
+    def get(beta_gap, m):
+        if (beta_gap, m) not in cache:
+            ts = _ts(beta_gap, m=m)
+            grid = thermal_grid(ts)
+            cache[beta_gap, m] = ts, grid, _ref_profiles(ts, grid)
+        return cache[beta_gap, m]
+    return get
+
+
+@pytest.mark.parametrize("m", [0, 4])
+@pytest.mark.parametrize("beta_gap", [0.1, 1.0, 6.0])
+def test_array_routes_match_scalar_reference(beta_gap, m, reference_routes):
+    ts, grid, ref = reference_routes(beta_gap, m)
+    h = np.exp(ref["ln_h"])
+    p = np.exp(ref["ln_p"])
+
+    def q2(trig):
+        return _ref_integral(p, ts, grid, lambda col, z: col * (
+            ref["k3"][:, None] + 2.0 * np.abs(z[:, :1]) ** 2
+            * trig(np.angle(z[0, :]))[None, :] ** 2))
+
+    pairs = [
+        (husimi_normalization_check(ts, grid), abs(_ref_integral(h, ts, grid) - 1.0)),
+        (husimi_normalization_check(ts, grid, strong_field=True),
+         abs(_ref_integral(np.exp(ref["ln_h_sf"]), ts, grid) - 1.0)),
+        (p_normalization_check(ts, grid), abs(_ref_integral(p, ts, grid) - 1.0)),
+        (wehrl_entropy(ts, grid).quadrature,
+         -_ref_integral(np.where(h < 1e-300, 0.0, h * ref["ln_h"]), ts, grid)),
+        (thermal_mean_n_quadrature(ts, grid), _ref_integral(p * ref["n"], ts, grid)),
+        (thermal_mean_n_sq_quadrature(ts, grid), _ref_integral(p * ref["n_sq"], ts, grid)),
+        (fock_population_reconstruction(1, ts, grid),
+         _ref_integral(p * ref["sq_amp1"], ts, grid)),
+    ]
+    rep = thermal_q2_three_ways(ts, grid)
+    pairs += [(rep.p_quadrature, q2(np.cos)),
+              (rep.second_component_quadrature, q2(np.sin))]
+    for i, (got, want) in enumerate(pairs):
+        # the normalization residuals are |integral - 1| with integral ~ 1
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (i, got, want)
+
+
+def test_point_profiles_match_scalar_reference():
+    ts = _ts(1.3, m=2)
+    for r in (1e-4, 0.7, 3.0, 45.0):
+        want_h = math.exp(math.log(2.0 * math.sinh(ts.half_beta_gap))
+                          + ts.half_beta_gap
+                          + _ln_bessel_i(2, r * math.exp(-ts.half_beta_gap))
+                          - _ln_bessel_i(2, r))
+        want_p = math.exp(math.log(math.expm1(ts.beta_gap)) + 2.0 * ts.half_beta_gap
+                          + _ref_ln_bessel_k(2, r * math.exp(ts.half_beta_gap))
+                          - _ref_ln_bessel_k(2, r))
+        assert husimi_thermal(complex(r, 0.0), ts) == pytest.approx(want_h, rel=1e-13)
+        assert p_function(complex(r, 0.0), ts) == pytest.approx(want_p, rel=1e-13)
 
 
 # --------------------------------------------------------------- properties
