@@ -132,14 +132,19 @@ def _ln_bessel_i(m: int, r: float) -> float:
     return math.log(bessel_i_scaled(m, 2.0 * r)) + 2.0 * r
 
 
-def _ln_amplitude(m: int, r: float, nu: int, ln_i: float) -> float:
-    return (0.5 * m + nu) * math.log(r) - 0.5 * ln_i \
-        - 0.5 * (ln_factorial(nu) + ln_factorial(nu + m))
+def _ln_amplitude(m: int, ln_r, nu, ln_i):
+    """ln a_nu = (m/2 + nu) ln r - ln I_m(2r)/2 - ln(nu! (nu+m)!)/2, broadcast
+    over an integer nu (scalar or array) against ln r and ln I_m(2r) (scalars,
+    or columns over radii)."""
+    nu = np.asarray(nu)
+    ln_fact = np.array([ln_factorial(k) + ln_factorial(k + m)
+                        for k in nu.ravel().tolist()]).reshape(nu.shape)
+    return (0.5 * m + nu) * ln_r - 0.5 * ln_i - 0.5 * ln_fact
 
 
 def _auto_depth(m: int, r: float, tail_tol: float, ln_i: float) -> int:
     depth = max(30, math.ceil(2.0 * math.e * r) + math.ceil(10.0 * math.sqrt(r + 1.0)))
-    while 2.0 * _ln_amplitude(m, r, depth, ln_i) >= math.log(tail_tol):
+    while 2.0 * _ln_amplitude(m, math.log(r), depth, ln_i) >= math.log(tail_tol):
         depth += 16
         if depth > 200_000:
             raise DomainError("auto depth selection diverged")
@@ -172,7 +177,7 @@ def bgcs_state(label, spec: SubspaceSpec,
         depth = spec.depth
         checked = None
     nu = np.arange(depth + 1)
-    ln_mag = np.array([_ln_amplitude(m, r, k, ln_i) for k in range(depth + 1)])
+    ln_mag = _ln_amplitude(m, math.log(r), nu, ln_i)
     amps = np.exp(ln_mag) * np.exp(1j * label.phi * nu)
     return StateVector(m=m, amplitudes=amps, label=label, tail_tol=checked)
 
@@ -187,10 +192,7 @@ def radial_amplitudes(m: int, r, n: int) -> np.ndarray:
     """
     r = np.asarray(r, dtype=np.float64)
     ln_i = ln_bessel_i(m, 2.0 * r)
-    ln_fact = np.array([ln_factorial(k) + ln_factorial(k + m) for k in range(n)])
-    ln_mag = (0.5 * m + np.arange(n))[None, :] * np.log(r)[:, None] \
-        - 0.5 * ln_i[:, None] - 0.5 * ln_fact[None, :]
-    return np.exp(ln_mag)
+    return np.exp(_ln_amplitude(m, np.log(r)[:, None], np.arange(n), ln_i[:, None]))
 
 
 def probability_density(label, m: int, nu: int) -> float:
@@ -201,7 +203,7 @@ def probability_density(label, m: int, nu: int) -> float:
     r = label.rho
     if r == 0.0:
         return 1.0 if nu == 0 else 0.0
-    return math.exp(2.0 * _ln_amplitude(m, r, nu, _ln_bessel_i(m, r)))
+    return math.exp(2.0 * _ln_amplitude(m, math.log(r), nu, _ln_bessel_i(m, r)))
 
 
 # ------------------------------------------------------------------ kernel
@@ -265,35 +267,33 @@ def kernel_idempotence_check(z, zp, m: int, grid: QuadratureGrid) -> float:
 
 # ------------------------------------------------------- photon statistics
 
-def _bessel_step_ratio(m: int, r: float) -> float:
-    # |z| I_{m+1}(2|z|) / I_m(2|z|)
-    if r == 0.0:
-        return 0.0
+def _bessel_series(m: int, r: float) -> tuple[float, list[float]]:
+    # (u, [f0, f1, f2]) with r^k I_{m+k}(2r) / I_m(2r) = u^k f_k / f_0:
+    # reduced series at u = r^2 up to the switch, scaled Bessel at u = r beyond
     if r <= _RATIO_SWITCH:
-        x = r * r
-        return x * bessel_i_reduced(m + 1, x).real / bessel_i_reduced(m, x).real
-    return r * bessel_i_scaled(m + 1, 2.0 * r) / bessel_i_scaled(m, 2.0 * r)
+        u = r * r
+        return u, [bessel_i_reduced(m + k, u).real for k in range(3)]
+    return r, [bessel_i_scaled(m + k, 2.0 * r) for k in range(3)]
 
 
-def _bessel_double_step_ratio(m: int, r: float) -> float:
-    # |z|^2 I_{m+2}(2|z|) / I_m(2|z|)
+def _step_ratios(m: int, r: float) -> tuple[float, float]:
+    # (R1, R2) = (|z| I_{m+1} / I_m, |z|^2 I_{m+2} / I_m) at argument 2|z|;
+    # zero at z = 0 even where 1/m! underflows
     if r == 0.0:
-        return 0.0
-    if r <= _RATIO_SWITCH:
-        x = r * r
-        return x * x * bessel_i_reduced(m + 2, x).real / bessel_i_reduced(m, x).real
-    return r * r * bessel_i_scaled(m + 2, 2.0 * r) / bessel_i_scaled(m, 2.0 * r)
+        return 0.0, 0.0
+    u, (f0, f1, f2) = _bessel_series(m, r)
+    return u * f1 / f0, u * u * f2 / f0
 
 
 def mean_n(label, m: int) -> float:
     """Mean radial quantum number |z| I_{m+1}(2|z|)/I_m(2|z|)."""
-    return _bessel_step_ratio(m, _as_label(label).rho)
+    return _step_ratios(m, _as_label(label).rho)[0]
 
 
 def mean_n_sq(label, m: int) -> float:
     """Second moment |z|^2 I_{m+2}/I_m + |z| I_{m+1}/I_m."""
-    r = _as_label(label).rho
-    return _bessel_double_step_ratio(m, r) + _bessel_step_ratio(m, r)
+    r1, r2 = _step_ratios(m, _as_label(label).rho)
+    return r2 + r1
 
 
 def mean_k3(label, m: int) -> float:
@@ -304,9 +304,8 @@ def mean_k3(label, m: int) -> float:
 def mean_k3_sq(label, m: int) -> float:
     """Second moment of the diagonal generator:
     |z|^2 I_{m+2}/I_m + (m+2)|z| I_{m+1}/I_m + ((m+1)/2)^2."""
-    r = _as_label(label).rho
-    return _bessel_double_step_ratio(m, r) \
-        + (m + 2) * _bessel_step_ratio(m, r) + (0.5 * (m + 1)) ** 2
+    r1, r2 = _step_ratios(m, _as_label(label).rho)
+    return r2 + (m + 2) * r1 + (0.5 * (m + 1)) ** 2
 
 
 def g2(label, m: int) -> float:
@@ -315,13 +314,8 @@ def g2(label, m: int) -> float:
     Finite at z = 0 with value (m+1)/(m+2); approaches 1 from below as
     |z| grows (always sub-Poissonian).
     """
-    r = _as_label(label).rho
-    if r <= _RATIO_SWITCH:
-        x = r * r
-        return bessel_i_reduced(m, x).real * bessel_i_reduced(m + 2, x).real \
-            / bessel_i_reduced(m + 1, x).real ** 2
-    return bessel_i_scaled(m, 2.0 * r) * bessel_i_scaled(m + 2, 2.0 * r) \
-        / bessel_i_scaled(m + 1, 2.0 * r) ** 2
+    _, (f0, f1, f2) = _bessel_series(m, _as_label(label).rho)
+    return f0 * f2 / f1 ** 2
 
 
 def mandel_q(label, m: int) -> float:
@@ -333,8 +327,7 @@ def mandel_q(label, m: int) -> float:
     r = _as_label(label).rho
     if r == 0.0:
         raise DomainError("Mandel parameter undefined at z = 0 (zero mean)")
-    r1 = _bessel_step_ratio(m, r)
-    r2 = _bessel_double_step_ratio(m, r)
+    r1, r2 = _step_ratios(m, r)
     return (r2 - r1 * r1) / r1
 
 

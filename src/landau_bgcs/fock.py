@@ -14,14 +14,15 @@ and center-coordinate ladders change m and therefore leave the subspace;
 requesting them yields flagged diagonal/band surrogates that are only
 meaningful inside the products used by the Hamiltonian reconstruction.
 
-All matrices are dense complex128 with explicit bandwidth metadata; loops are
-plain index arithmetic over the (depth+1)-dimensional truncation.
+All matrices are dense complex128 with explicit bandwidth metadata, laid out
+with np.diag from whole index vectors.  lowering_band is the one builder of the
+K- and K-^2 bands; the quantized symbols and their identity checks read it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -97,7 +98,7 @@ class SubspaceSpec:
     depth: int | None = None
 
     def __post_init__(self):
-        if self.m < 0 or self.m != int(self.m):
+        if isinstance(self.m, (bool, np.bool_)) or self.m < 0 or self.m != int(self.m):
             raise DomainError(f"m must be an integer >= 0, got {self.m!r}")
         if self.depth is not None and (self.depth < 8 or self.depth != int(self.depth)):
             raise ValueError(f"explicit depth must be an integer >= 8, got {self.depth!r}")
@@ -159,6 +160,23 @@ def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
                           surrogate=a.surrogate or b.surrogate)
 
 
+def lowering_band(m: int, dim: int, step: int = 1, dtype=np.float64) -> np.ndarray:
+    """Band <nu| K-^step |nu+step> = sqrt(prod_{j=1..step} (nu+j)(m+nu+j)),
+    nu = 0 .. dim-step-1, of the step-th power of the lowering generator on a
+    dim-state truncation of sector m.
+
+    The integer product is formed exactly and rounded once into the real
+    dtype before a single square root, so float64 and np.longdouble callers
+    each get correctly rounded entries.  np.diag(band, step) places it as
+    K-^step and np.diag(band, -step) as K+^step.
+    """
+    nu = np.arange(dim - step, dtype=object)
+    prod = 1
+    for j in range(1, step + 1):
+        prod = prod * (nu + j) * (m + nu + j)
+    return np.sqrt(np.asarray(prod, dtype=dtype))
+
+
 def ladder_matrix(kind: str, spec: SubspaceSpec) -> OperatorMatrix:
     """Truncated matrix of one ladder generator on the m sector.
 
@@ -170,41 +188,30 @@ def ladder_matrix(kind: str, spec: SubspaceSpec) -> OperatorMatrix:
     """
     if kind not in _LADDER_KINDS:
         raise ValueError(f"unknown ladder kind {kind!r}; expected one of {_LADDER_KINDS}")
-    K = spec.require_depth()
+    n = spec.require_depth() + 1
     m = spec.m
-    n = K + 1
-    a = np.zeros((n, n), dtype=np.complex128)
-    if kind == "k_plus":
-        for nu in range(1, n):
-            a[nu, nu - 1] = math.sqrt(nu * (nu + m))
-        return OperatorMatrix(a, 1, label="k_plus")
-    if kind == "k_minus":
-        for nu in range(1, n):
-            a[nu - 1, nu] = math.sqrt(nu * (nu + m))
-        return OperatorMatrix(a, 1, label="k_minus")
+    nu = np.arange(n)
+    if kind in ("k_plus", "k_minus"):
+        # complex before np.diag, so no real (n, n) copy is ever made
+        band = lowering_band(m, n).astype(np.complex128)
+        return OperatorMatrix(np.diag(band, 1 if kind == "k_minus" else -1), 1,
+                              label=kind)
     if kind == "k3":
-        for nu in range(n):
-            a[nu, nu] = nu + 0.5 * (m + 1)
-        return OperatorMatrix(a, 0, label="k3")
+        return OperatorMatrix(np.diag(nu + 0.5 * (m + 1)), 0, label="k3")
     if kind == "number":
-        for nu in range(n):
-            a[nu, nu] = nu
-        return OperatorMatrix(a, 0, label="number")
+        return OperatorMatrix(np.diag(nu), 0, label="number")
     if kind in ("pi_plus", "pi_minus"):
         # within-sector surrogate: only the product pi+ pi- = diag(n) survives
-        for nu in range(n):
-            a[nu, nu] = m + nu
-        return OperatorMatrix(a, 0, label=f"{kind}(product surrogate)",
+        return OperatorMatrix(np.diag(m + nu), 0, label=f"{kind}(product surrogate)",
                               surrogate=True)
+    # x_plus is the slot-lowering shadow of the m-raising center ladder,
+    # x_minus the slot-raising shadow of the m-lowering one
+    root = np.sqrt(nu[1:])
     if kind == "x_plus":
-        # slot-lowering shadow of the m-raising center ladder
-        for nu in range(1, n):
-            a[nu - 1, nu] = math.sqrt(nu)
-        return OperatorMatrix(a, 1, label="x_plus(surrogate)", surrogate=True)
-    # x_minus: slot-raising shadow of the m-lowering center ladder
-    for nu in range(1, n):
-        a[nu, nu - 1] = math.sqrt(nu)
-    return OperatorMatrix(a, 1, label="x_minus(surrogate)", surrogate=True)
+        return OperatorMatrix(np.diag(root, 1), 1, label="x_plus(surrogate)",
+                              surrogate=True)
+    return OperatorMatrix(np.diag(root, -1), 1, label="x_minus(surrogate)",
+                          surrogate=True)
 
 
 def level_energy(n: int, m: int, params: PhysicalParams) -> float:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bgcs import _as_label, bgcs_state, mean_k3, radial_amplitudes
-from .fock import OperatorMatrix, SubspaceSpec, adjoint
+from .fock import OperatorMatrix, SubspaceSpec, lowering_band
 from .measure import QuadratureGrid, angular_mode_matrix
 
 NAMED_SYMBOLS = ("z", "z_bar", "z_sq", "z_bar_sq", "abs_z_sq",
@@ -92,39 +92,27 @@ class SymbolSpec:
 
 # ------------------------------------------------------------- closed forms
 
-def _lowering_array(m: int, dim: int, dtype) -> np.ndarray:
-    a = np.zeros((dim, dim), dtype=dtype)
-    for nu in range(dim - 1):
-        a[nu, nu + 1] = np.sqrt(np.asarray((nu + 1) * (m + nu + 1), dtype=dtype))
-    return a
-
-
-def _double_lowering_array(m: int, dim: int, dtype) -> np.ndarray:
-    a = np.zeros((dim, dim), dtype=dtype)
-    for nu in range(dim - 2):
-        a[nu, nu + 2] = np.sqrt(np.asarray(
-            (nu + 2) * (m + nu + 2) * (nu + 1) * (m + nu + 1), dtype=dtype))
-    return a
-
-
-def _energy_diag_array(m: int, dim: int, dtype) -> np.ndarray:
-    return np.diag(np.asarray([(nu + 1) * (m + nu + 1) for nu in range(dim)],
-                              dtype=dtype))
+def _energy_diagonal(m: int, dim: int, dtype) -> np.ndarray:
+    # diagonal (nu+1)(m+nu+1) of the quantized |z|^2; one rounding per entry
+    nu = np.arange(1, dim + 1, dtype=dtype)
+    return np.diag(nu * (nu + m))
 
 
 def quantize_closed_form(sym: SymbolSpec, spec: SubspaceSpec) -> OperatorMatrix:
     """Ladder-form matrix of the quantized named symbol on the m sector.
 
     The quantized plain symbol acts as a shifted lowering operator with
-    entries <nu| . |nu+1> = sqrt((nu+1)(m+nu+1)); everything else is built
-    from it: conjugate = adjoint, quadratics from the natural combinations,
-    and the modulus-squared symbol is exactly diagonal (nu+1)(m+nu+1).
+    entries <nu| . |nu+1> = sqrt((nu+1)(m+nu+1)), the K- band of
+    fock.lowering_band, and the quantized z^2 is its K-^2 band; everything
+    else is built from these: conjugate = adjoint, quadratics from the
+    natural combinations, and the modulus-squared symbol is exactly diagonal
+    (nu+1)(m+nu+1).
     """
     if sym.tag == "custom":
         raise ValueError("custom symbols are quantized by quadrature only")
     dim = spec.require_depth() + 1
     m = spec.m
-    az = _lowering_array(m, dim, np.float64).astype(np.complex128)
+    az = np.diag(lowering_band(m, dim), 1).astype(np.complex128)
     if sym.tag == "z":
         return OperatorMatrix(az, 1, label="quantized z")
     if sym.tag == "z_bar":
@@ -134,14 +122,14 @@ def quantize_closed_form(sym: SymbolSpec, spec: SubspaceSpec) -> OperatorMatrix:
     if sym.tag == "p":
         return OperatorMatrix((az - az.T) / (1j * _SQRT2), 1, label="quantized p")
     if sym.tag == "abs_z_sq":
-        ent = _energy_diag_array(m, dim, np.float64).astype(np.complex128)
+        ent = _energy_diagonal(m, dim, np.float64).astype(np.complex128)
         return OperatorMatrix(ent, 0, label="quantized |z|^2")
-    a2 = _double_lowering_array(m, dim, np.float64).astype(np.complex128)
+    a2 = np.diag(lowering_band(m, dim, 2), 2).astype(np.complex128)
     if sym.tag == "z_sq":
         return OperatorMatrix(a2, 2, label="quantized z^2")
     if sym.tag == "z_bar_sq":
         return OperatorMatrix(a2.T, 2, label="quantized conj(z)^2")
-    diag = _energy_diag_array(m, dim, np.float64).astype(np.complex128)
+    diag = _energy_diagonal(m, dim, np.float64).astype(np.complex128)
     if sym.tag == "q_sq":
         return OperatorMatrix(diag + 0.5 * (a2 + a2.T), 2, label="quantized q^2")
     return OperatorMatrix(diag - 0.5 * (a2 + a2.T), 2, label="quantized p^2")
@@ -295,9 +283,9 @@ def energy_operator_decomposition_check(m: int, spec: SubspaceSpec) -> Decomposi
     if depth < 8:
         raise ValueError("decomposition check needs depth >= 8")
     dim = depth + 1
-    az = _lowering_array(m, dim, np.longdouble)
-    a2 = _double_lowering_array(m, dim, np.longdouble)
-    diag = _energy_diag_array(m, dim, np.longdouble)
+    az = np.diag(lowering_band(m, dim, 1, np.longdouble), 1)
+    a2 = np.diag(lowering_band(m, dim, 2, np.longdouble), 2)
+    diag = _energy_diagonal(m, dim, np.longdouble)
     azb = az.T
     comm_half = (az @ azb - azb @ az) / np.longdouble(2)
 
@@ -377,25 +365,21 @@ def energy_commutators(m: int, spec: SubspaceSpec) -> CommutatorReport:
     if depth < 6:
         raise ValueError("commutator check needs depth >= 6")
     dim = depth + 1
-    az = _lowering_array(m, dim, np.longdouble)
-    a2 = _double_lowering_array(m, dim, np.longdouble)
-    diag = _energy_diag_array(m, dim, np.longdouble)
-
-    def super_band(offset, coeff):
-        a = np.zeros((dim, dim), dtype=np.longdouble)
-        for nu in range(dim - offset):
-            a[nu, nu + offset] = coeff(nu)
-        return a
-
     ld = np.longdouble
-    closed_z = -super_band(1, lambda nu: ld(2 * nu + m + 3)
-                           * np.sqrt(ld((nu + 1) * (m + nu + 1))))
-    # coefficient indexed by the row: entry (nu, nu-1) carries (2 nu + m + 1)
-    closed_zb = np.zeros((dim, dim), dtype=np.longdouble)
-    for nu in range(1, dim):
-        closed_zb[nu, nu - 1] = ld(2 * nu + m + 1) * np.sqrt(ld(nu * (m + nu)))
-    closed_z2 = -2.0 * super_band(2, lambda nu: ld(2 * nu + m + 4) * np.sqrt(
-        ld((nu + 2) * (m + nu + 2) * (nu + 1) * (m + nu + 1))))
+    band = lowering_band(m, dim, 1, ld)
+    band2 = lowering_band(m, dim, 2, ld)
+    az = np.diag(band, 1)
+    a2 = np.diag(band2, 2)
+    diag = _energy_diagonal(m, dim, ld)
+
+    # closed forms: the bands times their row factors, -(2 nu + m + 3) on the
+    # superdiagonal, (2 nu + m + 1) on the subdiagonal (row nu + 1, so the
+    # same numbers) and -2 (2 nu + m + 4) on the second superdiagonal
+    nu = np.arange(dim - 1, dtype=ld)
+    closed_band = (2 * nu + m + 3) * band
+    closed_z = -np.diag(closed_band, 1)
+    closed_zb = np.diag(closed_band, -1)
+    closed_z2 = -2.0 * np.diag((2 * nu[:-1] + m + 4) * band2, 2)
     closed_zb2 = -closed_z2.T
 
     cases = [

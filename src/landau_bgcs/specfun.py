@@ -728,14 +728,3 @@ def bessel_power_sum(power: int, order: int, x: float,
     raise EvaluationError(
         f"bessel_power_sum({power},{order},{x}) did not converge",
         partial=s, terms=ctrl.max_terms)
-
-
-def bessel_moment_sum(n: int, x: float,
-                      control: SeriesControl | None = None) -> float:
-    """Moment series S_n(x) = sum_nu nu^n x^(2 nu) / (nu! (nu+n)!).
-
-    The weight power and the factorial order are deliberately the same index
-    n here, matching the conventional definition of S_n; the two roles are
-    decoupled by bessel_power_sum when expectation-value oracles need it.
-    """
-    return bessel_power_sum(n, n, x, control)

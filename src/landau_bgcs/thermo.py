@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bgcs import _as_label
+from .bgcs import _as_label, _ln_amplitude
 from .fock import PhysicalParams, SubspaceSpec
 from .measure import QuadratureGrid, build_grid, integrate, integrate_radial
 from .specfun import (
@@ -32,7 +32,6 @@ from .specfun import (
     gauss_2f1,
     ln_bessel_i,
     ln_bessel_k,
-    ln_factorial,
 )
 
 __all__ = [
@@ -85,7 +84,7 @@ class ThermalSpec:
     def __post_init__(self):
         if not (self.beta > 0.0 and math.isfinite(self.beta)):
             raise DomainError(f"beta must be positive and finite, got {self.beta!r}")
-        if self.m < 0 or self.m != int(self.m):
+        if isinstance(self.m, (bool, np.bool_)) or self.m < 0 or self.m != int(self.m):
             raise DomainError(f"m must be an integer >= 0, got {self.m!r}")
         if self.fast_index < 0 or self.fast_index != int(self.fast_index):
             raise DomainError(
@@ -308,8 +307,7 @@ def fock_population_reconstruction(nu: int, ts: ThermalSpec,
     nu = int(nu)
     m = ts.m
     r = grid.nodes
-    ln_sq_amp = (m + 2 * nu) * np.log(r) - ln_bessel_i(m, 2.0 * r) \
-        - (ln_factorial(nu) + ln_factorial(nu + m))
+    ln_sq_amp = 2.0 * _ln_amplitude(m, np.log(r), nu, ln_bessel_i(m, 2.0 * r))
     return integrate_radial(np.exp(_ln_p(r, ts) + ln_sq_amp), m, grid)
 
 

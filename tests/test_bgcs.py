@@ -215,6 +215,9 @@ def test_mean_values_at_zero_label():
     assert g2(lab, 4) == pytest.approx(5.0 / 6.0, rel=1e-14)
     with pytest.raises(DomainError):
         mandel_q(lab, 4)
+    # 1/200! underflows to 0, so the zero means cannot come from the ratio
+    assert mean_n(lab, 200) == 0.0
+    assert mean_n_sq(lab, 200) == 0.0
 
 
 def _series_means(rho, m):

@@ -16,6 +16,7 @@ from landau_bgcs.fock import (
     hamiltonian_matrix,
     ladder_matrix,
     level_energy,
+    lowering_band,
 )
 from landau_bgcs.specfun import DomainError
 
@@ -32,6 +33,19 @@ def test_raising_entries(m):
     for nu in range(1, kp.dim):
         assert kp.entries[nu, nu - 1] == math.sqrt(nu * (nu + m))
     assert kp.band == 1 and not kp.surrogate
+
+
+@pytest.mark.parametrize("m", [0, 3, 10 ** 7])
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_lowering_band_matches_entry_by_entry_route(m, dtype):
+    # reference: each entry's exact integer product converted on its own,
+    # then rooted; at m = 1e7 the K-^2 products pass 2^53 and are rounded
+    for step in (1, 2):
+        band = lowering_band(m, 30, step, dtype)
+        assert band.dtype == dtype and band.size == 30 - step
+        for nu in range(30 - step):
+            exact = math.prod((nu + j) * (m + nu + j) for j in range(1, step + 1))
+            assert band[nu] == np.sqrt(np.asarray(exact, dtype=dtype))
 
 
 def test_diagonal_entries():
@@ -184,6 +198,8 @@ def test_slow_length_requires_confinement():
 def test_subspace_validation():
     with pytest.raises(DomainError):
         SubspaceSpec(m=-1)
+    with pytest.raises(DomainError):
+        SubspaceSpec(m=True)
     with pytest.raises(ValueError):
         SubspaceSpec(m=0, depth=4)
     with pytest.raises(ValueError):

@@ -70,6 +70,8 @@ def test_spec_validation():
     with pytest.raises(DomainError):
         ThermalSpec(_PARAMS, beta=1.0, m=-1)
     with pytest.raises(DomainError):
+        ThermalSpec(_PARAMS, beta=1.0, m=True)
+    with pytest.raises(DomainError):
         ThermalSpec(_PARAMS, beta=1.0, fast_index=-2)
     with pytest.raises(DomainError):
         ThermalSpec(_PARAMS, beta=1.0, gap_energy=0.0)
