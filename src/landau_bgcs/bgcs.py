@@ -9,13 +9,14 @@ single-valued series in w = conj(z') z,
     sum_nu w^nu / (nu! (nu+m)!),
 so no fractional power of a complex argument is ever taken: the kernel is
 branch-free by construction and the Cauchy-Schwarz bound |<z'|z>| <= 1 holds
-with equality exactly on the diagonal.
+with equality exactly on the diagonal.  The reproducing-kernel check samples
+the same kernel the other way, from the amplitudes, on a quadrature grid.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +25,7 @@ from .fock import PhysicalParams, SubspaceSpec
 from .measure import QuadratureGrid, integrate
 from .specfun import (
     DomainError,
+    EvaluationError,
     bessel_i_reduced,
     bessel_i_scaled,
     ln_bessel_i,
@@ -32,6 +34,8 @@ from .specfun import (
 
 _TWO_PI = 2.0 * math.pi
 DEFAULT_TAIL_TOL = 1e-16
+# label truncation for kernel samples: the last kept |a_nu|^2 is below this
+_KERNEL_TAIL_TOL = 1e-300
 
 # reduced-series vs scaled-Bessel switchover radius for mean-value ratios
 _RATIO_SWITCH = 40.0
@@ -208,22 +212,14 @@ def probability_density(label, m: int, nu: int) -> float:
 
 # ------------------------------------------------------------------ kernel
 
-def reduced_series_matrix(m: int, w: np.ndarray) -> np.ndarray:
-    """Vectorized sum_nu w^nu/(nu! (nu+m)!) for an array of arguments.
-
-    Plain float64 accumulation: the quadrature consumers need ~1e-8, far
-    above the eps * n_terms error of the uncompensated sum.
-    """
-    w = np.asarray(w, dtype=np.complex128)
-    wmax = float(np.max(np.abs(w))) if w.size else 0.0
-    terms = max(40, int(3.0 * math.sqrt(wmax)) + 30)
-    lead = math.exp(-ln_factorial(m))
-    acc = np.full_like(w, lead)
-    term = np.full_like(w, lead)
-    for k in range(1, terms + 1):
-        term = term * w / (k * (k + m))
-        acc = acc + term
-    return acc
+def _in_double_range(m: int, values: list[float]) -> list[float]:
+    # series values of size ~1/m! go subnormal from m = 171 and underflow to
+    # 0 from m = 178; past that no ratio of them means anything
+    for v in values:
+        if not sys.float_info.min <= v < math.inf:
+            raise EvaluationError(
+                f"order-{m} Bessel series value {v!r} is outside the normal double range")
+    return values
 
 
 def overlap(zp, z, m: int) -> complex:
@@ -231,37 +227,46 @@ def overlap(zp, z, m: int) -> complex:
 
     Equal to S_m(conj(zp) z) / sqrt(S_m(|zp|^2) S_m(|z|^2)) where S_m is the
     entire series sum_nu w^nu/(nu!(nu+m)!); all fractional-power prefactors
-    cancel identically in this form.
+    cancel identically in this form.  The denominator is sqrt(S) sqrt(S), so
+    it stays in range while each S_m(|z|^2) does; where one leaves the normal
+    double range (at small |z| from m = 171) EvaluationError is raised.
     """
     if m < 0:
         raise DomainError(f"m must be >= 0, got {m}")
     zp, z = _as_label(zp), _as_label(z)
     num = bessel_i_reduced(m, zp.z.conjugate() * z.z)
-    d1 = bessel_i_reduced(m, zp.rho * zp.rho).real
-    d2 = bessel_i_reduced(m, z.rho * z.rho).real
-    return num / math.sqrt(d1 * d2)
+    d1, d2 = _in_double_range(m, [bessel_i_reduced(m, zp.rho * zp.rho).real,
+                                  bessel_i_reduced(m, z.rho * z.rho).real])
+    return num / (math.sqrt(d1) * math.sqrt(d2))
+
+
+def _kernel_samples(z: CoherentLabel, m: int, grid: QuadratureGrid) -> np.ndarray:
+    """K(z, u) = <z|u> = sum_nu conj(a_nu(z)) a_nu(|u|) e^{i nu phi} on the
+    (n_radial, n_angular) node matrix.
+
+    The label is truncated where its amplitudes leave double range, which
+    bounds the dropped tail since every a_nu(|u|) <= 1.  e^{i nu phi_j} is
+    n_angular-periodic in nu, so the coefficients are folded modulo
+    n_angular exactly and each radius takes one inverse FFT."""
+    a = bgcs_state(z, SubspaceSpec(m), tail_tol=_KERNEL_TAIL_TOL).amplitudes
+    coef = np.conj(a) * radial_amplitudes(m, grid.nodes, a.size)
+    n = grid.n_angular
+    coef = np.pad(coef, ((0, 0), (0, -a.size % n)))
+    folded = coef.reshape(grid.nodes.size, -1, n).sum(axis=1)
+    return n * np.fft.ifft(folded, axis=1)
 
 
 def kernel_idempotence_check(z, zp, m: int, grid: QuadratureGrid) -> float:
     """|quadrature of K(z,u) K(u,zp) du - K(z,zp)|: the reproducing-kernel
     self-consistency residual on the given grid.
 
-    The normalising series S_m(|u|^2) depends only on the radius, so it is
-    summed once per radial node and broadcast over the angles; the two
-    label-dependent series run on the full node matrix."""
+    The kernel samples come from the state amplitudes (_kernel_samples) and
+    the reference K(z, zp) from the reduced series (overlap), so the two
+    sides share no formula beyond the quadrature."""
     z, zp = _as_label(z), _as_label(zp)
-    dz = bessel_i_reduced(m, z.rho * z.rho).real
-    dzp = bessel_i_reduced(m, zp.rho * zp.rho).real
-    zc = z.z.conjugate()
-    zpv = zp.z
-    mid = reduced_series_matrix(m, grid.nodes ** 2).real[:, None]
-
-    def integrand(u):
-        left = reduced_series_matrix(m, zc * u)
-        right = reduced_series_matrix(m, np.conj(u) * zpv)
-        return left * right / (mid * math.sqrt(dz * dzp))
-
-    quad = integrate(integrand, m, grid, vectorized=True)
+    left = _kernel_samples(z, m, grid)
+    right = np.conj(_kernel_samples(zp, m, grid))
+    quad = integrate(lambda u: left * right, m, grid, vectorized=True)
     return abs(quad - overlap(z, zp, m))
 
 
@@ -312,10 +317,15 @@ def g2(label, m: int) -> float:
     """Intensity correlation I_m I_{m+2} / I_{m+1}^2 at argument 2|z|.
 
     Finite at z = 0 with value (m+1)/(m+2); approaches 1 from below as
-    |z| grows (always sub-Poissonian).
+    |z| grows (always sub-Poissonian).  Formed as (f0/f1)(f2/f1), so no
+    product of two series of size ~1/m! is taken.
     """
-    _, (f0, f1, f2) = _bessel_series(m, _as_label(label).rho)
-    return f0 * f2 / f1 ** 2
+    r = _as_label(label).rho
+    if r == 0.0:
+        return (m + 1) / (m + 2)
+    _, f = _bessel_series(m, r)
+    f0, f1, f2 = _in_double_range(m, f)
+    return (f0 / f1) * (f2 / f1)
 
 
 def mandel_q(label, m: int) -> float:

@@ -49,6 +49,9 @@ _TWO_PI = 2.0 * math.pi
 # ln of the largest double and of the smallest subnormal
 _LN_LARGEST = math.log(sys.float_info.max)
 _LN_SMALLEST = math.log(5e-324)
+# geometric subdivision of the first radial panel toward the origin
+_GRADING_LEVELS = 8
+_GRADING_RATIO = 4.0
 
 
 def _label_radius(label) -> float:
@@ -176,8 +179,8 @@ def _ln_relative_tail(radius: float, degree: int) -> float:
     return degree * math.log(radius) - 2.0 * radius - ln_target
 
 
-def _required_cutoff(degree: int, z_max: float, tail_tol: float) -> float:
-    r = max(30.0, z_max + 15.0, 0.5 * degree + 10.0)
+def _required_cutoff(degree: int, tail_tol: float) -> float:
+    r = max(30.0, 0.5 * degree + 10.0)
     ln_tol = math.log(tail_tol)
     while _ln_relative_tail(r, degree) > ln_tol:
         r += 2.0
@@ -197,18 +200,15 @@ def _panel_rule(points: int):
 
 def build_grid(max_degree: int = 24,
                max_mode: int = 32,
-               z_max: float = 0.0,
                cutoff: float | None = None,
                panel_width: float = 2.0,
                points_per_panel: int = 32,
                n_angular: int | None = None,
-               grading_levels: int = 8,
-               grading_ratio: float = 4.0,
                tail_tol: float = 1e-12) -> QuadratureGrid:
     """Build the composite radial rule and angular sampling.
 
     The first panel [0, panel_width] is subdivided geometrically toward the
-    origin (grading_levels intervals shrinking by grading_ratio) so the
+    origin (_GRADING_LEVELS intervals shrinking by _GRADING_RATIO) so the
     near-origin weight behavior is captured without ever placing a node at
     r = 0; the rest of [0, R] uses uniform panels of panel_width.
     """
@@ -216,16 +216,14 @@ def build_grid(max_degree: int = 24,
         raise ValueError("max_degree and max_mode must be >= 0")
     if panel_width <= 0 or points_per_panel < 4:
         raise ValueError("invalid panel geometry")
-    if grading_levels < 1 or grading_ratio <= 1.0:
-        raise ValueError("invalid grading parameters")
     radius = float(cutoff) if cutoff is not None \
-        else _required_cutoff(max_degree, z_max, tail_tol)
+        else _required_cutoff(max_degree, tail_tol)
     if n_angular is None:
         n_angular = max(256, 4 * max_mode + 8)
 
     edges = [0.0]
-    edges += [panel_width * grading_ratio ** (k - grading_levels)
-              for k in range(grading_levels)]
+    edges += [panel_width * _GRADING_RATIO ** (k - _GRADING_LEVELS)
+              for k in range(_GRADING_LEVELS)]
     b = panel_width
     while b < radius - 1e-9:
         b = min(b + panel_width, radius)

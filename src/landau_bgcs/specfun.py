@@ -28,8 +28,6 @@ not used.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 import numpy as np
 
 _EULER_GAMMA = 0.5772156649015328606065120900824024
@@ -56,29 +54,10 @@ class EvaluationError(RuntimeError):
         self.terms = terms
 
 
-@dataclass(frozen=True)
-class SeriesControl:
-    """Termination policy for series loops.
-
-    rel_tol is the target relative size of the last accepted term; max_terms
-    bounds the loop.  Constraints: 0 < rel_tol < 1e-6 and max_terms >= 64.
-    """
-
-    rel_tol: float = 1e-16
-    max_terms: int = 2048
-
-    def __post_init__(self):
-        if not (0.0 < self.rel_tol < 1e-6):
-            raise ValueError(f"rel_tol must lie in (0, 1e-6), got {self.rel_tol}")
-        if self.max_terms < 64:
-            raise ValueError(f"max_terms must be >= 64, got {self.max_terms}")
-
-
-_DEFAULT_CONTROL = SeriesControl()
-
-
-def _control(control):
-    return _DEFAULT_CONTROL if control is None else control
+# termination policy of the scalar series loops: stop once the last term is
+# below _REL_TOL of the sum; give up after _MAX_TERMS terms
+_REL_TOL = 1e-16
+_MAX_TERMS = 2048
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +98,7 @@ def ln_factorial(n: int) -> float:
 # ---------------------------------------------------------------------------
 # modified Bessel I
 
-def _series_i_real(m, x, ctrl):
+def _series_i_real(m, x):
     # ascending series at fixed order; all terms positive, Kahan compensated
     half = 0.5 * x
     if half == 0.0:
@@ -132,25 +111,25 @@ def _series_i_real(m, x, ctrl):
         lt0 = m * math.log(half) - ln_factorial(m)
         if lt0 < -745.0:
             # leading term underflows but later terms may not: log-space start
-            return _series_i_scaled_core(m, x, ctrl)[0] * math.exp(x)
+            return _series_i_scaled_core(m, x)[0] * math.exp(x)
         term = math.exp(lt0)
     s = 0.0
     comp = 0.0
     ratio_num = half * half
-    for nu in range(ctrl.max_terms):
+    for nu in range(_MAX_TERMS):
         y = term - comp
         t = s + y
         comp = (t - s) - y
         s = t
         term *= ratio_num / ((nu + 1.0) * (nu + 1.0 + m))
-        if term <= ctrl.rel_tol * s and (nu + 1.0) * (nu + 1.0 + m) > ratio_num:
+        if term <= _REL_TOL * s and (nu + 1.0) * (nu + 1.0 + m) > ratio_num:
             return s
     raise EvaluationError(
-        f"I_{m}({x}) series did not converge in {ctrl.max_terms} terms",
-        partial=s, terms=ctrl.max_terms)
+        f"I_{m}({x}) series did not converge in {_MAX_TERMS} terms",
+        partial=s, terms=_MAX_TERMS)
 
 
-def _series_i_scaled_core(m, x, ctrl):
+def _series_i_scaled_core(m, x):
     """Return (e^{-x} I_m(x), peak index) by summing outward from the largest term."""
     if x == 0.0:
         return (1.0 if m == 0 else 0.0), 0
@@ -167,19 +146,19 @@ def _series_i_scaled_core(m, x, ctrl):
     # upward sweep
     term = t_star
     nu = nu_star
-    for _ in range(ctrl.max_terms):
+    for _ in range(_MAX_TERMS):
         term *= h2 / ((nu + 1.0) * (nu + 1.0 + m))
         nu += 1
         y = term - comp
         t = s + y
         comp = (t - s) - y
         s = t
-        if term <= ctrl.rel_tol * s and (nu + 1.0) * (nu + 1.0 + m) > h2:
+        if term <= _REL_TOL * s and (nu + 1.0) * (nu + 1.0 + m) > h2:
             break
     else:
         raise EvaluationError(
             f"scaled I_{m}({x}) upward sweep did not converge",
-            partial=s, terms=ctrl.max_terms)
+            partial=s, terms=_MAX_TERMS)
     # downward sweep
     term = t_star
     for nu in range(nu_star, 0, -1):
@@ -188,18 +167,17 @@ def _series_i_scaled_core(m, x, ctrl):
         t = s + y
         comp = (t - s) - y
         s = t
-        if term <= ctrl.rel_tol * s:
+        if term <= _REL_TOL * s:
             break
     return s, nu_star
 
 
-def bessel_i_scaled(m: int, x: float, control: SeriesControl | None = None) -> float:
+def bessel_i_scaled(m: int, x: float) -> float:
     """Exponentially scaled modified Bessel function e^{-x} I_m(x), x real >= 0.
 
     Safe at large x where I_m itself overflows: the series is summed outward
     from its peak term so no intermediate quantity leaves double range.
     """
-    ctrl = _control(control)
     if m < 0 or m != int(m):
         raise DomainError(f"order must be an integer >= 0, got {m!r}")
     if x < 0.0:
@@ -207,11 +185,11 @@ def bessel_i_scaled(m: int, x: float, control: SeriesControl | None = None) -> f
     m = int(m)
     if x <= 690.0:
         # the plain series still fits in double range; two rounded factors
-        return _series_i_real(m, x, ctrl) * math.exp(-x)
-    return _series_i_scaled_core(m, x, ctrl)[0]
+        return _series_i_real(m, x) * math.exp(-x)
+    return _series_i_scaled_core(m, x)[0]
 
 
-def bessel_i(m: int, w, control: SeriesControl | None = None):
+def bessel_i(m: int, w):
     """Modified Bessel function I_m(w) of integer order m >= 0.
 
     Real w: ascending series (scaled form internally once the leading term
@@ -220,32 +198,30 @@ def bessel_i(m: int, w, control: SeriesControl | None = None):
     cancellation roughly like e^{|Im w|}, so keep |w| <= 80 for full-precision
     work (documented plumbing bound, enforced only through max_terms).
     """
-    ctrl = _control(control)
     if m < 0 or m != int(m):
         raise DomainError(f"order must be an integer >= 0, got {m!r}")
     m = int(m)
     if isinstance(w, complex):
         if w.imag == 0.0:
-            return complex(bessel_i(m, w.real, ctrl))
+            return complex(bessel_i(m, w.real))
         half = 0.5 * w
-        return half ** m * bessel_i_reduced(m, half * half, ctrl)
+        return half ** m * bessel_i_reduced(m, half * half)
     x = float(w)
     if x < 0.0:
-        v = bessel_i(m, -x, ctrl)
+        v = bessel_i(m, -x)
         return -v if m % 2 else v
     if x <= 690.0:
-        return _series_i_real(m, x, ctrl)
+        return _series_i_real(m, x)
     return math.inf  # beyond double range; use bessel_i_scaled instead
 
 
-def bessel_i_reduced(m: int, w, control: SeriesControl | None = None):
+def bessel_i_reduced(m: int, w):
     """Entire reduced series R_m(w) = sum_nu w^nu / (nu! (nu+m)!).
 
     Satisfies I_m(2 sqrt(w)) = w^{m/2} R_m(w) on any branch, which makes it
     the single-valued series used by overlap kernels.  Accepts real or complex
     scalar w (ndarray support lives in the quadrature layer).
     """
-    ctrl = _control(control)
     if m < 0 or m != int(m):
         raise DomainError(f"order must be an integer >= 0, got {m!r}")
     m = int(m)
@@ -254,19 +230,19 @@ def bessel_i_reduced(m: int, w, control: SeriesControl | None = None):
     s = 0.0 + 0.0j
     comp = 0.0 + 0.0j
     aw = abs(wc)
-    for nu in range(ctrl.max_terms):
+    for nu in range(_MAX_TERMS):
         y = term - comp
         t = s + y
         comp = (t - s) - y
         s = t
         term *= wc / ((nu + 1.0) * (nu + 1.0 + m))
-        if abs(term) <= ctrl.rel_tol * (abs(s) + 1e-300) \
+        if abs(term) <= _REL_TOL * (abs(s) + 1e-300) \
                 and (nu + 1.0) * (nu + 1.0 + m) > aw:
             break
     else:
         raise EvaluationError(
             f"reduced I series (m={m}, |w|={aw:.3g}) did not converge "
-            f"in {ctrl.max_terms} terms", partial=s, terms=ctrl.max_terms)
+            f"in {_MAX_TERMS} terms", partial=s, terms=_MAX_TERMS)
     if isinstance(w, complex):
         return s
     return s.real
@@ -275,7 +251,7 @@ def bessel_i_reduced(m: int, w, control: SeriesControl | None = None):
 # ---------------------------------------------------------------------------
 # modified Bessel K
 
-def _k01_small(x, ctrl):
+def _k01_small(x):
     """K_0(x), K_1(x) for 0 < x <= 2 via the classical log+harmonic series."""
     half = 0.5 * x
     q = half * half
@@ -287,7 +263,7 @@ def _k01_small(x, ctrl):
     hk = 0.0
     i0 = 1.0
     ci = 0.0
-    for k in range(1, ctrl.max_terms):
+    for k in range(1, _MAX_TERMS):
         term *= q / (k * k)
         hk += 1.0 / k
         y = term - ci
@@ -299,7 +275,7 @@ def _k01_small(x, ctrl):
         t = s0 + y
         c0 = (t - s0) - y
         s0 = t
-        if piece <= ctrl.rel_tol * (abs(s0) + 1.0):
+        if piece <= _REL_TOL * (abs(s0) + 1.0):
             break
     k0 = -(lg + _EULER_GAMMA) * i0 + s0
     # K_1 = 1/x + log(x/2) I_1 - (x/4) sum_k [H_k + H_{k+1} - 2 gamma] q^k/(k!(k+1)!)
@@ -310,7 +286,7 @@ def _k01_small(x, ctrl):
     hk = 0.0
     hk1 = 1.0
     i1c = 0.0
-    for k in range(ctrl.max_terms):
+    for k in range(_MAX_TERMS):
         y = term - i1c
         t = i1 + y
         i1c = (t - i1) - y
@@ -323,15 +299,15 @@ def _k01_small(x, ctrl):
         term *= q / ((k + 1.0) * (k + 2.0))
         hk += 1.0 / (k + 1.0)
         hk1 += 1.0 / (k + 2.0)
-        if term * (hk + hk1 + 2.0) <= ctrl.rel_tol:
+        if term * (hk + hk1 + 2.0) <= _REL_TOL:
             break
     k1 = 1.0 / x + lg * (half * i1) - 0.25 * x * s1
     return k0, k1
 
 
-def _k01_cf_scaled(x, ctrl):
+def _k01_cf_scaled(x):
     """e^x K_0(x), e^x K_1(x) for x > 2 by the Steed-style continued fraction."""
-    maxit = max(ctrl.max_terms, 10000)
+    maxit = 10000
     b = 2.0 * (1.0 + x)
     d = 1.0 / b
     h = delh = d
@@ -377,37 +353,35 @@ def _k_upward(m, x, k0, k1):
     return cur
 
 
-def bessel_k(m: int, x: float, control: SeriesControl | None = None) -> float:
+def bessel_k(m: int, x: float) -> float:
     """Modified Bessel function K_m(x) for integer m >= 0 and real x > 0."""
-    ctrl = _control(control)
     if m < 0 or m != int(m):
         raise DomainError(f"order must be an integer >= 0, got {m!r}")
     if not x > 0.0:
         raise DomainError(f"bessel_k requires x > 0, got {x}")
     m = int(m)
     if x <= 2.0:
-        k0, k1 = _k01_small(x, ctrl)
+        k0, k1 = _k01_small(x)
     else:
-        ek0, ek1 = _k01_cf_scaled(x, ctrl)
+        ek0, ek1 = _k01_cf_scaled(x)
         scale = math.exp(-x)
         k0, k1 = ek0 * scale, ek1 * scale
     return _k_upward(m, x, k0, k1)
 
 
-def bessel_k_scaled(m: int, x: float, control: SeriesControl | None = None) -> float:
+def bessel_k_scaled(m: int, x: float) -> float:
     """Exponentially scaled e^x K_m(x); safe at large x where K_m underflows."""
-    ctrl = _control(control)
     if m < 0 or m != int(m):
         raise DomainError(f"order must be an integer >= 0, got {m!r}")
     if not x > 0.0:
         raise DomainError(f"bessel_k_scaled requires x > 0, got {x}")
     m = int(m)
     if x <= 2.0:
-        k0, k1 = _k01_small(x, ctrl)
+        k0, k1 = _k01_small(x)
         scale = math.exp(x)
         k0, k1 = k0 * scale, k1 * scale
     else:
-        k0, k1 = _k01_cf_scaled(x, ctrl)
+        k0, k1 = _k01_cf_scaled(x)
     return _k_upward(m, x, k0, k1)
 
 
@@ -664,14 +638,12 @@ def ln_bessel_k(m: int, x) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # hypergeometric and moment series
 
-def gauss_2f1(a: float, b: float, c: float, x: float,
-              control: SeriesControl | None = None) -> float:
+def gauss_2f1(a: float, b: float, c: float, x: float) -> float:
     """Gauss hypergeometric 2F1(a, b; c; x) by its ascending series, |x| < 1.
 
     c must not be a non-positive integer.  Terminating (polynomial) cases are
     handled naturally when a or b is a non-positive integer.
     """
-    ctrl = _control(control)
     if c <= 0.0 and c == int(c):
         raise DomainError(f"2F1 undefined for non-positive integer c = {c}")
     if not abs(x) < 1.0:
@@ -679,7 +651,7 @@ def gauss_2f1(a: float, b: float, c: float, x: float,
     s = 0.0
     comp = 0.0
     term = 1.0
-    for k in range(ctrl.max_terms):
+    for k in range(_MAX_TERMS):
         y = term - comp
         t = s + y
         comp = (t - s) - y
@@ -687,23 +659,21 @@ def gauss_2f1(a: float, b: float, c: float, x: float,
         term *= (a + k) * (b + k) / ((c + k) * (k + 1.0)) * x
         if term == 0.0:
             return s
-        if abs(term) <= ctrl.rel_tol * (abs(s) + 1e-300) \
+        if abs(term) <= _REL_TOL * (abs(s) + 1e-300) \
                 and k + 1 > max(abs(a), abs(b)) * abs(x) / (1.0 - abs(x)):
             return s
     raise EvaluationError(
-        f"2F1({a},{b};{c};{x}) did not converge in {ctrl.max_terms} terms",
-        partial=s, terms=ctrl.max_terms)
+        f"2F1({a},{b};{c};{x}) did not converge in {_MAX_TERMS} terms",
+        partial=s, terms=_MAX_TERMS)
 
 
-def bessel_power_sum(power: int, order: int, x: float,
-                     control: SeriesControl | None = None) -> float:
+def bessel_power_sum(power: int, order: int, x: float) -> float:
     """Weighted series sum_nu nu^power x^(2 nu) / (nu! (nu+order)!).
 
     The independent brute-force oracle behind every closed-form photon-number
     and su(1,1) expectation value: power 0 gives x^{-order} I_order(2x), and
     powers 1 and 2 assemble means and second moments.
     """
-    ctrl = _control(control)
     if power < 0 or power != int(power):
         raise DomainError(f"power must be an integer >= 0, got {power!r}")
     if order < 0 or order != int(order):
@@ -715,16 +685,16 @@ def bessel_power_sum(power: int, order: int, x: float,
     term = math.exp(-ln_factorial(order))
     s = 0.0
     comp = 0.0
-    for nu in range(ctrl.max_terms):
+    for nu in range(_MAX_TERMS):
         piece = term * float(nu) ** power if power else term
         y = piece - comp
         t = s + y
         comp = (t - s) - y
         s = t
         term *= x2 / ((nu + 1.0) * (nu + 1.0 + order))
-        if nu > 0 and piece <= ctrl.rel_tol * s \
+        if nu > 0 and piece <= _REL_TOL * s \
                 and (nu + 1.0) * (nu + 1.0 + order) > x2:
             return s
     raise EvaluationError(
         f"bessel_power_sum({power},{order},{x}) did not converge",
-        partial=s, terms=ctrl.max_terms)
+        partial=s, terms=_MAX_TERMS)

@@ -25,13 +25,20 @@ from landau_bgcs.bgcs import (
     overlap,
     overlap_density,
     probability_density,
+    _kernel_samples,
     radial_amplitudes,
-    reduced_series_matrix,
     snr,
 )
 from landau_bgcs.fock import PhysicalParams, SubspaceSpec, ladder_matrix
 from landau_bgcs.measure import build_grid, integrate
-from landau_bgcs.specfun import DomainError, bessel_i, bessel_power_sum
+from landau_bgcs.specfun import (
+    DomainError,
+    EvaluationError,
+    bessel_i,
+    bessel_i_reduced,
+    bessel_power_sum,
+    ln_bessel_i,
+)
 
 # frozen 60-digit reference values
 _OV_OPP = -0.035140024107915261894          # <-2|2> at m = 0
@@ -187,6 +194,60 @@ def test_overlap_against_amplitude_inner_product():
 def test_kernel_idempotence(grid):
     assert kernel_idempotence_check(_label(0.8), _label(0.8), 0, grid) < 1e-6
     assert kernel_idempotence_check(1.0 + 0.3j, 0.5 - 0.2j, 2, grid) < 1e-6
+    assert kernel_idempotence_check(_label(0.0), _label(0.8), 0, grid) < 1e-6
+
+
+@pytest.mark.parametrize("z, m", [(2.0, 0), (1.5 - 2.0j, 2)])
+def test_kernel_samples_vs_mpmath(grid, z, m):
+    # K(z, u) = S_m(conj(z) u) / sqrt(S_m(|z|^2) S_m(|u|^2)) with the entire
+    # S_m(w) = 0F1(; m+1; w) / m!.  On the negative real axis S_m cancels
+    # (|S_0(-81.6)| ~ 0.01 against a largest term ~1e6) and |K| drops to
+    # ~1e-19 there, so the bound is absolute: K <= 1 everywhere.
+    mpmath = pytest.importorskip("mpmath")
+    got = _kernel_samples(CoherentLabel.from_complex(z), m, grid)
+    n = grid.n_angular
+    rows = list(range(0, grid.nodes.size, 97))
+    cols = list(range(0, n, 37))
+    points = [(i, j) for i in rows for j in cols]
+    # the node where conj(z) u is closest to -81.6
+    w = np.conj(z) * grid.z_nodes
+    i, j = np.unravel_index(np.argmin(np.abs(w + 81.6)), w.shape)
+    assert abs(w[i, j] + 81.6) < 1.0
+    points.append((int(i), int(j)))
+    with mpmath.workdps(40):
+        def series(w):
+            return mpmath.hyp0f1(m + 1, w) / mpmath.factorial(m)
+        zc = mpmath.conj(mpmath.mpc(z))
+        s_z = series(abs(mpmath.mpc(z)) ** 2)
+        worst = 0.0
+        for i, j in points:
+            r = mpmath.mpf(grid.nodes[i])
+            u = r * mpmath.expj(2 * mpmath.pi * j / n)
+            want = series(zc * u) / mpmath.sqrt(s_z * series(r * r))
+            worst = max(worst, abs(complex(want) - got[i, j]))
+    assert worst < 1e-14
+
+
+@pytest.mark.parametrize("n_angular", [16, 64])
+def test_kernel_samples_fold_past_angular_count(n_angular):
+    # |z| = 10 keeps 186 amplitudes, so the coefficients wrap around the
+    # angular count before the inverse FFT.  Past nu = 64 they are below
+    # e^-67, so only the 16-angle grid folds terms that change the samples.
+    g = build_grid(max_degree=4, max_mode=4, cutoff=20.0, points_per_panel=8,
+                   n_angular=n_angular)
+    m = 1
+    z = CoherentLabel.from_polar(10.0, 0.9)
+    assert bgcs_state(z, SubspaceSpec(m), tail_tol=1e-300).depth + 1 > 2 * 64
+    got = _kernel_samples(z, m, g)
+    s_z = bessel_i_reduced(m, z.rho * z.rho)
+    worst = 0.0
+    for i in range(0, g.nodes.size, 3):
+        r = float(g.nodes[i])
+        s_u = bessel_i_reduced(m, r * r)
+        for j, u in enumerate(r * np.exp(1j * g.angles)):
+            want = bessel_i_reduced(m, z.z.conjugate() * complex(u)) / math.sqrt(s_z * s_u)
+            worst = max(worst, abs(want - got[i, j]))
+    assert worst < 1e-13
 
 
 def test_kernel_diagonal_reproduces_normalization(grid):
@@ -260,6 +321,41 @@ def test_g2_limits():
         assert g2(_label(1e-3), m) == pytest.approx((m + 1) / (m + 2), rel=1e-4)
     assert g2(_label(50.0), 0) == pytest.approx(_G2_50, rel=1e-12)
     assert abs(g2(_label(50.0), 0) - 1.0) < 0.02
+
+
+@pytest.mark.parametrize("m", [100, 101, 120, 166])
+def test_g2_and_overlap_at_large_order_vs_mpmath(m):
+    # the series are ~1/m!, so a product of two of them is subnormal from
+    # m = 101 and 0 from m = 102
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for r in (1e-3, 0.5, 2.0, 10.0, 39.0, 45.0):
+            x = 2 * mpmath.mpf(r)
+            want = mpmath.besseli(m, x) * mpmath.besseli(m + 2, x) \
+                / mpmath.besseli(m + 1, x) ** 2
+            assert g2(_label(r), m) == pytest.approx(float(want), rel=2e-13)
+
+        def series(w):
+            return mpmath.hyp0f1(m + 1, w) / mpmath.factorial(m)
+        for zp, z in ((1.0, 1.0 + 0.5j), (0.3 + 0.2j, 1.1 - 0.4j), (3.0, -3.0),
+                      (0.0, 1.0)):
+            a, b = mpmath.mpc(zp), mpmath.mpc(z)
+            want = series(mpmath.conj(a) * b) \
+                / mpmath.sqrt(series(abs(a) ** 2) * series(abs(b) ** 2))
+            assert abs(overlap(zp, z, m) - complex(want)) < 1e-14
+    assert g2(_label(0.0), m) == (m + 1) / (m + 2)
+
+
+def test_g2_and_overlap_out_of_double_range_raise():
+    # 1/k! is subnormal from k = 171 and 0 from k = 178; g2 sums the series
+    # of orders m..m+2 and overlap that of order m
+    assert g2(_label(0.0), 200) == 201 / 202
+    for m in (170, 200):
+        with pytest.raises(EvaluationError):
+            g2(_label(0.5), m)
+    for m in (171, 200):
+        with pytest.raises(EvaluationError):
+            overlap(1.0, 1.0 + 0.5j, m)
 
 
 def test_mandel_small_label():
@@ -384,7 +480,8 @@ def test_scalar_product_identity_under_quadrature(grid):
         for k in range(6, -1, -1):
             f1 = f1 * zbar + c1[k]
             f2 = f2 * zbar + c2[k]
-        weight = 1.0 / reduced_series_matrix(m, np.abs(u) ** 2).real
+        r = np.abs(u)
+        weight = 1.0 / np.exp(ln_bessel_i(m, 2.0 * r) - m * np.log(r))  # 1/S_m(r^2)
         return weight * np.conj(f1) * f2
 
     quad = integrate(integrand, m, grid, vectorized=True)

@@ -78,6 +78,18 @@ def test_overlap_fields(capsys):
     assert doc["overlap_abs"] <= 1.0
 
 
+def test_large_order_edges_exit_without_traceback(capsys):
+    doc = _run_json(capsys, "stats", "--z=2,0", "--m", "101")
+    assert doc["g2"] == g2(CoherentLabel(2.0, 0.0), 101)
+    doc = _run_json(capsys, "stats", "--z=0,0", "--m", "170")
+    assert doc["g2"] == 171 / 172
+    doc = _run_json(capsys, "overlap", "--z", "1,0", "--z2", "1,0.5", "--m", "150")
+    assert 0.0 < doc["overlap_abs"] <= 1.0
+    rc, out, err = _run(capsys, "overlap", "--z", "1,0", "--z2", "1,0.5", "--m", "200")
+    assert rc == 2 and out == ""
+    assert err.startswith("evaluation error")
+
+
 def test_evolve_preserves_modulus(capsys):
     doc = _run_json(capsys, "evolve", "--z", "2,0", "--t", "0.7", "--m", "1")
     assert doc["final"]["rho"] == doc["initial"]["rho"]

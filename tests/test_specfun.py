@@ -199,22 +199,11 @@ def test_domain_errors():
         sf.bessel_power_sum(-1, 0, 1.0)
 
 
-def test_series_control_validation():
-    with pytest.raises(ValueError):
-        sf.SeriesControl(rel_tol=0.0)
-    with pytest.raises(ValueError):
-        sf.SeriesControl(rel_tol=1e-5)
-    with pytest.raises(ValueError):
-        sf.SeriesControl(max_terms=10)
-    sf.SeriesControl(rel_tol=1e-8, max_terms=64)
-
-
 def test_evaluation_error_carries_partial_estimate():
-    ctrl = sf.SeriesControl(rel_tol=1e-16, max_terms=64)
     with pytest.raises(sf.EvaluationError) as err:
-        sf.gauss_2f1(4.0, 2.0, 3.0, 0.97, ctrl)
+        sf.gauss_2f1(4.0, 2.0, 3.0, 0.999)
     assert err.value.partial is not None
-    assert err.value.terms == 64
+    assert err.value.terms == 2048
 
 
 @given(st.integers(0, 8),
