@@ -26,6 +26,7 @@ from .measure import QuadratureGrid, integrate
 from .specfun import (
     DomainError,
     EvaluationError,
+    _order,
     bessel_i_reduced,
     bessel_i_scaled,
     ln_bessel_i,
@@ -105,9 +106,8 @@ class StateVector:
         a = np.asarray(self.amplitudes, dtype=np.complex128)
         if a.ndim != 1 or a.size == 0:
             raise ValueError("amplitudes must be a nonempty 1-d array")
-        if self.m < 0:
-            raise DomainError(f"m must be >= 0, got {self.m}")
-        norm = math.fsum(float(x) for x in (a.real ** 2 + a.imag ** 2))
+        _order(self.m, "m")
+        norm = _norm_sq(a)
         if norm > 1.0 + 1e-12:
             raise ValueError(f"amplitude norm {norm} exceeds 1")
         if self.tail_tol is not None:
@@ -125,8 +125,12 @@ class StateVector:
 
     @property
     def norm_sq(self) -> float:
-        a = self.amplitudes
-        return math.fsum(float(x) for x in (a.real ** 2 + a.imag ** 2))
+        return _norm_sq(self.amplitudes)
+
+
+def _norm_sq(a: np.ndarray) -> float:
+    # exactly rounded, so independent of the summation order
+    return math.fsum((a.real ** 2 + a.imag ** 2).tolist())
 
 
 def _ln_bessel_i(m: int, r: float) -> float:
@@ -201,8 +205,7 @@ def radial_amplitudes(m: int, r, n: int) -> np.ndarray:
 
 def probability_density(label, m: int, nu: int) -> float:
     """Closed-form occupation probability |z|^(2 nu + m)/(I_m(2|z|) nu! (nu+m)!)."""
-    if nu < 0:
-        raise DomainError(f"nu must be >= 0, got {nu}")
+    nu, m = _order(nu, "nu"), _order(m, "m")
     label = _as_label(label)
     r = label.rho
     if r == 0.0:
@@ -231,8 +234,7 @@ def overlap(zp, z, m: int) -> complex:
     it stays in range while each S_m(|z|^2) does; where one leaves the normal
     double range (at small |z| from m = 171) EvaluationError is raised.
     """
-    if m < 0:
-        raise DomainError(f"m must be >= 0, got {m}")
+    m = _order(m, "m")
     zp, z = _as_label(zp), _as_label(z)
     num = bessel_i_reduced(m, zp.z.conjugate() * z.z)
     d1, d2 = _in_double_range(m, [bessel_i_reduced(m, zp.rho * zp.rho).real,
@@ -284,6 +286,7 @@ def _bessel_series(m: int, r: float) -> tuple[float, list[float]]:
 def _step_ratios(m: int, r: float) -> tuple[float, float]:
     # (R1, R2) = (|z| I_{m+1} / I_m, |z|^2 I_{m+2} / I_m) at argument 2|z|;
     # zero at z = 0 even where 1/m! underflows
+    m = _order(m, "m")
     if r == 0.0:
         return 0.0, 0.0
     u, (f0, f1, f2) = _bessel_series(m, r)
@@ -320,6 +323,7 @@ def g2(label, m: int) -> float:
     |z| grows (always sub-Poissonian).  Formed as (f0/f1)(f2/f1), so no
     product of two series of size ~1/m! is taken.
     """
+    m = _order(m, "m")
     r = _as_label(label).rho
     if r == 0.0:
         return (m + 1) / (m + 2)
@@ -356,18 +360,14 @@ def snr(label, m: int, use_q_coordinate: bool = True) -> float:
 
 # ------------------------------------------------------------------ dynamics
 
-def evolve_label(label, t: float, params: PhysicalParams,
-                 rate: float | None = None) -> CoherentLabel:
+def evolve_label(label, t: float, params: PhysicalParams) -> CoherentLabel:
     """Rotate the label at the slow frequency: z -> z e^{-i (Omega-omega_c) t / 2}.
 
     The modulus is carried over exactly, so every |z|-only observable is
-    preserved bit-for-bit along the orbit.  rate overrides the default
-    angular velocity (Omega - omega_c)/2 when exploring alternatives.
+    preserved bit-for-bit along the orbit.
     """
     label = _as_label(label)
-    if rate is None:
-        rate = params.omega_minus
-    return CoherentLabel.from_polar(label.rho, label.phi - rate * t)
+    return CoherentLabel.from_polar(label.rho, label.phi - params.omega_minus * t)
 
 
 def overlap_density(z, z0, m: int) -> float:
@@ -398,6 +398,7 @@ def analytic_function(state: StateVector, z: complex) -> complex:
 def analytic_weight(r: float, m: int) -> float:
     """Weight |z|^m / I_m(2|z|) pairing entire representatives under the
     reproducing measure."""
+    m = _order(m, "m")
     if r == 0.0:
         return float(math.factorial(m)) if m <= 170 else math.exp(ln_factorial(m))
     return math.exp(m * math.log(r) - _ln_bessel_i(m, r))

@@ -15,8 +15,14 @@ import numpy as np
 
 from .bgcs import CoherentLabel, kernel_idempotence_check
 from .fock import PhysicalParams, SubspaceSpec, ladder_matrix
-from .measure import QuadratureGrid, build_grid, radial_moment_check, resolution_of_identity_check
-from .quantize import SymbolSpec, energy_commutators, quantize_by_quadrature, quantize_closed_form
+from .measure import build_grid, radial_moment_check, resolution_of_identity_check
+from .quantize import (
+    SymbolSpec,
+    _interior,
+    energy_commutators,
+    quantize_by_quadrature,
+    quantize_closed_form,
+)
 from .specfun import bessel_i, bessel_k, gauss_2f1
 from .thermo import (
     ThermalSpec,
@@ -36,6 +42,9 @@ from .thermo import (
 __all__ = ["CheckResult", "SUITE_NAMES", "run_suite",
            "suite_specfun", "suite_identity", "suite_kernel",
            "suite_quantize", "suite_commutators", "suite_thermo"]
+
+# truncation depth of the operator suites
+_OPERATOR_DEPTH = 16
 
 
 @dataclass(frozen=True)
@@ -76,17 +85,12 @@ def suite_specfun(tol: float | None = None) -> list[CheckResult]:
     return out
 
 
-def _identity_grid() -> QuadratureGrid:
-    # degree covers both the frame check (2 n_check + m + 1) and the radial
-    # moments up to n = 20
-    return build_grid(max_degree=42, max_mode=16)
-
-
-def suite_identity(tol: float | None = None,
-                   grid: QuadratureGrid | None = None) -> list[CheckResult]:
+def suite_identity(tol: float | None = None) -> list[CheckResult]:
     """Frame identity per sector and the radial moment family."""
     tol = 1e-6 if tol is None else tol
-    grid = _identity_grid() if grid is None else grid
+    # degree covers both the frame check (2 n_check + m + 1) and the radial
+    # moments up to n = 20
+    grid = build_grid(max_degree=42, max_mode=16)
     out = []
     for m in (0, 2, 4):
         res = resolution_of_identity_check(SubspaceSpec(m), 8, grid)
@@ -99,13 +103,11 @@ def suite_identity(tol: float | None = None,
     return out
 
 
-def suite_kernel(tol: float | None = None,
-                 grid: QuadratureGrid | None = None,
-                 seed: int = 20240817) -> list[CheckResult]:
+def suite_kernel(tol: float | None = None) -> list[CheckResult]:
     """Reproducing-kernel idempotence on random label pairs."""
     tol = 1e-6 if tol is None else tol
-    grid = build_grid(max_degree=24, max_mode=16) if grid is None else grid
-    rng = np.random.default_rng(seed)
+    grid = build_grid(max_degree=24, max_mode=16)
+    rng = np.random.default_rng(20240817)
     out = []
     for m in (0, 2):
         worst = 0.0
@@ -120,58 +122,47 @@ def suite_kernel(tol: float | None = None,
     return out
 
 
-def _interior_deviation(a: np.ndarray, b: np.ndarray, margin: int) -> float:
-    cut_r = a.shape[0] - margin
-    cut_c = a.shape[1] - margin
-    return float(np.max(np.abs(a[:cut_r, :cut_c] - b[:cut_r, :cut_c])))
-
-
-def suite_quantize(tol: float | None = None,
-                   grid: QuadratureGrid | None = None,
-                   depth: int = 16) -> list[CheckResult]:
+def suite_quantize(tol: float | None = None) -> list[CheckResult]:
     """Quadrature-built operators against their closed ladder forms."""
     tol = 1e-6 if tol is None else tol
+    depth = _OPERATOR_DEPTH
     out = []
     for m in (0, 1, 3):
         sp = SubspaceSpec(m, depth=depth)
-        g = grid
-        if g is None:
-            g = build_grid(max_degree=2 * depth + m + 3, max_mode=depth + 2)
+        grid = build_grid(max_degree=2 * depth + m + 3, max_mode=depth + 2)
         worst = 0.0
         for tag in ("z", "z_bar", "abs_z_sq", "z_sq", "q_sq"):
-            quad = quantize_by_quadrature(SymbolSpec(tag), sp, g)
+            quad = quantize_by_quadrature(SymbolSpec(tag), sp, grid)
             closed = quantize_closed_form(SymbolSpec(tag), sp)
-            worst = max(worst, _interior_deviation(
-                quad.entries, closed.entries, 2))
+            worst = max(worst, float(np.max(np.abs(
+                _interior(quad.entries - closed.entries, 2)))))
         out.append(CheckResult(f"quantization_cross_route_m{m}", worst, tol))
     return out
 
 
-def suite_commutators(tol: float | None = None,
-                      depth: int = 16) -> list[CheckResult]:
+def suite_commutators(tol: float | None = None) -> list[CheckResult]:
     """Ladder commutator and the four energy-symbol commutators."""
     tol = 1e-12 if tol is None else tol
     out = []
     for m in (0, 1, 3):
-        sp = SubspaceSpec(m, depth=depth)
+        sp = SubspaceSpec(m, depth=_OPERATOR_DEPTH)
         az = quantize_closed_form(SymbolSpec("z"), sp).entries
         azb = quantize_closed_form(SymbolSpec("z_bar"), sp).entries
         want = 2.0 * ladder_matrix("k3", sp).entries
-        res = _interior_deviation(az @ azb - azb @ az, want, 1)
+        res = float(np.max(np.abs(_interior(az @ azb - azb @ az - want, 1))))
         out.append(CheckResult(f"lowering_raising_commutator_m{m}", res, tol))
         rep = energy_commutators(m, sp)
         out.append(CheckResult(f"energy_commutators_m{m}", rep.max_err, tol))
     return out
 
 
-def suite_thermo(tol: float | None = None,
-                 params: PhysicalParams | None = None,
-                 beta_gap: float = 1.0) -> list[CheckResult]:
+def suite_thermo(tol: float | None = None) -> list[CheckResult]:
     """Partition routes, diagonal normalizations, and thermal averages."""
     quad_tol = 1e-6 if tol is None else tol
     strict_tol = min(quad_tol, 1e-12)
-    params = PhysicalParams(omega0=1.0, omega_c=1.0) if params is None else params
-    beta = beta_gap / params.epsilon_gap
+    # unit frequencies at beta * gap = 1
+    params = PhysicalParams(omega0=1.0, omega_c=1.0)
+    beta = 1.0 / params.epsilon_gap
     out = []
 
     ts0 = ThermalSpec(params, beta=beta, m=0)

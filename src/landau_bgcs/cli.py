@@ -106,9 +106,6 @@ class RunConfig:
     symbol: str = "z"
     area: float | None = None
     n_check: int = 8
-    grid_R: float | None = None
-    grid_panels: int | None = None
-    grid_angular: int | None = None
     tol: float | None = None
     fmt: str | None = None
     out: str | None = None
@@ -134,25 +131,11 @@ class RunConfig:
             raise UsageError("this command needs --z re,im")
         return CoherentLabel.from_complex(self.z)
 
-    def grid(self, max_degree: int, max_mode: int, default_builder=None):
-        overrides = {}
-        if self.grid_R is not None:
-            overrides["cutoff"] = self.grid_R
-        if self.grid_panels is not None:
-            overrides["points_per_panel"] = self.grid_panels
-        if self.grid_angular is not None:
-            overrides["n_angular"] = self.grid_angular
-        if not overrides and default_builder is not None:
-            return default_builder()
-        return build_grid(max_degree=max_degree, max_mode=max_mode, **overrides)
-
 
 _KEY_PARSERS = {
     "omega0": float, "omega_c": float, "hbar": float, "mass": float,
-    "beta": float, "gap": float, "area": float, "t": float,
-    "grid_R": float, "tol": float,
+    "beta": float, "gap": float, "area": float, "t": float, "tol": float,
     "m": int, "depth": int, "n0": int, "n_check": int,
-    "grid_panels": int, "grid_angular": int,
     "z": _parse_complex, "z2": _parse_complex,
     "symbol": str, "fmt": str, "out": str, "suite": str,
     "beta_range": _parse_range, "m_list": _parse_int_list,
@@ -310,8 +293,8 @@ def cmd_evolve(cfg: RunConfig):
         "rotation_rate": params.omega_minus,
         "initial": _label_dict(lab),
         "final": _label_dict(moved),
-        "mean_n_initial": mean_n(lab, cfg.m) if lab.rho > 0 else 0.0,
-        "mean_n_final": mean_n(moved, cfg.m) if moved.rho > 0 else 0.0,
+        "mean_n_initial": mean_n(lab, cfg.m),
+        "mean_n_final": mean_n(moved, cfg.m),
     }
     return payload, False, None
 
@@ -319,10 +302,7 @@ def cmd_evolve(cfg: RunConfig):
 def cmd_identity(cfg: RunConfig):
     n_check = cfg.n_check
     sp = cfg.subspace()
-    grid = cfg.grid(2 * n_check + cfg.m + 2, 2 * n_check,
-                    default_builder=lambda: build_grid(
-                        max_degree=2 * n_check + cfg.m + 2,
-                        max_mode=2 * n_check))
+    grid = build_grid(max_degree=2 * n_check + cfg.m + 2, max_mode=2 * n_check)
     residual = resolution_of_identity_check(sp, n_check, grid)
     tolerance = cfg.tol if cfg.tol is not None else 1e-6
     payload = {
@@ -372,8 +352,7 @@ def cmd_commutators(cfg: RunConfig):
 
 def cmd_thermal(cfg: RunConfig):
     ts = cfg.thermal()
-    grid = cfg.grid(24, 8, default_builder=lambda: thermal_grid(ts))
-    payload = thermal_summary(ts, grid, area=cfg.area)
+    payload = thermal_summary(ts, thermal_grid(ts), area=cfg.area)
     payload["beta_gap"] = ts.beta_gap
     payload["n0"] = ts.fast_index
     return payload, False, None
@@ -381,8 +360,7 @@ def cmd_thermal(cfg: RunConfig):
 
 def cmd_wehrl(cfg: RunConfig):
     ts = cfg.thermal()
-    grid = cfg.grid(24, 8, default_builder=lambda: thermal_grid(ts))
-    rep = wehrl_entropy(ts, grid, area=cfg.area)
+    rep = wehrl_entropy(ts, thermal_grid(ts), area=cfg.area)
     return rep.as_dict(), False, None
 
 
@@ -403,8 +381,7 @@ def cmd_sweep(cfg: RunConfig):
                                  fast_index=cfg.n0, gap_energy=cfg.gap)
                 key = round(ts.beta_gap, 12)
                 if key not in grids:
-                    grids[key] = cfg.grid(
-                        24, 8, default_builder=lambda ts=ts: thermal_grid(ts))
+                    grids[key] = thermal_grid(ts)
                 rows.append(thermal_summary(ts, grids[key], area=cfg.area))
             except (DomainError, EvaluationError) as e:
                 raise UsageError(f"sweep row beta={beta:g}, m={m}: {e}") from None
@@ -459,12 +436,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--area", type=float, help="container area for scaled entropy")
     common.add_argument("--n-check", dest="n_check", type=int,
                         help="frame identity block size")
-    common.add_argument("--grid-R", dest="grid_R", type=float,
-                        help="radial cutoff override")
-    common.add_argument("--grid-panels", dest="grid_panels", type=int,
-                        help="quadrature points per radial panel")
-    common.add_argument("--grid-angular", dest="grid_angular", type=int,
-                        help="angular sample count override")
     common.add_argument("--tol", type=float, help="tolerance override")
     common.add_argument("--format", dest="fmt", choices=("json", "csv"))
     common.add_argument("--out", help="output path (default stdout)")

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import DomainError
+from .specfun import DomainError, _order
 
 _LADDER_KINDS = ("pi_plus", "pi_minus", "x_plus", "x_minus",
                  "k_plus", "k_minus", "k3", "number")
@@ -98,8 +98,7 @@ class SubspaceSpec:
     depth: int | None = None
 
     def __post_init__(self):
-        if isinstance(self.m, (bool, np.bool_)) or self.m < 0 or self.m != int(self.m):
-            raise DomainError(f"m must be an integer >= 0, got {self.m!r}")
+        _order(self.m, "m")
         if self.depth is not None and (self.depth < 8 or self.depth != int(self.depth)):
             raise ValueError(f"explicit depth must be an integer >= 8, got {self.depth!r}")
 
@@ -216,7 +215,7 @@ def ladder_matrix(kind: str, spec: SubspaceSpec) -> OperatorMatrix:
 
 def level_energy(n: int, m: int, params: PhysicalParams) -> float:
     """Spectrum value hbar Omega (n + 1/2) - (hbar/2)(Omega - omega_c) m."""
-    if n < m or m < 0:
+    if _order(n, "n") < _order(m, "m"):
         raise DomainError(f"level indices need n >= m >= 0, got n={n}, m={m}")
     om = params.omega
     return params.hbar * om * (n + 0.5) \

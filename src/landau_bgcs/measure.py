@@ -41,6 +41,7 @@ from .specfun import (
     EvaluationError,
     _ln_bessel_i_scaled,
     _ln_bessel_k_scaled,
+    _order,
     ln_bessel_k,
     ln_factorial,
 )
@@ -75,8 +76,7 @@ def measure_density(label, m: int):
     leave double range, as I_m does at large m and small |z|,
     EvaluationError is raised; a non-finite |z| raises DomainError.
     """
-    if m < 0:
-        raise DomainError(f"order must be >= 0, got {m}")
+    m = _order(m)
     if isinstance(label, np.ndarray):
         return _density(np.abs(label).astype(np.float64, copy=False), m)
     return float(_density(np.array([_label_radius(label)]), m)[0])
@@ -162,6 +162,7 @@ class QuadratureGrid:
     def radial_weight(self, m: int) -> np.ndarray:
         """Read-only radial factor weights * nodes * density_m, built once
         per sector and reused by every integral on this grid."""
+        m = _order(m)
         w = self._radial_weights.get(m)
         if w is None:
             w = self.weights * self.nodes * measure_density(self.nodes, m)

@@ -60,6 +60,19 @@ _REL_TOL = 1e-16
 _MAX_TERMS = 2048
 
 
+def _order(value, name: str = "order") -> int:
+    """value as an int if it is an integer >= 0, else DomainError: the one
+    check of every order and index.  A bool is an int to Python but never an
+    order; a NaN, inf or non-number fails the comparison or the int()."""
+    try:
+        bad = value < 0 or value != int(value)
+    except (TypeError, ValueError, OverflowError):
+        bad = True
+    if bad or isinstance(value, (bool, np.bool_)):
+        raise DomainError(f"{name} must be an integer >= 0, got {value!r}")
+    return int(value)
+
+
 # ---------------------------------------------------------------------------
 # log-factorial
 
@@ -178,11 +191,9 @@ def bessel_i_scaled(m: int, x: float) -> float:
     Safe at large x where I_m itself overflows: the series is summed outward
     from its peak term so no intermediate quantity leaves double range.
     """
-    if m < 0 or m != int(m):
-        raise DomainError(f"order must be an integer >= 0, got {m!r}")
+    m = _order(m)
     if x < 0.0:
         raise DomainError(f"bessel_i_scaled requires x >= 0, got {x}")
-    m = int(m)
     if x <= 690.0:
         # the plain series still fits in double range; two rounded factors
         return _series_i_real(m, x) * math.exp(-x)
@@ -198,9 +209,7 @@ def bessel_i(m: int, w):
     cancellation roughly like e^{|Im w|}, so keep |w| <= 80 for full-precision
     work (documented plumbing bound, enforced only through max_terms).
     """
-    if m < 0 or m != int(m):
-        raise DomainError(f"order must be an integer >= 0, got {m!r}")
-    m = int(m)
+    m = _order(m)
     if isinstance(w, complex):
         if w.imag == 0.0:
             return complex(bessel_i(m, w.real))
@@ -222,9 +231,7 @@ def bessel_i_reduced(m: int, w):
     the single-valued series used by overlap kernels.  Accepts real or complex
     scalar w (ndarray support lives in the quadrature layer).
     """
-    if m < 0 or m != int(m):
-        raise DomainError(f"order must be an integer >= 0, got {m!r}")
-    m = int(m)
+    m = _order(m)
     wc = complex(w)
     term = complex(math.exp(-ln_factorial(m)))
     s = 0.0 + 0.0j
@@ -355,11 +362,9 @@ def _k_upward(m, x, k0, k1):
 
 def bessel_k(m: int, x: float) -> float:
     """Modified Bessel function K_m(x) for integer m >= 0 and real x > 0."""
-    if m < 0 or m != int(m):
-        raise DomainError(f"order must be an integer >= 0, got {m!r}")
+    m = _order(m)
     if not x > 0.0:
         raise DomainError(f"bessel_k requires x > 0, got {x}")
-    m = int(m)
     if x <= 2.0:
         k0, k1 = _k01_small(x)
     else:
@@ -371,11 +376,9 @@ def bessel_k(m: int, x: float) -> float:
 
 def bessel_k_scaled(m: int, x: float) -> float:
     """Exponentially scaled e^x K_m(x); safe at large x where K_m underflows."""
-    if m < 0 or m != int(m):
-        raise DomainError(f"order must be an integer >= 0, got {m!r}")
+    m = _order(m)
     if not x > 0.0:
         raise DomainError(f"bessel_k_scaled requires x > 0, got {x}")
-    m = int(m)
     if x <= 2.0:
         k0, k1 = _k01_small(x)
         scale = math.exp(x)
@@ -395,12 +398,6 @@ def bessel_k_scaled(m: int, x: float) -> float:
 
 _ARRAY_REL_TOL = 1e-17
 _ARRAY_MAX_TERMS = 100_000
-
-
-def _order(m) -> int:
-    if m < 0 or m != int(m):
-        raise DomainError(f"order must be an integer >= 0, got {m!r}")
-    return int(m)
 
 
 def _positive_array(x, name: str) -> np.ndarray:
@@ -674,13 +671,9 @@ def bessel_power_sum(power: int, order: int, x: float) -> float:
     and su(1,1) expectation value: power 0 gives x^{-order} I_order(2x), and
     powers 1 and 2 assemble means and second moments.
     """
-    if power < 0 or power != int(power):
-        raise DomainError(f"power must be an integer >= 0, got {power!r}")
-    if order < 0 or order != int(order):
-        raise DomainError(f"order must be an integer >= 0, got {order!r}")
+    power, order = _order(power, "power"), _order(order)
     if x < 0.0:
         raise DomainError(f"bessel_power_sum requires x >= 0, got {x}")
-    power, order = int(power), int(order)
     x2 = x * x
     term = math.exp(-ln_factorial(order))
     s = 0.0

@@ -29,6 +29,7 @@ from .measure import QuadratureGrid, build_grid, integrate, integrate_radial
 from .specfun import (
     DomainError,
     EvaluationError,
+    _order,
     gauss_2f1,
     ln_bessel_i,
     ln_bessel_k,
@@ -63,6 +64,14 @@ __all__ = [
 ]
 
 _UNDERFLOW_FLOOR = 1e-300
+# the direct partition sum stops once its geometric tail is below this share
+# of the first term
+_PARTITION_TAIL_TOL = 1e-16
+_PARTITION_MAX_TERMS = 200_000
+# thermal grids resolve these radial degrees and angular modes, at
+# build_grid's default tail tolerance
+_THERMAL_MAX_DEGREE = 24
+_THERMAL_MAX_MODE = 8
 
 
 @dataclass(frozen=True)
@@ -84,11 +93,8 @@ class ThermalSpec:
     def __post_init__(self):
         if not (self.beta > 0.0 and math.isfinite(self.beta)):
             raise DomainError(f"beta must be positive and finite, got {self.beta!r}")
-        if isinstance(self.m, (bool, np.bool_)) or self.m < 0 or self.m != int(self.m):
-            raise DomainError(f"m must be an integer >= 0, got {self.m!r}")
-        if self.fast_index < 0 or self.fast_index != int(self.fast_index):
-            raise DomainError(
-                f"fast_index must be an integer >= 0, got {self.fast_index!r}")
+        _order(self.m, "m")
+        _order(self.fast_index, "fast_index")
         if self.params.omega_minus <= 0.0:
             raise DomainError(
                 "thermal ensemble requires Omega > omega_c strictly; got "
@@ -146,21 +152,21 @@ def partition_function(ts: ThermalSpec) -> float:
     return math.exp(ln_pref - ln_sinh)
 
 
-def partition_function_direct(ts: ThermalSpec, tail_tol: float = 1e-16,
-                              max_terms: int = 200_000) -> float:
+def partition_function_direct(ts: ThermalSpec) -> float:
     """Term-by-term Boltzmann sum over ladder levels until the tail is negligible."""
     y = ts.boltzmann_factor
     term = math.exp(-ts.beta * ts.ground_energy)
     terms = []
-    for _ in range(max_terms):
+    for _ in range(_PARTITION_MAX_TERMS):
         terms.append(term)
         # geometric tail bound: remaining mass = term * y / (1 - y)
-        if term * y <= tail_tol * (1.0 - y) * terms[0]:
+        if term * y <= _PARTITION_TAIL_TOL * (1.0 - y) * terms[0]:
             return math.fsum(terms)
         term *= y
     raise EvaluationError(
-        f"partition sum did not converge in {max_terms} terms (beta gap = "
-        f"{ts.beta_gap:.3g})", partial=math.fsum(terms), terms=max_terms)
+        f"partition sum did not converge in {_PARTITION_MAX_TERMS} terms "
+        f"(beta gap = {ts.beta_gap:.3g})", partial=math.fsum(terms),
+        terms=_PARTITION_MAX_TERMS)
 
 
 def partition_function_hypergeometric(ts: ThermalSpec) -> float:
@@ -171,10 +177,9 @@ def partition_function_hypergeometric(ts: ThermalSpec) -> float:
 
 def level_weight(nu: int, ts: ThermalSpec) -> float:
     """Normalized population of ladder level nu: (1 - y) y^nu."""
-    if nu < 0 or nu != int(nu):
-        raise DomainError(f"nu must be an integer >= 0, got {nu!r}")
+    nu = _order(nu, "nu")
     y = ts.boltzmann_factor
-    return -math.expm1(-ts.beta_gap) * y ** int(nu)
+    return -math.expm1(-ts.beta_gap) * y ** nu
 
 
 # ------------------------------------------------------------------------
@@ -260,8 +265,7 @@ def p_function(label, ts: ThermalSpec) -> float:
 # ------------------------------------------------------------------------
 # quadrature plumbing
 
-def thermal_grid(ts: ThermalSpec, max_degree: int = 24, max_mode: int = 8,
-                 tail_tol: float = 1e-12) -> QuadratureGrid:
+def thermal_grid(ts: ThermalSpec) -> QuadratureGrid:
     """Quadrature grid whose window covers the slow thermal decay.
 
     The Husimi-type integrands fall off like exp(-2 r (1 - e^{-a})), much
@@ -275,12 +279,11 @@ def thermal_grid(ts: ThermalSpec, max_degree: int = 24, max_mode: int = 8,
         raise DomainError(
             f"thermal decay rate {rate:.3g} needs cutoff {needed:.0f} > 600; "
             "beta gap is too small for the quadrature window")
-    base = build_grid(max_degree=max_degree, max_mode=max_mode,
-                      tail_tol=tail_tol)
+    base = build_grid(max_degree=_THERMAL_MAX_DEGREE, max_mode=_THERMAL_MAX_MODE)
     if needed <= base.cutoff:
         return base
-    return build_grid(max_degree=max_degree, max_mode=max_mode,
-                      tail_tol=tail_tol, cutoff=2.0 * math.ceil(needed / 2.0))
+    return build_grid(max_degree=_THERMAL_MAX_DEGREE, max_mode=_THERMAL_MAX_MODE,
+                      cutoff=2.0 * math.ceil(needed / 2.0))
 
 
 def husimi_normalization_check(ts: ThermalSpec, grid: QuadratureGrid,
@@ -302,9 +305,7 @@ def fock_population_reconstruction(nu: int, ts: ThermalSpec,
     Integrates the weight times the squared level amplitude of the coherent
     state; the target is the geometric law (1 - y) y^nu.
     """
-    if nu < 0 or nu != int(nu):
-        raise DomainError(f"nu must be an integer >= 0, got {nu!r}")
-    nu = int(nu)
+    nu = _order(nu, "nu")
     m = ts.m
     r = grid.nodes
     ln_sq_amp = 2.0 * _ln_amplitude(m, np.log(r), nu, ln_bessel_i(m, 2.0 * r))
@@ -383,11 +384,9 @@ def _q2_trace_depth(ts: ThermalSpec) -> int:
     return depth
 
 
-def _q2_fock_trace(ts: ThermalSpec, depth: int | None) -> float:
+def _q2_fock_trace(ts: ThermalSpec, depth: int) -> float:
     # lazy import; quantize itself imports nothing from here
     from .quantize import SymbolSpec, quantize_closed_form
-    if depth is None:
-        depth = _q2_trace_depth(ts)
     sp = SubspaceSpec(ts.m, depth=max(16, depth))
     q = quantize_closed_form(SymbolSpec("q"), sp).entries
     diag = np.real(np.einsum("ij,ji->i", q, q))
@@ -452,8 +451,8 @@ class SecondMomentReport:
         }
 
 
-def thermal_q2_three_ways(ts: ThermalSpec, grid: QuadratureGrid | None = None,
-                          depth: int | None = None) -> SecondMomentReport:
+def thermal_q2_three_ways(ts: ThermalSpec,
+                          grid: QuadratureGrid | None = None) -> SecondMomentReport:
     """Cross-validated thermal second moment of the quadrature operators.
 
     Routes: hypergeometric closed form, quadrature of the diagonal weight
@@ -463,16 +462,16 @@ def thermal_q2_three_ways(ts: ThermalSpec, grid: QuadratureGrid | None = None,
     """
     if grid is None:
         grid = thermal_grid(ts)
-    used_depth = _q2_trace_depth(ts) if depth is None else depth
+    depth = _q2_trace_depth(ts)
     first, second = _q2_quadratures(ts, grid)
     return SecondMomentReport(
         m=ts.m,
         beta_gap=ts.beta_gap,
         closed_form=thermal_q2_closed(ts),
         p_quadrature=first,
-        fock_trace=_q2_fock_trace(ts, used_depth),
+        fock_trace=_q2_fock_trace(ts, depth),
         second_component_quadrature=second,
-        trace_depth=used_depth,
+        trace_depth=depth,
     )
 
 

@@ -30,12 +30,15 @@ from landau_bgcs.bgcs import (
     snr,
 )
 from landau_bgcs.fock import PhysicalParams, SubspaceSpec, ladder_matrix
-from landau_bgcs.measure import build_grid, integrate
+from landau_bgcs.measure import build_grid, integrate, measure_density
 from landau_bgcs.specfun import (
     DomainError,
     EvaluationError,
     bessel_i,
     bessel_i_reduced,
+    bessel_i_scaled,
+    bessel_k,
+    bessel_k_scaled,
     bessel_power_sum,
     ln_bessel_i,
 )
@@ -106,8 +109,9 @@ def test_amplitude_matches_closed_form_pdf():
 
 
 def test_pdf_validation_and_zero_label():
-    with pytest.raises(DomainError):
-        probability_density(_label(1.0), 0, -1)
+    for rho, m, nu in ((1.0, 0, -1), (1.0, 0, True), (0.0, -1, 0), (0.0, True, 0)):
+        with pytest.raises(DomainError):
+            probability_density(_label(rho), m, nu)
     assert probability_density(_label(0.0), 2, 0) == 1.0
     assert probability_density(_label(0.0), 2, 4) == 0.0
 
@@ -132,6 +136,9 @@ def test_state_vector_invariants():
         StateVector(m=0, amplitudes=np.array([0.5, 0.5]), tail_tol=1e-16)
     with pytest.raises(ValueError):
         StateVector(m=0, amplitudes=np.array([]))
+    for m in (-1, True):
+        with pytest.raises(DomainError):
+            StateVector(m=m, amplitudes=np.array([1.0]))
 
 
 def test_lowering_eigenvector_property():
@@ -281,6 +288,37 @@ def test_mean_values_at_zero_label():
     assert mean_n_sq(lab, 200) == 0.0
 
 
+# every entry that takes an order m, called at z = 0 (where several return
+# early) and at z = 1
+_ORDER_TAKERS = {
+    "mean_n": mean_n,
+    "mean_n_sq": mean_n_sq,
+    "mean_k3": mean_k3,
+    "mean_k3_sq": mean_k3_sq,
+    "g2": g2,
+    "mandel_q": mandel_q,
+    "snr": snr,
+    "probability_density": lambda z, m: probability_density(z, m, 0),
+    "overlap": lambda z, m: overlap(z, z, m),
+    "analytic_weight": lambda z, m: analytic_weight(abs(z), m),
+    "radial_amplitudes": lambda z, m: radial_amplitudes(m, np.array([abs(z)]), 3),
+    "bessel_i": lambda z, m: bessel_i(m, abs(z)),
+    "bessel_i_scaled": lambda z, m: bessel_i_scaled(m, abs(z)),
+    "bessel_i_reduced": lambda z, m: bessel_i_reduced(m, z),
+    "bessel_k": lambda z, m: bessel_k(m, abs(z)),
+    "bessel_k_scaled": lambda z, m: bessel_k_scaled(m, abs(z)),
+    "measure_density": measure_density,
+}
+
+
+@pytest.mark.parametrize("m", [-2, -1, True, np.True_, 1.5, math.nan, math.inf])
+@pytest.mark.parametrize("z", [0.0, 1.0])
+@pytest.mark.parametrize("name", list(_ORDER_TAKERS))
+def test_order_must_be_an_integer_at_least_zero(name, z, m):
+    with pytest.raises(DomainError):
+        _ORDER_TAKERS[name](complex(z), m)
+
+
 def _series_means(rho, m):
     s0 = bessel_power_sum(0, m, rho)
     s1 = bessel_power_sum(1, m, rho)
@@ -406,13 +444,6 @@ def test_evolution_identity_and_half_turn():
     flipped = evolve_label(lab, period_half, p)
     assert flipped.rho == lab.rho
     assert flipped.phi == pytest.approx((0.4 - math.pi) % (2.0 * math.pi), abs=1e-12)
-
-
-def test_evolution_rate_override():
-    p = PhysicalParams()
-    lab = _label(1.0, 0.0)
-    ev = evolve_label(lab, 1.0, p, rate=0.25)
-    assert ev.phi == pytest.approx((2.0 * math.pi - 0.25) % (2.0 * math.pi), rel=1e-12)
 
 
 def test_evolution_preserves_statistics_bitwise():

@@ -68,6 +68,15 @@ def test_stats_requires_label(capsys):
     assert "--z" in err
 
 
+@pytest.mark.parametrize("argv", [("stats", "--z=0,0", "--m", "-2"),
+                                  ("stats", "--z=0,0", "--m", "-1"),
+                                  ("evolve", "--z=0,0", "--t", "1", "--m", "-1")])
+def test_negative_order_at_vacuum_is_usage_error(capsys, argv):
+    rc, out, err = _run(capsys, *argv)
+    assert rc == 2 and out == ""
+    assert err == f"error: m must be an integer >= 0, got {argv[-1]}\n"
+
+
 # ------------------------------------------------------- overlap and evolve
 
 def test_overlap_fields(capsys):
@@ -242,9 +251,17 @@ def test_config_file_and_flag_precedence(tmp_path, capsys):
 
 def test_config_file_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("bogus = 3\n")
-    rc, _, err = _run(capsys, "stats", "--config", str(cfg), "--z", "1,0")
-    assert rc == 2 and "bogus" in err
+    for key in ("bogus", "grid_R"):
+        cfg.write_text(f"{key} = 50\n")
+        rc, _, err = _run(capsys, "stats", "--config", str(cfg), "--z", "1,0")
+        assert rc == 2 and f"unknown key {key!r}" in err
+
+
+@pytest.mark.parametrize("flag", ["--grid-R", "--grid-panels", "--grid-angular"])
+def test_grid_flags_are_unrecognised(capsys, flag):
+    rc, out, err = _run(capsys, "wehrl", "--beta", "0.2", flag, "32")
+    assert rc == 2 and out == ""
+    assert f"unrecognized arguments: {flag} 32" in err
 
 
 def test_config_file_missing(capsys):

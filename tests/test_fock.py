@@ -200,6 +200,8 @@ def test_subspace_validation():
         SubspaceSpec(m=-1)
     with pytest.raises(DomainError):
         SubspaceSpec(m=True)
+    with pytest.raises(DomainError):
+        SubspaceSpec(m=np.True_)
     with pytest.raises(ValueError):
         SubspaceSpec(m=0, depth=4)
     with pytest.raises(ValueError):
@@ -218,8 +220,9 @@ def test_spectrum_example():
 
 def test_level_energy_domain():
     p = PhysicalParams()
-    with pytest.raises(DomainError):
-        level_energy(1, 2, p)
+    for n, m in ((1, 2), (-1, -1), (True, 0), (1, True)):
+        with pytest.raises(DomainError):
+            level_energy(n, m, p)
 
 
 @pytest.mark.parametrize("m", [0, 2, 6])

@@ -305,6 +305,9 @@ def test_radial_weight_cache_is_per_instance():
     w = a.radial_weight(1)
     assert b.radial_weight(1) is not w
     assert np.array_equal(b.radial_weight(1), w)
+    # True hashes like 1 but is no order: the cache must not answer for it
+    with pytest.raises(DomainError):
+        a.radial_weight(True)
     assert "_radial_weights" not in repr(a)
 
 

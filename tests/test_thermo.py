@@ -71,8 +71,9 @@ def test_spec_validation():
         ThermalSpec(_PARAMS, beta=1.0, m=-1)
     with pytest.raises(DomainError):
         ThermalSpec(_PARAMS, beta=1.0, m=True)
-    with pytest.raises(DomainError):
-        ThermalSpec(_PARAMS, beta=1.0, fast_index=-2)
+    for fast_index in (-2, -1, True):
+        with pytest.raises(DomainError):
+            ThermalSpec(_PARAMS, beta=1.0, fast_index=fast_index)
     with pytest.raises(DomainError):
         ThermalSpec(_PARAMS, beta=1.0, gap_energy=0.0)
 
@@ -130,8 +131,9 @@ def test_level_weights_sum_to_one():
     head = math.fsum(level_weight(nu, ts) for nu in range(200))
     tail = level_weight(200, ts) * y / (1.0 - y)
     assert head + tail == pytest.approx(1.0, rel=1e-14)
-    with pytest.raises(DomainError):
-        level_weight(-1, ts)
+    for nu in (-1, True):
+        with pytest.raises(DomainError):
+            level_weight(nu, ts)
 
 
 # ----------------------------------------------------------- Husimi diagonal
