@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields
 
 from .bgcs import (
     CoherentLabel,
@@ -41,9 +41,6 @@ from .specfun import DomainError, EvaluationError
 from .thermo import ThermalSpec, thermal_grid, thermal_summary, wehrl_entropy
 
 __all__ = ["main", "RunConfig"]
-
-_CSV_SWEEP_COLUMNS = ("beta", "m", "Z", "N_mean", "N2_mean", "g",
-                      "W_quad", "W_approx", "Q2", "P2")
 
 
 class UsageError(ValueError):
@@ -87,31 +84,44 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
     return vals
 
 
+def _setting(default, parse, help: str, flag: str | None = None):
+    # one RunConfig field: the parser of its flag and config-file value, its
+    # help text and, where it differs from the field name, its flag name
+    return field(default=default,
+                 metadata={"parse": parse, "help": help, "flag": flag})
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved run configuration (defaults < config file < flags)."""
+    """Fully resolved run configuration (defaults < config file < flags).
 
-    omega0: float = 1.0
-    omega_c: float = 1.0
-    hbar: float = 1.0
-    mass: float = 1.0
-    beta: float | None = None
-    m: int = 0
-    depth: int | None = None
-    n0: int = 0
-    gap: float | None = None
-    z: complex | None = None
-    z2: complex | None = None
-    t: float | None = None
-    symbol: str = "z"
-    area: float | None = None
-    n_check: int = 8
-    tol: float | None = None
-    fmt: str | None = None
-    out: str | None = None
-    suite: str = "all"
-    beta_range: tuple[float, float, int] | None = None
-    m_list: tuple[int, ...] | None = None
+    Each field is one setting, declared once: its metadata names the parser,
+    help text and flag of the command-line option and config-file key.
+    """
+
+    omega0: float = _setting(1.0, float, "confinement frequency")
+    omega_c: float = _setting(1.0, float, "cyclotron frequency")
+    hbar: float = _setting(1.0, float, "reduced Planck constant")
+    mass: float = _setting(1.0, float, "particle mass")
+    beta: float | None = _setting(None, float, "inverse temperature")
+    m: int = _setting(0, int, "angular sector label")
+    depth: int | None = _setting(None, int, "truncation depth")
+    n0: int = _setting(0, int, "frozen fast quantum number")
+    gap: float | None = _setting(None, float, "override ladder gap energy")
+    z: complex | None = _setting(None, _parse_complex, "coherent label as re,im")
+    z2: complex | None = _setting(None, _parse_complex, "second coherent label as re,im")
+    t: float | None = _setting(None, float, "evolution time")
+    symbol: str = _setting("z", str, "symbol tag (z, z_bar, abs_z_sq, z_sq, ...)")
+    area: float | None = _setting(None, float, "container area for scaled entropy")
+    n_check: int = _setting(8, int, "frame identity block size")
+    tol: float | None = _setting(None, float, "tolerance override")
+    fmt: str | None = _setting(None, str, "output format: json or csv", flag="format")
+    out: str | None = _setting(None, str, "output path (default stdout)")
+    suite: str = _setting("all", str, "verification suite")
+    beta_range: tuple[float, float, int] | None = _setting(
+        None, _parse_range, "sweep range start:stop:count")
+    m_list: tuple[int, ...] | None = _setting(
+        None, _parse_int_list, "comma-separated sector labels")
 
     def params(self) -> PhysicalParams:
         return PhysicalParams(omega0=self.omega0, omega_c=self.omega_c,
@@ -132,18 +142,26 @@ class RunConfig:
         return CoherentLabel.from_complex(self.z)
 
 
-_KEY_PARSERS = {
-    "omega0": float, "omega_c": float, "hbar": float, "mass": float,
-    "beta": float, "gap": float, "area": float, "t": float, "tol": float,
-    "m": int, "depth": int, "n0": int, "n_check": int,
-    "z": _parse_complex, "z2": _parse_complex,
-    "symbol": str, "fmt": str, "out": str, "suite": str,
-    "beta_range": _parse_range, "m_list": _parse_int_list,
-}
-_FILE_KEY_ALIASES = {"format": "fmt"}
+def _flag(f) -> str:
+    return "--" + (f.metadata["flag"] or f.name).replace("_", "-")
+
+
+def _parse(f, text: str):
+    """text as the value of setting f, or a UsageError naming its flag."""
+    parse = f.metadata["parse"]
+    try:
+        return parse(text)
+    except UsageError as e:
+        raise UsageError(f"{_flag(f)}: {e}") from None
+    except ValueError:
+        raise UsageError(
+            f"{_flag(f)}: invalid {parse.__name__} value {text!r}") from None
 
 
 def _load_config_file(path: str) -> dict:
+    # each setting answers to its field name and to its flag without dashes
+    settings = {key: f for f in fields(RunConfig)
+                for key in (f.name, _flag(f)[2:])}
     out = {}
     try:
         with open(path, encoding="utf-8") as fh:
@@ -157,12 +175,12 @@ def _load_config_file(path: str) -> dict:
         if "=" not in line:
             raise UsageError(f"{path}:{lineno}: expected 'key = value'")
         key, value = (s.strip() for s in line.split("=", 1))
-        key = _FILE_KEY_ALIASES.get(key, key)
-        if key not in _KEY_PARSERS:
+        f = settings.get(key)
+        if f is None:
             raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
         try:
-            out[key] = _KEY_PARSERS[key](value)
-        except ValueError as e:
+            out[f.name] = _parse(f, value)
+        except UsageError as e:
             raise UsageError(f"{path}:{lineno}: {e}") from None
     return out
 
@@ -201,7 +219,7 @@ def _jsonify(obj, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _csvify(rows: list[dict], columns: tuple[str, ...]) -> str:
+def _csvify(rows: list[dict]) -> str:
     def cell(v):
         if v is None:
             return ""
@@ -210,22 +228,18 @@ def _csvify(rows: list[dict], columns: tuple[str, ...]) -> str:
         if isinstance(v, float):
             return f"{v:.17g}"
         return str(v)
-    lines = [",".join(columns)]
-    lines += [",".join(cell(row[c]) for c in columns) for row in rows]
+    lines = [",".join(rows[0])]
+    lines += [",".join(cell(v) for v in row.values()) for row in rows]
     return "\n".join(lines) + "\n"
 
 
-def _emit(payload, cfg: RunConfig, csv_rows=None, csv_columns=None,
-          default_fmt: str = "json") -> None:
-    fmt = cfg.fmt or default_fmt
-    if fmt == "json":
+def _emit(payload, cfg: RunConfig, csv_rows, default_fmt: str) -> None:
+    if (cfg.fmt or default_fmt) == "json":
         text = _jsonify(payload) + "\n"
-    elif fmt == "csv":
-        if csv_rows is None:
-            raise UsageError("csv output is only available for sweep and verify")
-        text = _csvify(csv_rows, csv_columns)
+    elif csv_rows is None:
+        raise UsageError("csv output is only available for sweep and verify")
     else:
-        raise UsageError(f"unknown format {fmt!r} (use json or csv)")
+        text = _csvify(csv_rows)
     if cfg.out is None:
         sys.stdout.write(text)
     else:
@@ -385,7 +399,7 @@ def cmd_sweep(cfg: RunConfig):
                 rows.append(thermal_summary(ts, grids[key], area=cfg.area))
             except (DomainError, EvaluationError) as e:
                 raise UsageError(f"sweep row beta={beta:g}, m={m}: {e}") from None
-    return rows, False, (rows, _CSV_SWEEP_COLUMNS)
+    return rows, False, rows
 
 
 def cmd_verify(cfg: RunConfig):
@@ -393,7 +407,7 @@ def cmd_verify(cfg: RunConfig):
     rows = [c.as_dict() for c in checks]
     all_passed = all(c.passed for c in checks)
     payload = {"suite": cfg.suite, "passed": all_passed, "checks": rows}
-    return payload, not all_passed, (rows, ("name", "residual", "tolerance", "passed"))
+    return payload, not all_passed, rows
 
 
 _COMMANDS = {
@@ -415,30 +429,10 @@ _COMMANDS = {
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="flat key = value config file")
-    common.add_argument("--m", type=int)
-    common.add_argument("--depth", type=int)
-    common.add_argument("--z", help="coherent label as re,im")
-    common.add_argument("--z2", help="second coherent label as re,im")
-    common.add_argument("--t", type=float, help="evolution time")
-    common.add_argument("--symbol",
-                        help="symbol tag (z, z_bar, abs_z_sq, z_sq, ...)")
-    common.add_argument("--beta", type=float, help="inverse temperature")
-    common.add_argument("--beta-range", dest="beta_range",
-                        help="sweep range start:stop:count")
-    common.add_argument("--m-list", dest="m_list",
-                        help="comma-separated sector labels")
-    common.add_argument("--omega0", type=float)
-    common.add_argument("--omega-c", dest="omega_c", type=float)
-    common.add_argument("--hbar", type=float)
-    common.add_argument("--mass", type=float)
-    common.add_argument("--n0", type=int, help="frozen fast quantum number")
-    common.add_argument("--gap", type=float, help="override ladder gap energy")
-    common.add_argument("--area", type=float, help="container area for scaled entropy")
-    common.add_argument("--n-check", dest="n_check", type=int,
-                        help="frame identity block size")
-    common.add_argument("--tol", type=float, help="tolerance override")
-    common.add_argument("--format", dest="fmt", choices=("json", "csv"))
-    common.add_argument("--out", help="output path (default stdout)")
+    for f in fields(RunConfig):
+        # verify's --suite is added to its own subparser, with its choices
+        if f.name != "suite":
+            common.add_argument(_flag(f), dest=f.name, help=f.metadata["help"])
 
     parser = argparse.ArgumentParser(
         prog="landau-bgcs",
@@ -453,22 +447,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
-    if args.config:
-        cfg = replace(cfg, **_load_config_file(args.config))
-    updates = {}
+    values = _load_config_file(args.config) if args.config else {}
     for f in fields(RunConfig):
-        value = getattr(args, f.name, None)
-        if value is None:
-            continue
-        if f.name in ("z", "z2") and isinstance(value, str):
-            value = _parse_complex(value)
-        elif f.name == "beta_range" and isinstance(value, str):
-            value = _parse_range(value)
-        elif f.name == "m_list" and isinstance(value, str):
-            value = _parse_int_list(value)
-        updates[f.name] = value
-    cfg = replace(cfg, **updates)
+        text = getattr(args, f.name, None)
+        if text is not None:
+            values[f.name] = _parse(f, text)
+    cfg = RunConfig(**values)
+    if cfg.fmt not in (None, "json", "csv"):
+        raise UsageError(f"unknown format {cfg.fmt!r} (use json or csv)")
     cfg.params()  # fail fast on invalid physical parameters
     if cfg.depth is not None:
         cfg.subspace()
@@ -483,11 +469,9 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         cfg = _build_config(args)
-        payload, failed, csv_info = _COMMANDS[args.command](cfg)
-        csv_rows, csv_columns = csv_info if csv_info else (None, None)
-        default_fmt = "csv" if args.command == "sweep" else "json"
-        _emit(payload, cfg, csv_rows=csv_rows, csv_columns=csv_columns,
-              default_fmt=default_fmt)
+        payload, failed, csv_rows = _COMMANDS[args.command](cfg)
+        _emit(payload, cfg, csv_rows,
+              default_fmt="csv" if args.command == "sweep" else "json")
     except (DomainError, UsageError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

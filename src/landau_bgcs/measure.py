@@ -53,6 +53,8 @@ _LN_SMALLEST = math.log(5e-324)
 # geometric subdivision of the first radial panel toward the origin
 _GRADING_LEVELS = 8
 _GRADING_RATIO = 4.0
+# relative tail of the highest declared radial moment left beyond the cutoff
+_TAIL_TOL = 1e-12
 
 
 def _label_radius(label) -> float:
@@ -119,7 +121,6 @@ class QuadratureGrid:
     n_angular: int
     max_degree: int
     max_mode: int
-    tail_tol: float = 1e-12
     _radial_weights: dict = field(init=False, repr=False, compare=False,
                                   default_factory=dict)
 
@@ -137,12 +138,10 @@ class QuadratureGrid:
         if self.n_angular <= 2 * self.max_mode:
             raise ValueError(
                 f"n_angular = {self.n_angular} cannot resolve modes up to {self.max_mode}")
-        if not 0.0 < self.tail_tol < 1e-3:
-            raise ValueError(f"tail_tol out of range: {self.tail_tol}")
-        if _ln_relative_tail(self.cutoff, self.max_degree) > math.log(self.tail_tol):
+        if _ln_relative_tail(self.cutoff, self.max_degree) > math.log(_TAIL_TOL):
             raise ValueError(
                 f"cutoff {self.cutoff} too small for degree {self.max_degree} "
-                f"at tail tolerance {self.tail_tol}")
+                f"at tail tolerance {_TAIL_TOL}")
         nodes = nodes.copy()
         weights = weights.copy()
         nodes.flags.writeable = False
@@ -180,14 +179,14 @@ def _ln_relative_tail(radius: float, degree: int) -> float:
     return degree * math.log(radius) - 2.0 * radius - ln_target
 
 
-def _required_cutoff(degree: int, tail_tol: float) -> float:
+def _required_cutoff(degree: int) -> float:
     r = max(30.0, 0.5 * degree + 10.0)
-    ln_tol = math.log(tail_tol)
+    ln_tol = math.log(_TAIL_TOL)
     while _ln_relative_tail(r, degree) > ln_tol:
         r += 2.0
         if r > 600.0:
             raise DomainError(
-                f"cannot satisfy tail tolerance {tail_tol} at degree {degree}")
+                f"cannot satisfy tail tolerance {_TAIL_TOL} at degree {degree}")
     return r
 
 
@@ -204,21 +203,21 @@ def build_grid(max_degree: int = 24,
                cutoff: float | None = None,
                panel_width: float = 2.0,
                points_per_panel: int = 32,
-               n_angular: int | None = None,
-               tail_tol: float = 1e-12) -> QuadratureGrid:
+               n_angular: int | None = None) -> QuadratureGrid:
     """Build the composite radial rule and angular sampling.
 
     The first panel [0, panel_width] is subdivided geometrically toward the
     origin (_GRADING_LEVELS intervals shrinking by _GRADING_RATIO) so the
     near-origin weight behavior is captured without ever placing a node at
-    r = 0; the rest of [0, R] uses uniform panels of panel_width.
+    r = 0; the rest of [0, R] uses uniform panels of panel_width.  Without a
+    cutoff, R leaves a max_degree moment tail below _TAIL_TOL.
     """
-    if max_degree < 0 or max_mode < 0:
-        raise ValueError("max_degree and max_mode must be >= 0")
+    max_degree = _order(max_degree, "max_degree")
+    max_mode = _order(max_mode, "max_mode")
     if panel_width <= 0 or points_per_panel < 4:
         raise ValueError("invalid panel geometry")
     radius = float(cutoff) if cutoff is not None \
-        else _required_cutoff(max_degree, tail_tol)
+        else _required_cutoff(max_degree)
     if n_angular is None:
         n_angular = max(256, 4 * max_mode + 8)
 
@@ -242,9 +241,8 @@ def build_grid(max_degree: int = 24,
                           weights=np.concatenate(weights),
                           cutoff=radius,
                           n_angular=int(n_angular),
-                          max_degree=int(max_degree),
-                          max_mode=int(max_mode),
-                          tail_tol=tail_tol)
+                          max_degree=max_degree,
+                          max_mode=max_mode)
 
 
 def _checked_samples(vals, grid: QuadratureGrid, shape, dtype) -> np.ndarray:
@@ -316,7 +314,8 @@ def angular_mode_matrix(vals, amp: np.ndarray, m: int,
 def radial_moment_check(n: int, m: int, grid: QuadratureGrid) -> float:
     """Relative error of the grid on 4 int r^(2n-m+1) K_m(2r) dr vs the
     Gamma-product Gamma(n-m+1) Gamma(n+1), compared in log space."""
-    if not 0 <= m <= n:
+    n, m = _order(n, "n"), _order(m, "m")
+    if m > n:
         raise DomainError(f"need n >= m >= 0, got n={n}, m={m}")
     p = 2 * n - m + 1
     if p > grid.max_degree:
@@ -338,8 +337,7 @@ def resolution_of_identity_check(spec: SubspaceSpec, n_check: int,
     with the constant symbol (the quadrature quantization's code path)."""
     from .bgcs import radial_amplitudes
 
-    if n_check < 0:
-        raise ValueError("n_check must be >= 0")
+    n_check = _order(n_check, "n_check")
     if spec.depth is not None and n_check > spec.depth - 2:
         raise ValueError(
             f"n_check = {n_check} needs depth >= {n_check + 2}, have {spec.depth}")

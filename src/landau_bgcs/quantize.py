@@ -280,8 +280,6 @@ def energy_operator_decomposition_check(m: int, spec: SubspaceSpec) -> Decomposi
     that matches the claimed extra single-entry projector corrections.
     """
     depth = spec.require_depth()
-    if depth < 8:
-        raise ValueError("decomposition check needs depth >= 8")
     dim = depth + 1
     az = np.diag(lowering_band(m, dim, 1, np.longdouble), 1)
     a2 = np.diag(lowering_band(m, dim, 2, np.longdouble), 2)
@@ -362,8 +360,6 @@ def energy_commutators(m: int, spec: SubspaceSpec) -> CommutatorReport:
     """Commutators of the quantized energy with the four plain power symbols,
     matrix algebra vs banded closed forms, on the interior block."""
     depth = spec.require_depth()
-    if depth < 6:
-        raise ValueError("commutator check needs depth >= 6")
     dim = depth + 1
     ld = np.longdouble
     band = lowering_band(m, dim, 1, ld)

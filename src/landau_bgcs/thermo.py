@@ -24,8 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bgcs import _as_label, _ln_amplitude
-from .fock import PhysicalParams, SubspaceSpec
-from .measure import QuadratureGrid, build_grid, integrate, integrate_radial
+from .fock import PhysicalParams, lowering_band
+from .measure import (QuadratureGrid, _required_cutoff, build_grid, integrate,
+                      integrate_radial)
 from .specfun import (
     DomainError,
     EvaluationError,
@@ -68,8 +69,7 @@ _UNDERFLOW_FLOOR = 1e-300
 # of the first term
 _PARTITION_TAIL_TOL = 1e-16
 _PARTITION_MAX_TERMS = 200_000
-# thermal grids resolve these radial degrees and angular modes, at
-# build_grid's default tail tolerance
+# thermal grids resolve these radial degrees and angular modes
 _THERMAL_MAX_DEGREE = 24
 _THERMAL_MAX_MODE = 8
 
@@ -279,11 +279,10 @@ def thermal_grid(ts: ThermalSpec) -> QuadratureGrid:
         raise DomainError(
             f"thermal decay rate {rate:.3g} needs cutoff {needed:.0f} > 600; "
             "beta gap is too small for the quadrature window")
-    base = build_grid(max_degree=_THERMAL_MAX_DEGREE, max_mode=_THERMAL_MAX_MODE)
-    if needed <= base.cutoff:
-        return base
+    # _required_cutoff steps by 2 from 30, so it is even like the window
+    cutoff = max(_required_cutoff(_THERMAL_MAX_DEGREE), 2 * math.ceil(needed / 2.0))
     return build_grid(max_degree=_THERMAL_MAX_DEGREE, max_mode=_THERMAL_MAX_MODE,
-                      cutoff=2.0 * math.ceil(needed / 2.0))
+                      cutoff=cutoff)
 
 
 def husimi_normalization_check(ts: ThermalSpec, grid: QuadratureGrid,
@@ -385,17 +384,15 @@ def _q2_trace_depth(ts: ThermalSpec) -> int:
 
 
 def _q2_fock_trace(ts: ThermalSpec, depth: int) -> float:
-    # lazy import; quantize itself imports nothing from here
-    from .quantize import SymbolSpec, quantize_closed_form
-    sp = SubspaceSpec(ts.m, depth=max(16, depth))
-    q = quantize_closed_form(SymbolSpec("q"), sp).entries
-    diag = np.real(np.einsum("ij,ji->i", q, q))
+    # the quantized q is tridiagonal with off-diagonal c = b/sqrt(2), b the K-
+    # band (times 1/sqrt(2), rounded as NumPy divides the complex matrix), so
+    # (q q)[nu, nu] = c[nu-1]^2 + c[nu]^2; the truncated last entry is left
+    # out, its weight being below the truncation tolerance by construction
+    c_sq = (lowering_band(ts.m, max(16, depth) + 1) * (1.0 / math.sqrt(2.0))) ** 2
+    diag = c_sq + np.concatenate(([0.0], c_sq[:-1]))
     y = ts.boltzmann_factor
-    dim = diag.size
-    # last diagonal entry is corrupted by truncation; weights there are
-    # below the truncation tolerance by construction
-    weights = -math.expm1(-ts.beta_gap) * y ** np.arange(dim - 1)
-    return float(np.sum((weights * diag[:-1])[::-1]))
+    weights = -math.expm1(-ts.beta_gap) * y ** np.arange(diag.size)
+    return float(np.sum((weights * diag)[::-1]))
 
 
 def _q2_quadratures(ts: ThermalSpec, grid: QuadratureGrid) -> tuple[float, float]:

@@ -2,11 +2,12 @@
 
 import json
 import math
+from dataclasses import fields
 
 import pytest
 
 from landau_bgcs.bgcs import CoherentLabel, g2, mandel_q, mean_k3, mean_n, mean_n_sq, snr
-from landau_bgcs.cli import main
+from landau_bgcs.cli import RunConfig, _build_config, _build_parser, main
 from landau_bgcs.fock import PhysicalParams
 
 _GAP = PhysicalParams().epsilon_gap
@@ -247,6 +248,66 @@ def test_config_file_and_flag_precedence(tmp_path, capsys):
     assert doc["m"] == 3 and doc["z"]["re"] == 1.5
     doc2 = _run_json(capsys, "stats", "--config", str(cfg), "--m", "1")
     assert doc2["m"] == 1
+
+
+# one non-default value per setting: (flag, text, parsed value)
+_SETTING_VALUES = {
+    "omega0": ("--omega0", "0.5", 0.5),
+    "omega_c": ("--omega-c", "2.5", 2.5),
+    "hbar": ("--hbar", "0.25", 0.25),
+    "mass": ("--mass", "2", 2.0),
+    "beta": ("--beta", "1.5", 1.5),
+    "m": ("--m", "3", 3),
+    "depth": ("--depth", "12", 12),
+    "n0": ("--n0", "2", 2),
+    "gap": ("--gap", "0.75", 0.75),
+    "z": ("--z", "1.5,0.5", complex(1.5, 0.5)),
+    "z2": ("--z2", "0.25", complex(0.25, 0.0)),
+    "t": ("--t", "1e-3", 1e-3),
+    "symbol": ("--symbol", "q_sq", "q_sq"),
+    "area": ("--area", "100", 100.0),
+    "n_check": ("--n-check", "4", 4),
+    "tol": ("--tol", "1e-9", 1e-9),
+    "fmt": ("--format", "csv", "csv"),
+    "out": ("--out", "result.json", "result.json"),
+    "beta_range": ("--beta-range", "1:2:3", (1.0, 2.0, 3)),
+    "m_list": ("--m-list", "0,2", (0, 2)),
+}
+
+
+def test_every_setting_has_a_sample_value():
+    assert set(_SETTING_VALUES) == {f.name for f in fields(RunConfig)} - {"suite"}
+
+
+@pytest.mark.parametrize("name", sorted(_SETTING_VALUES))
+def test_flag_and_config_key_give_the_same_setting(tmp_path, name):
+    flag, text, want = _SETTING_VALUES[name]
+    parser = _build_parser()
+    from_flag = _build_config(parser.parse_args(["stats", flag, text]))
+    assert getattr(from_flag, name) == want != getattr(RunConfig(), name)
+    # the config file takes the field name and the flag without its dashes
+    for key in (name, flag[2:]):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {text}\n")
+        from_file = _build_config(parser.parse_args(["stats", "--config", str(cfg)]))
+        assert from_file == from_flag
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_bad_value_names_its_flag(tmp_path, capsys, source):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("m = abc\n")
+    argv = ["--m", "abc"] if source == "flag" else ["--config", str(cfg)]
+    rc, out, err = _run(capsys, "stats", "--z", "1,0", *argv)
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "--m: invalid int value 'abc'" in err
+
+
+def test_unknown_format_rejected_before_the_command(capsys):
+    rc, out, err = _run(capsys, "stats", "--format", "xml")
+    assert rc == 2 and out == ""
+    assert err == "error: unknown format 'xml' (use json or csv)\n"
 
 
 def test_config_file_unknown_key(tmp_path, capsys):

@@ -200,6 +200,9 @@ def test_radial_moment_validation(grid):
         radial_moment_check(1, 2, grid)
     with pytest.raises(ValueError):
         radial_moment_check(40, 0, grid)
+    for n, m, name in ((2.5, 1, "n"), (True, 0, "n"), (2, 1.5, "m"), (2, True, "m")):
+        with pytest.raises(DomainError, match=f"^{name} must be an integer >= 0"):
+            radial_moment_check(n, m, grid)
 
 
 # ---------------------------------------------------------------- identity
@@ -245,6 +248,9 @@ def test_identity_validation(grid):
     small = build_grid(max_degree=6, max_mode=4)
     with pytest.raises(ValueError):
         resolution_of_identity_check(SubspaceSpec(0, depth=12), 8, small)
+    for n_check in (-1, True, 1.5):
+        with pytest.raises(DomainError, match="^n_check must be an integer >= 0"):
+            resolution_of_identity_check(SubspaceSpec(0, depth=12), n_check, grid)
 
 
 # ---------------------------------------------------------------- grid API
@@ -272,6 +278,10 @@ def test_grid_validation_errors():
         build_grid(max_degree=30, max_mode=4, cutoff=10.0)  # tail impossible
     with pytest.raises(ValueError):
         build_grid(max_degree=-1)
+    for degree, mode, name in ((2.5, 2, "max_degree"), (True, 2, "max_degree"),
+                               (4, 2.5, "max_mode"), (4, True, "max_mode")):
+        with pytest.raises(DomainError, match=f"^{name} must be an integer >= 0"):
+            build_grid(max_degree=degree, max_mode=mode)
     with pytest.raises(ValueError):
         QuadratureGrid(nodes=np.array([1.0, 2.0]), weights=np.array([1.0, -1.0]),
                        cutoff=30.0, n_angular=64, max_degree=0, max_mode=4)

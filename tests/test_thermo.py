@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from landau_bgcs.bgcs import CoherentLabel, _ln_bessel_i, mean_k3, mean_n, mean_n_sq
-from landau_bgcs.fock import DomainError, PhysicalParams
+from landau_bgcs import thermo
+from landau_bgcs.fock import DomainError, PhysicalParams, SubspaceSpec
 from landau_bgcs.measure import integrate
+from landau_bgcs.quantize import SymbolSpec, quantize_closed_form
 from landau_bgcs.specfun import bessel_k_scaled, ln_factorial
 from landau_bgcs.thermo import (
     SecondMomentReport,
@@ -271,6 +273,20 @@ def test_q2_closed_small_temperature_floor():
     # beta -> infinity leaves only the vacuum width (m+1)/2
     ts = _ts(45.0, m=3)
     assert thermal_q2_closed(ts) == pytest.approx(2.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("m", [0, 4])
+@pytest.mark.parametrize("beta_gap", [0.03, 0.1, 1.0, 6.0])
+def test_q2_trace_matches_dense_reference(beta_gap, m):
+    # the trace route reads diag(q q) off the K- band; this reference squares
+    # the dense quantized q matrix and takes the same geometric-weighted trace
+    ts = _ts(beta_gap, m=m)
+    depth = thermo._q2_trace_depth(ts)
+    q = quantize_closed_form(SymbolSpec("q"), SubspaceSpec(m, depth=max(16, depth))).entries
+    diag = np.real(np.einsum("ij,ji->i", q, q))[:-1]
+    weights = -math.expm1(-ts.beta_gap) * ts.boltzmann_factor ** np.arange(diag.size)
+    want = float(np.sum((weights * diag)[::-1]))
+    assert thermo._q2_fock_trace(ts, depth) == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 # ------------------------------------------------------------ Wehrl entropy
