@@ -26,6 +26,7 @@ from .measure import QuadratureGrid, integrate
 from .specfun import (
     DomainError,
     EvaluationError,
+    _EXACT_LN_FACT_LIMIT,
     _order,
     bessel_i_reduced,
     bessel_i_scaled,
@@ -40,6 +41,8 @@ _KERNEL_TAIL_TOL = 1e-300
 
 # reduced-series vs scaled-Bessel switchover radius for mean-value ratios
 _RATIO_SWITCH = 40.0
+# ln k! over the exact-table range of specfun.ln_factorial, k <= 256
+_LN_FACT = np.array([ln_factorial(k) for k in range(_EXACT_LN_FACT_LIMIT + 1)])
 
 
 @dataclass(frozen=True)
@@ -140,13 +143,22 @@ def _ln_bessel_i(m: int, r: float) -> float:
     return math.log(bessel_i_scaled(m, 2.0 * r)) + 2.0 * r
 
 
+def _ln_factorials(k: np.ndarray) -> np.ndarray:
+    # ln k! elementwise: the table, and the scalar kernel past its range
+    flat = k.ravel()
+    out = _LN_FACT[np.minimum(flat, _EXACT_LN_FACT_LIMIT)]
+    big = flat > _EXACT_LN_FACT_LIMIT
+    if big.any():
+        out[big] = [ln_factorial(j) for j in flat[big].tolist()]
+    return out.reshape(k.shape)
+
+
 def _ln_amplitude(m: int, ln_r, nu, ln_i):
     """ln a_nu = (m/2 + nu) ln r - ln I_m(2r)/2 - ln(nu! (nu+m)!)/2, broadcast
     over an integer nu (scalar or array) against ln r and ln I_m(2r) (scalars,
     or columns over radii)."""
     nu = np.asarray(nu)
-    ln_fact = np.array([ln_factorial(k) + ln_factorial(k + m)
-                        for k in nu.ravel().tolist()]).reshape(nu.shape)
+    ln_fact = _ln_factorials(nu) + _ln_factorials(nu + m)
     return (0.5 * m + nu) * ln_r - 0.5 * ln_i - 0.5 * ln_fact
 
 

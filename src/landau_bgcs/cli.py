@@ -11,6 +11,7 @@ decimals; identical inputs produce byte-identical output.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import dataclass, field, fields
@@ -79,8 +80,6 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
         vals = tuple(int(p) for p in text.split(","))
     except ValueError:
         raise UsageError(f"expected comma-separated integers, got {text!r}") from None
-    if not vals:
-        raise UsageError("empty integer list")
     return vals
 
 
@@ -236,8 +235,6 @@ def _csvify(rows: list[dict]) -> str:
 def _emit(payload, cfg: RunConfig, csv_rows, default_fmt: str) -> None:
     if (cfg.fmt or default_fmt) == "json":
         text = _jsonify(payload) + "\n"
-    elif csv_rows is None:
-        raise UsageError("csv output is only available for sweep and verify")
     else:
         text = _csvify(csv_rows)
     if cfg.out is None:
@@ -422,11 +419,15 @@ _COMMANDS = {
     "sweep": cmd_sweep,
     "verify": cmd_verify,
 }
+# the commands whose results have CSV rows; the others print JSON only
+_CSV_COMMANDS = ("sweep", "verify")
 
 
 # ------------------------------------------------------------------ assembly
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process; parse_args keeps no state between calls
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="flat key = value config file")
     for f in fields(RunConfig):
@@ -469,6 +470,9 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         cfg = _build_config(args)
+        if cfg.fmt == "csv" and args.command not in _CSV_COMMANDS:
+            raise UsageError("csv output is only available for "
+                             + " and ".join(_CSV_COMMANDS))
         payload, failed, csv_rows = _COMMANDS[args.command](cfg)
         _emit(payload, cfg, csv_rows,
               default_fmt="csv" if args.command == "sweep" else "json")

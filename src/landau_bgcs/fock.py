@@ -124,16 +124,19 @@ class OperatorMatrix:
     surrogate: bool = False
 
     def __post_init__(self):
-        a = np.asarray(self.entries, dtype=np.complex128)
+        a = np.array(self.entries, dtype=np.complex128, order="C")
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"entries must be square, got shape {a.shape}")
         n = a.shape[0]
         if not 0 <= self.band < n:
             raise ValueError(f"band {self.band} incompatible with dimension {n}")
-        mask = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) > self.band
-        if np.any(a[mask] != 0.0):
+        # every nonzero real or imaginary part (NaN counts, -0.0 does not)
+        # must lie on a diagonal within the band; counted on views of the
+        # stored copy, so no (n, n) mask or temporary is built
+        diagonals = (np.diagonal(a, k) for k in range(-self.band, self.band + 1))
+        inside = sum(np.count_nonzero(d.real) + np.count_nonzero(d.imag) for d in diagonals)
+        if np.count_nonzero(a.view(np.float64)) != inside:
             raise ValueError("nonzero entries outside the declared band")
-        a = a.copy()
         a.flags.writeable = False
         object.__setattr__(self, "entries", a)
 

@@ -194,20 +194,26 @@ def dispersions(label, m: int) -> tuple[float, float, float]:
 
 
 def dispersions_matrix_route(label, m: int) -> tuple[float, float]:
-    """Variances via explicit operator squares in the truncated matrix
-    algebra, as an independent check on the closed form."""
+    """Variances of the quantized q and p in the truncated matrix algebra,
+    as an independent check on the closed form.
+
+    Both act through the K- band b of fock.lowering_band on the state's
+    amplitude vector v in O(depth): A v = b v[1:] and A^T v = b v[:-1], each
+    shifted into place, and X v = (A v +- A^T v)/sqrt2 (over i for p).  X is
+    Hermitian, so Var X = <Xv, Xv> - <v, Xv>^2 is <v|X X|v> - <v|X|v>^2.
+    Only the band and the amplitudes enter, never mean_k3.
+    """
     label = _as_label(label)
-    state = bgcs_state(label, SubspaceSpec(m))
-    spec = SubspaceSpec(m, depth=max(state.depth, 8))
-    q = quantize_closed_form(SymbolSpec("q"), spec)
-    p = quantize_closed_form(SymbolSpec("p"), spec)
-    v = np.zeros(spec.depth + 1, dtype=np.complex128)
-    v[:state.amplitudes.size] = state.amplitudes
+    v = bgcs_state(label, SubspaceSpec(m)).amplitudes
+    b = lowering_band(m, v.size)
+    av = np.zeros_like(v)
+    av[:-1] = b * v[1:]
+    atv = np.zeros_like(v)
+    atv[1:] = b * v[:-1]
     out = []
-    for op in (q, p):
-        first = np.vdot(v, op.entries @ v)
-        second = np.vdot(v, op.entries @ (op.entries @ v))
-        out.append(float((second - first * first).real))
+    for xv in ((av + atv) / _SQRT2, (av - atv) / (1j * _SQRT2)):
+        first = np.vdot(v, xv)
+        out.append(float((np.vdot(xv, xv) - first * first).real))
     return out[0], out[1]
 
 

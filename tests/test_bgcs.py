@@ -26,6 +26,7 @@ from landau_bgcs.bgcs import (
     overlap_density,
     probability_density,
     _kernel_samples,
+    _ln_amplitude,
     radial_amplitudes,
     snr,
 )
@@ -41,6 +42,7 @@ from landau_bgcs.specfun import (
     bessel_k_scaled,
     bessel_power_sum,
     ln_bessel_i,
+    ln_factorial,
 )
 
 # frozen 60-digit reference values
@@ -162,6 +164,19 @@ def test_radial_amplitudes_match_bgcs_state(m):
     want = np.array([bgcs_state(CoherentLabel(float(r)), SubspaceSpec(m, depth=8))
                      .amplitudes.real for r in g.nodes])
     assert np.max(np.abs(got - want) / want) <= 1e-13
+
+
+@pytest.mark.parametrize("m", [0, 3, 200, 300])
+def test_ln_amplitude_factorials_match_the_scalar_kernel(m):
+    # nu and nu + m run across the end of ln_factorial's exact table (256),
+    # as an array and one by one; every value is bit-identical to the
+    # formula summed with the scalar kernel
+    ln_r, ln_i = math.log(2.5), 1.7
+    want = np.array([(0.5 * m + k) * ln_r - 0.5 * ln_i
+                     - 0.5 * (ln_factorial(k) + ln_factorial(k + m)) for k in range(300)])
+    assert _ln_amplitude(m, ln_r, np.arange(300), ln_i).tobytes() == want.tobytes()
+    for k in (0, 255, 256, 257, 299):
+        assert _ln_amplitude(m, ln_r, k, ln_i) == want[k]
 
 
 # ---------------------------------------------------------------- overlap

@@ -209,6 +209,12 @@ def test_sweep_requires_range(capsys):
     assert rc == 2 and "beta-range" in err
 
 
+def test_sweep_empty_sector_list_is_usage_error(capsys):
+    rc, out, err = _run(capsys, "sweep", "--beta-range", "1:2:2", "--m-list", "")
+    assert rc == 2 and out == ""
+    assert err == "error: --m-list: expected comma-separated integers, got ''\n"
+
+
 # ------------------------------------------------------------------ verify
 
 def test_verify_specfun_suite(capsys):
@@ -308,6 +314,30 @@ def test_unknown_format_rejected_before_the_command(capsys):
     rc, out, err = _run(capsys, "stats", "--format", "xml")
     assert rc == 2 and out == ""
     assert err == "error: unknown format 'xml' (use json or csv)\n"
+
+
+@pytest.mark.parametrize("argv,call", [
+    (("identity", "--m", "0", "--n-check", "12"), "resolution_of_identity_check"),
+    (("wehrl", "--beta", "1"), "wehrl_entropy"),
+    (("commutators", "--depth", "8"), "energy_commutators"),
+    (("stats", "--z", "1,0"), "dispersions"),
+], ids=["identity", "wehrl", "commutators", "stats"])
+def test_csv_rejected_before_the_command(capsys, monkeypatch, argv, call):
+    def unreachable(*args, **kwargs):
+        raise AssertionError(f"{call} ran")
+    monkeypatch.setattr(f"landau_bgcs.cli.{call}", unreachable)
+    rc, out, err = _run(capsys, *argv, "--format", "csv")
+    assert rc == 2 and out == ""
+    assert err == "error: csv output is only available for sweep and verify\n"
+
+
+def test_repeated_main_is_byte_identical_after_a_bad_flag(capsys):
+    argv = ("stats", "--z=0.3,0.2", "--m", "1")
+    first = _run(capsys, *argv)
+    rc, out, err = _run(capsys, "stats", "--bogus", "1")
+    assert rc == 2 and out == "" and "unrecognized arguments: --bogus 1" in err
+    assert _run(capsys, *argv) == first
+    assert _build_parser() is _build_parser()
 
 
 def test_config_file_unknown_key(tmp_path, capsys):

@@ -139,11 +139,35 @@ def test_unknown_kind_rejected():
 
 # ---------------------------------------------------------------- matrices API
 
-def test_operator_matrix_band_enforced():
-    bad = np.zeros((4, 4))
-    bad[0, 3] = 1.0
-    with pytest.raises(ValueError):
-        OperatorMatrix(bad, band=1)
+def _full_band(dim, band):
+    # nonzero (real and imaginary) on every diagonal within the band
+    idx = np.arange(dim)
+    return np.where(abs(idx[:, None] - idx) <= band, 1.0 + 1.0j, 0.0)
+
+
+@pytest.mark.parametrize("value", [1.0, 1e-300j, math.nan], ids=["real", "tiny-imag", "nan"])
+@pytest.mark.parametrize("triangle", ["upper", "lower"])
+@pytest.mark.parametrize("offset", ["band+1", "dim-1"])
+@pytest.mark.parametrize("band", [0, 1, 2])
+def test_operator_matrix_band_enforced(band, offset, triangle, value):
+    dim = 6
+    k = band + 1 if offset == "band+1" else dim - 1
+    bad = _full_band(dim, band)
+    OperatorMatrix(bad, band=band)
+    bad[(0, k) if triangle == "upper" else (k, 0)] = value
+    with pytest.raises(ValueError, match="nonzero entries outside the declared band"):
+        OperatorMatrix(bad, band=band)
+
+
+@pytest.mark.parametrize("band", [0, 5])
+def test_operator_matrix_band_accepts_signed_zero_and_full_band(band):
+    # -0.0 outside the band is zero; at band dim - 1 nothing is outside
+    entries = _full_band(6, band)
+    entries[entries == 0.0] = complex(-0.0, -0.0)
+    op = OperatorMatrix(entries, band=band)
+    assert np.array_equal(op.entries, entries)
+    entries[0, 0] = 7.0
+    assert op.entries[0, 0] == 1.0 + 1.0j
 
 
 def test_operator_matrix_read_only():

@@ -282,6 +282,31 @@ def test_dispersions_matrix_route(rho, phi, m):
     assert dp2 == pytest.approx(k3, rel=1e-8)
 
 
+def _dense_dispersions(lab, m):
+    # test-only reference: dense (depth+1)^2 q and p, squared by two products
+    v = bgcs_state(lab, SubspaceSpec(m)).amplitudes
+    spec = SubspaceSpec(m, depth=v.size - 1)
+    out = []
+    for tag in ("q", "p"):
+        x = quantize_closed_form(SymbolSpec(tag), spec).entries
+        first = np.vdot(v, x @ v)
+        out.append(float((np.vdot(v, x @ (x @ v)) - first * first).real))
+    return out[0], out[1]
+
+
+@pytest.mark.parametrize("rho,phi,m,min_depth", [
+    (0.7, 0.9, 0, 30), (2.0, 0.0, 1, 30), (1.3, 2.5, 3, 30),
+    (1e-3, 0.4, 50, 30), (6.0, 4.0, 25, 30), (20.0, 1.0, 50, 150),
+    (50.0, 0.3, 0, 300), (49.0, 2.2, 8, 300), (50.0, 5.9, 50, 300)])
+def test_dispersions_matrix_route_matches_dense_reference(rho, phi, m, min_depth):
+    lab = CoherentLabel.from_polar(rho, phi)
+    assert bgcs_state(lab, SubspaceSpec(m)).depth >= min_depth
+    band = dispersions_matrix_route(lab, m)
+    dense = _dense_dispersions(lab, m)
+    for got, want in zip(band, dense):
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
 # ---------------------------------------------------------------- reports
 
 @pytest.mark.parametrize("m", [0, 1, 2, 5])
