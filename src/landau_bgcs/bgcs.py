@@ -211,7 +211,15 @@ def radial_amplitudes(m: int, r, n: int) -> np.ndarray:
     amplitudes at every radial node builds them here in one pass.
     """
     r = np.asarray(r, dtype=np.float64)
-    ln_i = ln_bessel_i(m, 2.0 * r)
+    return _amplitude_rows(m, r, n, ln_bessel_i(m, 2.0 * r))
+
+
+def _node_amplitudes(m: int, grid: QuadratureGrid, n: int) -> np.ndarray:
+    # radial_amplitudes at the grid's nodes, with ln I_m(2r) from its cache
+    return _amplitude_rows(m, grid.nodes, n, grid._ln_bessel("i", m))
+
+
+def _amplitude_rows(m: int, r: np.ndarray, n: int, ln_i: np.ndarray) -> np.ndarray:
     return np.exp(_ln_amplitude(m, np.log(r)[:, None], np.arange(n), ln_i[:, None]))
 
 
@@ -263,7 +271,7 @@ def _kernel_samples(z: CoherentLabel, m: int, grid: QuadratureGrid) -> np.ndarra
     n_angular-periodic in nu, so the coefficients are folded modulo
     n_angular exactly and each radius takes one inverse FFT."""
     a = bgcs_state(z, SubspaceSpec(m), tail_tol=_KERNEL_TAIL_TOL).amplitudes
-    coef = np.conj(a) * radial_amplitudes(m, grid.nodes, a.size)
+    coef = np.conj(a) * _node_amplitudes(m, grid, a.size)
     n = grid.n_angular
     coef = np.pad(coef, ((0, 0), (0, -a.size % n)))
     folded = coef.reshape(grid.nodes.size, -1, n).sum(axis=1)

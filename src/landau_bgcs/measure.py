@@ -9,10 +9,13 @@ trigonometric polynomials below the node count.  Integration is deterministic:
 fixed radial-then-angular order with pairwise reductions, so identical inputs
 give bit-identical results.
 
-The radial weight dr-weight * r * density depends only on the grid and the
-sector, so each grid builds it once per order m (QuadratureGrid.radial_weight,
-one array density call on the node vector) and every integral on that sector
-reuses it; an integrand of |z| alone needs no angles at all
+Every Bessel profile the quadrature and thermal routes read depends only on
+the grid, so each grid evaluates it once: QuadratureGrid keeps the scaled
+logs ln(e^{-x} I_m(x)) and ln(e^x K_m(x)) at x = (2 nodes) factor, keyed by
+(kind, order, factor), and the radial weight dr-weight * r * density of each
+sector m, built from the order-m scaled logs at factor 1
+(QuadratureGrid.radial_weight).  Every integral on that sector reuses the
+weight; an integrand of |z| alone needs no angles at all
 (integrate_radial).  Because the angular trapezoid
 rule is a discrete Fourier transform, every matrix element
 int f(z) a_nu(|z|) a_up(|z|) e^{i(nu-up)phi} dmeasure comes from one inverse
@@ -42,7 +45,7 @@ from .specfun import (
     _ln_bessel_i_scaled,
     _ln_bessel_k_scaled,
     _order,
-    ln_bessel_k,
+    _positive_array,
     ln_factorial,
 )
 
@@ -55,6 +58,8 @@ _GRADING_LEVELS = 8
 _GRADING_RATIO = 4.0
 # relative tail of the highest declared radial moment left beyond the cutoff
 _TAIL_TOL = 1e-12
+# Bessel profiles and radial weights one grid keeps; the oldest goes first
+_PROFILE_CACHE_SIZE = 64
 
 
 def _label_radius(label) -> float:
@@ -91,16 +96,22 @@ def _density(r: np.ndarray, m: int) -> np.ndarray:
     pos = r > 0.0
     rp = r[pos]
     x = 2.0 * rp
-    # ln(e^{-x} I_m) + ln(e^x K_m): the large x and -x never enter the sum
-    ln_ie, ln_ke = _ln_bessel_i_scaled(m, x), _ln_bessel_k_scaled(m, x)
-    shift = np.where(rp > 40.0, 0.0, x)
+    out[pos] = _positive_density(rp, m, _ln_bessel_i_scaled(m, x),
+                                 _ln_bessel_k_scaled(m, x))
+    return out
+
+
+def _positive_density(r: np.ndarray, m: int, ln_ie: np.ndarray,
+                      ln_ke: np.ndarray) -> np.ndarray:
+    # (2/pi) I_m K_m at radii r > 0 from the scaled logs ln(e^{-x} I_m) and
+    # ln(e^x K_m) at x = 2r: the large x and -x never enter the sum
+    shift = np.where(r > 40.0, 0.0, 2.0 * r)
     bad = (ln_ie + shift < _LN_SMALLEST) | (ln_ke - shift > _LN_LARGEST)
     if bad.any():
         raise EvaluationError(
-            f"order-{m} measure density at |z| = {rp[np.argmax(bad)]:.6g} is "
+            f"order-{m} measure density at |z| = {r[np.argmax(bad)]:.6g} is "
             "out of range (I_m or K_m leaves double range)")
-    out[pos] = (2.0 / math.pi) * np.exp(ln_ie + ln_ke)
-    return out
+    return (2.0 / math.pi) * np.exp(ln_ie + ln_ke)
 
 
 @dataclass(frozen=True)
@@ -111,8 +122,15 @@ class QuadratureGrid:
     dr-weights (the r dr dphi area Jacobian is applied by integrate, not
     stored here, so the same weights serve one-dimensional radial moments).
     max_degree and max_mode declare the polynomial degree and Fourier mode
-    content the grid guarantees to resolve.  radial_weight(m) caches the
-    per-sector radial factor on the instance.
+    content the grid guarantees to resolve.
+
+    Each instance keeps one bounded cache (at most _PROFILE_CACHE_SIZE
+    read-only arrays, oldest evicted first, never shared between grids) of
+    the scaled logs ln(e^{-x} I_m(x)) and ln(e^x K_m(x)) at
+    x = (2.0 * nodes) * factor, keyed by (kind, order, factor), and of the
+    per-sector radial factor radial_weight(m), keyed by the order.  The
+    thermal profiles, the coherent amplitudes and the moment check read
+    their Bessel logs through _ln_bessel, so each is evaluated once per grid.
     """
 
     nodes: np.ndarray
@@ -121,8 +139,8 @@ class QuadratureGrid:
     n_angular: int
     max_degree: int
     max_mode: int
-    _radial_weights: dict = field(init=False, repr=False, compare=False,
-                                  default_factory=dict)
+    _profiles: dict = field(init=False, repr=False, compare=False,
+                            default_factory=dict)
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=np.float64)
@@ -160,14 +178,40 @@ class QuadratureGrid:
 
     def radial_weight(self, m: int) -> np.ndarray:
         """Read-only radial factor weights * nodes * density_m, built once
-        per sector and reused by every integral on this grid."""
+        per sector from the cached order-m Bessel logs and reused by every
+        integral on this grid."""
         m = _order(m)
-        w = self._radial_weights.get(m)
-        if w is None:
-            w = self.weights * self.nodes * measure_density(self.nodes, m)
-            w.flags.writeable = False
-            self._radial_weights[m] = w
-        return w
+        return self._cached(("weight", m), lambda: self.weights * self.nodes
+                            * _positive_density(self.nodes, m,
+                                                self._scaled_ln_bessel("i", m)[1],
+                                                self._scaled_ln_bessel("k", m)[1]))
+
+    def _ln_bessel(self, kind: str, m: int, factor: float = 1.0) -> np.ndarray:
+        """ln I_m(x) (kind "i") or ln K_m(x) (kind "k") at the node arguments
+        x = (2.0 * nodes) * factor, formed from the cached scaled log as
+        specfun.ln_bessel_i and ln_bessel_k form it, so bit for bit theirs."""
+        x, scaled = self._scaled_ln_bessel(kind, m, factor)
+        return scaled + x if kind == "i" else scaled - x
+
+    def _scaled_ln_bessel(self, kind: str, m: int, factor: float = 1.0):
+        # (x, ln(e^{-x} I_m(x)) or ln(e^x K_m(x))), the log cached per key
+        m = _order(m)
+        factor = float(factor)
+        if not (math.isfinite(factor) and factor > 0.0):
+            raise DomainError(f"profile factor must be finite and > 0, got {factor!r}")
+        kernel = {"i": _ln_bessel_i_scaled, "k": _ln_bessel_k_scaled}[kind]
+        x = _positive_array((2.0 * self.nodes) * factor, f"ln_bessel_{kind}")
+        return x, self._cached((kind, m, factor), lambda: kernel(m, x))
+
+    def _cached(self, key, build) -> np.ndarray:
+        value = self._profiles.get(key)
+        if value is None:
+            value = build()
+            value.flags.writeable = False
+            if len(self._profiles) >= _PROFILE_CACHE_SIZE:
+                del self._profiles[next(iter(self._profiles))]
+            self._profiles[key] = value
+        return value
 
 
 def _ln_relative_tail(radius: float, degree: int) -> float:
@@ -321,8 +365,7 @@ def radial_moment_check(n: int, m: int, grid: QuadratureGrid) -> float:
     if p > grid.max_degree:
         raise ValueError(
             f"grid built for degree {grid.max_degree}, moment needs {p}")
-    r = grid.nodes
-    ln_terms = np.log(grid.weights) + p * np.log(r) + ln_bessel_k(m, 2.0 * r)
+    ln_terms = np.log(grid.weights) + p * np.log(grid.nodes) + grid._ln_bessel("k", m)
     peak = ln_terms.max()
     ln_quad = math.log(4.0) + peak + math.log(np.exp(ln_terms - peak).sum())
     ln_target = ln_factorial(n - m) + ln_factorial(n)
@@ -335,7 +378,7 @@ def resolution_of_identity_check(spec: SubspaceSpec, n_check: int,
     M[nu, up] = int a_nu(z) conj(a_up(z)) dmeasure over the first
     n_check+1 coherent-amplitude modes, assembled by angular_mode_matrix
     with the constant symbol (the quadrature quantization's code path)."""
-    from .bgcs import radial_amplitudes
+    from .bgcs import _node_amplitudes
 
     n_check = _order(n_check, "n_check")
     if spec.depth is not None and n_check > spec.depth - 2:
@@ -350,6 +393,6 @@ def resolution_of_identity_check(spec: SubspaceSpec, n_check: int,
             f"grid built for degree {grid.max_degree}, need {need_degree}")
 
     nr = grid.nodes.size
-    amp = radial_amplitudes(spec.m, grid.nodes, n_check + 1)
+    amp = _node_amplitudes(spec.m, grid, n_check + 1)
     matrix = angular_mode_matrix(np.ones((nr, grid.n_angular)), amp, spec.m, grid)
     return float(np.max(np.abs(matrix - np.eye(n_check + 1))))

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bgcs import _as_label, bgcs_state, mean_k3, radial_amplitudes
+from .bgcs import _as_label, _node_amplitudes, bgcs_state, mean_k3
 from .fock import OperatorMatrix, SubspaceSpec, lowering_band
 from .measure import QuadratureGrid, angular_mode_matrix
 
@@ -143,7 +143,8 @@ def quantize_by_quadrature(sym: SymbolSpec, spec: SubspaceSpec,
     conj(a_up(z)) dmeasure, by quadrature on the grid.
 
     The symbol is sampled once on the node matrix and the amplitudes once
-    over the node radii (bgcs.radial_amplitudes); measure.angular_mode_matrix
+    over the node radii (bgcs.radial_amplitudes, with ln I_m from the grid's
+    profile cache); measure.angular_mode_matrix
     then takes one angular inverse FFT per radius (the trapezoid rule in
     angle is a DFT, so mode nu - up of that transform is exactly the angular
     sum of entry (nu, up)) and sums every entry against the grid's cached
@@ -160,7 +161,7 @@ def quantize_by_quadrature(sym: SymbolSpec, spec: SubspaceSpec,
         raise ValueError(
             f"grid resolves modes to {grid.max_mode}, symbol needs {need_mode}")
 
-    amp = radial_amplitudes(m, grid.nodes, depth + 1)
+    amp = _node_amplitudes(m, grid, depth + 1)
     entries = angular_mode_matrix(sym.evaluate(grid.z_nodes), amp, m, grid)
     return OperatorMatrix(entries, depth, label=f"quadrature({sym.tag})")
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -185,9 +186,18 @@ def level_weight(nu: int, ts: ThermalSpec) -> float:
 # ------------------------------------------------------------------------
 # diagonal density (Husimi) and diagonal expansion weight (P-function)
 #
-# Both depend on |z| alone, so each is evaluated once over an array of radii
-# with the array Bessel kernels; the quadrature routes integrate these
-# profiles in 1-D against the grid's radial weight (integrate_radial).
+# Both depend on |z| alone.  Each profile is one formula over ln I_m or
+# ln K_m at 2|z| times a factor (_ln_husimi, _ln_p): the quadrature routes
+# read those logs from the grid's profile cache (_grid_ln_husimi,
+# _grid_ln_p) and integrate in 1-D against its radial weight
+# (integrate_radial); the point functions evaluate them with the same array
+# kernels at one radius (_at_radius).
+
+def _at_radius(kernel, m: int, rho: float):
+    # factor -> kernel(m, 2 rho factor) on a one-element array
+    x = 2.0 * np.array([rho])
+    return lambda factor: kernel(m, x * factor)
+
 
 def _husimi_exponents(ts: ThermalSpec, strong_field: bool) -> tuple[float, float]:
     # returns (decay exponent a, log prefactor excluding the e^{a(m-1)} factor)
@@ -201,30 +211,41 @@ def _husimi_exponents(ts: ThermalSpec, strong_field: bool) -> tuple[float, float
     return a, math.log(2.0 * math.sinh(a))
 
 
-def _ln_husimi(r: np.ndarray, ts: ThermalSpec, strong_field: bool = False) -> np.ndarray:
+def _ln_husimi(ts: ThermalSpec, ln_i, strong_field: bool = False) -> np.ndarray:
+    # ln of 2 sinh(a) e^{a(m-1)} I_m(2r e^{-a}) / I_m(2r), r > 0
     a, ln_pref = _husimi_exponents(ts, strong_field)
-    m = ts.m
-    # at the origin the ratio I_m(2ru)/I_m(2r) -> u^m
-    out = np.full(r.shape, ln_pref + a * (m - 1) - a * m)
-    pos = r > 0.0
-    x = 2.0 * r[pos]
-    out[pos] = ln_pref + a * (m - 1) \
-        + ln_bessel_i(m, x * math.exp(-a)) - ln_bessel_i(m, x)
-    return out
+    return ln_pref + a * (ts.m - 1) + ln_i(math.exp(-a)) - ln_i(1.0)
 
 
-def _ln_p(r: np.ndarray, ts: ThermalSpec) -> np.ndarray:
-    # r > 0
+def _ln_p(ts: ThermalSpec, ln_k) -> np.ndarray:
+    # ln of (e^{beta gap} - 1) e^{a m} K_m(2r e^{a}) / K_m(2r), r > 0
     a = ts.half_beta_gap
-    x = 2.0 * r
-    return math.log(math.expm1(ts.beta_gap)) + a * ts.m \
-        + ln_bessel_k(ts.m, x * math.exp(a)) - ln_bessel_k(ts.m, x)
+    return math.log(math.expm1(ts.beta_gap)) + a * ts.m + ln_k(math.exp(a)) - ln_k(1.0)
 
 
-def _i_ratio(m: int, k: int, r: np.ndarray) -> np.ndarray:
-    # r^k I_{m+k}(2r) / I_m(2r)
-    x = 2.0 * r
-    return r ** k * np.exp(ln_bessel_i(m + k, x) - ln_bessel_i(m, x))
+def _grid_ln_husimi(ts: ThermalSpec, grid: QuadratureGrid,
+                    strong_field: bool = False) -> np.ndarray:
+    return _ln_husimi(ts, partial(grid._ln_bessel, "i", ts.m), strong_field)
+
+
+def _grid_ln_p(ts: ThermalSpec, grid: QuadratureGrid) -> np.ndarray:
+    return _ln_p(ts, partial(grid._ln_bessel, "k", ts.m))
+
+
+def _i_ratio(grid: QuadratureGrid, m: int, k: int) -> np.ndarray:
+    # r^k I_{m+k}(2r) / I_m(2r) at the grid's nodes
+    return grid.nodes ** k * np.exp(grid._ln_bessel("i", m + k) - grid._ln_bessel("i", m))
+
+
+def _husimi_point(label, ts: ThermalSpec, strong_field: bool) -> float:
+    rho = _as_label(label).rho
+    if rho == 0.0:
+        # at the origin the ratio I_m(2ru)/I_m(2r) -> u^m
+        a, ln_pref = _husimi_exponents(ts, strong_field)
+        ln_h = np.array([ln_pref + a * (ts.m - 1) - a * ts.m])
+    else:
+        ln_h = _ln_husimi(ts, _at_radius(ln_bessel_i, ts.m, rho), strong_field)
+    return float(np.exp(ln_h)[0])
 
 
 def husimi_thermal(label, ts: ThermalSpec) -> float:
@@ -234,8 +255,7 @@ def husimi_thermal(label, ts: ThermalSpec) -> float:
     at the origin this is 1 - e^{-beta gap} for every m.  Values lie in
     (0, 1) and integrate to 1 against the reproducing measure.
     """
-    lab = _as_label(label)
-    return float(np.exp(_ln_husimi(np.array([lab.rho]), ts))[0])
+    return _husimi_point(label, ts, strong_field=False)
 
 
 def husimi_thermal_strong_field(label, ts: ThermalSpec) -> float:
@@ -246,8 +266,7 @@ def husimi_thermal_strong_field(label, ts: ThermalSpec) -> float:
     (omega0/omega_c)^2, which the caller should keep below the target
     tolerance.
     """
-    lab = _as_label(label)
-    return float(np.exp(_ln_husimi(np.array([lab.rho]), ts, strong_field=True))[0])
+    return _husimi_point(label, ts, strong_field=True)
 
 
 def p_function(label, ts: ThermalSpec) -> float:
@@ -259,7 +278,7 @@ def p_function(label, ts: ThermalSpec) -> float:
     lab = _as_label(label)
     if lab.rho == 0.0:
         raise DomainError("diagonal weight undefined at z = 0")
-    return float(np.exp(_ln_p(np.array([lab.rho]), ts))[0])
+    return float(np.exp(_ln_p(ts, _at_radius(ln_bessel_k, ts.m, lab.rho)))[0])
 
 
 # ------------------------------------------------------------------------
@@ -288,13 +307,13 @@ def thermal_grid(ts: ThermalSpec) -> QuadratureGrid:
 def husimi_normalization_check(ts: ThermalSpec, grid: QuadratureGrid,
                                strong_field: bool = False) -> float:
     """|integral of the diagonal density against the measure - 1|."""
-    h = np.exp(_ln_husimi(grid.nodes, ts, strong_field))
+    h = np.exp(_grid_ln_husimi(ts, grid, strong_field))
     return abs(integrate_radial(h, ts.m, grid) - 1.0)
 
 
 def p_normalization_check(ts: ThermalSpec, grid: QuadratureGrid) -> float:
     """|integral of the diagonal weight against the measure - 1|."""
-    return abs(integrate_radial(np.exp(_ln_p(grid.nodes, ts)), ts.m, grid) - 1.0)
+    return abs(integrate_radial(np.exp(_grid_ln_p(ts, grid)), ts.m, grid) - 1.0)
 
 
 def fock_population_reconstruction(nu: int, ts: ThermalSpec,
@@ -306,9 +325,8 @@ def fock_population_reconstruction(nu: int, ts: ThermalSpec,
     """
     nu = _order(nu, "nu")
     m = ts.m
-    r = grid.nodes
-    ln_sq_amp = 2.0 * _ln_amplitude(m, np.log(r), nu, ln_bessel_i(m, 2.0 * r))
-    return integrate_radial(np.exp(_ln_p(r, ts) + ln_sq_amp), m, grid)
+    ln_sq_amp = 2.0 * _ln_amplitude(m, np.log(grid.nodes), nu, grid._ln_bessel("i", m))
+    return integrate_radial(np.exp(_grid_ln_p(ts, grid) + ln_sq_amp), m, grid)
 
 
 def thermal_average(mean_fn, ts: ThermalSpec, grid: QuadratureGrid) -> complex:
@@ -317,7 +335,7 @@ def thermal_average(mean_fn, ts: ThermalSpec, grid: QuadratureGrid) -> complex:
     mean_fn receives the full complex node matrix and must return a
     like-shaped array of coherent-state mean values.
     """
-    w = np.exp(_ln_p(grid.nodes, ts))[:, None]
+    w = np.exp(_grid_ln_p(ts, grid))[:, None]
     return integrate(lambda z: w * np.asarray(mean_fn(z)), ts.m, grid,
                      vectorized=True)
 
@@ -342,14 +360,13 @@ def thermal_g(ts: ThermalSpec) -> float:
 
 
 def thermal_mean_n_quadrature(ts: ThermalSpec, grid: QuadratureGrid) -> float:
-    r = grid.nodes
-    vals = np.exp(_ln_p(r, ts)) * _i_ratio(ts.m, 1, r)
+    vals = np.exp(_grid_ln_p(ts, grid)) * _i_ratio(grid, ts.m, 1)
     return integrate_radial(vals, ts.m, grid)
 
 
 def thermal_mean_n_sq_quadrature(ts: ThermalSpec, grid: QuadratureGrid) -> float:
-    r = grid.nodes
-    vals = np.exp(_ln_p(r, ts)) * (_i_ratio(ts.m, 2, r) + _i_ratio(ts.m, 1, r))
+    vals = np.exp(_grid_ln_p(ts, grid)) * (_i_ratio(grid, ts.m, 2)
+                                           + _i_ratio(grid, ts.m, 1))
     return integrate_radial(vals, ts.m, grid)
 
 
@@ -400,8 +417,8 @@ def _q2_quadratures(ts: ThermalSpec, grid: QuadratureGrid) -> tuple[float, float
     # share the radial profile P k3; trig^2 enters through its angular mean
     # under the grid's trapezoid rule
     r = grid.nodes
-    weight = np.exp(_ln_p(r, ts))
-    p_k3 = weight * (_i_ratio(ts.m, 1, r) + 0.5 * (ts.m + 1))
+    weight = np.exp(_grid_ln_p(ts, grid))
+    p_k3 = weight * (_i_ratio(grid, ts.m, 1) + 0.5 * (ts.m + 1))
     p_r_sq = 2.0 * weight * r * r
     phi = grid.angles
     return tuple(integrate_radial(p_k3 + np.mean(trig(phi) ** 2) * p_r_sq, ts.m, grid)
@@ -525,7 +542,7 @@ def wehrl_entropy(ts: ThermalSpec, grid: QuadratureGrid | None = None,
     if area is not None and not area > 0.0:
         raise DomainError(f"area must be positive, got {area!r}")
 
-    ln_h = _ln_husimi(grid.nodes, ts)
+    ln_h = _grid_ln_husimi(ts, grid)
     h = np.exp(ln_h)
     h_ln_h = np.where(h < _UNDERFLOW_FLOOR, 0.0, h * ln_h)
     w_quad = -integrate_radial(h_ln_h, ts.m, grid)

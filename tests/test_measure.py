@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from landau_bgcs import checks, measure
+from landau_bgcs.bgcs import _node_amplitudes, radial_amplitudes
 from landau_bgcs.fock import SubspaceSpec
 from landau_bgcs.measure import (
     QuadratureGrid,
@@ -16,7 +18,13 @@ from landau_bgcs.measure import (
     radial_moment_check,
     resolution_of_identity_check,
 )
-from landau_bgcs.specfun import DomainError, EvaluationError, ln_bessel_i, ln_factorial
+from landau_bgcs.specfun import (
+    DomainError,
+    EvaluationError,
+    ln_bessel_i,
+    ln_bessel_k,
+    ln_factorial,
+)
 
 # density values frozen from a 40-digit reference evaluation
 _DENSITY_CASES = [
@@ -319,6 +327,85 @@ def test_radial_weight_cache_is_per_instance():
     with pytest.raises(DomainError):
         a.radial_weight(True)
     assert "_radial_weights" not in repr(a)
+
+
+# ---------------------------------------------------- Bessel profile cache
+
+def _small_grid():
+    return build_grid(max_degree=8, max_mode=4, points_per_panel=8)
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 4, 9])
+def test_cached_bessel_logs_are_the_kernel_bits(m):
+    g = _small_grid()
+    for factor in (1.0, math.exp(-0.05), math.exp(3.0)):
+        x = (2.0 * g.nodes) * factor
+        want_i, want_k = ln_bessel_i(m, x), ln_bessel_k(m, x)
+        for _ in range(2):  # cold, then read back from the cache
+            assert np.array_equal(g._ln_bessel("i", m, factor), want_i)
+            assert np.array_equal(g._ln_bessel("k", m, factor), want_k)
+
+
+def test_profile_cache_is_per_instance_and_bounded():
+    a, b = _small_grid(), _small_grid()
+    first = a._ln_bessel("k", 0, 1.0)
+    assert len(a._profiles) == 1 and len(b._profiles) == 0
+    assert "_profiles" not in repr(a)
+    cap = measure._PROFILE_CACHE_SIZE
+    for j in range(cap + 5):
+        a._ln_bessel("i", j % 7, 1.0 + 0.01 * j)
+    assert len(a._profiles) <= cap
+    # the oldest entry went first, and comes back with the same bits
+    assert ("k", 0, 1.0) not in a._profiles
+    assert np.array_equal(a._ln_bessel("k", 0, 1.0), first)
+    assert np.array_equal(b._ln_bessel("k", 0, 1.0), first)
+
+
+def test_profile_cache_input_rules(monkeypatch):
+    g = _small_grid()
+    for factor in (math.nan, math.inf, 0.0, -1.0):
+        with pytest.raises(DomainError):
+            g._ln_bessel("i", 2, factor)
+    g._ln_bessel("i", 1, 1)
+    g._ln_bessel("i", 1, 1.0)
+    assert list(g._profiles) == [("i", 1, 1.0)]
+    assert not g._profiles[("i", 1, 1.0)].flags.writeable
+    # True hashes like 1 but is no order: it must not read the entry for 1
+    with pytest.raises(DomainError):
+        g._ln_bessel("i", True, 1.0)
+
+    calls = []
+
+    def failing(m, x):
+        calls.append(m)
+        raise EvaluationError("no convergence")
+    monkeypatch.setattr(measure, "_ln_bessel_k_scaled", failing)
+    for _ in range(2):
+        with pytest.raises(EvaluationError):
+            g._ln_bessel("k", 3, 1.0)
+    assert len(calls) == 2 and ("k", 3, 1.0) not in g._profiles
+
+
+def test_radial_weight_out_of_range_is_not_cached():
+    g = _small_grid()
+    for _ in range(2):
+        with pytest.raises(EvaluationError, match="order-200"):
+            g.radial_weight(200)
+    assert ("weight", 200) not in g._profiles
+
+
+@pytest.mark.parametrize("m", [0, 3])
+def test_node_amplitudes_are_radial_amplitudes(m, grid):
+    want = radial_amplitudes(m, grid.nodes, 9)
+    for _ in range(2):
+        assert np.array_equal(_node_amplitudes(m, grid, 9), want)
+
+
+def test_identity_suite_evaluates_each_profile_once(kernel_calls):
+    # frame identity at m = 0, 2, 4 reads ln I_m and ln K_m; the moment
+    # family reads ln K_m for m = 0..5: nine distinct profiles on one grid
+    checks.run_suite("identity")
+    assert kernel_calls["i"] + kernel_calls["k"] <= 9, kernel_calls
 
 
 # ---------------------------------------------------------------- properties

@@ -505,6 +505,55 @@ def test_point_profiles_match_scalar_reference():
         assert p_function(complex(r, 0.0), ts) == pytest.approx(want_p, rel=1e-13)
 
 
+# ------------------------------------------------- per-grid profile cache
+
+def _thermal_routes(ts):
+    # the seven thermal quadrature routes and the q2 report, by name
+    return {
+        "wehrl": lambda g: wehrl_entropy(ts, g).quadrature,
+        "husimi_norm": lambda g: husimi_normalization_check(ts, g),
+        "husimi_norm_sf": lambda g: husimi_normalization_check(ts, g, strong_field=True),
+        "p_norm": lambda g: p_normalization_check(ts, g),
+        "mean_n": lambda g: thermal_mean_n_quadrature(ts, g),
+        "mean_n_sq": lambda g: thermal_mean_n_sq_quadrature(ts, g),
+        "g": lambda g: thermal_g_quadrature(ts, g),
+        "population": lambda g: fock_population_reconstruction(2, ts, g),
+        "average": lambda g: thermal_average(lambda z: z * z.conjugate() + 0.5j * z,
+                                             ts, g),
+        "q2": lambda g: tuple(thermal_q2_three_ways(ts, g).as_dict().values()),
+    }
+
+
+@pytest.mark.parametrize("beta_gap,m", [(0.1, 0), (1.17, 2), (6.0, 9)])
+def test_thermal_routes_same_bits_cold_warm_and_reversed(beta_gap, m):
+    ts = _ts(beta_gap, m=m)
+    routes = _thermal_routes(ts)
+    cold = {k: f(thermal_grid(ts)) for k, f in routes.items()}
+    grid = thermal_grid(ts)
+    in_order = {k: f(grid) for k, f in routes.items()}
+    warm = {k: f(grid) for k, f in routes.items()}
+    grid = thermal_grid(ts)
+    reversed_order = {k: routes[k](grid) for k in reversed(list(routes))}
+    assert in_order == cold
+    assert warm == cold
+    assert reversed_order == cold
+
+
+def test_thermal_point_evaluates_each_profile_once(kernel_calls):
+    # the benchmark's thermal point: I_m at 2r and 2r e^{-a}, I_{m+1} at 2r,
+    # K_m at 2r and 2r e^{a}, each evaluated once on a fresh grid
+    ts = _ts(1.17, m=2)
+    grid = thermal_grid(ts)
+    thermal_summary(ts, grid)
+    husimi_normalization_check(ts, grid)
+    p_normalization_check(ts, grid)
+    thermal_mean_n_quadrature(ts, grid)
+    fock_population_reconstruction(1, ts, grid)
+    thermal_q2_three_ways(ts, grid)
+    integrate(lambda z: np.abs(z) ** 2, 2, grid, vectorized=True)
+    assert kernel_calls == {"i": 3, "k": 2}
+
+
 # --------------------------------------------------------------- properties
 
 @settings(max_examples=60, deadline=None)
