@@ -27,6 +27,7 @@ from .specfun import (
     DomainError,
     EvaluationError,
     _EXACT_LN_FACT_LIMIT,
+    _LN_FACT_TABLE,
     _order,
     bessel_i_reduced,
     bessel_i_scaled,
@@ -42,7 +43,7 @@ _KERNEL_TAIL_TOL = 1e-300
 # reduced-series vs scaled-Bessel switchover radius for mean-value ratios
 _RATIO_SWITCH = 40.0
 # ln k! over the exact-table range of specfun.ln_factorial, k <= 256
-_LN_FACT = np.array([ln_factorial(k) for k in range(_EXACT_LN_FACT_LIMIT + 1)])
+_LN_FACT = np.array(_LN_FACT_TABLE)
 
 
 @dataclass(frozen=True)
@@ -405,10 +406,9 @@ def analytic_function(state: StateVector, z: complex) -> complex:
     integrals of these functions: <s1|s2> = int dmeasure (|z|^m / I_m(2|z|))
     conj(f1(conj(z))) f2(conj(z)).
     """
-    m = state.m
+    k = np.arange(state.amplitudes.size)
     coeff = state.amplitudes * np.exp(
-        -0.5 * np.array([ln_factorial(k) + ln_factorial(k + m)
-                         for k in range(state.amplitudes.size)]))
+        -0.5 * (_ln_factorials(k) + _ln_factorials(k + state.m)))
     acc = 0.0 + 0.0j
     for c in coeff[::-1]:
         acc = acc * z + c

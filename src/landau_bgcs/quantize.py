@@ -20,6 +20,7 @@ import numpy as np
 from .bgcs import _as_label, _node_amplitudes, bgcs_state, mean_k3
 from .fock import OperatorMatrix, SubspaceSpec, lowering_band
 from .measure import QuadratureGrid, angular_mode_matrix
+from .specfun import _order
 
 NAMED_SYMBOLS = ("z", "z_bar", "z_sq", "z_bar_sq", "abs_z_sq",
                  "q", "p", "q_sq", "p_sq")
@@ -47,9 +48,10 @@ class SymbolSpec:
         if self.tag == "custom":
             if not self.terms:
                 raise ValueError("custom symbol needs at least one term")
-            for i, j, _ in self.terms:
-                if i < 0 or j < 0:
-                    raise ValueError("custom powers must be non-negative")
+            # integer powers only: z**1.5 would carry a branch cut
+            object.__setattr__(self, "terms", tuple(
+                (_order(i, "power of z"), _order(j, "power of conj z"), c)
+                for i, j, c in self.terms))
         elif self.tag not in NAMED_SYMBOLS:
             raise ValueError(
                 f"unknown symbol {self.tag!r}; expected one of {NAMED_SYMBOLS} or 'custom'")

@@ -411,6 +411,23 @@ def test_g2_and_overlap_out_of_double_range_raise():
             overlap(1.0, 1.0 + 0.5j, m)
 
 
+@pytest.mark.parametrize("m", [0, 1, 5])
+def test_statistics_past_690_vs_mpmath(m):
+    # |z| > 345 puts 2|z| past 690, where the scaled Bessel values come from
+    # the array kernel; mandel_q cancels (R2 - R1^2) ~ |z| / 2 against R1^2
+    # ~ |z|^2, so its error may grow like |z|
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for r in (346.0, 500.0, 2000.0, 1e4):
+            i0, i1, i2 = (mpmath.besseli(m + k, 2 * mpmath.mpf(r)) for k in range(3))
+            r1, r2 = r * i1 / i0, r * r * i2 / i0
+            lab = _label(r)
+            assert mean_n(lab, m) == pytest.approx(float(r1), rel=1e-14), r
+            assert g2(lab, m) == pytest.approx(float(i0 * i2 / i1 ** 2), rel=1e-14), r
+            assert mandel_q(lab, m) == pytest.approx(float((r2 - r1 * r1) / r1),
+                                                     rel=r * 1e-13), r
+
+
 def test_mandel_small_label():
     got = mandel_q(_label(1e-2), 1)
     assert got == pytest.approx(-1e-4 / 6.0, rel=1e-2)

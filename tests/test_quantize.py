@@ -22,7 +22,7 @@ from landau_bgcs.quantize import (
     quantize_by_quadrature,
     quantize_closed_form,
 )
-from landau_bgcs.specfun import EvaluationError
+from landau_bgcs.specfun import DomainError, EvaluationError
 
 
 def _spec(m, depth=16):
@@ -117,6 +117,14 @@ def test_symbol_validation():
         quantize_closed_form(SymbolSpec("custom", terms=((1, 1, 1.0),)), _spec(0))
 
 
+@pytest.mark.parametrize("power", [1.5, True, -1, math.nan])
+def test_custom_powers_must_be_integers_at_least_zero(power):
+    # a fractional power of z has a branch cut, and a bool is no power
+    for terms in (((power, 0, 1.0),), ((0, power, 1.0),)):
+        with pytest.raises(DomainError):
+            SymbolSpec("custom", terms=terms)
+
+
 def test_symbol_evaluation():
     z = 1.0 + 2.0j
     assert SymbolSpec("q").evaluate(z) == pytest.approx(math.sqrt(2.0), rel=1e-15)
@@ -161,6 +169,16 @@ def test_quadrature_quadratic_coordinate(grid):
     quad = quantize_by_quadrature(SymbolSpec("q_sq"), sp, grid)
     closed = quantize_closed_form(SymbolSpec("q_sq"), sp)
     assert _interior_err(quad.entries, closed.entries, 2) < 1e-6
+
+
+def test_quadrature_custom_integer_powers(grid):
+    # anti-normal order: z^2 conj(z) quantizes to a (a a^dagger), the lowering
+    # band times the diagonal of the quantized |z|^2
+    sp = SubspaceSpec(0, depth=8)
+    quad = quantize_by_quadrature(SymbolSpec("custom", terms=((2, 1, 0.5),)), sp, grid)
+    closed = 0.5 * quantize_closed_form(SymbolSpec("z"), sp).entries \
+        @ quantize_closed_form(SymbolSpec("abs_z_sq"), sp).entries
+    assert _interior_err(quad.entries, closed, 2) < 1e-6
 
 
 def _entry_by_entry_quadrature(sym, spec, grid):

@@ -189,6 +189,11 @@ def test_domain_errors():
         sf.bessel_i(-2, 1.0)
     with pytest.raises(sf.DomainError):
         sf.bessel_i_scaled(0, -0.5)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(sf.DomainError):
+            sf.bessel_i(0, bad)
+        with pytest.raises(sf.DomainError):
+            sf.bessel_i_scaled(0, bad)
     with pytest.raises(sf.DomainError):
         sf.gauss_2f1(1.0, 1.0, -2.0, 0.5)
     with pytest.raises(sf.DomainError):
@@ -197,6 +202,25 @@ def test_domain_errors():
         sf.ln_factorial(-1)
     with pytest.raises(sf.DomainError):
         sf.bessel_power_sum(-1, 0, 1.0)
+
+
+def test_unscaled_i_past_690_names_the_scaled_form():
+    # I_0(700) ~ 1.5e302 is still finite, but the plain series is not summed
+    # past x = 690; the caller is sent to the scaled form instead of inf
+    for x in (690.5, 700.0, -700.0, 1e6):
+        with pytest.raises(sf.EvaluationError, match="bessel_i_scaled"):
+            sf.bessel_i(0, x)
+
+
+_LN_FACT_PINS = {257: "0x1.25339b50864b2p+10", 1000: "0x1.71820d04e2eb6p+12",
+                 10 ** 6: "0x1.87193cc4f1ea6p+23", 10 ** 9: "0x1.25e649ce0e86ep+34"}
+
+
+@pytest.mark.parametrize("n", list(_LN_FACT_PINS))
+def test_ln_factorial_stirling_bits_pinned(n):
+    # past the exact table ln n! is Stirling's series through _stirling_tail;
+    # an edit to either that moves a bit fails here
+    assert sf.ln_factorial(n).hex() == _LN_FACT_PINS[n]
 
 
 def test_evaluation_error_carries_partial_estimate():
@@ -295,6 +319,16 @@ def test_ln_bessel_kernels_match_scalar_kernels():
                                           rel=1e-14, abs=1e-14)
             assert got_k == pytest.approx(math.log(sf.bessel_k_scaled(m, x)) - x,
                                           rel=1e-14, abs=1e-14)
+
+
+@pytest.mark.parametrize("m", [0, 2, 50])
+def test_scaled_i_past_690_vs_mpmath(m):
+    # past x = 690 bessel_i_scaled reads the array kernel
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for x in (691.0, 1e3, 5e3, 1e5):
+            want = mpmath.besseli(m, x) * mpmath.exp(-x)
+            assert float(abs(sf.bessel_i_scaled(m, x) / want - 1)) <= 1e-14, x
 
 
 def test_ln_bessel_kernels_stay_finite_at_extreme_orders():
