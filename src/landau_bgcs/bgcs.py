@@ -28,6 +28,7 @@ from .specfun import (
     EvaluationError,
     _EXACT_LN_FACT_LIMIT,
     _LN_FACT_TABLE,
+    _Record,
     _order,
     bessel_i_reduced,
     bessel_i_scaled,
@@ -47,7 +48,7 @@ _LN_FACT = np.array(_LN_FACT_TABLE)
 
 
 @dataclass(frozen=True)
-class CoherentLabel:
+class CoherentLabel(_Record):
     """Complex label z with canonical polar data.
 
     rho and phi are derived on construction; from_polar stores the supplied

@@ -23,7 +23,7 @@ from .quantize import (
     quantize_by_quadrature,
     quantize_closed_form,
 )
-from .specfun import bessel_i, bessel_k, gauss_2f1
+from .specfun import _Record, bessel_i, bessel_k, gauss_2f1
 from .thermo import (
     ThermalSpec,
     fock_population_reconstruction,
@@ -48,8 +48,10 @@ _OPERATOR_DEPTH = 16
 
 
 @dataclass(frozen=True)
-class CheckResult:
+class CheckResult(_Record):
     """One verified identity: measured residual against its tolerance."""
+
+    _derived = ("passed",)
 
     name: str
     residual: float
@@ -58,10 +60,6 @@ class CheckResult:
     @property
     def passed(self) -> bool:
         return self.residual < self.tolerance
-
-    def as_dict(self) -> dict:
-        return {"name": self.name, "residual": self.residual,
-                "tolerance": self.tolerance, "passed": self.passed}
 
 
 def suite_specfun(tol: float | None = None) -> list[CheckResult]:

@@ -246,17 +246,13 @@ def _emit(payload, cfg: RunConfig, csv_rows, default_fmt: str) -> None:
 
 # ----------------------------------------------------------------- commands
 
-def _label_dict(lab: CoherentLabel) -> dict:
-    return {"re": lab.re, "im": lab.im, "rho": lab.rho, "phi": lab.phi}
-
-
 def cmd_stats(cfg: RunConfig):
     lab = cfg.require_z()
     m = cfg.m
     dq2, dp2, prod = dispersions(lab, m)
     payload = {
         "m": m,
-        "z": _label_dict(lab),
+        "z": lab.as_dict(),
         "mean_k3": mean_k3(lab, m),
         "mean_n": mean_n(lab, m),
         "mean_n_sq": mean_n_sq(lab, m),
@@ -283,8 +279,8 @@ def cmd_overlap(cfg: RunConfig):
     ov = overlap(lab2, lab, cfg.m)
     payload = {
         "m": cfg.m,
-        "z": _label_dict(lab),
-        "z2": _label_dict(lab2),
+        "z": lab.as_dict(),
+        "z2": lab2.as_dict(),
         "overlap": ov,
         "overlap_abs": abs(ov),
         "overlap_abs_sq": abs(ov) ** 2,
@@ -302,8 +298,8 @@ def cmd_evolve(cfg: RunConfig):
         "m": cfg.m,
         "t": cfg.t,
         "rotation_rate": params.omega_minus,
-        "initial": _label_dict(lab),
-        "final": _label_dict(moved),
+        "initial": lab.as_dict(),
+        "final": moved.as_dict(),
         "mean_n_initial": mean_n(lab, cfg.m),
         "mean_n_final": mean_n(moved, cfg.m),
     }

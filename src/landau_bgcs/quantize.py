@@ -20,7 +20,7 @@ import numpy as np
 from .bgcs import _as_label, _node_amplitudes, bgcs_state, mean_k3
 from .fock import OperatorMatrix, SubspaceSpec, lowering_band
 from .measure import QuadratureGrid, angular_mode_matrix
-from .specfun import _order
+from .specfun import _Record, _order
 
 NAMED_SYMBOLS = ("z", "z_bar", "z_sq", "z_bar_sq", "abs_z_sq",
                  "q", "p", "q_sq", "p_sq")
@@ -223,17 +223,14 @@ def dispersions_matrix_route(label, m: int) -> tuple[float, float]:
 # ----------------------------------------------------------------- reports
 
 @dataclass(frozen=True)
-class MatrixEntry:
+class MatrixEntry(_Record):
     row: int
     col: int
     value: float
 
-    def as_dict(self):
-        return {"row": self.row, "col": self.col, "value": self.value}
-
 
 @dataclass(frozen=True)
-class DecompositionReport:
+class DecompositionReport(_Record):
     """Ground-truth residuals of the quantized-energy operator identities.
 
     residual_q/p are A_{q^2} - Q^2 - D and A_{p^2} - P^2 - D with
@@ -257,22 +254,6 @@ class DecompositionReport:
     claimed_coefficient: float
     computed_at_claimed_entry_q: float
     matches_claimed_projectors: bool
-
-    def as_dict(self):
-        return {
-            "m": self.m, "depth": self.depth, "interior": self.interior,
-            "energy_split_max_err": self.energy_split_max_err,
-            "symmetric_sum_max_err": self.symmetric_sum_max_err,
-            "residual_q_entries": [e.as_dict() for e in self.residual_q_entries],
-            "residual_p_entries": [e.as_dict() for e in self.residual_p_entries],
-            "max_interior_residual_q": self.max_interior_residual_q,
-            "max_interior_residual_p": self.max_interior_residual_p,
-            "edge_residual_q": self.edge_residual_q,
-            "claimed_entry": list(self.claimed_entry),
-            "claimed_coefficient": self.claimed_coefficient,
-            "computed_at_claimed_entry_q": self.computed_at_claimed_entry_q,
-            "matches_claimed_projectors": self.matches_claimed_projectors,
-        }
 
 
 def _interior(a: np.ndarray, margin: int) -> np.ndarray:
@@ -335,22 +316,18 @@ def energy_operator_decomposition_check(m: int, spec: SubspaceSpec) -> Decomposi
 
 
 @dataclass(frozen=True)
-class CommutatorCheck:
+class CommutatorCheck(_Record):
     name: str
     max_interior_err: float
     example_entry: tuple[int, int]
     example_value: float
     expected_value: float
 
-    def as_dict(self):
-        return {"name": self.name, "max_interior_err": self.max_interior_err,
-                "example_entry": list(self.example_entry),
-                "example_value": self.example_value,
-                "expected_value": self.expected_value}
-
 
 @dataclass(frozen=True)
-class CommutatorReport:
+class CommutatorReport(_Record):
+    _derived = ("max_err",)
+
     m: int
     depth: int
     checks: tuple[CommutatorCheck, ...] = field(default_factory=tuple)
@@ -360,9 +337,10 @@ class CommutatorReport:
         return max(c.max_interior_err for c in self.checks)
 
     def as_dict(self):
-        return {"m": self.m, "depth": self.depth,
-                "max_err": self.max_err,
-                "checks": [c.as_dict() for c in self.checks]}
+        # the printed report gives max_err before the checks it summarises
+        out = super().as_dict()
+        out["checks"] = out.pop("checks")
+        return out
 
 
 def energy_commutators(m: int, spec: SubspaceSpec) -> CommutatorReport:

@@ -30,6 +30,8 @@ not used.
 from __future__ import annotations
 
 import math
+from dataclasses import fields
+
 import numpy as np
 
 _EULER_GAMMA = 0.5772156649015328606065120900824024
@@ -54,6 +56,23 @@ class EvaluationError(RuntimeError):
         super().__init__(message)
         self.partial = partial
         self.terms = terms
+
+
+class _Record:
+    """Base of the frozen result records: as_dict gives the dataclass fields
+    in declaration order, then the derived values named in _derived, with a
+    nested record as its own as_dict and a tuple as a list."""
+
+    _derived: tuple[str, ...] = ()
+
+    def as_dict(self) -> dict:
+        def plain(v):
+            if isinstance(v, _Record):
+                return v.as_dict()
+            return [plain(e) for e in v] if isinstance(v, tuple) else v
+        out = {f.name: plain(getattr(self, f.name)) for f in fields(self)}
+        out.update((name, getattr(self, name)) for name in self._derived)
+        return out
 
 
 # termination policy of the scalar series loops: stop once the last term is

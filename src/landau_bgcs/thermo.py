@@ -31,6 +31,7 @@ from .measure import (QuadratureGrid, _required_cutoff, build_grid, integrate,
 from .specfun import (
     DomainError,
     EvaluationError,
+    _Record,
     _order,
     gauss_2f1,
     ln_bessel_i,
@@ -426,8 +427,10 @@ def _q2_quadratures(ts: ThermalSpec, grid: QuadratureGrid) -> tuple[float, float
 
 
 @dataclass(frozen=True)
-class SecondMomentReport:
+class SecondMomentReport(_Record):
     """Three independent routes to the thermal quadrature second moment."""
+
+    _derived = ("quadrature_vs_trace", "closed_vs_trace", "closed_form_consistent")
 
     m: int
     beta_gap: float
@@ -449,20 +452,6 @@ class SecondMomentReport:
     def closed_form_consistent(self) -> bool:
         """Whether the hypergeometric route agrees with the trace route."""
         return self.closed_vs_trace < 1e-6
-
-    def as_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "beta_gap": self.beta_gap,
-            "closed_form": self.closed_form,
-            "p_quadrature": self.p_quadrature,
-            "fock_trace": self.fock_trace,
-            "second_component_quadrature": self.second_component_quadrature,
-            "trace_depth": self.trace_depth,
-            "quadrature_vs_trace": self.quadrature_vs_trace,
-            "closed_vs_trace": self.closed_vs_trace,
-            "closed_form_consistent": self.closed_form_consistent,
-        }
 
 
 def thermal_q2_three_ways(ts: ThermalSpec,
@@ -493,7 +482,7 @@ def thermal_q2_three_ways(ts: ThermalSpec,
 # Wehrl entropy
 
 @dataclass(frozen=True)
-class WehrlReport:
+class WehrlReport(_Record):
     """Phase-space entropy of the thermal diagonal density.
 
     quadrature is the defining integral -int h ln h against the measure;
@@ -509,16 +498,6 @@ class WehrlReport:
     approximation: float
     scaled: float | None
     strong_field_approximation: float | None
-
-    def as_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "beta_gap": self.beta_gap,
-            "quadrature": self.quadrature,
-            "approximation": self.approximation,
-            "scaled": self.scaled,
-            "strong_field_approximation": self.strong_field_approximation,
-        }
 
 
 def _wehrl_strong_field(ts: ThermalSpec) -> float | None:
