@@ -298,11 +298,13 @@ def kernel_idempotence_check(z, zp, m: int, grid: QuadratureGrid) -> float:
 
 def _bessel_series(m: int, r: float) -> tuple[float, list[float]]:
     # (u, [f0, f1, f2]) with r^k I_{m+k}(2r) / I_m(2r) = u^k f_k / f_0:
-    # reduced series at u = r^2 up to the switch, scaled Bessel at u = r beyond
+    # reduced series at u = r^2 up to the switch, scaled Bessel at u = r
+    # beyond; both leave the double range at large m (the scaled one at
+    # m = 1500, r = 41)
     if r <= _RATIO_SWITCH:
         u = r * r
         return u, [bessel_i_reduced(m + k, u).real for k in range(3)]
-    return r, [bessel_i_scaled(m + k, 2.0 * r) for k in range(3)]
+    return r, _in_double_range(m, [bessel_i_scaled(m + k, 2.0 * r) for k in range(3)])
 
 
 def _step_ratios(m: int, r: float) -> tuple[float, float]:

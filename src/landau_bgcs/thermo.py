@@ -19,6 +19,7 @@ reported, never silently reconciled.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import partial
 
@@ -67,6 +68,9 @@ __all__ = [
 ]
 
 _UNDERFLOW_FLOOR = 1e-300
+# past ln(DBL_MAX) the occupancy 1 / (e^{beta gap} - 1) and the closed forms
+# built on e^{beta gap} overflow
+_MAX_BETA_GAP = math.log(sys.float_info.max)
 # the direct partition sum stops once its geometric tail is below this share
 # of the first term
 _PARTITION_TAIL_TOL = 1e-16
@@ -83,7 +87,9 @@ class ThermalSpec:
     fast_index is the frozen fast quantum number whose energy offset scales
     the partition function but cancels from all normalized quantities.
     gap_energy overrides the ladder quantum (defaults to the slow-ladder
-    value hbar (Omega - omega_c) / 2 of params).
+    value hbar (Omega - omega_c) / 2 of params).  beta gap must keep the
+    Boltzmann factor e^{-beta gap} in (0, 1) and be at most ln(DBL_MAX),
+    about 709.78.
     """
 
     params: PhysicalParams
@@ -101,8 +107,13 @@ class ThermalSpec:
             raise DomainError(
                 "thermal ensemble requires Omega > omega_c strictly; got "
                 f"Omega = {self.params.omega:.6g}, omega_c = {self.params.omega_c:.6g}")
-        if self.gap_energy is not None and not self.gap_energy > 0.0:
-            raise DomainError(f"gap_energy must be positive, got {self.gap_energy!r}")
+        if self.gap_energy is not None and not 0.0 < self.gap_energy < math.inf:
+            raise DomainError(
+                f"gap_energy must be positive and finite, got {self.gap_energy!r}")
+        if not (0.0 < self.boltzmann_factor < 1.0 and self.beta_gap <= _MAX_BETA_GAP):
+            raise DomainError(
+                f"beta gap must give e^(-beta gap) in (0, 1) and be at most "
+                f"ln(DBL_MAX) = {_MAX_BETA_GAP:.6g}, got {self.beta_gap!r}")
 
     @property
     def gap(self) -> float:
@@ -294,7 +305,8 @@ def thermal_grid(ts: ThermalSpec) -> QuadratureGrid:
     """
     a = ts.half_beta_gap
     rate = 2.0 * (1.0 - math.exp(-a))
-    needed = (26.0 + math.log1p(1.0 / rate)) / rate
+    # e^{-a} rounds to 1 for beta gap below about 1.1e-16: no decay at all
+    needed = (26.0 + math.log1p(1.0 / rate)) / rate if rate > 0.0 else math.inf
     if needed > 600.0:
         raise DomainError(
             f"thermal decay rate {rate:.3g} needs cutoff {needed:.0f} > 600; "
@@ -355,9 +367,13 @@ def thermal_mean_n_sq(ts: ThermalSpec) -> float:
 
 
 def thermal_g(ts: ThermalSpec) -> float:
-    """Intensity correlation (chaotic value 2, independent of the sector)."""
-    n1 = thermal_mean_n(ts)
-    return (thermal_mean_n_sq(ts) - n1) / (n1 * n1)
+    """Intensity correlation of the geometric populations: the chaotic value
+    2, exact at every temperature and in every sector.
+
+    Forming (<n^2> - <n>) / <n>^2 would cancel as <n> vanishes, so the
+    closed form is returned; thermal_g_quadrature is its independent check.
+    """
+    return 2.0
 
 
 def thermal_mean_n_quadrature(ts: ThermalSpec, grid: QuadratureGrid) -> float:
@@ -518,8 +534,8 @@ def wehrl_entropy(ts: ThermalSpec, grid: QuadratureGrid | None = None,
     """
     if grid is None:
         grid = thermal_grid(ts)
-    if area is not None and not area > 0.0:
-        raise DomainError(f"area must be positive, got {area!r}")
+    if area is not None and not 0.0 < area < math.inf:
+        raise DomainError(f"area must be positive and finite, got {area!r}")
 
     ln_h = _grid_ln_husimi(ts, grid)
     h = np.exp(ln_h)

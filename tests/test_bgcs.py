@@ -411,6 +411,23 @@ def test_g2_and_overlap_out_of_double_range_raise():
             overlap(1.0, 1.0 + 0.5j, m)
 
 
+@pytest.mark.parametrize("m,r", [(1500, 41.0), (5000, 350.0)])
+def test_scaled_branch_statistics_out_of_double_range_raise(m, r):
+    # past the ratio switch the statistics divide by e^{-2r} I_m(2r), which
+    # underflows to 0 at these orders
+    for fn in (mean_n, mean_n_sq, mandel_q, g2):
+        with pytest.raises(EvaluationError, match="normal double range"):
+            fn(_label(r), m)
+
+
+def test_scaled_branch_statistics_in_range_keep_their_values():
+    lab = _label(41.0)
+    assert mean_n(lab, 171).hex() == "0x1.28d2214a3faf7p+3"
+    assert mean_n_sq(lab, 171).hex() == "0x1.7b74786cedf86p+6"
+    assert g2(lab, 171).hex() == "0x1.fd530f899d156p-1"
+    assert mandel_q(lab, 171).hex() == "-0x1.8d141f9a91c20p-5"
+
+
 @pytest.mark.parametrize("m", [0, 1, 5])
 def test_statistics_past_690_vs_mpmath(m):
     # |z| > 345 puts 2|z| past 690, where the scaled Bessel values come from

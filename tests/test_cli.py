@@ -154,6 +154,27 @@ def test_thermal_row_values(capsys):
     assert doc["beta_gap"] == pytest.approx(math.log(2.0), rel=1e-12)
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("thermal", "--beta", "1e-300"), "beta gap"),
+    (("thermal", "--beta", "1e-16"), "quadrature window"),
+    (("thermal", "--beta", "1200"), "beta gap"),
+    (("thermal", "--beta", "1", "--gap", "inf"), "gap_energy"),
+    (("wehrl", "--beta", "2", "--area", "inf"), "area"),
+    (("stats", "--z=41,0", "--m", "1500"), "normal double range"),
+])
+def test_extremes_exit_two_without_traceback(capsys, argv, message):
+    rc, out, err = _run(capsys, *argv)
+    assert rc == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith(("error:", "evaluation error:"))
+    assert message in err
+
+
+def test_thermal_at_low_temperature_is_exact(capsys):
+    doc = _run_json(capsys, "thermal", "--beta", "1000")
+    assert doc["g"] == 2.0
+    assert 0.0 < doc["N_mean"] < 1e-268
+
+
 def test_thermal_rejects_unconfined(capsys):
     rc, _, err = _run(capsys, "thermal", "--omega0", "0", "--beta", "1")
     assert rc == 2

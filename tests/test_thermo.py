@@ -1,6 +1,7 @@
 """Thermal-state routes: partition sums, diagonal densities, entropy, moments."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -76,8 +77,50 @@ def test_spec_validation():
     for fast_index in (-2, -1, True):
         with pytest.raises(DomainError):
             ThermalSpec(_PARAMS, beta=1.0, fast_index=fast_index)
-    with pytest.raises(DomainError):
-        ThermalSpec(_PARAMS, beta=1.0, gap_energy=0.0)
+    for gap in (0.0, math.inf, math.nan):
+        with pytest.raises(DomainError, match="gap_energy"):
+            ThermalSpec(_PARAMS, beta=1.0, gap_energy=gap)
+
+
+# e^{-beta gap} rounds to 1 below about 5.6e-17; past ln(DBL_MAX) the
+# occupancy 1 / (e^{beta gap} - 1) overflows
+_LN_DBL_MAX = math.log(sys.float_info.max)
+
+
+@pytest.mark.parametrize("beta_gap", [1e-300, 5e-17, math.nextafter(_LN_DBL_MAX, math.inf),
+                                      710.0, 741.6])
+def test_spec_rejects_beta_gap_outside_the_double_range(beta_gap):
+    with pytest.raises(DomainError, match="beta gap"):
+        _ts(beta_gap)
+
+
+@pytest.mark.parametrize("beta_gap", [_LN_DBL_MAX, 700.0])
+def test_coldest_admissible_spec_gives_finite_closed_forms(beta_gap):
+    ts = _ts(beta_gap)
+    assert 0.0 < ts.occupancy < 1e-300
+    assert thermal_q2_closed(ts) == 0.5
+    row = thermal_summary(ts)
+    assert all(math.isfinite(v) for v in row.values())
+    assert row["g"] == 2.0
+    assert row["W_quad"] == pytest.approx(_W_COLD_0, rel=1e-14)
+
+
+@pytest.mark.parametrize("beta_gap", [6e-17, 1e-16, 1.1e-16])
+def test_window_rejects_beta_gap_with_no_decay(beta_gap):
+    # the spec holds, but e^{-beta gap / 2} rounds to 1: no decay to cover
+    ts = _ts(beta_gap)
+    assert 0.0 < ts.boltzmann_factor < 1.0
+    assert math.isfinite(partition_function(ts))
+    with pytest.raises(DomainError, match="quadrature window"):
+        thermal_grid(ts)
+
+
+@pytest.mark.parametrize("area", [0.0, -1.0, math.inf, math.nan])
+def test_area_must_be_positive_and_finite(grids, area):
+    with pytest.raises(DomainError, match="area"):
+        wehrl_entropy(_ts(1.0), grids[1.0], area=area)
+    with pytest.raises(DomainError, match="area"):
+        thermal_summary(_ts(1.0), grids[1.0], area=area)
 
 
 def test_spec_rejects_unconfined_field():
@@ -267,6 +310,11 @@ def test_q2_report_serializable(grids):
     d = rep.as_dict()
     assert d["m"] == 1 and d["closed_form_consistent"] is True
     assert d["trace_depth"] == rep.trace_depth
+
+
+@pytest.mark.parametrize("beta_gap", [20.0, 40.0, 400.0, 700.0])
+def test_thermal_g_is_exact_at_low_temperature(beta_gap):
+    assert thermal_g(_ts(beta_gap)) == 2.0
 
 
 def test_q2_closed_small_temperature_floor():
@@ -573,8 +621,4 @@ def test_occupancy_consistency_property(beta_gap):
     ts = _ts(beta_gap)
     y = ts.boltzmann_factor
     assert ts.occupancy == pytest.approx(y / (1.0 - y), rel=1e-12)
-    # assembling g cancels nbar against nbar + 2 nbar^2, losing
-    # eps / (2 nbar) of precision; keep the identity check where the
-    # occupancy is not yet vanishing
-    if beta_gap <= 8.0:
-        assert thermal_g(ts) == pytest.approx(2.0, rel=1e-12)
+    assert thermal_g(ts) == pytest.approx(2.0, rel=1e-12)
