@@ -1,8 +1,8 @@
 """Self-contained special-function kernels used everywhere else in the package.
 
 Everything here is double-precision arithmetic built from ascending series,
-continued fractions, and upward recurrences, with compensated (Kahan)
-accumulation in every series loop.  The quantities provided:
+continued fractions, upward recurrences and large-argument expansions, with
+compensated (Kahan) accumulation in every series loop.  The quantities provided:
 
 * modified Bessel functions of integer order: ``I_m(w)`` for real or complex
   argument, the exponentially scaled ``e^{-x} I_m(x)`` and ``e^x K_m(x)``
@@ -12,9 +12,14 @@ accumulation in every series loop.  The quantities provided:
   single-valued building block for overlap kernels,
 * ``ln I_m(x)`` and ``ln K_m(x)`` elementwise over numpy arrays of x > 0
   (``ln_bessel_i``, ``ln_bessel_k``), for callers that need a whole radial
-  profile at once; one label at a time the scalar kernels are cheaper and
+  profile at once: the Hankel large-argument expansions from
+  x0(m) = max(20, 0.4 m^2), and under it the ascending I series summed
+  outward from its peak and the K_0/K_1 route raised to order m by the
+  ratio recurrence; one label at a time the scalar kernels are cheaper and
   serve x <= 690, and past that ``bessel_i_scaled`` reads the array kernel
-  (about 3 ms a call at x = 700, against tens of microseconds below 690),
+  (0.2-0.3 ms a call where x >= x0(m), which is every x > 690 for m <= 41,
+  and about 4 ms at x = 800 for m = 50, against tens of microseconds for
+  the scalar series below 690),
 * ``ln n!`` (exact cumulative sums up to 256, Stirling beyond),
 * the Gauss hypergeometric series ``2F1(a, b; c; x)`` for ``|x| < 1``,
 * weighted Bessel-type moment sums used as series oracles for closed-form
@@ -172,8 +177,10 @@ def bessel_i_scaled(m: int, x: float) -> float:
     """Exponentially scaled modified Bessel function e^{-x} I_m(x), x real >= 0.
 
     Safe at large x where I_m itself overflows: past x = 690 the value comes
-    from the array kernel, which sums the series outward from its peak term
-    so no intermediate quantity leaves double range.
+    from the array kernel in log space, so no intermediate quantity leaves
+    double range up to x = DBL_MAX; it takes the Hankel expansion there
+    for every m with x0(m) <= x, and the series summed outward from its
+    peak term otherwise.
     """
     m = _order(m)
     if x < 0.0:
@@ -376,13 +383,73 @@ def bessel_k_scaled(m: int, x: float) -> float:
 # ---------------------------------------------------------------------------
 # array kernels: ln I_m(x) and ln K_m(x) elementwise over x > 0
 #
-# Every element runs its own loop and its value is taken on its own
-# convergence test (finished elements ride along unread until half the
-# working set is done, then drop out), so the value of an element never
-# depends on the array it arrives in.
+# Each element takes its branch from (m, x) alone: the Hankel expansion at
+# x >= _hankel_switch(m), else its own series or continued-fraction loop,
+# whose value is taken on its own convergence test (finished elements ride
+# along unread until half the working set is done, then drop out).  So the
+# value of an element never depends on the array it arrives in.
 
 _ARRAY_REL_TOL = 1e-17
 _ARRAY_MAX_TERMS = 100_000
+_LN_SQRT_HALF_PI = 0.2257913526447274323630976149474410
+# terms of the Hankel sums; at x >= _hankel_switch(m) the truncated sums and
+# the neglected e^{-2x} part stay within a few ulps of the scaled logs
+_HANKEL_TERMS = 40
+
+
+def _hankel_switch(m: int) -> float:
+    """x0(m), from which the Hankel expansions serve ln I_m and ln K_m.
+
+    Past the floor 20 the part of I_m that the expansion leaves out,
+    e^{-2x} relative, stays below the rounding of a double even magnified
+    by e^{m^2 / x} (at 18 it reaches 9e-16 in the log for m = 6), and so
+    does the smallest of the 40 terms.  The 0.4 m^2 bounds the first term
+    ratio m^2 / (2x) by 1.25, so the alternating I sum cancels by at most
+    about e^{2.5}.  Pinned against mpmath on both sides of the switch in
+    tests/test_specfun.py."""
+    return max(20.0, 0.4 * m * m)
+
+
+def _ln_hankel_scaled(m: int, x: np.ndarray, sign: float) -> np.ndarray:
+    """ln(e^{-x} I_m(x)) (sign -1) or ln(e^x K_m(x)) (sign +1) at x >= x0(m)
+    from the large-argument expansions (DLMF 10.40.1, 10.40.2; Abramowitz &
+    Stegun 9.7.1, 9.7.2):
+
+        e^{-x} I_m(x) ~ (2 pi x)^{-1/2} sum_k (-1)^k a_k(m) / x^k,
+        e^x K_m(x)    ~ (pi / 2x)^{1/2} sum_k a_k(m) / x^k,
+
+    a_k(m) = prod_{j<=k} (4m^2 - (2j-1)^2) / (8j).  Both sums run one
+    Horner loop over the factor ratios a_j / a_{j-1}, so no a_k leaves
+    double range, and the prefactor is taken in logs as -ln sqrt(2 pi) or
+    ln sqrt(pi/2) minus (ln x)/2, so it neither overflows nor goes
+    subnormal up to x = DBL_MAX."""
+    mu = 4.0 * m * m
+    inv = 1.0 / x
+    s = np.ones_like(x)
+    for j in range(_HANKEL_TERMS, 0, -1):
+        # s <- 1 + sign (4m^2 - (2j-1)^2) / (8j) * s / x, in place
+        s *= inv
+        s *= sign * (mu - (2 * j - 1) ** 2) / (8.0 * j)
+        s += 1.0
+    # the constant joins the small ln(sum) first, the exactly halved ln x
+    # last, so the result is rounded twice at its own scale
+    ln_c = -_LN_SQRT_2PI if sign < 0.0 else _LN_SQRT_HALF_PI
+    return (np.log(s) + ln_c) - 0.5 * np.log(x)
+
+
+def _with_hankel(m: int, x: np.ndarray, sign: float, below) -> np.ndarray:
+    # the Hankel branch where x >= x0(m), below(m, x) on the rest; a branch
+    # with no element is not entered, since its loops cost the same on none
+    far = x >= _hankel_switch(m)
+    if far.all():
+        return _ln_hankel_scaled(m, x, sign)
+    if not far.any():
+        return below(m, x)
+    out = np.empty_like(x)
+    out[far] = _ln_hankel_scaled(m, x[far], sign)
+    near = ~far
+    out[near] = below(m, x[near])
+    return out
 
 
 def _positive_array(x, name: str) -> np.ndarray:
@@ -434,7 +501,13 @@ def _i_sweep(s, comp, tau0, live, peak, h2, m, upward):
 
 def _ln_bessel_i_scaled(m: int, x: np.ndarray) -> np.ndarray:
     """ln(e^{-x} I_m(x)) elementwise over a flat array of x > 0, to a few
-    ulps of max(1, |result|).
+    ulps of max(1, |result|): the Hankel expansion at x >= x0(m), the
+    ascending series below."""
+    return _with_hankel(m, x, -1.0, _ln_i_series_scaled)
+
+
+def _ln_i_series_scaled(m: int, x: np.ndarray) -> np.ndarray:
+    """ln(e^{-x} I_m(x)) from the ascending series.
 
     The series terms t_nu = (x/2)^(2 nu + m) / (nu! (nu+m)!) are summed
     outward from t_peak, one below the largest, relative to t_peak.  The
@@ -475,9 +548,10 @@ def _ln_bessel_i_scaled(m: int, x: np.ndarray) -> np.ndarray:
 def ln_bessel_i(m: int, x) -> np.ndarray:
     """ln I_m(x) elementwise over an array of x > 0.
 
-    The ascending series is summed in log space outward from its peak term,
-    so nothing overflows or underflows at any x or m; every element stops on
-    its own convergence test.  Absolute error is a few ulps of
+    From x0(m) = max(20, 0.4 m^2) the Hankel expansion, below it the
+    ascending series summed in log space outward from its peak term, so
+    nothing overflows or underflows at any x or m; each element takes its
+    branch and stops on its own test.  Absolute error is a few ulps of
     max(1, |ln I_m(x)|).
     """
     m = _order(m)
@@ -571,10 +645,16 @@ def _k01_cf_scaled_array(x):
 
 
 def _ln_bessel_k_scaled(m: int, x: np.ndarray) -> np.ndarray:
-    """ln(e^x K_m(x)) elementwise over a flat array of x > 0: K_0 and K_1
-    from the small-argument series (x <= 2) or the scaled continued fraction
-    (x > 2), as in bessel_k, then the order raised by the ratio recurrence
-    K_{j+1}/K_j = 2j/x + K_{j-1}/K_j, whose logs are summed."""
+    """ln(e^x K_m(x)) elementwise over a flat array of x > 0: the Hankel
+    expansion at x >= x0(m), the recurrence route below."""
+    return _with_hankel(m, x, 1.0, _ln_k_recurrence_scaled)
+
+
+def _ln_k_recurrence_scaled(m: int, x: np.ndarray) -> np.ndarray:
+    """ln(e^x K_m(x)): K_0 and K_1 from the small-argument series (x <= 2)
+    or the scaled continued fraction (x > 2), as in bessel_k, then the order
+    raised by the ratio recurrence K_{j+1}/K_j = 2j/x + K_{j-1}/K_j, whose
+    logs are summed."""
     ln_k = np.empty_like(x)
     ratio = np.empty_like(x)
     small = x <= 2.0
@@ -596,10 +676,11 @@ def _ln_bessel_k_scaled(m: int, x: np.ndarray) -> np.ndarray:
 def ln_bessel_k(m: int, x) -> np.ndarray:
     """ln K_m(x) elementwise over an array of x > 0.
 
-    K_0 and K_1 come from the small-argument series or the continued
-    fraction, and the order is raised through the ratios K_{j+1}/K_j, so
-    K_m never overflows or underflows; every element stops on its own
-    convergence test.  Absolute error is a few ulps of max(1, |ln K_m(x)|).
+    From x0(m) = max(20, 0.4 m^2) the Hankel expansion; below it K_0 and
+    K_1 come from the small-argument series or the continued fraction, and
+    the order is raised through the ratios K_{j+1}/K_j, so K_m never
+    overflows or underflows; each element takes its branch and stops on its
+    own test.  Absolute error is a few ulps of max(1, |ln K_m(x)|).
     """
     m = _order(m)
     x = _positive_array(x, "ln_bessel_k")

@@ -376,20 +376,27 @@ def thermal_g(ts: ThermalSpec) -> float:
     return 2.0
 
 
+def _n_moment_integrands(ts: ThermalSpec, grid: QuadratureGrid):
+    # the radial integrands of <n> and then <n^2>, lazily: the P profile
+    # times r I_{m+1}/I_m, then times r^2 I_{m+2}/I_m + r I_{m+1}/I_m, with
+    # the profile and the first ratio formed once for both
+    p = np.exp(_grid_ln_p(ts, grid))
+    r1 = _i_ratio(grid, ts.m, 1)
+    yield p * r1
+    yield p * (_i_ratio(grid, ts.m, 2) + r1)
+
+
 def thermal_mean_n_quadrature(ts: ThermalSpec, grid: QuadratureGrid) -> float:
-    vals = np.exp(_grid_ln_p(ts, grid)) * _i_ratio(grid, ts.m, 1)
-    return integrate_radial(vals, ts.m, grid)
+    return integrate_radial(next(_n_moment_integrands(ts, grid)), ts.m, grid)
 
 
 def thermal_mean_n_sq_quadrature(ts: ThermalSpec, grid: QuadratureGrid) -> float:
-    vals = np.exp(_grid_ln_p(ts, grid)) * (_i_ratio(grid, ts.m, 2)
-                                           + _i_ratio(grid, ts.m, 1))
+    _, vals = _n_moment_integrands(ts, grid)
     return integrate_radial(vals, ts.m, grid)
 
 
 def thermal_g_quadrature(ts: ThermalSpec, grid: QuadratureGrid) -> float:
-    n1 = thermal_mean_n_quadrature(ts, grid)
-    n2 = thermal_mean_n_sq_quadrature(ts, grid)
+    n1, n2 = (integrate_radial(v, ts.m, grid) for v in _n_moment_integrands(ts, grid))
     return (n2 - n1) / (n1 * n1)
 
 

@@ -10,6 +10,8 @@ for K values, exact big-integer factorials for log-factorial, and raw
 from __future__ import annotations
 
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -298,9 +300,12 @@ def test_ln_bessel_kernels_vs_scipy(m):
 
 @pytest.mark.parametrize("m", [0, 3, 30])
 def test_ln_bessel_kernels_elementwise_independent(m):
-    # each element runs to its own convergence: alone or inside any array,
-    # in any order or shape, it gets the same bits
-    x = np.concatenate([_ARRAY_X, [1.9, 2.0, 2.1, 31.0, 33.0, 1200.0]])
+    # each element takes its branch from (m, x) and runs to its own
+    # convergence: alone or inside any array, in any order or shape, it gets
+    # the same bits, on both sides of the Hankel switch x0(m) too
+    x0 = sf._hankel_switch(m)
+    x = np.concatenate([_ARRAY_X, [1.9, 2.0, 2.1, 31.0, 33.0, 1200.0],
+                        x0 * np.array([1.0 - 1e-12, 1.0, 1.0 + 1e-12, 0.9, 1.1])])
     for fn in (sf.ln_bessel_i, sf.ln_bessel_k):
         whole = fn(m, x)
         alone = np.array([fn(m, np.array([v]))[0] for v in x])
@@ -310,15 +315,72 @@ def test_ln_bessel_kernels_elementwise_independent(m):
 
 
 def test_ln_bessel_kernels_match_scalar_kernels():
-    # the scalar and array routes are separate code; they agree to rounding
-    for m in (0, 1, 5):
-        for x in (0.01, 1.5, 2.5, 40.0, 250.0):
+    # the scalar and array routes are separate code; they agree to rounding,
+    # below and past the Hankel switch x0(m) (20 for m <= 7, 57.6 for m = 12)
+    for m in (0, 1, 5, 12):
+        for x in (0.01, 1.5, 2.5, 19.9, 20.1, 40.0, 60.0, 250.0, 690.0):
             got_i = sf.ln_bessel_i(m, np.array([x]))[0]
             got_k = sf.ln_bessel_k(m, np.array([x]))[0]
             assert got_i == pytest.approx(math.log(sf.bessel_i_scaled(m, x)) + x,
                                           rel=1e-14, abs=1e-14)
             assert got_k == pytest.approx(math.log(sf.bessel_k_scaled(m, x)) - x,
                                           rel=1e-14, abs=1e-14)
+
+
+_HANKEL_ORDERS = (0, 1, 2, 4, 6, 8, 30)
+
+
+@pytest.mark.parametrize("m", _HANKEL_ORDERS)
+def test_hankel_switch_pinned_vs_mpmath(m):
+    # the switch x0(m) is pinned from both sides (x0 (1 - 1e-12) is the
+    # series or continued-fraction route, x0 (1 + 1e-12) the Hankel one) and
+    # on a log grid of the Hankel branch up to 6e4, in the ln and in the
+    # scaled ln, where x itself no longer hides an error
+    mpmath = pytest.importorskip("mpmath")
+    x0 = sf._hankel_switch(m)
+    x = np.concatenate([x0 * np.array([1.0 - 1e-12, 1.0, 1.0 + 1e-12]),
+                        np.geomspace(x0, 6e4, 24)])
+    with mpmath.workdps(30):
+        ln_i = [mpmath.log(mpmath.besseli(m, mpmath.mpf(v))) for v in x]
+        ln_k = [mpmath.log(mpmath.besselk(m, mpmath.mpf(v))) for v in x]
+        want_i, want_k = (np.array([float(v) for v in w]) for w in (ln_i, ln_k))
+        scaled_i = np.array([float(w - v) for w, v in zip(ln_i, x)])
+        scaled_k = np.array([float(w + v) for w, v in zip(ln_k, x)])
+    assert _ln_err(sf.ln_bessel_i(m, x), want_i).max() <= 1e-14
+    assert _ln_err(sf.ln_bessel_k(m, x), want_k).max() <= 1e-14
+    err = np.maximum(_ln_err(sf._ln_bessel_i_scaled(m, x), scaled_i),
+                     _ln_err(sf._ln_bessel_k_scaled(m, x), scaled_k))
+    assert err.max() <= 1e-14
+    # the Hankel branch keeps the scaled ln within 1e-15 (2.4e-16 at worst
+    # here); an x0 of 0.15 m^2 would give 2.6e-15 at m = 30
+    assert err[x >= x0].max() <= 1e-15
+
+
+@pytest.mark.parametrize("x", [1e8, 1e12, 1e200, sys.float_info.max])
+def test_ln_bessel_kernels_at_huge_arguments(x):
+    # the Hankel prefactor is taken in logs: no overflow, no subnormal, no
+    # warning up to DBL_MAX; the scaled logs are within a few ulps of mpmath
+    # at 40 digits, and ln I_m, ln K_m and e^{-x} I_m are its rounded values
+    # (e^{-x} I_m to the 1e-13 that exp makes of an ulp of a log near -350)
+    mpmath = pytest.importorskip("mpmath")
+    arr = np.array([x])
+    for m in (0, 1, 6):
+        with mpmath.workdps(40):
+            xm = mpmath.mpf(x)
+            ln_ie = mpmath.log(mpmath.besseli(m, xm) * mpmath.exp(-xm))
+            ln_ke = mpmath.log(mpmath.besselk(m, xm) * mpmath.exp(xm))
+            want = [float(v) for v in (ln_ie, ln_ke, ln_ie + xm, ln_ke - xm,
+                                       mpmath.exp(ln_ie))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got_i = sf._ln_bessel_i_scaled(m, arr)[0]
+            got_k = sf._ln_bessel_k_scaled(m, arr)[0]
+            ln_i, ln_k = sf.ln_bessel_i(m, arr)[0], sf.ln_bessel_k(m, arr)[0]
+            ie = sf.bessel_i_scaled(m, x)
+        for got, ref in ((got_i, want[0]), (got_k, want[1])):
+            assert abs(got - ref) <= 4 * math.ulp(ref), (m, got, ref)
+        assert (ln_i, ln_k) == (want[2], want[3])
+        assert math.isfinite(ie) and ie == pytest.approx(want[4], rel=1e-13)
 
 
 @pytest.mark.parametrize("m", [0, 2, 50])
