@@ -44,13 +44,13 @@ def main(argv=None) -> int:
     params = PhysicalParams(omega0=args.omega0, omega_c=args.omega_c)
     sectors = [int(s) for s in args.sectors.split(",")]
     lines = [",".join(COLUMNS)]
+    grids = {}  # one grid per cutoff: the grid depends on nothing else
     for beta_gap in parse_range(args.range):
         beta = beta_gap / params.epsilon_gap
-        grid = None
         for m in sectors:
             ts = ThermalSpec(params, beta=beta, m=m)
-            if grid is None:
-                grid = thermal_grid(ts)  # cutoff depends on beta only
+            grid = thermal_grid(ts)
+            grid = grids.setdefault(grid.cutoff, grid)
             row = thermal_summary(ts, grid)
             lines.append(",".join([f"{beta_gap:.10g}", str(m)] + [
                 f"{row[k]:.10g}" for k in COLUMNS[2:]]))

@@ -386,10 +386,10 @@ def cmd_sweep(cfg: RunConfig):
             try:
                 ts = ThermalSpec(params, beta=beta, m=m,
                                  fast_index=cfg.n0, gap_energy=cfg.gap)
-                key = round(ts.beta_gap, 12)
-                if key not in grids:
-                    grids[key] = thermal_grid(ts)
-                rows.append(thermal_summary(ts, grids[key], area=cfg.area))
+                # a grid depends on its cutoff alone, which most rows share
+                grid = thermal_grid(ts)
+                grid = grids.setdefault(grid.cutoff, grid)
+                rows.append(thermal_summary(ts, grid, area=cfg.area))
             except (DomainError, EvaluationError) as e:
                 raise UsageError(f"sweep row beta={beta:g}, m={m}: {e}") from None
     return rows, False, rows

@@ -127,8 +127,9 @@ class QuadratureGrid:
     Each instance keeps one bounded cache (at most _PROFILE_CACHE_SIZE
     read-only arrays, oldest evicted first, never shared between grids) of
     the scaled logs ln(e^{-x} I_m(x)) and ln(e^x K_m(x)) at
-    x = (2.0 * nodes) * factor, keyed by (kind, order, factor), and of the
-    per-sector radial factor radial_weight(m), keyed by the order.  The
+    x = (2.0 * nodes) * factor, keyed by (kind, order, factor), of the
+    per-sector radial factor radial_weight(m), keyed by ("weight", order),
+    and of the thermal P profile, keyed by ("p", order, beta gap).  The
     thermal profiles, the coherent amplitudes and the moment check read
     their Bessel logs through _ln_bessel, so each is evaluated once per grid.
     """

@@ -1,8 +1,8 @@
 """Self-contained special-function kernels used everywhere else in the package.
 
 Everything here is double-precision arithmetic built from ascending series,
-continued fractions, upward recurrences and large-argument expansions, with
-compensated (Kahan) accumulation in every series loop.  The quantities provided:
+continued fractions, a trapezoid rule, upward recurrences and asymptotic
+expansions, with compensated (Kahan) accumulation in every series loop:
 
 * modified Bessel functions of integer order: ``I_m(w)`` for real or complex
   argument, the exponentially scaled ``e^{-x} I_m(x)`` and ``e^x K_m(x)``
@@ -26,10 +26,10 @@ compensated (Kahan) accumulation in every series loop.  The quantities provided:
   expectation values.
 
 Integer-order ``K_m`` is computed from ``K_0``/``K_1`` (small-argument series
-with harmonic-number terms for ``x <= 2``, a Steed-style continued fraction
-for ``x > 2``) followed by stable upward recurrence; the order-reflection
-formula with a ``sin(m pi)`` denominator is useless at integer order and is
-not used.
+with harmonic-number terms for ``x <= 2``; for ``x > 2`` a Steed-style
+continued fraction per label and a 27-node trapezoid rule over arrays, each
+the other's check) followed by stable upward recurrence; the reflection
+formula with a ``sin(m pi)`` denominator is useless at integer order.
 """
 
 from __future__ import annotations
@@ -308,7 +308,8 @@ def _k01_small(x):
 
 
 def _k01_cf_scaled(x):
-    """e^x K_0(x), e^x K_1(x) for x > 2 by the Steed-style continued fraction."""
+    """e^x K_0(x), e^x K_1(x) for x > 2 by the Steed-style continued fraction
+    (the array kernels take the trapezoid rule, and each checks the other)."""
     maxit = 10000
     b = 2.0 * (1.0 + x)
     d = 1.0 / b
@@ -384,10 +385,10 @@ def bessel_k_scaled(m: int, x: float) -> float:
 # array kernels: ln I_m(x) and ln K_m(x) elementwise over x > 0
 #
 # Each element takes its branch from (m, x) alone: the Hankel expansion at
-# x >= _hankel_switch(m), else its own series or continued-fraction loop,
-# whose value is taken on its own convergence test (finished elements ride
-# along unread until half the working set is done, then drop out).  So the
-# value of an element never depends on the array it arrives in.
+# x >= _hankel_switch(m), else the fixed K_0/K_1 rule at x > 2 or its own
+# series loop, whose value is taken on its own convergence test (finished
+# elements ride along unread until half the working set is done, then drop
+# out).  So the value of an element never depends on the array it is in.
 
 _ARRAY_REL_TOL = 1e-17
 _ARRAY_MAX_TERMS = 100_000
@@ -604,44 +605,39 @@ def _k01_small_array(x):
     return k0, k1
 
 
-def _k01_cf_scaled_array(x):
-    """e^x K_0(x), e^x K_1(x) elementwise for x > 2: the continued fraction
-    of _k01_cf_scaled."""
-    n = x.size
-    if n == 0:
-        return x.copy(), x.copy()
-    b = 2.0 * (1.0 + x)
-    d = 1.0 / b
-    h = d.copy()
-    delh = d.copy()
-    q1, q2 = np.zeros(n), np.ones(n)
-    a1 = 0.25
-    qq, cc, a = np.full(n, a1), a1, -a1
-    s = 1.0 + qq * delh
-    live = np.arange(n)
-    for i in range(1, _ARRAY_MAX_TERMS):
-        a -= 2 * i
-        cc = -a * cc / (i + 1.0)
-        qnew = (q1 - b * q2) / a
-        q1, q2 = q2, qnew
-        qq = qq + cc * qnew
-        b = b + 2.0
-        d = 1.0 / (b + a * d)
-        delh = (b * d - 1.0) * delh
-        h[live] += delh
-        dels = qq * delh
-        s[live] += dels
-        going = np.abs(dels / s[live]) > _ARRAY_REL_TOL
-        if not going.all():
-            live = live[going]
-            if live.size == 0:
-                break
-            b, d, delh, q1, q2, qq = (v[going] for v in (b, d, delh, q1, q2, qq))
-    else:
-        raise EvaluationError("K continued fraction stalled", terms=_ARRAY_MAX_TERMS)
-    ek0 = np.sqrt(math.pi / (2.0 * x)) / s
-    ek1 = ek0 * (x + 0.5 - a1 * h) / x
-    return ek0, ek1
+# the rule of _k01_trapezoid_scaled_array: s_j^2 for s_j = j/4, j = 0..26,
+# and the weights 2 h e^{-s_j^2} at h = 1/4, the j = 0 weight halved
+_K_RULE_S2 = (np.arange(27) / 4.0) ** 2
+_K_RULE_W = 0.5 * np.exp(-_K_RULE_S2)
+_K_RULE_W[0] = 0.25
+
+
+def _k01_trapezoid_scaled_array(x):
+    """e^x K_0(x), e^x K_1(x) elementwise for x > 2 by one fixed quadrature.
+
+    With s = sqrt(2x) sinh(t/2) in K_nu(x) = int_0^inf e^{-x cosh t}
+    cosh(nu t) dt (DLMF 10.32.9),
+
+        e^x K_0(x) = int_0^inf e^{-s^2} 2 / sqrt(2x + s^2) ds,
+        e^x K_1(x) = e^x K_0(x) + int_0^inf e^{-s^2} 2 s^2 / x sqrt(2x + s^2) ds.
+
+    The integrands are analytic for |Im s| < sqrt(2x), at least 2, so the
+    trapezoid rule at h = 1/4 errs by about e^{4 - 4 pi / h} = 1e-20
+    (Trefethen & Weideman, SIAM Review 56, 385 (2014)); s > 6.5 holds
+    e^{-42}.  The positive terms are added node by node, smallest first, so
+    each element is rounded alike in any array."""
+    two_x = 2.0 * x
+    ek0 = np.zeros_like(x)
+    k1_part = np.zeros_like(x)
+    term = np.empty_like(x)
+    for s2, w in zip(_K_RULE_S2[::-1], _K_RULE_W[::-1]):
+        np.add(two_x, s2, out=term)
+        np.sqrt(term, out=term)
+        np.divide(w, term, out=term)
+        ek0 += term
+        term *= s2
+        k1_part += term
+    return ek0, ek0 + k1_part / x
 
 
 def _ln_bessel_k_scaled(m: int, x: np.ndarray) -> np.ndarray:
@@ -652,9 +648,9 @@ def _ln_bessel_k_scaled(m: int, x: np.ndarray) -> np.ndarray:
 
 def _ln_k_recurrence_scaled(m: int, x: np.ndarray) -> np.ndarray:
     """ln(e^x K_m(x)): K_0 and K_1 from the small-argument series (x <= 2)
-    or the scaled continued fraction (x > 2), as in bessel_k, then the order
-    raised by the ratio recurrence K_{j+1}/K_j = 2j/x + K_{j-1}/K_j, whose
-    logs are summed."""
+    or the scaled trapezoid rule (x > 2), then the order raised by the
+    ratio recurrence K_{j+1}/K_j = 2j/x + K_{j-1}/K_j, whose logs are
+    summed."""
     ln_k = np.empty_like(x)
     ratio = np.empty_like(x)
     small = x <= 2.0
@@ -662,7 +658,7 @@ def _ln_k_recurrence_scaled(m: int, x: np.ndarray) -> np.ndarray:
     ln_k[small] = np.log(k0) + x[small]
     ratio[small] = k1 / k0
     big = ~small
-    ek0, ek1 = _k01_cf_scaled_array(x[big])
+    ek0, ek1 = _k01_trapezoid_scaled_array(x[big])
     ln_k[big] = np.log(ek0)
     ratio[big] = ek1 / ek0
     two_over_x = 2.0 / x
@@ -677,10 +673,10 @@ def ln_bessel_k(m: int, x) -> np.ndarray:
     """ln K_m(x) elementwise over an array of x > 0.
 
     From x0(m) = max(20, 0.4 m^2) the Hankel expansion; below it K_0 and
-    K_1 come from the small-argument series or the continued fraction, and
-    the order is raised through the ratios K_{j+1}/K_j, so K_m never
-    overflows or underflows; each element takes its branch and stops on its
-    own test.  Absolute error is a few ulps of max(1, |ln K_m(x)|).
+    K_1 come from the small-argument series (x <= 2) or a fixed trapezoid
+    rule (x > 2), and the order is raised through the ratios K_{j+1}/K_j, so
+    K_m never overflows or underflows; each element takes its branch and
+    stops on its own test.  Absolute error is a few ulps of max(1, |ln K_m(x)|).
     """
     m = _order(m)
     x = _positive_array(x, "ln_bessel_k")

@@ -200,10 +200,10 @@ def level_weight(nu: int, ts: ThermalSpec) -> float:
 #
 # Both depend on |z| alone.  Each profile is one formula over ln I_m or
 # ln K_m at 2|z| times a factor (_ln_husimi, _ln_p): the quadrature routes
-# read those logs from the grid's profile cache (_grid_ln_husimi,
-# _grid_ln_p) and integrate in 1-D against its radial weight
-# (integrate_radial); the point functions evaluate them with the same array
-# kernels at one radius (_at_radius).
+# read those logs from the grid's profile cache (_grid_ln_husimi, and
+# _grid_p, which caches the P profile itself) and integrate in 1-D against
+# its radial weight (integrate_radial); the point functions evaluate them
+# with the same array kernels at one radius (_at_radius).
 
 def _at_radius(kernel, m: int, rho: float):
     # factor -> kernel(m, 2 rho factor) on a one-element array
@@ -240,8 +240,10 @@ def _grid_ln_husimi(ts: ThermalSpec, grid: QuadratureGrid,
     return _ln_husimi(ts, partial(grid._ln_bessel, "i", ts.m), strong_field)
 
 
-def _grid_ln_p(ts: ThermalSpec, grid: QuadratureGrid) -> np.ndarray:
-    return _ln_p(ts, partial(grid._ln_bessel, "k", ts.m))
+def _grid_p(ts: ThermalSpec, grid: QuadratureGrid) -> np.ndarray:
+    # the read-only P profile, formed once per (grid, sector, beta gap)
+    return grid._cached(("p", ts.m, ts.beta_gap), lambda: np.exp(
+        _ln_p(ts, partial(grid._ln_bessel, "k", ts.m))))
 
 
 def _i_ratio(grid: QuadratureGrid, m: int, k: int) -> np.ndarray:
@@ -326,7 +328,7 @@ def husimi_normalization_check(ts: ThermalSpec, grid: QuadratureGrid,
 
 def p_normalization_check(ts: ThermalSpec, grid: QuadratureGrid) -> float:
     """|integral of the diagonal weight against the measure - 1|."""
-    return abs(integrate_radial(np.exp(_grid_ln_p(ts, grid)), ts.m, grid) - 1.0)
+    return abs(integrate_radial(_grid_p(ts, grid), ts.m, grid) - 1.0)
 
 
 def fock_population_reconstruction(nu: int, ts: ThermalSpec,
@@ -339,7 +341,7 @@ def fock_population_reconstruction(nu: int, ts: ThermalSpec,
     nu = _order(nu, "nu")
     m = ts.m
     ln_sq_amp = 2.0 * _ln_amplitude(m, np.log(grid.nodes), nu, grid._ln_bessel("i", m))
-    return integrate_radial(np.exp(_grid_ln_p(ts, grid) + ln_sq_amp), m, grid)
+    return integrate_radial(_grid_p(ts, grid) * np.exp(ln_sq_amp), m, grid)
 
 
 def thermal_average(mean_fn, ts: ThermalSpec, grid: QuadratureGrid) -> complex:
@@ -348,7 +350,7 @@ def thermal_average(mean_fn, ts: ThermalSpec, grid: QuadratureGrid) -> complex:
     mean_fn receives the full complex node matrix and must return a
     like-shaped array of coherent-state mean values.
     """
-    w = np.exp(_grid_ln_p(ts, grid))[:, None]
+    w = _grid_p(ts, grid)[:, None]
     return integrate(lambda z: w * np.asarray(mean_fn(z)), ts.m, grid,
                      vectorized=True)
 
@@ -379,8 +381,8 @@ def thermal_g(ts: ThermalSpec) -> float:
 def _n_moment_integrands(ts: ThermalSpec, grid: QuadratureGrid):
     # the radial integrands of <n> and then <n^2>, lazily: the P profile
     # times r I_{m+1}/I_m, then times r^2 I_{m+2}/I_m + r I_{m+1}/I_m, with
-    # the profile and the first ratio formed once for both
-    p = np.exp(_grid_ln_p(ts, grid))
+    # the first ratio formed once for both
+    p = _grid_p(ts, grid)
     r1 = _i_ratio(grid, ts.m, 1)
     yield p * r1
     yield p * (_i_ratio(grid, ts.m, 2) + r1)
@@ -441,7 +443,7 @@ def _q2_quadratures(ts: ThermalSpec, grid: QuadratureGrid) -> tuple[float, float
     # share the radial profile P k3; trig^2 enters through its angular mean
     # under the grid's trapezoid rule
     r = grid.nodes
-    weight = np.exp(_grid_ln_p(ts, grid))
+    weight = _grid_p(ts, grid)
     p_k3 = weight * (_i_ratio(grid, ts.m, 1) + 0.5 * (ts.m + 1))
     p_r_sq = 2.0 * weight * r * r
     phi = grid.angles

@@ -218,6 +218,17 @@ def test_sweep_grid_of_rows(capsys):
         assert cells[8] == cells[9]
 
 
+def test_sweep_evaluates_factor_one_profiles_once_per_cutoff(capsys, kernel_calls):
+    # beta gap 0.5 takes cutoff 62, and 3, 5.5 and 8 share cutoff 42: per
+    # cutoff and sector one I_m and one K_m at 2r (the measure weight), per
+    # temperature and sector one I_m at 2r e^{-a} (the Husimi profile)
+    rc, out, err = _run(capsys, "sweep", "--beta-range",
+                        f"{0.5 / _GAP:.17g}:{8.0 / _GAP:.17g}:4", "--m-list", "0,2")
+    assert rc == 0, err
+    assert len(out.strip().split("\n")) == 1 + 4 * 2
+    assert kernel_calls == {"i": (2 + 4) * 2, "k": 2 * 2}
+
+
 def test_sweep_json_variant(capsys):
     rows = _run_json(capsys, "sweep", "--beta-range",
                      f"{_BETA_LN2:.17g}:{_BETA_LN2:.17g}:1", "--m-list", "1",

@@ -304,7 +304,8 @@ def test_ln_bessel_kernels_elementwise_independent(m):
     # convergence: alone or inside any array, in any order or shape, it gets
     # the same bits, on both sides of the Hankel switch x0(m) too
     x0 = sf._hankel_switch(m)
-    x = np.concatenate([_ARRAY_X, [1.9, 2.0, 2.1, 31.0, 33.0, 1200.0],
+    x = np.concatenate([_ARRAY_X, [1.9, 2.0, np.nextafter(2.0, 3.0), 2.0 + 1e-12,
+                                   2.1, 31.0, 33.0, 1200.0],
                         x0 * np.array([1.0 - 1e-12, 1.0, 1.0 + 1e-12, 0.9, 1.1])])
     for fn in (sf.ln_bessel_i, sf.ln_bessel_k):
         whole = fn(m, x)
@@ -312,6 +313,30 @@ def test_ln_bessel_kernels_elementwise_independent(m):
         assert np.array_equal(whole, alone)
         assert np.array_equal(fn(m, x[::-1])[::-1], whole)
         assert np.array_equal(fn(m, x[:46].reshape(2, 23)), whole[:46].reshape(2, 23))
+
+
+# the K_0/K_1 trapezoid rule serves 2 < x < x0(m), so up to 360 at m = 30;
+# it is checked to 700 and from the first double past the switch at 2
+_K_RULE_X = np.concatenate([[np.nextafter(2.0, 3.0), 2.0 + 1e-12, 2.0 + 1e-6],
+                            np.geomspace(2.001, 700.0, 120)])
+
+
+def test_k01_trapezoid_rule_vs_mpmath():
+    # 27 positive terms, each rounded a few times and added in order: 3e-15
+    # is the a-priori bound of that sum; the rule's own error is about 1e-20
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        want = np.array([[float(mpmath.besselk(nu, mpmath.mpf(x)) * mpmath.exp(x))
+                          for x in _K_RULE_X] for nu in (0, 1)])
+    got = np.array(sf._k01_trapezoid_scaled_array(_K_RULE_X))
+    assert np.abs(got / want - 1.0).max() <= 3e-15
+
+
+def test_k01_trapezoid_rule_vs_scalar_continued_fraction():
+    # the scalar continued fraction is the rule's independent companion
+    scalar = np.array([sf._k01_cf_scaled(x) for x in _K_RULE_X]).T
+    got = np.array(sf._k01_trapezoid_scaled_array(_K_RULE_X))
+    assert np.abs(got / scalar - 1.0).max() <= 4e-15
 
 
 def test_ln_bessel_kernels_match_scalar_kernels():
