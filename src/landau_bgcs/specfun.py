@@ -1,8 +1,10 @@
 """Self-contained special-function kernels used everywhere else in the package.
 
 Everything here is double-precision arithmetic built from ascending series,
-continued fractions, a trapezoid rule, upward recurrences and asymptotic
-expansions, with compensated (Kahan) accumulation in every series loop:
+fixed polynomials, continued fractions, a trapezoid rule, upward recurrences
+and asymptotic expansions.  The scalar series loops use compensated (Kahan)
+accumulation; the array kernels sum positive terms by Horner's rule or node
+by node:
 
 * modified Bessel functions of integer order: ``I_m(w)`` for real or complex
   argument, the exponentially scaled ``e^{-x} I_m(x)`` and ``e^x K_m(x)``
@@ -13,33 +15,39 @@ expansions, with compensated (Kahan) accumulation in every series loop:
 * ``ln I_m(x)`` and ``ln K_m(x)`` elementwise over numpy arrays of x > 0
   (``ln_bessel_i``, ``ln_bessel_k``), for callers that need a whole radial
   profile at once: the Hankel large-argument expansions from
-  x0(m) = max(20, 0.4 m^2), and under it the ascending I series summed
-  outward from its peak and the K_0/K_1 route raised to order m by the
-  ratio recurrence; one label at a time the scalar kernels are cheaper and
-  serve x <= 690, and past that ``bessel_i_scaled`` reads the array kernel
-  (0.2-0.3 ms a call where x >= x0(m), which is every x > 690 for m <= 41,
-  and about 4 ms at x = 800 for m = 50, against tens of microseconds for
-  the scalar series below 690),
+  x0(m) = max(20, 0.4 m^2); under it, ln I_m from one 40-term polynomial at
+  x < 20 and from the ascending series summed outward from its peak on
+  [20, x0(m)) (m >= 8 only), and ln K_m from K_0/K_1 raised to order m by
+  the ratio recurrence; one label at a time the scalar kernels are cheaper
+  and serve x <= 690, and past that ``bessel_i_scaled`` reads the array
+  kernel (0.2-0.3 ms a call where x >= x0(m), which is every x > 690 for
+  m <= 41, and about 4 ms at x = 800 for m = 50, against tens of
+  microseconds for the scalar series below 690),
 * ``ln n!`` (exact cumulative sums up to 256, Stirling beyond),
 * the Gauss hypergeometric series ``2F1(a, b; c; x)`` for ``|x| < 1``,
 * weighted Bessel-type moment sums used as series oracles for closed-form
   expectation values.
 
-Integer-order ``K_m`` is computed from ``K_0``/``K_1`` (small-argument series
-with harmonic-number terms for ``x <= 2``; for ``x > 2`` a Steed-style
-continued fraction per label and a 27-node trapezoid rule over arrays, each
-the other's check) followed by stable upward recurrence; the reflection
-formula with a ``sin(m pi)`` denominator is useless at integer order.
+Integer-order ``K_m`` is computed from ``K_0``/``K_1`` (for ``x <= 2`` the
+small-argument series with harmonic-number terms, per label and as four
+fixed 16-term polynomials over arrays; for ``x > 2`` a Steed-style
+continued fraction per label and a 27-node trapezoid rule over arrays; in
+each range the scalar and array forms check each other) followed by stable
+upward recurrence; the reflection formula with a ``sin(m pi)`` denominator
+is useless at integer order.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import fields
+from fractions import Fraction
 
 import numpy as np
 
-_EULER_GAMMA = 0.5772156649015328606065120900824024
+_EULER_GAMMA_DIGITS = "0.5772156649015328606065120900824024"
+_EULER_GAMMA = float(_EULER_GAMMA_DIGITS)
 _LN_SQRT_2PI = 0.9189385332046727417803297364056176
 _EXACT_LN_FACT_LIMIT = 256
 
@@ -385,10 +393,11 @@ def bessel_k_scaled(m: int, x: float) -> float:
 # array kernels: ln I_m(x) and ln K_m(x) elementwise over x > 0
 #
 # Each element takes its branch from (m, x) alone: the Hankel expansion at
-# x >= _hankel_switch(m), else the fixed K_0/K_1 rule at x > 2 or its own
-# series loop, whose value is taken on its own convergence test (finished
-# elements ride along unread until half the working set is done, then drop
-# out).  So the value of an element never depends on the array it is in.
+# x >= _hankel_switch(m); below it, for ln I_m one fixed polynomial at
+# x < 20 and the peak-outward sweep on [20, x0(m)) (m >= 8 only), for ln K_m
+# four fixed polynomials at x <= 2 and a fixed trapezoid rule above.  Only
+# the sweep has a convergence test, and it is taken per element.  So the
+# value of an element never depends on the array it is in.
 
 _ARRAY_REL_TOL = 1e-17
 _ARRAY_MAX_TERMS = 100_000
@@ -396,6 +405,8 @@ _LN_SQRT_HALF_PI = 0.2257913526447274323630976149474410
 # terms of the Hankel sums; at x >= _hankel_switch(m) the truncated sums and
 # the neglected e^{-2x} part stay within a few ulps of the scaled logs
 _HANKEL_TERMS = 40
+# below this floor of _hankel_switch, ln I_m is the fixed polynomial
+_HANKEL_FLOOR = 20.0
 
 
 def _hankel_switch(m: int) -> float:
@@ -408,7 +419,7 @@ def _hankel_switch(m: int) -> float:
     ratio m^2 / (2x) by 1.25, so the alternating I sum cancels by at most
     about e^{2.5}.  Pinned against mpmath on both sides of the switch in
     tests/test_specfun.py."""
-    return max(20.0, 0.4 * m * m)
+    return max(_HANKEL_FLOOR, 0.4 * m * m)
 
 
 def _ln_hankel_scaled(m: int, x: np.ndarray, sign: float) -> np.ndarray:
@@ -438,19 +449,35 @@ def _ln_hankel_scaled(m: int, x: np.ndarray, sign: float) -> np.ndarray:
     return (np.log(s) + ln_c) - 0.5 * np.log(x)
 
 
-def _with_hankel(m: int, x: np.ndarray, sign: float, below) -> np.ndarray:
-    # the Hankel branch where x >= x0(m), below(m, x) on the rest; a branch
-    # with no element is not entered, since its loops cost the same on none
-    far = x >= _hankel_switch(m)
-    if far.all():
-        return _ln_hankel_scaled(m, x, sign)
-    if not far.any():
-        return below(m, x)
-    out = np.empty_like(x)
-    out[far] = _ln_hankel_scaled(m, x[far], sign)
-    near = ~far
-    out[near] = below(m, x[near])
+def _split(cond: np.ndarray, x: np.ndarray, yes, no) -> np.ndarray:
+    # yes(x) where cond holds, no(x) elsewhere, along the last axis of their
+    # results; a side with no element is not entered, since its loops cost
+    # the same on none
+    if cond.all():
+        return yes(x)
+    if not cond.any():
+        return no(x)
+    part = yes(x[cond])
+    out = np.empty(part.shape[:-1] + x.shape)
+    out[..., cond] = part
+    out[..., ~cond] = no(x[~cond])
     return out
+
+
+def _with_hankel(m: int, x: np.ndarray, sign: float, below) -> np.ndarray:
+    # the Hankel branch where x >= x0(m), below(m, x) on the rest
+    return _split(x >= _hankel_switch(m), x,
+                  lambda v: _ln_hankel_scaled(m, v, sign), lambda v: below(m, v))
+
+
+def _horner(coefs, q: np.ndarray) -> np.ndarray:
+    # sum_k coefs[k] q^(n-1-k), coefficients highest degree first, two
+    # in-place ufuncs per term
+    p = np.full_like(q, coefs[0])
+    for c in coefs[1:]:
+        p *= q
+        p += c
+    return p
 
 
 def _positive_array(x, name: str) -> np.ndarray:
@@ -502,13 +529,50 @@ def _i_sweep(s, comp, tau0, live, peak, h2, m, upward):
 
 def _ln_bessel_i_scaled(m: int, x: np.ndarray) -> np.ndarray:
     """ln(e^{-x} I_m(x)) elementwise over a flat array of x > 0, to a few
-    ulps of max(1, |result|): the Hankel expansion at x >= x0(m), the
-    ascending series below."""
-    return _with_hankel(m, x, -1.0, _ln_i_series_scaled)
+    ulps of max(1, |result|): the Hankel expansion at x >= x0(m), the fixed
+    polynomial at x < 20, and the sweep between (m >= 8 only)."""
+    return _with_hankel(m, x, -1.0, _ln_i_below_switch)
+
+
+def _ln_i_below_switch(m: int, x: np.ndarray) -> np.ndarray:
+    return _split(x < _HANKEL_FLOOR, x, lambda v: _ln_i_poly_scaled(m, v),
+                  lambda v: _ln_i_series_scaled(m, v))
+
+
+# terms of the I_m polynomial; at x = 20 the first one left out is 3.4e-24
+# of the sum at m = 0 and less at every other order (pinned in
+# tests/test_specfun.py)
+_I_POLY_TERMS = 40
+
+
+@functools.lru_cache(maxsize=256)
+def _i_poly_coefs(m: int) -> tuple:
+    # 1 / (nu! (m+1)_nu) for nu < _I_POLY_TERMS, highest degree first, each
+    # rounded once from the exact integer
+    return tuple(1 / (math.factorial(nu) * math.perm(m + nu, nu))
+                 for nu in reversed(range(_I_POLY_TERMS)))
+
+
+def _ln_i_poly_scaled(m: int, x: np.ndarray) -> np.ndarray:
+    """ln(e^{-x} I_m(x)) at x < 20 from the ascending series (DLMF 10.25.2)
+    as one fixed polynomial in q = h^2, h = x/2:
+
+        I_m(x) = h^m / m! P_m(q),   P_m(q) = sum_{nu<40} q^nu / (nu! (m+1)_nu).
+
+    The coefficients are positive, so Horner's rule keeps P_m within a few
+    ulps (Higham, Accuracy and Stability of Numerical Algorithms, 5.1), and
+    e^{-x} enters before the log."""
+    h = 0.5 * x
+    p = _horner(_i_poly_coefs(m), h * h)
+    p *= np.exp(-x)
+    out = np.log(p)
+    if m:
+        out += m * np.log(h) - ln_factorial(m)
+    return out
 
 
 def _ln_i_series_scaled(m: int, x: np.ndarray) -> np.ndarray:
-    """ln(e^{-x} I_m(x)) from the ascending series.
+    """ln(e^{-x} I_m(x)) from the ascending series, on 20 <= x < x0(m).
 
     The series terms t_nu = (x/2)^(2 nu + m) / (nu! (nu+m)!) are summed
     outward from t_peak, one below the largest, relative to t_peak.  The
@@ -549,10 +613,11 @@ def _ln_i_series_scaled(m: int, x: np.ndarray) -> np.ndarray:
 def ln_bessel_i(m: int, x) -> np.ndarray:
     """ln I_m(x) elementwise over an array of x > 0.
 
-    From x0(m) = max(20, 0.4 m^2) the Hankel expansion, below it the
+    From x0(m) = max(20, 0.4 m^2) the Hankel expansion; below it one fixed
+    40-term polynomial at x < 20 and, on [20, x0(m)) (m >= 8), the
     ascending series summed in log space outward from its peak term, so
-    nothing overflows or underflows at any x or m; each element takes its
-    branch and stops on its own test.  Absolute error is a few ulps of
+    nothing overflows or underflows at any x or m.  Each element takes its
+    branch from (m, x) alone.  Absolute error is a few ulps of
     max(1, |ln I_m(x)|).
     """
     m = _order(m)
@@ -561,47 +626,46 @@ def ln_bessel_i(m: int, x) -> np.ndarray:
     return (_ln_bessel_i_scaled(m, flat) + flat).reshape(x.shape)
 
 
-def _kahan_add(acc, comp, live, piece):
-    # compensated acc[live] += piece, in place
-    y = piece - comp[live]
-    t = acc[live] + y
-    comp[live] = (t - acc[live]) - y
-    acc[live] = t
+_K_POLY_TERMS = 16
+
+
+def _k01_poly_coefs():
+    # the four polynomials of _k01_small_array, 16 terms each, highest degree
+    # first, each coefficient rounded once from its exact value; psi(k+1) =
+    # H_k - gamma
+    gamma = Fraction(_EULER_GAMMA_DIGITS)
+    psi = [-gamma]
+    for k in range(1, _K_POLY_TERMS + 2):
+        psi.append(psi[-1] + Fraction(1, k))
+    ks = range(_K_POLY_TERMS, 0, -1)
+    f = math.factorial
+    return (tuple(1 / f(k) ** 2 for k in ks),
+            tuple(float(psi[k] / f(k) ** 2) for k in ks),
+            tuple(1 / (f(k) * f(k + 1)) for k in ks),
+            tuple(float((psi[k] + psi[k + 1]) / (2 * f(k) * f(k + 1))) for k in ks))
+
+
+_K_I0, _K_PSI0, _K_I1, _K_PSI1 = _k01_poly_coefs()
 
 
 def _k01_small_array(x):
-    """K_0(x), K_1(x) elementwise for 0 < x <= 2: the series of _k01_small."""
-    half = 0.5 * x
-    q = half * half
-    lg = np.log(half)
-    n = x.size
-    # K_0 = -(log(x/2) + gamma) I_0 + sum_{k>=1} H_k q^k / (k!)^2
-    i0, ci, s0, c0 = np.ones(n), np.zeros(n), np.zeros(n), np.zeros(n)
-    live, term, hk = np.arange(n), np.ones(n), np.zeros(n)
-    for k in range(1, _ARRAY_MAX_TERMS):
-        if live.size == 0:
-            break
-        term = term * q[live] / (k * k)
-        hk = hk + 1.0 / k
-        _kahan_add(i0, ci, live, term)
-        _kahan_add(s0, c0, live, term * hk)
-        going = term * hk > _ARRAY_REL_TOL * (np.abs(s0[live]) + 1.0)
-        live, term, hk = live[going], term[going], hk[going]
-    k0 = -(lg + _EULER_GAMMA) * i0 + s0
-    # K_1 = 1/x + log(x/2) I_1 - (x/4) sum_k [H_k + H_{k+1} - 2 gamma] q^k/(k!(k+1)!)
-    i1, ci, s1, c1 = np.zeros(n), np.zeros(n), np.zeros(n), np.zeros(n)
-    live, term, hk, hk1 = np.arange(n), np.ones(n), np.zeros(n), np.ones(n)
-    for k in range(_ARRAY_MAX_TERMS):
-        if live.size == 0:
-            break
-        _kahan_add(i1, ci, live, term)
-        _kahan_add(s1, c1, live, term * (hk + hk1 - 2.0 * _EULER_GAMMA))
-        term = term * q[live] / ((k + 1.0) * (k + 2.0))
-        hk = hk + 1.0 / (k + 1.0)
-        hk1 = hk1 + 1.0 / (k + 2.0)
-        going = term * (hk + hk1 + 2.0) > _ARRAY_REL_TOL
-        live, term, hk, hk1 = live[going], term[going], hk[going], hk1[going]
-    k1 = 1.0 / x + lg * (half * i1) - 0.25 * x * s1
+    """K_0(x), K_1(x) elementwise for 0 < x <= 2 from the series of
+    _k01_small (DLMF 10.31.1, 10.31.2) as fixed polynomials in q = h^2,
+    h = x/2, with the exact leading terms split off:
+
+        K_0 = q (B - A ln h) - ln h - gamma,
+        K_1 = 1/x + h ((ln h + gamma - 1/2) + q (C ln h - D)),
+
+    where I_0 = 1 + q A, sum_{k>=1} psi(k+1) q^k / (k!)^2 = q B,
+    I_1 = h (1 + q C) and sum_{k>=1} (psi(k+1) + psi(k+2)) q^k / (2 k! (k+1)!)
+    = q D.  Every coefficient is positive and the first omitted term is at
+    most 2.3e-29 at q = 1."""
+    h = 0.5 * x
+    q = h * h
+    ln_h = np.log(h)
+    a, b, c, d = (_horner(coefs, q) for coefs in (_K_I0, _K_PSI0, _K_I1, _K_PSI1))
+    k0 = q * (b - ln_h * a) - ln_h - _EULER_GAMMA
+    k1 = 1.0 / x + h * ((ln_h + (_EULER_GAMMA - 0.5)) + q * (ln_h * c - d))
     return k0, k1
 
 
@@ -647,20 +711,19 @@ def _ln_bessel_k_scaled(m: int, x: np.ndarray) -> np.ndarray:
 
 
 def _ln_k_recurrence_scaled(m: int, x: np.ndarray) -> np.ndarray:
-    """ln(e^x K_m(x)): K_0 and K_1 from the small-argument series (x <= 2)
-    or the scaled trapezoid rule (x > 2), then the order raised by the
+    """ln(e^x K_m(x)): K_0 and K_1 from the small-argument polynomials
+    (x <= 2) or the scaled trapezoid rule (x > 2), then the order raised by the
     ratio recurrence K_{j+1}/K_j = 2j/x + K_{j-1}/K_j, whose logs are
     summed."""
-    ln_k = np.empty_like(x)
-    ratio = np.empty_like(x)
-    small = x <= 2.0
-    k0, k1 = _k01_small_array(x[small])
-    ln_k[small] = np.log(k0) + x[small]
-    ratio[small] = k1 / k0
-    big = ~small
-    ek0, ek1 = _k01_trapezoid_scaled_array(x[big])
-    ln_k[big] = np.log(ek0)
-    ratio[big] = ek1 / ek0
+    def small(v):
+        k0, k1 = _k01_small_array(v)
+        return np.array([np.log(k0) + v, k1 / k0])
+
+    def rule(v):
+        ek0, ek1 = _k01_trapezoid_scaled_array(v)
+        return np.array([np.log(ek0), ek1 / ek0])
+
+    ln_k, ratio = _split(x <= 2.0, x, small, rule)
     two_over_x = 2.0 / x
     for j in range(m):
         if j:
@@ -673,10 +736,11 @@ def ln_bessel_k(m: int, x) -> np.ndarray:
     """ln K_m(x) elementwise over an array of x > 0.
 
     From x0(m) = max(20, 0.4 m^2) the Hankel expansion; below it K_0 and
-    K_1 come from the small-argument series (x <= 2) or a fixed trapezoid
-    rule (x > 2), and the order is raised through the ratios K_{j+1}/K_j, so
-    K_m never overflows or underflows; each element takes its branch and
-    stops on its own test.  Absolute error is a few ulps of max(1, |ln K_m(x)|).
+    K_1 come from four fixed 16-term polynomials (x <= 2) or a fixed
+    trapezoid rule (x > 2), and the order is raised through the ratios
+    K_{j+1}/K_j, so K_m never overflows or underflows.  Each element takes
+    its branch from (m, x) alone.  Absolute error is a few ulps of
+    max(1, |ln K_m(x)|).
     """
     m = _order(m)
     x = _positive_array(x, "ln_bessel_k")

@@ -298,14 +298,16 @@ def test_ln_bessel_kernels_vs_scipy(m):
     assert _ln_err(sf.ln_bessel_k(m, _ARRAY_X), want_k).max() <= 1e-13
 
 
-@pytest.mark.parametrize("m", [0, 3, 30])
+@pytest.mark.parametrize("m", [0, 3, 12, 30])
 def test_ln_bessel_kernels_elementwise_independent(m):
     # each element takes its branch from (m, x) and runs to its own
     # convergence: alone or inside any array, in any order or shape, it gets
-    # the same bits, on both sides of the Hankel switch x0(m) too
+    # the same bits, on both sides of the Hankel switch x0(m) and of the
+    # polynomial's end at x = 20 too
     x0 = sf._hankel_switch(m)
     x = np.concatenate([_ARRAY_X, [1.9, 2.0, np.nextafter(2.0, 3.0), 2.0 + 1e-12,
                                    2.1, 31.0, 33.0, 1200.0],
+                        20.0 * np.array([1.0 - 1e-12, 1.0, 1.0 + 1e-12]),
                         x0 * np.array([1.0 - 1e-12, 1.0, 1.0 + 1e-12, 0.9, 1.1])])
     for fn in (sf.ln_bessel_i, sf.ln_bessel_k):
         whole = fn(m, x)
@@ -339,6 +341,77 @@ def test_k01_trapezoid_rule_vs_scalar_continued_fraction():
     assert np.abs(got / scalar - 1.0).max() <= 4e-15
 
 
+# the K_0/K_1 polynomials serve (0, 2]; checked from 1e-8 and densely on
+# [1, 2], where the K_0 series cancels most (by about 12 at x = 2)
+_K_SMALL_X = np.concatenate([np.geomspace(1e-8, 1.0, 60), np.linspace(1.0, 2.0, 101)])
+
+
+def test_k01_small_polynomials_vs_mpmath():
+    # within 3e-15 relative, the bound of the trapezoid rule above x = 2;
+    # the cancellation in K_0 near x = 2 magnifies a few rounded terms
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        want = np.array([[float(mpmath.besselk(nu, mpmath.mpf(x))) for x in _K_SMALL_X]
+                         for nu in (0, 1)])
+    got = np.array(sf._k01_small_array(_K_SMALL_X))
+    assert np.abs(got / want - 1.0).max() <= 3e-15
+
+
+def test_k01_small_polynomials_vs_scalar_series():
+    # the scalar Kahan series is the polynomials' independent companion
+    scalar = np.array([sf._k01_small(x) for x in _K_SMALL_X]).T
+    got = np.array(sf._k01_small_array(_K_SMALL_X))
+    assert np.abs(got / scalar - 1.0).max() <= 4e-15
+
+
+def test_i_polynomial_vs_scalar_series():
+    # below x = 20 ln I_m is one fixed polynomial; the scalar Kahan series
+    # times e^{-x} is its independent companion
+    x = np.concatenate([[1e-8, 1e-3], np.linspace(0.01, 20.0, 500)[:-1],
+                        [np.nextafter(20.0, 0.0)]])
+    for m in range(9):
+        scalar = np.array([math.log(sf.bessel_i_scaled(m, v)) for v in x])
+        assert _ln_err(sf._ln_bessel_i_scaled(m, x), scalar).max() <= 2e-15, m
+
+
+def test_i_polynomial_vs_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    x = np.geomspace(1e-3, 20.0, 250)[:-1]
+    for m in (0, 1, 2, 4, 6, 7, 12):
+        with mpmath.workdps(30):
+            want = np.array([float(mpmath.log(mpmath.besseli(m, v) * mpmath.exp(-v)))
+                             for v in map(mpmath.mpf, x)])
+        assert _ln_err(sf._ln_bessel_i_scaled(m, x), want).max() <= 1e-15, m
+
+
+@pytest.mark.parametrize("m", [0, 1, 7, 8, 30, 299, 10**6])
+def test_i_polynomial_truncation(m):
+    # at x = 20 (q = 100), where the polynomial ends, the first term it
+    # leaves out is below 1e-19 of the sum, for every order: the ratio falls
+    # as m grows, and the sum's value is 1 or more
+    coefs = sf._i_poly_coefs(m)
+    n = len(coefs)
+    total = sf._horner(coefs, np.array([100.0]))[0]
+    omitted = coefs[0] * 100.0 ** n / (n * (m + n))
+    assert omitted <= 1e-19 * total
+
+
+@pytest.mark.parametrize("m", [12, 30])
+def test_i_polynomial_sweep_boundary_vs_mpmath(m):
+    # for m >= 8 the polynomial hands over to the peak-outward sweep at
+    # x = 20, below x0(m); both sides stay within 2e-15 of max(1, |ln|),
+    # about m/2 ulps of ln(x/2) that the prefix m ln(x/2) - ln m! carries
+    mpmath = pytest.importorskip("mpmath")
+    x = np.array([19.0, 20.0 * (1.0 - 1e-12), 20.0, 20.0 * (1.0 + 1e-12), 21.0])
+    with mpmath.workdps(30):
+        want = np.array([float(mpmath.log(mpmath.besseli(m, v) * mpmath.exp(-v)))
+                         for v in map(mpmath.mpf, x)])
+    assert _ln_err(sf._ln_bessel_i_scaled(m, x), want).max() <= 2e-15
+    poly, sweep = x[x < 20.0], x[x >= 20.0]
+    assert np.array_equal(sf._ln_bessel_i_scaled(m, poly), sf._ln_i_poly_scaled(m, poly))
+    assert np.array_equal(sf._ln_bessel_i_scaled(m, sweep), sf._ln_i_series_scaled(m, sweep))
+
+
 def test_ln_bessel_kernels_match_scalar_kernels():
     # the scalar and array routes are separate code; they agree to rounding,
     # below and past the Hankel switch x0(m) (20 for m <= 7, 57.6 for m = 12)
@@ -358,7 +431,8 @@ _HANKEL_ORDERS = (0, 1, 2, 4, 6, 8, 30)
 @pytest.mark.parametrize("m", _HANKEL_ORDERS)
 def test_hankel_switch_pinned_vs_mpmath(m):
     # the switch x0(m) is pinned from both sides (x0 (1 - 1e-12) is the
-    # series or continued-fraction route, x0 (1 + 1e-12) the Hankel one) and
+    # polynomial or peak-sum route for I and the trapezoid rule for K,
+    # x0 (1 + 1e-12) the Hankel one) and
     # on a log grid of the Hankel branch up to 6e4, in the ln and in the
     # scaled ln, where x itself no longer hides an error
     mpmath = pytest.importorskip("mpmath")
