@@ -1,10 +1,8 @@
 """Self-contained special-function kernels used everywhere else in the package.
 
 Everything here is double-precision arithmetic built from ascending series,
-fixed polynomials, continued fractions, a trapezoid rule, upward recurrences
-and asymptotic expansions.  The scalar series loops use compensated (Kahan)
-accumulation; the array kernels sum positive terms by Horner's rule or node
-by node:
+fixed polynomials, a trapezoid rule, upward recurrences and asymptotic
+expansions:
 
 * modified Bessel functions of integer order: ``I_m(w)`` for real or complex
   argument, the exponentially scaled ``e^{-x} I_m(x)`` and ``e^x K_m(x)``
@@ -14,33 +12,32 @@ by node:
   single-valued building block for overlap kernels,
 * ``ln I_m(x)`` and ``ln K_m(x)`` elementwise over numpy arrays of x > 0
   (``ln_bessel_i``, ``ln_bessel_k``), for callers that need a whole radial
-  profile at once: the Hankel large-argument expansions from
-  x0(m) = max(20, 0.4 m^2); under it, ln I_m from one 40-term polynomial at
-  x < 20 and from the ascending series summed outward from its peak on
-  [20, x0(m)) (m >= 8 only), and ln K_m from K_0/K_1 raised to order m by
-  the ratio recurrence; one label at a time the scalar kernels are cheaper
-  and serve x <= 690, and past that ``bessel_i_scaled`` reads the array
-  kernel (0.2-0.3 ms a call where x >= x0(m), which is every x > 690 for
-  m <= 41, and about 4 ms at x = 800 for m = 50, against tens of
-  microseconds for the scalar series below 690),
+  profile at once,
 * ``ln n!`` (exact cumulative sums up to 256, Stirling beyond),
 * the Gauss hypergeometric series ``2F1(a, b; c; x)`` for ``|x| < 1``,
 * weighted Bessel-type moment sums used as series oracles for closed-form
   expectation values.
 
-Integer-order ``K_m`` is computed from ``K_0``/``K_1`` (for ``x <= 2`` the
-small-argument series with harmonic-number terms, per label and as four
-fixed 16-term polynomials over arrays; for ``x > 2`` a Steed-style
-continued fraction per label and a 27-node trapezoid rule over arrays; in
-each range the scalar and array forms check each other) followed by stable
-upward recurrence; the reflection formula with a ``sin(m pi)`` denominator
-is useless at integer order.
+The real-argument Bessel kernels, scalar and array alike, take their branch
+from (m, x) alone, and each branch is one fixed table read by one body that
+runs on a float or on a numpy array: the Hankel large-argument expansions
+from x0(m) = max(20, 0.4 m^2); below it, I_m from one 40-term polynomial at
+x < 20 and from the ascending series summed outward from its peak on
+[20, x0(m)) (m >= 8 only), and K_m from K_0/K_1 (four fixed 16-term
+polynomials at x <= 2, a 27-node trapezoid rule above) raised to order m by
+the stable upward recurrence; the reflection formula with a ``sin(m pi)``
+denominator is useless at integer order.  A scalar call costs 2-4
+microseconds on every branch but the peak sum, an array loop that a scalar
+kernel reads through a one-element array at 50-120 microseconds a call for
+x <= 690.  The series that stay scalar (the reduced series, 2F1 and the
+moment sums) use compensated (Kahan) accumulation.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import fields
 from fractions import Fraction
 
@@ -150,64 +147,49 @@ def ln_factorial(n: int) -> float:
 # ---------------------------------------------------------------------------
 # modified Bessel I
 
-def _series_i_real(m, x):
-    # ascending series at fixed order; all terms positive, Kahan compensated
-    half = 0.5 * x
-    if half == 0.0:
-        return 1.0 if m == 0 else 0.0
-    if m == 0:
-        term = 1.0
-    elif m <= 170 and abs(m * math.log(half)) < 700.0:
-        term = half ** m / math.factorial(m)
-    else:
-        lt0 = m * math.log(half) - ln_factorial(m)
-        if lt0 < -745.0:
-            # leading term underflows but later terms may not: log-space start
-            return math.exp(_ln_bessel_i_scaled(m, np.array([x]))[0] + x)
-        term = math.exp(lt0)
-    s = 0.0
-    comp = 0.0
-    ratio_num = half * half
-    for nu in range(_MAX_TERMS):
-        y = term - comp
-        t = s + y
-        comp = (t - s) - y
-        s = t
-        term *= ratio_num / ((nu + 1.0) * (nu + 1.0 + m))
-        if term <= _REL_TOL * s and (nu + 1.0) * (nu + 1.0 + m) > ratio_num:
-            return s
-    raise EvaluationError(
-        f"I_{m}({x}) series did not converge in {_MAX_TERMS} terms",
-        partial=s, terms=_MAX_TERMS)
+def _i_poly(m: int, x: float) -> float:
+    """I_m(x) at 0 <= x < 20: h^m / m! times the polynomial P_m(h^2) of
+    _ln_i_poly_scaled, h = x/2."""
+    h = 0.5 * x
+    p = _horner(_i_poly_coefs(m), h * h)
+    if m <= 170:
+        # m! still converts to a double, and h^m < 10^170 underflows gradually
+        return h ** m / math.factorial(m) * p
+    if x == 0.0:
+        return 0.0
+    return math.exp(m * _ln_half(x) - ln_factorial(m) + math.log(p))
 
 
 def bessel_i_scaled(m: int, x: float) -> float:
     """Exponentially scaled modified Bessel function e^{-x} I_m(x), x real >= 0.
 
-    Safe at large x where I_m itself overflows: past x = 690 the value comes
-    from the array kernel in log space, so no intermediate quantity leaves
-    double range up to x = DBL_MAX; it takes the Hankel expansion there
-    for every m with x0(m) <= x, and the series summed outward from its
-    peak term otherwise.
+    It takes the branch that ln_bessel_i takes at (m, x): the fixed
+    polynomial times e^{-x} at x < 20, the Hankel sum from x0(m), and on
+    [20, x0(m)) (m >= 8 only) the exp of the peak-outward sum, read through
+    a one-element array at 50-120 microseconds a call for x <= 690, against
+    2-4 on the other branches.  No intermediate quantity leaves double range
+    up to x = DBL_MAX.
     """
     m = _order(m)
-    if x < 0.0:
-        raise DomainError(f"bessel_i_scaled requires x >= 0, got {x}")
-    if x <= 690.0:
-        # the plain series still fits in double range; two rounded factors
-        return _series_i_real(m, x) * math.exp(-x)
-    return math.exp(_ln_bessel_i_scaled(m, _positive_array([x], "bessel_i_scaled"))[0])
+    x = float(x)
+    if not 0.0 <= x < math.inf:
+        raise DomainError(f"bessel_i_scaled requires finite x >= 0, got {x}")
+    if x < _HANKEL_FLOOR:
+        return _i_poly(m, x) * math.exp(-x)
+    if x >= _hankel_switch(m):
+        return _hankel_sum(m, x, -1.0) / (_SQRT_2PI * math.sqrt(x))
+    return math.exp(_ln_i_series_scaled(m, np.array([x]))[0])
 
 
 def bessel_i(m: int, w):
     """Modified Bessel function I_m(w) of integer order m >= 0.
 
-    Real w: ascending series (scaled form internally once the leading term
-    would underflow); negative real w uses I_m(-x) = (-1)^m I_m(x); past
-    690, EvaluationError points to bessel_i_scaled.  Complex w: the
-    entire-series route (w/2)^m R_m(w^2/4); accuracy degrades with
-    cancellation roughly like e^{|Im w|}, so keep |w| <= 80 for full-precision
-    work (documented plumbing bound, enforced only through max_terms).
+    Real w: the fixed polynomial at x < 20, e^x times bessel_i_scaled from
+    there; negative real w uses I_m(-x) = (-1)^m I_m(x); past 690,
+    EvaluationError points to bessel_i_scaled.  Complex w: the entire-series
+    route (w/2)^m R_m(w^2/4); accuracy degrades with cancellation roughly
+    like e^{|Im w|}, so keep |w| <= 80 for full-precision work (documented
+    plumbing bound, enforced only through max_terms).
     """
     m = _order(m)
     if isinstance(w, complex):
@@ -224,7 +206,9 @@ def bessel_i(m: int, w):
     if x > 690.0:
         raise EvaluationError(
             f"I_{m}({x}) is near or beyond double range; use bessel_i_scaled")
-    return _series_i_real(m, x)
+    if x < _HANKEL_FLOOR:
+        return _i_poly(m, x)
+    return bessel_i_scaled(m, x) * math.exp(x)
 
 
 def bessel_i_reduced(m: int, w):
@@ -261,94 +245,6 @@ def bessel_i_reduced(m: int, w):
 # ---------------------------------------------------------------------------
 # modified Bessel K
 
-def _k01_small(x):
-    """K_0(x), K_1(x) for 0 < x <= 2 via the classical log+harmonic series."""
-    half = 0.5 * x
-    q = half * half
-    lg = math.log(half)
-    # K_0 = -(log(x/2) + gamma) I_0 + sum_{k>=1} H_k q^k / (k!)^2
-    s0 = 0.0
-    c0 = 0.0
-    term = 1.0
-    hk = 0.0
-    i0 = 1.0
-    ci = 0.0
-    for k in range(1, _MAX_TERMS):
-        term *= q / (k * k)
-        hk += 1.0 / k
-        y = term - ci
-        t = i0 + y
-        ci = (t - i0) - y
-        i0 = t
-        piece = term * hk
-        y = piece - c0
-        t = s0 + y
-        c0 = (t - s0) - y
-        s0 = t
-        if piece <= _REL_TOL * (abs(s0) + 1.0):
-            break
-    k0 = -(lg + _EULER_GAMMA) * i0 + s0
-    # K_1 = 1/x + log(x/2) I_1 - (x/4) sum_k [H_k + H_{k+1} - 2 gamma] q^k/(k!(k+1)!)
-    i1 = 0.0
-    s1 = 0.0
-    c1 = 0.0
-    term = 1.0          # q^k / (k! (k+1)!)
-    hk = 0.0
-    hk1 = 1.0
-    i1c = 0.0
-    for k in range(_MAX_TERMS):
-        y = term - i1c
-        t = i1 + y
-        i1c = (t - i1) - y
-        i1 = t
-        piece = term * (hk + hk1 - 2.0 * _EULER_GAMMA)
-        y = piece - c1
-        t = s1 + y
-        c1 = (t - s1) - y
-        s1 = t
-        term *= q / ((k + 1.0) * (k + 2.0))
-        hk += 1.0 / (k + 1.0)
-        hk1 += 1.0 / (k + 2.0)
-        if term * (hk + hk1 + 2.0) <= _REL_TOL:
-            break
-    k1 = 1.0 / x + lg * (half * i1) - 0.25 * x * s1
-    return k0, k1
-
-
-def _k01_cf_scaled(x):
-    """e^x K_0(x), e^x K_1(x) for x > 2 by the Steed-style continued fraction
-    (the array kernels take the trapezoid rule, and each checks the other)."""
-    maxit = 10000
-    b = 2.0 * (1.0 + x)
-    d = 1.0 / b
-    h = delh = d
-    q1, q2 = 0.0, 1.0
-    a1 = 0.25
-    qq = cc = a1
-    a = -a1
-    s = 1.0 + qq * delh
-    for i in range(1, maxit):
-        a -= 2 * i
-        cc = -a * cc / (i + 1.0)
-        qnew = (q1 - b * q2) / a
-        q1, q2 = q2, qnew
-        qq += cc * qnew
-        b += 2.0
-        d = 1.0 / (b + a * d)
-        delh = (b * d - 1.0) * delh
-        h += delh
-        dels = qq * delh
-        s += dels
-        if abs(dels / s) <= 1e-17:
-            break
-    else:
-        raise EvaluationError(f"K continued fraction stalled at x={x}", terms=maxit)
-    h = a1 * h
-    ek0 = math.sqrt(math.pi / (2.0 * x)) / s
-    ek1 = ek0 * (x + 0.5 - h) / x
-    return ek0, ek1
-
-
 def _k_upward(m, x, k0, k1):
     # K grows with order: upward recurrence is the stable direction
     if m == 0:
@@ -365,22 +261,28 @@ def _k_upward(m, x, k0, k1):
 
 
 def _bessel_k(m, x, scaled: bool, name: str) -> float:
-    # K_0, K_1 from the series (x <= 2) or the scaled continued fraction,
-    # rescaled to the requested form, then raised to order m
+    # on the branch that ln_bessel_k takes at (m, x): the Hankel sum from
+    # x0(m); below it K_0, K_1 from the polynomials (x <= 2) or the scaled
+    # rule, rescaled to the requested form, then raised to order m
     m = _order(m)
-    if not x > 0.0:
-        raise DomainError(f"{name} requires x > 0, got {x}")
+    x = float(x)
+    if not 0.0 < x < math.inf:
+        raise DomainError(f"{name} requires finite x > 0, got {x}")
+    if x >= _hankel_switch(m):
+        ek = _hankel_sum(m, x, 1.0) * _SQRT_HALF_PI / math.sqrt(x)
+        return ek if scaled else ek * math.exp(-x)
     if x <= 2.0:
         k0, k1 = _k01_small(x)
         scale = math.exp(x) if scaled else 1.0
     else:
-        k0, k1 = _k01_cf_scaled(x)
+        k0, k1 = _k01_rule_scaled(x)
         scale = 1.0 if scaled else math.exp(-x)
     return _k_upward(m, x, k0 * scale, k1 * scale)
 
 
 def bessel_k(m: int, x: float) -> float:
-    """Modified Bessel function K_m(x) for integer m >= 0 and real x > 0."""
+    """Modified Bessel function K_m(x) for integer m >= 0 and finite real
+    x > 0; inf where K_m leaves double range."""
     return _bessel_k(m, x, False, "bessel_k")
 
 
@@ -390,18 +292,27 @@ def bessel_k_scaled(m: int, x: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# array kernels: ln I_m(x) and ln K_m(x) elementwise over x > 0
+# the fixed rules, and the array kernels ln I_m(x), ln K_m(x) over x > 0
 #
-# Each element takes its branch from (m, x) alone: the Hankel expansion at
-# x >= _hankel_switch(m); below it, for ln I_m one fixed polynomial at
-# x < 20 and the peak-outward sweep on [20, x0(m)) (m >= 8 only), for ln K_m
-# four fixed polynomials at x <= 2 and a fixed trapezoid rule above.  Only
-# the sweep has a convergence test, and it is taken per element.  So the
-# value of an element never depends on the array it is in.
+# Each rule is one table, read by one body that runs on a float for the
+# scalar kernels above and elementwise on an array for the array kernels:
+# the same operations in the same order, so a float and an array element
+# round alike, up to the last bit of a log (math.log against numpy's).
+# Each element takes its branch from (m, x) alone: the Hankel
+# expansion at x >= _hankel_switch(m); below it, for ln I_m one fixed
+# polynomial at x < 20 and the peak-outward sweep on [20, x0(m)) (m >= 8
+# only), for ln K_m four fixed polynomials at x <= 2 and a fixed trapezoid
+# rule above.  Only the sweep has a convergence test, and it is taken per
+# element.  So the value of an element never depends on the array it is in.
 
 _ARRAY_REL_TOL = 1e-17
 _ARRAY_MAX_TERMS = 100_000
 _LN_SQRT_HALF_PI = 0.2257913526447274323630976149474410
+_SQRT_2PI = 2.506628274631000502415765284811045
+_SQRT_HALF_PI = 1.253314137315500251207882642405523
+_LN2 = 0.6931471805599453094172321214581766
+# below this x, x/2 is subnormal and so rounded, to 0 at the smallest double
+_TINY_X = 2.0 * sys.float_info.min
 # terms of the Hankel sums; at x >= _hankel_switch(m) the truncated sums and
 # the neglected e^{-2x} part stay within a few ulps of the scaled logs
 _HANKEL_TERMS = 40
@@ -422,27 +333,41 @@ def _hankel_switch(m: int) -> float:
     return max(_HANKEL_FLOOR, 0.4 * m * m)
 
 
-def _ln_hankel_scaled(m: int, x: np.ndarray, sign: float) -> np.ndarray:
-    """ln(e^{-x} I_m(x)) (sign -1) or ln(e^x K_m(x)) (sign +1) at x >= x0(m)
-    from the large-argument expansions (DLMF 10.40.1, 10.40.2; Abramowitz &
-    Stegun 9.7.1, 9.7.2):
+@functools.lru_cache(maxsize=256)
+def _hankel_ratios(m: int) -> tuple:
+    # the factor ratios a_j / a_{j-1} = (4m^2 - (2j-1)^2) / (8j) of the
+    # Hankel sums, j = 40 down to 1
+    mu = 4.0 * m * m
+    return tuple((mu - (2 * j - 1) ** 2) / (8.0 * j)
+                 for j in range(_HANKEL_TERMS, 0, -1))
+
+
+def _hankel_sum(m: int, x, sign: float):
+    """sum_k sign^k a_k(m) / x^k over k <= 40 at x >= x0(m), on a float or
+    an array, where (DLMF 10.40.1, 10.40.2; Abramowitz & Stegun 9.7.1,
+    9.7.2)
 
         e^{-x} I_m(x) ~ (2 pi x)^{-1/2} sum_k (-1)^k a_k(m) / x^k,
         e^x K_m(x)    ~ (pi / 2x)^{1/2} sum_k a_k(m) / x^k,
 
-    a_k(m) = prod_{j<=k} (4m^2 - (2j-1)^2) / (8j).  Both sums run one
-    Horner loop over the factor ratios a_j / a_{j-1}, so no a_k leaves
-    double range, and the prefactor is taken in logs as -ln sqrt(2 pi) or
-    ln sqrt(pi/2) minus (ln x)/2, so it neither overflows nor goes
-    subnormal up to x = DBL_MAX."""
-    mu = 4.0 * m * m
+    a_k(m) = prod_{j<=k} (4m^2 - (2j-1)^2) / (8j).  One Horner loop over the
+    factor ratios a_j / a_{j-1}, so no a_k leaves double range."""
     inv = 1.0 / x
-    s = np.ones_like(x)
-    for j in range(_HANKEL_TERMS, 0, -1):
-        # s <- 1 + sign (4m^2 - (2j-1)^2) / (8j) * s / x, in place
+    s = np.ones_like(x) if isinstance(x, np.ndarray) else 1.0
+    for ratio in _hankel_ratios(m):
+        # s <- 1 + sign a_j / a_{j-1} * s / x, in place on an array
         s *= inv
-        s *= sign * (mu - (2 * j - 1) ** 2) / (8.0 * j)
+        s *= sign * ratio
         s += 1.0
+    return s
+
+
+def _ln_hankel_scaled(m: int, x: np.ndarray, sign: float) -> np.ndarray:
+    """ln(e^{-x} I_m(x)) (sign -1) or ln(e^x K_m(x)) (sign +1) at x >= x0(m)
+    from the Hankel sum; the prefactor is taken in logs as -ln sqrt(2 pi)
+    or ln sqrt(pi/2) minus (ln x)/2, so it neither overflows nor goes
+    subnormal up to x = DBL_MAX."""
+    s = _hankel_sum(m, x, sign)
     # the constant joins the small ln(sum) first, the exactly halved ln x
     # last, so the result is rounded twice at its own scale
     ln_c = -_LN_SQRT_2PI if sign < 0.0 else _LN_SQRT_HALF_PI
@@ -470,14 +395,23 @@ def _with_hankel(m: int, x: np.ndarray, sign: float, below) -> np.ndarray:
                   lambda v: _ln_hankel_scaled(m, v, sign), lambda v: below(m, v))
 
 
-def _horner(coefs, q: np.ndarray) -> np.ndarray:
-    # sum_k coefs[k] q^(n-1-k), coefficients highest degree first, two
-    # in-place ufuncs per term
-    p = np.full_like(q, coefs[0])
+def _horner(coefs, q):
+    # sum_k coefs[k] q^(n-1-k), coefficients highest degree first, on a
+    # float or an array (two in-place ufuncs per term)
+    p = np.full_like(q, coefs[0]) if isinstance(q, np.ndarray) else coefs[0]
     for c in coefs[1:]:
         p *= q
         p += c
     return p
+
+
+def _ln_half(x):
+    """ln(x/2) on a float or an array; where x/2 leaves the normal range,
+    and so would be rounded, ln x - ln 2."""
+    if isinstance(x, np.ndarray):
+        return _split(x < _TINY_X, x, lambda v: np.log(v) - _LN2,
+                      lambda v: np.log(0.5 * v))
+    return math.log(x) - _LN2 if x < _TINY_X else math.log(0.5 * x)
 
 
 def _positive_array(x, name: str) -> np.ndarray:
@@ -487,29 +421,40 @@ def _positive_array(x, name: str) -> np.ndarray:
     return x
 
 
+def _i_sweep_step(term, acc, cc, hh, nu, m, upward):
+    # one term of the peak-outward I_m sum, on a float or elementwise on an
+    # array: the next term relative to the peak, the compensated sum, its
+    # compensation, the index, and whether the sum goes on
+    if upward:
+        nu = nu + 1.0
+        term = term * (hh / (nu * (nu + m)))
+    else:
+        term = term * (nu * (nu + m) / hh)
+        nu = nu - 1.0
+    y = term - cc
+    t = acc + y
+    cc = (t - acc) - y
+    return term, t, cc, nu, (term > _ARRAY_REL_TOL * t) & (nu > 0.0)
+
+
 def _i_sweep(s, comp, tau0, live, peak, h2, m, upward):
     """Add the terms of the I_m series above (upward) or below the peak,
     relative to the peak term, into the compensated sums s[live] (in place)
     until each element's last term is below _ARRAY_REL_TOL of its sum or is
     the nu = 0 term; a lane that ends on the nu = 0 term stores that term,
-    t_0 / t_peak, in tau0."""
+    t_0 / t_peak, in tau0.  A lone lane, from the start or once the others
+    have finished, goes on in floats by the same step, so to the same bits
+    at a fraction of the cost of one-element ufuncs."""
     if live.size == 0:
         return
     term = np.ones(live.size)
     acc, cc, hh, nu = s[live], comp[live], h2[live], peak[live]
     active = np.ones(live.size, dtype=bool)
-    for _ in range(_ARRAY_MAX_TERMS):
-        if upward:
-            nu = nu + 1.0
-            term = term * (hh / (nu * (nu + m)))
-        else:
-            term = term * (nu * (nu + m) / hh)
-            nu = nu - 1.0
-        y = term - cc
-        t = acc + y
-        cc = (t - acc) - y
-        acc = t
-        done = active & ~((term > _ARRAY_REL_TOL * t) & (nu > 0.0))
+    steps = 0
+    while live.size > 1 and steps < _ARRAY_MAX_TERMS:
+        steps += 1
+        term, acc, cc, nu, going = _i_sweep_step(term, acc, cc, hh, nu, m, upward)
+        done = active & ~going
         if done.any():
             s[live[done]] = acc[done]
             comp[live[done]] = cc[done]
@@ -523,6 +468,17 @@ def _i_sweep(s, comp, tau0, live, peak, h2, m, upward):
             if 2 * n_active <= live.size:
                 live, term, acc, cc, hh, nu, active = (
                     v[active] for v in (live, term, acc, cc, hh, nu, active))
+    if live.size == 1:
+        lane = live[0]
+        term, acc, cc, hh, nu = (float(v[0]) for v in (term, acc, cc, hh, nu))
+        while steps < _ARRAY_MAX_TERMS:
+            steps += 1
+            term, acc, cc, nu, going = _i_sweep_step(term, acc, cc, hh, nu, m, upward)
+            if not going:
+                s[lane], comp[lane] = acc, cc
+                if nu == 0.0:
+                    tau0[lane] = term
+                return
     raise EvaluationError(
         f"I_{m} series did not converge in {_ARRAY_MAX_TERMS} terms")
 
@@ -567,7 +523,7 @@ def _ln_i_poly_scaled(m: int, x: np.ndarray) -> np.ndarray:
     p *= np.exp(-x)
     out = np.log(p)
     if m:
-        out += m * np.log(h) - ln_factorial(m)
+        out += m * _ln_half(x) - ln_factorial(m)
     return out
 
 
@@ -630,7 +586,7 @@ _K_POLY_TERMS = 16
 
 
 def _k01_poly_coefs():
-    # the four polynomials of _k01_small_array, 16 terms each, highest degree
+    # the four polynomials of _k01_small, 16 terms each, highest degree
     # first, each coefficient rounded once from its exact value; psi(k+1) =
     # H_k - gamma
     gamma = Fraction(_EULER_GAMMA_DIGITS)
@@ -648,10 +604,10 @@ def _k01_poly_coefs():
 _K_I0, _K_PSI0, _K_I1, _K_PSI1 = _k01_poly_coefs()
 
 
-def _k01_small_array(x):
-    """K_0(x), K_1(x) elementwise for 0 < x <= 2 from the series of
-    _k01_small (DLMF 10.31.1, 10.31.2) as fixed polynomials in q = h^2,
-    h = x/2, with the exact leading terms split off:
+def _k01_small(x):
+    """K_0(x), K_1(x) for 0 < x <= 2, on a float or elementwise on an array,
+    from the small-argument series (DLMF 10.31.1, 10.31.2) as fixed
+    polynomials in q = h^2, h = x/2, with the exact leading terms split off:
 
         K_0 = q (B - A ln h) - ln h - gamma,
         K_1 = 1/x + h ((ln h + gamma - 1/2) + q (C ln h - D)),
@@ -659,25 +615,31 @@ def _k01_small_array(x):
     where I_0 = 1 + q A, sum_{k>=1} psi(k+1) q^k / (k!)^2 = q B,
     I_1 = h (1 + q C) and sum_{k>=1} (psi(k+1) + psi(k+2)) q^k / (2 k! (k+1)!)
     = q D.  Every coefficient is positive and the first omitted term is at
-    most 2.3e-29 at q = 1."""
+    most 2.3e-29 at q = 1.  K_1 is inf where 1/x overflows (x < 5.6e-309)."""
     h = 0.5 * x
     q = h * h
-    ln_h = np.log(h)
+    ln_h = _ln_half(x)
     a, b, c, d = (_horner(coefs, q) for coefs in (_K_I0, _K_PSI0, _K_I1, _K_PSI1))
     k0 = q * (b - ln_h * a) - ln_h - _EULER_GAMMA
     k1 = 1.0 / x + h * ((ln_h + (_EULER_GAMMA - 0.5)) + q * (ln_h * c - d))
     return k0, k1
 
 
-# the rule of _k01_trapezoid_scaled_array: s_j^2 for s_j = j/4, j = 0..26,
-# and the weights 2 h e^{-s_j^2} at h = 1/4, the j = 0 weight halved
-_K_RULE_S2 = (np.arange(27) / 4.0) ** 2
-_K_RULE_W = 0.5 * np.exp(-_K_RULE_S2)
-_K_RULE_W[0] = 0.25
+def _k01_rule():
+    # the rule of _k01_rule_scaled as (s_j^2, w_j) for s_j = j/4, j = 26 down
+    # to 0: the weights are 2 h e^{-s_j^2} at h = 1/4, the j = 0 weight halved
+    s2 = (np.arange(27) / 4.0) ** 2
+    w = 0.5 * np.exp(-s2)
+    w[0] = 0.25
+    return tuple(zip(s2[::-1].tolist(), w[::-1].tolist()))
 
 
-def _k01_trapezoid_scaled_array(x):
-    """e^x K_0(x), e^x K_1(x) elementwise for x > 2 by one fixed quadrature.
+_K_RULE = _k01_rule()
+
+
+def _k01_rule_scaled(x):
+    """e^x K_0(x), e^x K_1(x) for x > 2 by one fixed quadrature, on a float
+    or elementwise on an array.
 
     With s = sqrt(2x) sinh(t/2) in K_nu(x) = int_0^inf e^{-x cosh t}
     cosh(nu t) dt (DLMF 10.32.9),
@@ -690,24 +652,40 @@ def _k01_trapezoid_scaled_array(x):
     (Trefethen & Weideman, SIAM Review 56, 385 (2014)); s > 6.5 holds
     e^{-42}.  The positive terms are added node by node, smallest first, so
     each element is rounded alike in any array."""
+    sqrt = np.sqrt if isinstance(x, np.ndarray) else math.sqrt
     two_x = 2.0 * x
-    ek0 = np.zeros_like(x)
-    k1_part = np.zeros_like(x)
-    term = np.empty_like(x)
-    for s2, w in zip(_K_RULE_S2[::-1], _K_RULE_W[::-1]):
-        np.add(two_x, s2, out=term)
-        np.sqrt(term, out=term)
-        np.divide(w, term, out=term)
+    ek0 = k1_part = 0.0
+    for s2, w in _K_RULE:
+        term = w / sqrt(two_x + s2)
         ek0 += term
-        term *= s2
-        k1_part += term
+        k1_part += term * s2
     return ek0, ek0 + k1_part / x
 
 
 def _ln_bessel_k_scaled(m: int, x: np.ndarray) -> np.ndarray:
     """ln(e^x K_m(x)) elementwise over a flat array of x > 0: the Hankel
-    expansion at x >= x0(m), the recurrence route below."""
-    return _with_hankel(m, x, 1.0, _ln_k_recurrence_scaled)
+    expansion at x >= x0(m), the recurrence route below, and the leading
+    terms where that route would leave double range."""
+    return _with_hankel(m, x, 1.0, _ln_k_below_switch)
+
+
+def _ln_k_below_switch(m: int, x: np.ndarray) -> np.ndarray:
+    # below this x the recurrence route leaves double range (x/2 is
+    # subnormal, or 2(m-1)/x overflows), and the leading terms are exact
+    # to rounding: the next ones are O(x^2 ln x) relative
+    tiny = max(_TINY_X, 2.0 * m / sys.float_info.max)
+    return _split(x < tiny, x, lambda v: _ln_k_leading(m, v),
+                  lambda v: _ln_k_recurrence_scaled(m, v))
+
+
+def _ln_k_leading(m: int, x: np.ndarray) -> np.ndarray:
+    """ln(e^x K_m(x)) from the leading small-argument terms (DLMF 10.31.1,
+    10.30.2), K_0 = -ln(x/2) - gamma and K_m = (m-1)! / 2 (x/2)^{-m} for
+    m >= 1, with ln(x/2) from _ln_half; e^x is 1 to rounding here."""
+    ln_h = _ln_half(x)
+    if m == 0:
+        return np.log(-ln_h - _EULER_GAMMA)
+    return (ln_factorial(m - 1) - _LN2) - m * ln_h
 
 
 def _ln_k_recurrence_scaled(m: int, x: np.ndarray) -> np.ndarray:
@@ -716,11 +694,11 @@ def _ln_k_recurrence_scaled(m: int, x: np.ndarray) -> np.ndarray:
     ratio recurrence K_{j+1}/K_j = 2j/x + K_{j-1}/K_j, whose logs are
     summed."""
     def small(v):
-        k0, k1 = _k01_small_array(v)
+        k0, k1 = _k01_small(v)
         return np.array([np.log(k0) + v, k1 / k0])
 
     def rule(v):
-        ek0, ek1 = _k01_trapezoid_scaled_array(v)
+        ek0, ek1 = _k01_rule_scaled(v)
         return np.array([np.log(ek0), ek1 / ek0])
 
     ln_k, ratio = _split(x <= 2.0, x, small, rule)
@@ -738,8 +716,9 @@ def ln_bessel_k(m: int, x) -> np.ndarray:
     From x0(m) = max(20, 0.4 m^2) the Hankel expansion; below it K_0 and
     K_1 come from four fixed 16-term polynomials (x <= 2) or a fixed
     trapezoid rule (x > 2), and the order is raised through the ratios
-    K_{j+1}/K_j, so K_m never overflows or underflows.  Each element takes
-    its branch from (m, x) alone.  Absolute error is a few ulps of
+    K_{j+1}/K_j, so K_m never overflows or underflows; where x/2 is
+    subnormal or 2(m-1)/x overflows, the leading terms serve.  Each element
+    takes its branch from (m, x) alone.  Absolute error is a few ulps of
     max(1, |ln K_m(x)|).
     """
     m = _order(m)

@@ -61,13 +61,14 @@ def test_bessel_i_200_term_compensated_partial_sum():
 
 
 def test_wronskian_identity_log_grid():
-    # I_m(x) K_{m+1}(x) + I_{m+1}(x) K_m(x) = 1/x
-    lo, hi = math.log10(1e-2), math.log10(50.0)
-    for m in range(9):
-        for i in range(20):
-            x = 10.0 ** (lo + (hi - lo) * i / 19)
-            w = sf.bessel_i(m, x) * sf.bessel_k(m + 1, x) \
-                + sf.bessel_i(m + 1, x) * sf.bessel_k(m, x)
+    # e^{-x} I_m e^x K_{m+1} + e^{-x} I_{m+1} e^x K_m = 1/x on a log grid up
+    # to 2 x0(m), so every branch of the scalar kernels takes part: the I
+    # polynomial, peak sum (m >= 8) and Hankel sum, the K polynomials,
+    # trapezoid rule and Hankel sum
+    for m in (*range(9), 12, 20, 30, 41, 60):
+        for x in np.geomspace(1e-2, 2.0 * sf._hankel_switch(m), 24).tolist():
+            w = sf.bessel_i_scaled(m, x) * sf.bessel_k_scaled(m + 1, x) \
+                + sf.bessel_i_scaled(m + 1, x) * sf.bessel_k_scaled(m, x)
             assert abs(w * x - 1.0) < 1e-12, (m, x)
 
 
@@ -207,8 +208,8 @@ def test_domain_errors():
 
 
 def test_unscaled_i_past_690_names_the_scaled_form():
-    # I_0(700) ~ 1.5e302 is still finite, but the plain series is not summed
-    # past x = 690; the caller is sent to the scaled form instead of inf
+    # I_0(700) ~ 1.5e302 is still finite, but bessel_i stops at x = 690;
+    # the caller is sent to the scaled form instead of inf
     for x in (690.5, 700.0, -700.0, 1e6):
         with pytest.raises(sf.EvaluationError, match="bessel_i_scaled"):
             sf.bessel_i(0, x)
@@ -330,15 +331,8 @@ def test_k01_trapezoid_rule_vs_mpmath():
     with mpmath.workdps(30):
         want = np.array([[float(mpmath.besselk(nu, mpmath.mpf(x)) * mpmath.exp(x))
                           for x in _K_RULE_X] for nu in (0, 1)])
-    got = np.array(sf._k01_trapezoid_scaled_array(_K_RULE_X))
+    got = np.array(sf._k01_rule_scaled(_K_RULE_X))
     assert np.abs(got / want - 1.0).max() <= 3e-15
-
-
-def test_k01_trapezoid_rule_vs_scalar_continued_fraction():
-    # the scalar continued fraction is the rule's independent companion
-    scalar = np.array([sf._k01_cf_scaled(x) for x in _K_RULE_X]).T
-    got = np.array(sf._k01_trapezoid_scaled_array(_K_RULE_X))
-    assert np.abs(got / scalar - 1.0).max() <= 4e-15
 
 
 # the K_0/K_1 polynomials serve (0, 2]; checked from 1e-8 and densely on
@@ -353,31 +347,17 @@ def test_k01_small_polynomials_vs_mpmath():
     with mpmath.workdps(30):
         want = np.array([[float(mpmath.besselk(nu, mpmath.mpf(x))) for x in _K_SMALL_X]
                          for nu in (0, 1)])
-    got = np.array(sf._k01_small_array(_K_SMALL_X))
+    got = np.array(sf._k01_small(_K_SMALL_X))
     assert np.abs(got / want - 1.0).max() <= 3e-15
 
 
-def test_k01_small_polynomials_vs_scalar_series():
-    # the scalar Kahan series is the polynomials' independent companion
-    scalar = np.array([sf._k01_small(x) for x in _K_SMALL_X]).T
-    got = np.array(sf._k01_small_array(_K_SMALL_X))
-    assert np.abs(got / scalar - 1.0).max() <= 4e-15
-
-
-def test_i_polynomial_vs_scalar_series():
-    # below x = 20 ln I_m is one fixed polynomial; the scalar Kahan series
-    # times e^{-x} is its independent companion
-    x = np.concatenate([[1e-8, 1e-3], np.linspace(0.01, 20.0, 500)[:-1],
-                        [np.nextafter(20.0, 0.0)]])
-    for m in range(9):
-        scalar = np.array([math.log(sf.bessel_i_scaled(m, v)) for v in x])
-        assert _ln_err(sf._ln_bessel_i_scaled(m, x), scalar).max() <= 2e-15, m
-
-
 def test_i_polynomial_vs_mpmath():
+    # below x = 20 ln I_m is one fixed polynomial: on a log grid, densely on
+    # a linear one and at the last double before 20
     mpmath = pytest.importorskip("mpmath")
-    x = np.geomspace(1e-3, 20.0, 250)[:-1]
-    for m in (0, 1, 2, 4, 6, 7, 12):
+    x = np.concatenate([[1e-8], np.geomspace(1e-3, 20.0, 250)[:-1],
+                        np.linspace(0.01, 20.0, 500)[:-1], [np.nextafter(20.0, 0.0)]])
+    for m in (*range(9), 12):
         with mpmath.workdps(30):
             want = np.array([float(mpmath.log(mpmath.besseli(m, v) * mpmath.exp(-v)))
                              for v in map(mpmath.mpf, x)])
@@ -413,16 +393,39 @@ def test_i_polynomial_sweep_boundary_vs_mpmath(m):
 
 
 def test_ln_bessel_kernels_match_scalar_kernels():
-    # the scalar and array routes are separate code; they agree to rounding,
-    # below and past the Hankel switch x0(m) (20 for m <= 7, 57.6 for m = 12)
+    # the scalar kernels read the array kernels' tables and pick their
+    # branch from (m, x) the same way: they agree to rounding at the polynomial
+    # ends 2 and 20 and on both sides of the Hankel switch x0(m) (20 for
+    # m <= 7, 57.6 for m = 12)
     for m in (0, 1, 5, 12):
-        for x in (0.01, 1.5, 2.5, 19.9, 20.1, 40.0, 60.0, 250.0, 690.0):
+        x0 = sf._hankel_switch(m)
+        for x in (0.01, 1.5, 2.0, 2.5, 19.9, 20.0, 20.1, 40.0, 60.0, 250.0, 690.0,
+                  x0 * (1.0 - 1e-12), x0 * (1.0 + 1e-12)):
             got_i = sf.ln_bessel_i(m, np.array([x]))[0]
             got_k = sf.ln_bessel_k(m, np.array([x]))[0]
             assert got_i == pytest.approx(math.log(sf.bessel_i_scaled(m, x)) + x,
                                           rel=1e-14, abs=1e-14)
             assert got_k == pytest.approx(math.log(sf.bessel_k_scaled(m, x)) - x,
                                           rel=1e-14, abs=1e-14)
+
+
+def test_fixed_rules_round_alike_on_floats_and_arrays():
+    # each fixed rule is one body, run on a float by the scalar kernels and
+    # on an array by the array kernels: the same bits, but for the last bit
+    # of ln(x/2) (math.log against numpy's), which reaches K_0/K_1 at x <= 2
+    x = np.geomspace(1e-3, 2e3, 400)
+    small, poly, large = x[x <= 2.0], x[x < 20.0], x[x >= 20.0]
+    for m in (0, 5, 30):
+        coefs = sf._i_poly_coefs(m)
+        for rule, v in ((lambda u: sf._horner(coefs, 0.25 * u * u), poly),
+                        (lambda u: sf._hankel_sum(m, u, -1.0), large),
+                        (lambda u: sf._hankel_sum(m, u, 1.0), large)):
+            assert np.array_equal(rule(v), [rule(u) for u in v.tolist()]), m
+    rule = x[x > 2.0]
+    assert np.array_equal(sf._k01_rule_scaled(rule),
+                          np.array([sf._k01_rule_scaled(u) for u in rule.tolist()]).T)
+    alone = np.array([sf._k01_small(u) for u in small.tolist()]).T
+    assert np.abs(np.array(sf._k01_small(small)) / alone - 1.0).max() <= 1e-15
 
 
 _HANKEL_ORDERS = (0, 1, 2, 4, 6, 8, 30)
@@ -482,9 +485,35 @@ def test_ln_bessel_kernels_at_huge_arguments(x):
         assert math.isfinite(ie) and ie == pytest.approx(want[4], rel=1e-13)
 
 
+@pytest.mark.parametrize("x", [5e-324, 1e-310, 1e-300])
+def test_bessel_kernels_at_tiny_arguments_vs_mpmath(x):
+    # where x/2 is subnormal (0 at x = 5e-324) ln(x/2) is taken as
+    # ln x - ln 2, and where the K recurrence would leave double range the
+    # array kernel takes the leading terms: the logs are finite and within
+    # an ulp or two of mpmath, with no warning.  The scalar kernels give
+    # the rounded value: 0 where it underflows, inf where K_m overflows
+    mpmath = pytest.importorskip("mpmath")
+    arr = np.array([x])
+    for m in (0, 1, 2, 30):
+        with mpmath.workdps(30):
+            xm = mpmath.mpf(x)
+            i, k = mpmath.besseli(m, xm), mpmath.besselk(m, xm)
+            want_ln = np.array([float(mpmath.log(i)), float(mpmath.log(k))])
+            want = [float(i), float(i * mpmath.exp(-xm)), float(k), float(k * mpmath.exp(xm))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got_ln = np.array([sf.ln_bessel_i(m, arr)[0], sf.ln_bessel_k(m, arr)[0]])
+            got = [sf.bessel_i(m, x), sf.bessel_i_scaled(m, x),
+                   sf.bessel_k(m, x), sf.bessel_k_scaled(m, x)]
+        assert _ln_err(got_ln, want_ln).max() <= 1e-15, m
+        for g, w in zip(got, want):
+            assert g == w or g == pytest.approx(w, rel=1e-15, abs=5e-324), (m, g, w)
+
+
 @pytest.mark.parametrize("m", [0, 2, 50])
 def test_scaled_i_past_690_vs_mpmath(m):
-    # past x = 690 bessel_i_scaled reads the array kernel
+    # past x = 690, where I_m itself leaves double range: the Hankel sum,
+    # and for m = 50 below x0 = 1000 the peak sum through a one-element array
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(40):
         for x in (691.0, 1e3, 5e3, 1e5):
