@@ -351,6 +351,16 @@ def test_k01_small_polynomials_vs_mpmath():
     assert np.abs(got / want - 1.0).max() <= 3e-15
 
 
+def test_i_polynomial_vs_scalar_series():
+    # below x = 20 the scalar bessel_i_scaled evaluates the same polynomial on
+    # one float; its log agrees with the array kernel at every order it serves
+    x = np.concatenate([[1e-8, 1e-3], np.linspace(0.01, 20.0, 500)[:-1],
+                        [np.nextafter(20.0, 0.0)]])
+    for m in range(9):
+        scalar = np.array([math.log(sf.bessel_i_scaled(m, v)) for v in x])
+        assert _ln_err(sf._ln_bessel_i_scaled(m, x), scalar).max() <= 2e-15, m
+
+
 def test_i_polynomial_vs_mpmath():
     # below x = 20 ln I_m is one fixed polynomial: on a log grid, densely on
     # a linear one and at the last double before 20
