@@ -20,7 +20,7 @@ import numpy as np
 from .bgcs import _as_label, _node_amplitudes, bgcs_state, mean_k3
 from .fock import OperatorMatrix, SubspaceSpec, lowering_band
 from .measure import QuadratureGrid, angular_mode_matrix
-from .specfun import _Record, _order
+from .specfun import EvaluationError, _Record, _order
 
 NAMED_SYMBOLS = ("z", "z_bar", "z_sq", "z_bar_sq", "abs_z_sq",
                  "q", "p", "q_sq", "p_sq")
@@ -191,8 +191,11 @@ def mean_values_on_bgcs(sym: SymbolSpec, label, m: int) -> complex:
 
 def dispersions(label, m: int) -> tuple[float, float, float]:
     """Closed-form quadrature-coordinate variances: both equal the mean of
-    the diagonal su(1,1) generator; the third slot is their product."""
+    the diagonal su(1,1) generator; the third slot is their product, and
+    EvaluationError is raised where it overflows (past |z| = sqrt(DBL_MAX))."""
     k3 = mean_k3(label, m)
+    if not math.isfinite(k3 * k3):
+        raise EvaluationError(f"dispersion product mean_k3^2 overflows at mean_k3 = {k3!r}")
     return k3, k3, k3 * k3
 
 

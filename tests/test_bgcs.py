@@ -32,6 +32,7 @@ from landau_bgcs.bgcs import (
 )
 from landau_bgcs.fock import PhysicalParams, SubspaceSpec, ladder_matrix
 from landau_bgcs.measure import build_grid, integrate, measure_density
+from landau_bgcs.quantize import dispersions
 from landau_bgcs.specfun import (
     DomainError,
     EvaluationError,
@@ -431,6 +432,18 @@ def test_scaled_branch_statistics_in_range_keep_their_values():
     assert mandel_q(lab, 171).hex() == "-0x1.8d141f9a8d30bp-5"
 
 
+@pytest.mark.parametrize("rho", [1.4e154, 1e300])
+@pytest.mark.parametrize("m", [0, 3])
+def test_statistics_past_sqrt_dbl_max_raise(rho, m):
+    # |z|^2 I_{m+2}/I_m and mean_k3^2 overflow; the first ratio stays finite
+    lab = _label(rho)
+    for fn in (mean_n_sq, mean_k3_sq, mandel_q, fano, snr, dispersions):
+        with pytest.raises(EvaluationError):
+            fn(lab, m)
+    for fn in (mean_n, mean_k3, g2):
+        assert math.isfinite(fn(lab, m))
+
+
 @pytest.mark.parametrize("m", [0, 1, 5])
 def test_statistics_past_690_vs_mpmath(m):
     # |z| > 345 puts 2|z| past 690, where only the scaled Bessel values stay
@@ -574,6 +587,15 @@ def test_scalar_product_identity_under_quadrature(grid):
 def test_analytic_weight_origin():
     assert analytic_weight(0.0, 4) == 24.0
     assert analytic_weight(1.0, 0) == pytest.approx(1.0 / bessel_i(0, 2.0).real, rel=1e-13)
+
+
+@pytest.mark.parametrize("r", [0.0, 1e-3])
+@pytest.mark.parametrize("m", [171, 177])
+def test_analytic_weight_past_170_factorial_raises(m, r):
+    # the weight is about m! at small r, past DBL_MAX from m = 171
+    assert math.isfinite(analytic_weight(r, 170))
+    with pytest.raises(EvaluationError, match="overflows"):
+        analytic_weight(r, m)
 
 
 # ---------------------------------------------------------------- properties

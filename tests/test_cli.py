@@ -161,12 +161,39 @@ def test_thermal_row_values(capsys):
     (("thermal", "--beta", "1", "--gap", "inf"), "gap_energy"),
     (("wehrl", "--beta", "2", "--area", "inf"), "area"),
     (("stats", "--z=41,0", "--m", "1500"), "normal double range"),
+    (("stats", "--z=1.4e154,0"), "overflows"),
+    (("stats", "--z=1e300,0", "--m", "3"), "overflows"),
 ])
 def test_extremes_exit_two_without_traceback(capsys, argv, message):
     rc, out, err = _run(capsys, *argv)
     assert rc == 2 and out == ""
     assert err.count("\n") == 1 and err.startswith(("error:", "evaluation error:"))
     assert message in err
+
+
+def test_stats_below_sqrt_dbl_max_keeps_its_bytes(capsys):
+    rc, out, _ = _run(capsys, "stats", "--z=1e100,0")
+    assert rc == 0
+    assert out == """{
+  "m": 0,
+  "z": {
+    "re": 1e+100,
+    "im": 0,
+    "rho": 1e+100,
+    "phi": 0
+  },
+  "mean_k3": 1e+100,
+  "mean_n": 1e+100,
+  "mean_n_sq": 9.9999999999999997e+199,
+  "g2": 1,
+  "snr": 2e+100,
+  "dispersion_q_sq": 1e+100,
+  "dispersion_p_sq": 1e+100,
+  "dispersion_product": 9.9999999999999997e+199,
+  "mandel_q": 0,
+  "fano": 1
+}
+"""
 
 
 def test_thermal_at_low_temperature_is_exact(capsys):
