@@ -471,12 +471,9 @@ def analytic_weight(r: float, m: int) -> float:
     """Weight |z|^m / I_m(2|z|) pairing entire representatives under the
     reproducing measure."""
     m = _order(m, "m")
-    if r == 0.0:
-        if m <= 170:
-            return float(math.factorial(m))
-        ln_w = ln_factorial(m)
-    else:
-        ln_w = m * math.log(r) - _ln_bessel_i(m, r)
+    if r == 0.0 and m <= 170:
+        return float(math.factorial(m))
+    ln_w = ln_factorial(m) if r == 0.0 else m * math.log(r) - _ln_bessel_i(m, r)
     try:
         return math.exp(ln_w)
     except OverflowError:

@@ -194,9 +194,10 @@ def dispersions(label, m: int) -> tuple[float, float, float]:
     the diagonal su(1,1) generator; the third slot is their product, and
     EvaluationError is raised where it overflows (past |z| = sqrt(DBL_MAX))."""
     k3 = mean_k3(label, m)
-    if not math.isfinite(k3 * k3):
+    product = k3 * k3
+    if not math.isfinite(product):
         raise EvaluationError(f"dispersion product mean_k3^2 overflows at mean_k3 = {k3!r}")
-    return k3, k3, k3 * k3
+    return k3, k3, product
 
 
 def dispersions_matrix_route(label, m: int) -> tuple[float, float]:
