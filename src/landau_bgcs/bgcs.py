@@ -424,11 +424,12 @@ def snr(label, m: int, use_q_coordinate: bool = True) -> float:
     label = _as_label(label)
     trig = math.cos(label.phi) if use_q_coordinate else math.sin(label.phi)
     try:
-        rho_sq = label.rho ** 2
+        scale = 2.0 * label.rho ** 2
     except OverflowError:
-        raise EvaluationError(
-            f"snr: |z|^2 overflows at |z| = {label.rho!r}") from None
-    return 2.0 * rho_sq * trig * trig / mean_k3(label, m)
+        scale = math.inf
+    if not math.isfinite(scale):
+        raise EvaluationError(f"snr: 2|z|^2 overflows at |z| = {label.rho!r}")
+    return scale * trig * trig / mean_k3(label, m)
 
 
 # ------------------------------------------------------------------ dynamics

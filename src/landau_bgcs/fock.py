@@ -10,13 +10,15 @@ nu = n - m, and the su(1,1) generators act tridiagonally:
     K3 |nu>   = (nu + (m+1)/2) |nu>
 
 so [K+, K-] = -2 K3 and [K3, K+-] = +- K+-.  The individual linear-momentum
-and center-coordinate ladders change m and therefore leave the subspace;
-requesting them yields flagged diagonal/band surrogates that are only
-meaningful inside the products used by the Hamiltonian reconstruction.
+and center-coordinate ladders change m and so leave the subspace; inside it
+only their products survive, and those are diagonal: the Hamiltonian they
+assemble is hamiltonian_matrix.
 
-All matrices are dense complex128 with explicit bandwidth metadata, laid out
-with np.diag from whole index vectors.  lowering_band is the one builder of the
-K- and K-^2 bands; the quantized symbols and their identity checks read it.
+Every operator is an OperatorMatrix built from its diagonals, which derives
+its band from them; a dense matrix (a quadrature, a product) enters through
+OperatorMatrix.from_entries.  lowering_band is the one builder of the K- and
+K-^2 bands; the ladders, the quantized symbols and their identity checks read
+it.
 """
 
 from __future__ import annotations
@@ -28,8 +30,7 @@ import numpy as np
 
 from .specfun import DomainError, _order
 
-_LADDER_KINDS = ("pi_plus", "pi_minus", "x_plus", "x_minus",
-                 "k_plus", "k_minus", "k3", "number")
+_LADDER_KINDS = ("k_plus", "k_minus", "k3", "number")
 
 
 @dataclass(frozen=True)
@@ -92,53 +93,70 @@ class SubspaceSpec:
 
     depth=None requests automatic depth selection where supported (coherent
     state construction); matrix builders require an explicit depth >= 8.
+    Both are stored as the ints specfun._order returns, so SubspaceSpec(2.0)
+    is SubspaceSpec(2); anything else raises DomainError.
     """
 
     m: int
     depth: int | None = None
 
     def __post_init__(self):
-        _order(self.m, "m")
-        if self.depth is not None and (self.depth < 8 or self.depth != int(self.depth)):
-            raise ValueError(f"explicit depth must be an integer >= 8, got {self.depth!r}")
+        object.__setattr__(self, "m", _order(self.m, "m"))
+        if self.depth is not None:
+            depth = _order(self.depth, "depth")
+            if depth < 8:
+                raise DomainError(f"explicit depth must be an integer >= 8, got {self.depth!r}")
+            object.__setattr__(self, "depth", depth)
 
     def require_depth(self) -> int:
         if self.depth is None:
             raise ValueError("this operation needs an explicit truncation depth")
-        return int(self.depth)
+        return self.depth
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class OperatorMatrix:
-    """Dense truncated operator with bandwidth metadata.
+    """Truncated operator built from its diagonals.
 
-    entries is (depth+1) x (depth+1) complex128 and read-only; band is the
-    largest |row - col| carrying a nonzero entry (0 = diagonal); surrogate
-    marks within-subspace stand-ins for operators that genuinely map between
-    different m sectors.
+    OperatorMatrix(dim, {offset: values}, label) lays each diagonal out in a
+    fresh (dim, dim) complex128 array, entries, which is read-only; offset k
+    is the diagonal np.diag(entries, k), so it needs dim - |k| values.  band
+    is derived, never declared: the largest |k| whose diagonal has a nonzero
+    real or imaginary part (NaN counts, -0.0 does not), 0 for a diagonal or
+    zero operator.  A dense matrix enters through from_entries.
     """
 
     entries: np.ndarray
     band: int
-    label: str = ""
-    surrogate: bool = False
+    label: str
 
-    def __post_init__(self):
-        a = np.array(self.entries, dtype=np.complex128, order="C")
+    def __init__(self, dim: int, diagonals: dict, label: str = ""):
+        entries = np.zeros((dim, dim), dtype=np.complex128)
+        flat = entries.reshape(-1)
+        band = 0
+        for k, values in diagonals.items():
+            size = dim - abs(k)
+            d = np.asarray(values, dtype=np.complex128)
+            if size < 1 or d.shape != (size,):
+                raise ValueError(f"diagonal {k} of a dimension-{dim} operator "
+                                 f"needs {max(size, 0)} values, got shape {d.shape}")
+            start = k if k >= 0 else -k * dim
+            flat[start::dim + 1][:size] = d
+            if d.real.any() or d.imag.any():
+                band = max(band, abs(k))
+        entries.flags.writeable = False
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "band", band)
+        object.__setattr__(self, "label", label)
+
+    @classmethod
+    def from_entries(cls, entries, label: str = "") -> OperatorMatrix:
+        """The operator with the given dense square entries, copied."""
+        a = np.asarray(entries, dtype=np.complex128)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"entries must be square, got shape {a.shape}")
         n = a.shape[0]
-        if not 0 <= self.band < n:
-            raise ValueError(f"band {self.band} incompatible with dimension {n}")
-        # every nonzero real or imaginary part (NaN counts, -0.0 does not)
-        # must lie on a diagonal within the band; counted on views of the
-        # stored copy, so no (n, n) mask or temporary is built
-        diagonals = (np.diagonal(a, k) for k in range(-self.band, self.band + 1))
-        inside = sum(np.count_nonzero(d.real) + np.count_nonzero(d.imag) for d in diagonals)
-        if np.count_nonzero(a.view(np.float64)) != inside:
-            raise ValueError("nonzero entries outside the declared band")
-        a.flags.writeable = False
-        object.__setattr__(self, "entries", a)
+        return cls(n, {k: np.diagonal(a, k) for k in range(1 - n, n)}, label)
 
     @property
     def dim(self) -> int:
@@ -146,20 +164,16 @@ class OperatorMatrix:
 
 
 def adjoint(op: OperatorMatrix) -> OperatorMatrix:
-    """Hermitian adjoint, preserving bandwidth metadata."""
-    return OperatorMatrix(op.entries.conj().T, op.band,
-                          label=f"adjoint({op.label})", surrogate=op.surrogate)
+    """Hermitian adjoint."""
+    return OperatorMatrix.from_entries(op.entries.conj().T, label=f"adjoint({op.label})")
 
 
 def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
     """[a, b] = ab - ba on the common truncation."""
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    band = min(a.band + b.band, a.dim - 1)
-    ab = a.entries @ b.entries - b.entries @ a.entries
-    # product truncation can only populate the combined band
-    return OperatorMatrix(ab, band, label=f"[{a.label},{b.label}]",
-                          surrogate=a.surrogate or b.surrogate)
+    return OperatorMatrix.from_entries(a.entries @ b.entries - b.entries @ a.entries,
+                                       label=f"[{a.label},{b.label}]")
 
 
 def lowering_band(m: int, dim: int, step: int = 1, dtype=np.float64) -> np.ndarray:
@@ -180,40 +194,19 @@ def lowering_band(m: int, dim: int, step: int = 1, dtype=np.float64) -> np.ndarr
 
 
 def ladder_matrix(kind: str, spec: SubspaceSpec) -> OperatorMatrix:
-    """Truncated matrix of one ladder generator on the m sector.
-
-    kinds: k_plus, k_minus, k3, number act within the sector and are exact;
-    pi_plus/pi_minus return the diagonal of their within-sector product
-    (the individual factors shift both n and m) and x_plus/x_minus return
-    slot-shift band surrogates (the individual factors shift m), all four
-    flagged surrogate=True.
-    """
+    """Truncated matrix of one su(1,1) generator on the m sector: k_plus,
+    k_minus, k3 or number, each exact within the sector."""
     if kind not in _LADDER_KINDS:
         raise ValueError(f"unknown ladder kind {kind!r}; expected one of {_LADDER_KINDS}")
     n = spec.require_depth() + 1
     m = spec.m
     nu = np.arange(n)
     if kind in ("k_plus", "k_minus"):
-        # complex before np.diag, so no real (n, n) copy is ever made
-        band = lowering_band(m, n).astype(np.complex128)
-        return OperatorMatrix(np.diag(band, 1 if kind == "k_minus" else -1), 1,
+        return OperatorMatrix(n, {1 if kind == "k_minus" else -1: lowering_band(m, n)},
                               label=kind)
     if kind == "k3":
-        return OperatorMatrix(np.diag(nu + 0.5 * (m + 1)), 0, label="k3")
-    if kind == "number":
-        return OperatorMatrix(np.diag(nu), 0, label="number")
-    if kind in ("pi_plus", "pi_minus"):
-        # within-sector surrogate: only the product pi+ pi- = diag(n) survives
-        return OperatorMatrix(np.diag(m + nu), 0, label=f"{kind}(product surrogate)",
-                              surrogate=True)
-    # x_plus is the slot-lowering shadow of the m-raising center ladder,
-    # x_minus the slot-raising shadow of the m-lowering one
-    root = np.sqrt(nu[1:])
-    if kind == "x_plus":
-        return OperatorMatrix(np.diag(root, 1), 1, label="x_plus(surrogate)",
-                              surrogate=True)
-    return OperatorMatrix(np.diag(root, -1), 1, label="x_minus(surrogate)",
-                          surrogate=True)
+        return OperatorMatrix(n, {0: nu + 0.5 * (m + 1)}, label="k3")
+    return OperatorMatrix(n, {0: nu}, label="number")
 
 
 def level_energy(n: int, m: int, params: PhysicalParams) -> float:
@@ -229,29 +222,5 @@ def hamiltonian_matrix(spec: SubspaceSpec, params: PhysicalParams) -> OperatorMa
     """Diagonal truncated Hamiltonian on the m sector (closed-form spectrum)."""
     K = spec.require_depth()
     m = spec.m
-    a = np.zeros((K + 1, K + 1), dtype=np.complex128)
-    for nu in range(K + 1):
-        a[nu, nu] = level_energy(m + nu, m, params)
-    return OperatorMatrix(a, 0, label="hamiltonian")
-
-
-def hamiltonian_from_ladders(spec: SubspaceSpec, params: PhysicalParams) -> OperatorMatrix:
-    """Hamiltonian reassembled from dimensionful ladder products.
-
-    (1/2) [ (pi+ pi- / 2M)(1 + omega_c/Omega)
-            + (M Omega^2 / 2)(1 - omega_c/Omega) X- X+  + hbar Omega ]
-    with pi+ pi- = 2 M Omega hbar diag(n) and X- X+ = 2 l^2 diag(nu) built
-    from the surrogate matrices; must reproduce hamiltonian_matrix exactly.
-    """
-    K = spec.require_depth()
-    om = params.omega
-    hbar, mass = params.hbar, params.mass
-    l2 = params.magnetic_length ** 2
-    pi_product = 2.0 * mass * om * hbar * ladder_matrix("pi_plus", spec).entries
-    x_product = 2.0 * l2 * (ladder_matrix("x_minus", spec).entries
-                            @ ladder_matrix("x_plus", spec).entries)
-    ident = np.eye(K + 1, dtype=np.complex128)
-    h = 0.5 * (pi_product / (2.0 * mass) * (1.0 + params.omega_c / om)
-               + 0.5 * mass * om * om * (1.0 - params.omega_c / om) * x_product
-               + hbar * om * ident)
-    return OperatorMatrix(h, 0, label="hamiltonian(ladder route)")
+    return OperatorMatrix(K + 1, {0: [level_energy(m + nu, m, params) for nu in range(K + 1)]},
+                          label="hamiltonian")

@@ -97,7 +97,7 @@ class SymbolSpec:
 def _energy_diagonal(m: int, dim: int, dtype) -> np.ndarray:
     # diagonal (nu+1)(m+nu+1) of the quantized |z|^2; one rounding per entry
     nu = np.arange(1, dim + 1, dtype=dtype)
-    return np.diag(nu * (nu + m))
+    return nu * (nu + m)
 
 
 def quantize_closed_form(sym: SymbolSpec, spec: SubspaceSpec) -> OperatorMatrix:
@@ -108,33 +108,37 @@ def quantize_closed_form(sym: SymbolSpec, spec: SubspaceSpec) -> OperatorMatrix:
     fock.lowering_band, and the quantized z^2 is its K-^2 band; everything
     else is built from these: conjugate = adjoint, quadratics from the
     natural combinations, and the modulus-squared symbol is exactly diagonal
-    (nu+1)(m+nu+1).
+    (nu+1)(m+nu+1).  Each diagonal takes the complex arithmetic the dense
+    sums of np.diag matrices would, so every bit and signed zero is theirs:
+    q's diagonals are complex b / sqrt2 (a real quotient rounds otherwise),
+    p's lower one is (0 - b)/(i sqrt2), not -b/(i sqrt2).
     """
     if sym.tag == "custom":
         raise ValueError("custom symbols are quantized by quadrature only")
     dim = spec.require_depth() + 1
     m = spec.m
-    az = np.diag(lowering_band(m, dim), 1).astype(np.complex128)
+    b = lowering_band(m, dim)
     if sym.tag == "z":
-        return OperatorMatrix(az, 1, label="quantized z")
+        return OperatorMatrix(dim, {1: b}, label="quantized z")
     if sym.tag == "z_bar":
-        return OperatorMatrix(az.T, 1, label="quantized conj(z)")
+        return OperatorMatrix(dim, {-1: b}, label="quantized conj(z)")
+    bc = b.astype(np.complex128)
     if sym.tag == "q":
-        return OperatorMatrix((az + az.T) / _SQRT2, 1, label="quantized q")
+        return OperatorMatrix(dim, {1: bc / _SQRT2, -1: bc / _SQRT2}, label="quantized q")
     if sym.tag == "p":
-        return OperatorMatrix((az - az.T) / (1j * _SQRT2), 1, label="quantized p")
+        return OperatorMatrix(dim, {1: bc / (1j * _SQRT2), -1: (0.0 - bc) / (1j * _SQRT2)},
+                              label="quantized p")
+    diag = _energy_diagonal(m, dim, np.float64)
     if sym.tag == "abs_z_sq":
-        ent = _energy_diagonal(m, dim, np.float64).astype(np.complex128)
-        return OperatorMatrix(ent, 0, label="quantized |z|^2")
-    a2 = np.diag(lowering_band(m, dim, 2), 2).astype(np.complex128)
+        return OperatorMatrix(dim, {0: diag}, label="quantized |z|^2")
+    b2 = lowering_band(m, dim, 2)
     if sym.tag == "z_sq":
-        return OperatorMatrix(a2, 2, label="quantized z^2")
+        return OperatorMatrix(dim, {2: b2}, label="quantized z^2")
     if sym.tag == "z_bar_sq":
-        return OperatorMatrix(a2.T, 2, label="quantized conj(z)^2")
-    diag = _energy_diagonal(m, dim, np.float64).astype(np.complex128)
+        return OperatorMatrix(dim, {-2: b2}, label="quantized conj(z)^2")
     if sym.tag == "q_sq":
-        return OperatorMatrix(diag + 0.5 * (a2 + a2.T), 2, label="quantized q^2")
-    return OperatorMatrix(diag - 0.5 * (a2 + a2.T), 2, label="quantized p^2")
+        return OperatorMatrix(dim, {0: diag, 2: 0.5 * b2, -2: 0.5 * b2}, label="quantized q^2")
+    return OperatorMatrix(dim, {0: diag, 2: -0.5 * b2, -2: -0.5 * b2}, label="quantized p^2")
 
 
 # --------------------------------------------------------- quadrature route
@@ -165,7 +169,7 @@ def quantize_by_quadrature(sym: SymbolSpec, spec: SubspaceSpec,
 
     amp = _node_amplitudes(m, grid, depth + 1)
     entries = angular_mode_matrix(sym.evaluate(grid.z_nodes), amp, m, grid)
-    return OperatorMatrix(entries, depth, label=f"quadrature({sym.tag})")
+    return OperatorMatrix.from_entries(entries, label=f"quadrature({sym.tag})")
 
 
 # ------------------------------------------------------------- mean values
@@ -183,10 +187,8 @@ def mean_values_on_bgcs(sym: SymbolSpec, label, m: int) -> complex:
     given label, via the matrix route at automatic depth."""
     label = _as_label(label)
     state = bgcs_state(label, SubspaceSpec(m))
-    op = quantize_closed_form(sym, SubspaceSpec(m, depth=max(state.depth, 8)))
-    v = np.zeros(op.dim, dtype=np.complex128)
-    v[:state.amplitudes.size] = state.amplitudes
-    return mean_matrix(op, v)
+    op = quantize_closed_form(sym, SubspaceSpec(m, depth=state.depth))
+    return mean_matrix(op, state.amplitudes)
 
 
 def dispersions(label, m: int) -> tuple[float, float, float]:
@@ -277,7 +279,7 @@ def energy_operator_decomposition_check(m: int, spec: SubspaceSpec) -> Decomposi
     dim = depth + 1
     az = np.diag(lowering_band(m, dim, 1, np.longdouble), 1)
     a2 = np.diag(lowering_band(m, dim, 2, np.longdouble), 2)
-    diag = _energy_diagonal(m, dim, np.longdouble)
+    diag = np.diag(_energy_diagonal(m, dim, np.longdouble))
     azb = az.T
     comm_half = (az @ azb - azb @ az) / np.longdouble(2)
 
@@ -357,7 +359,7 @@ def energy_commutators(m: int, spec: SubspaceSpec) -> CommutatorReport:
     band2 = lowering_band(m, dim, 2, ld)
     az = np.diag(band, 1)
     a2 = np.diag(band2, 2)
-    diag = _energy_diagonal(m, dim, ld)
+    diag = np.diag(_energy_diagonal(m, dim, ld))
 
     # closed forms: the bands times their row factors, -(2 nu + m + 3) on the
     # superdiagonal, (2 nu + m + 1) on the subdiagonal (row nu + 1, so the

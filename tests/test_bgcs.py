@@ -1,6 +1,7 @@
 """Coherent states: amplitudes, kernel, statistics, dynamics, entire functions."""
 
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -432,12 +433,14 @@ def test_scaled_branch_statistics_in_range_keep_their_values():
     assert mandel_q(lab, 171).hex() == "-0x1.8d141f9a8d30bp-5"
 
 
-@pytest.mark.parametrize("rho", [1.4e154, 1e300])
+@pytest.mark.parametrize("rho", [1.3e154, 1.4e154, 1e300])
 @pytest.mark.parametrize("m", [0, 3])
 def test_statistics_past_sqrt_dbl_max_raise(rho, m):
-    # |z|^2 I_{m+2}/I_m and mean_k3^2 overflow; the first ratio stays finite
+    # past sqrt(DBL_MAX) |z|^2 I_{m+2}/I_m and mean_k3^2 overflow; snr's
+    # 2|z|^2 overflows already from sqrt(DBL_MAX/2); the first ratio stays finite
     lab = _label(rho)
-    for fn in (mean_n_sq, mean_k3_sq, mandel_q, fano, snr, dispersions):
+    overflows = (mean_n_sq, mean_k3_sq, mandel_q, fano, dispersions) if math.isinf(rho * rho) else ()
+    for fn in overflows + (snr, functools.partial(snr, use_q_coordinate=False)):
         with pytest.raises(EvaluationError):
             fn(lab, m)
     for fn in (mean_n, mean_k3, g2):

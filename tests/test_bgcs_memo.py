@@ -144,7 +144,7 @@ def test_argument_types_are_part_of_the_state_key():
     z = CoherentLabel(0.0, 0.0)
     assert type(bgcs_state(z, SubspaceSpec(2), tail_tol=1).tail_tol) is int
     assert type(bgcs_state(z, SubspaceSpec(2), tail_tol=1.0).tail_tol) is float
-    assert type(bgcs_state(z, SubspaceSpec(2.0)).m) is float
+    assert type(bgcs_state(z, SubspaceSpec(2.0)).m) is int
     assert type(bgcs_state(z, SubspaceSpec(2)).m) is int
 
 

@@ -161,6 +161,7 @@ def test_thermal_row_values(capsys):
     (("thermal", "--beta", "1", "--gap", "inf"), "gap_energy"),
     (("wehrl", "--beta", "2", "--area", "inf"), "area"),
     (("stats", "--z=41,0", "--m", "1500"), "normal double range"),
+    (("stats", "--z=1.3e154,0"), "overflows"),
     (("stats", "--z=1.4e154,0"), "overflows"),
     (("stats", "--z=1e300,0", "--m", "3"), "overflows"),
 ])

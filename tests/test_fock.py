@@ -1,18 +1,20 @@
-"""Ladder matrices: algebra relations, adjoints, spectrum, reconstruction."""
+"""Ladder matrices: algebra relations, adjoints, spectrum, reconstruction,
+and the diagonal-built OperatorMatrix."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from landau_bgcs.bgcs import bgcs_state
 from landau_bgcs.fock import (
     OperatorMatrix,
     PhysicalParams,
     SubspaceSpec,
     adjoint,
     commutator,
-    hamiltonian_from_ladders,
     hamiltonian_matrix,
     ladder_matrix,
     level_energy,
@@ -32,7 +34,7 @@ def test_raising_entries(m):
     kp = ladder_matrix("k_plus", _spec(m))
     for nu in range(1, kp.dim):
         assert kp.entries[nu, nu - 1] == math.sqrt(nu * (nu + m))
-    assert kp.band == 1 and not kp.surrogate
+    assert kp.band == 1
 
 
 @pytest.mark.parametrize("m", [0, 3, 10 ** 7])
@@ -60,9 +62,6 @@ def test_adjoint_pairs_exact():
         kp = ladder_matrix("k_plus", _spec(m))
         km = ladder_matrix("k_minus", _spec(m))
         assert np.array_equal(adjoint(kp).entries, km.entries)
-        xp = ladder_matrix("x_plus", _spec(m))
-        xm = ladder_matrix("x_minus", _spec(m))
-        assert np.array_equal(adjoint(xp).entries, xm.entries)
 
 
 def test_lowering_annihilates_bottom():
@@ -111,30 +110,19 @@ def test_raising_lowering_products():
     km = ladder_matrix("k_minus", sp).entries
     nu = np.arange(sp.depth + 1)
     assert np.allclose(np.diag(kp @ km).real, nu * (nu + m), atol=1e-12)
-    xm = ladder_matrix("x_minus", sp).entries
-    xp = ladder_matrix("x_plus", sp).entries
-    assert np.allclose(np.diag(xm @ xp).real, nu, atol=0)
-
-
-# ---------------------------------------------------------------- surrogates
-
-def test_surrogate_flags():
-    sp = _spec(2)
-    for kind in ("pi_plus", "pi_minus", "x_plus", "x_minus"):
-        assert ladder_matrix(kind, sp).surrogate
-    for kind in ("k_plus", "k_minus", "k3", "number"):
-        assert not ladder_matrix(kind, sp).surrogate
-
-
-def test_pi_surrogate_is_total_level_diagonal():
-    sp = _spec(5)
-    pp = ladder_matrix("pi_plus", sp)
-    assert np.array_equal(np.diag(pp.entries).real, 5 + np.arange(sp.depth + 1))
 
 
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError):
         ladder_matrix("a_plus", _spec(0))
+
+
+def test_retired_surrogate_kinds_rejected():
+    # the m-changing ladders have no matrix on one sector; their products
+    # are diagonal and assemble hamiltonian_matrix
+    for kind in ("pi_plus", "pi_minus", "x_plus", "x_minus"):
+        with pytest.raises(ValueError, match="unknown ladder kind"):
+            ladder_matrix(kind, _spec(0))
 
 
 # ---------------------------------------------------------------- matrices API
@@ -150,13 +138,16 @@ def _full_band(dim, band):
 @pytest.mark.parametrize("offset", ["band+1", "dim-1"])
 @pytest.mark.parametrize("band", [0, 1, 2])
 def test_operator_matrix_band_enforced(band, offset, triangle, value):
+    # the band is derived from the entries: one nonzero real or imaginary
+    # part (NaN counts) on diagonal k widens it to k
     dim = 6
     k = band + 1 if offset == "band+1" else dim - 1
-    bad = _full_band(dim, band)
-    OperatorMatrix(bad, band=band)
-    bad[(0, k) if triangle == "upper" else (k, 0)] = value
-    with pytest.raises(ValueError, match="nonzero entries outside the declared band"):
-        OperatorMatrix(bad, band=band)
+    entries = _full_band(dim, band)
+    assert OperatorMatrix.from_entries(entries).band == band
+    entries[(0, k) if triangle == "upper" else (k, 0)] = value
+    op = OperatorMatrix.from_entries(entries)
+    assert op.band == k
+    assert np.array_equal(op.entries, entries, equal_nan=True)
 
 
 @pytest.mark.parametrize("band", [0, 5])
@@ -164,10 +155,51 @@ def test_operator_matrix_band_accepts_signed_zero_and_full_band(band):
     # -0.0 outside the band is zero; at band dim - 1 nothing is outside
     entries = _full_band(6, band)
     entries[entries == 0.0] = complex(-0.0, -0.0)
-    op = OperatorMatrix(entries, band=band)
+    op = OperatorMatrix.from_entries(entries)
+    assert op.band == band
     assert np.array_equal(op.entries, entries)
+    assert np.array_equal(np.signbit(op.entries.view(np.float64)),
+                          np.signbit(entries.view(np.float64)))
     entries[0, 0] = 7.0
     assert op.entries[0, 0] == 1.0 + 1.0j
+
+
+def test_operator_matrix_from_diagonals():
+    # each offset lands on np.diag(entries, offset); no input array is shared
+    upper, lower = np.array([1.0, 2.0, 3.0]), np.array([4j, 5j])
+    op = OperatorMatrix(4, {1: upper, -2: lower, 0: np.zeros(4)}, "t")
+    want = np.diag(upper, 1).astype(complex) + np.diag(lower, -2)
+    assert np.array_equal(op.entries, want) and op.band == 2 and op.label == "t"
+    upper[0] = 9.0
+    assert op.entries[0, 1] == 1.0
+
+
+@pytest.mark.parametrize("offset,values", [
+    (1, np.ones(6)), (1, np.ones(4)), (-2, np.ones(5)), (0, np.ones((2, 3))),
+    (6, np.ones(0)), (-7, np.ones(1)), (0, 1.0),
+])
+def test_operator_matrix_rejects_diagonal_of_wrong_length(offset, values):
+    with pytest.raises(ValueError, match="needs"):
+        OperatorMatrix(6, {offset: values})
+
+
+def test_operator_matrix_from_entries_needs_a_square():
+    with pytest.raises(ValueError, match="square"):
+        OperatorMatrix.from_entries(np.ones((3, 4)))
+
+
+def test_ladder_builds_one_dense_array():
+    # a band ladder allocates its entries and nothing else of their size;
+    # one warm call first, so first-call allocations are not counted
+    ladder_matrix("k_minus", SubspaceSpec(3, depth=20))
+    tracemalloc.start()
+    try:
+        op = ladder_matrix("k_minus", SubspaceSpec(3, depth=344))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert op.entries.nbytes == 345 ** 2 * 16
+    assert peak <= 1.25 * op.entries.nbytes
 
 
 def test_operator_matrix_read_only():
@@ -226,10 +258,21 @@ def test_subspace_validation():
         SubspaceSpec(m=True)
     with pytest.raises(DomainError):
         SubspaceSpec(m=np.True_)
-    with pytest.raises(ValueError):
-        SubspaceSpec(m=0, depth=4)
+    for depth in (4, 8.5, math.inf, math.nan, True, "9"):
+        with pytest.raises(DomainError):
+            SubspaceSpec(m=0, depth=depth)
     with pytest.raises(ValueError):
         SubspaceSpec(m=0).require_depth()
+
+
+def test_subspace_stores_int_orders():
+    # an integral float is stored as the int it equals, so it can index the
+    # ln k! table
+    spec = SubspaceSpec(2.0, depth=9.0)
+    assert (type(spec.m), type(spec.depth)) == (int, int)
+    assert spec == SubspaceSpec(2, depth=9)
+    assert bgcs_state(1.0, SubspaceSpec(2.0)).m == 2
+    assert bgcs_state(1.0, SubspaceSpec(0, depth=9.0)).depth == 9
 
 
 # ---------------------------------------------------------------- Hamiltonian
@@ -251,10 +294,20 @@ def test_level_energy_domain():
 
 @pytest.mark.parametrize("m", [0, 2, 6])
 def test_hamiltonian_reconstruction(m):
+    # (1/2) [ (pi+ pi- / 2M)(1 + omega_c/Omega)
+    #         + (M Omega^2 / 2)(1 - omega_c/Omega) X- X+  + hbar Omega ]
+    # with the within-sector products pi+ pi- = 2 M Omega hbar n and
+    # X- X+ = 2 l^2 nu, both diagonal in the number operator nu
     p = PhysicalParams(omega0=0.7, omega_c=1.3, hbar=0.9, mass=1.7)
     sp = _spec(m, depth=32)
+    nu = ladder_matrix("number", sp).entries
+    om, hbar, mass = p.omega, p.hbar, p.mass
+    pi_product = 2.0 * mass * om * hbar * (nu + m * np.eye(sp.depth + 1))
+    x_product = 2.0 * p.magnetic_length ** 2 * nu
+    rebuilt = 0.5 * (pi_product / (2.0 * mass) * (1.0 + p.omega_c / om)
+                     + 0.5 * mass * om * om * (1.0 - p.omega_c / om) * x_product
+                     + hbar * om * np.eye(sp.depth + 1))
     closed = hamiltonian_matrix(sp, p).entries
-    rebuilt = hamiltonian_from_ladders(sp, p).entries
     scale = np.max(np.abs(np.diag(closed)))
     assert np.max(np.abs(closed - rebuilt)) < 1e-13 * scale
 

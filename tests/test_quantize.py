@@ -257,8 +257,8 @@ def test_mean_energy_symbol_and_orderings():
     az = quantize_closed_form(SymbolSpec("z"), sp)
     azb = quantize_closed_form(SymbolSpec("z_bar"), sp)
     from landau_bgcs.fock import OperatorMatrix
-    anti = OperatorMatrix(az.entries @ azb.entries, 2)
-    normal = OperatorMatrix(azb.entries @ az.entries, 2)
+    anti = OperatorMatrix.from_entries(az.entries @ azb.entries)
+    normal = OperatorMatrix.from_entries(azb.entries @ az.entries)
     v = state.amplitudes
     assert mean_matrix(normal, v).real == pytest.approx(lab.rho ** 2, rel=1e-8)
     diff = mean_matrix(anti, v).real - mean_matrix(normal, v).real
