@@ -70,7 +70,7 @@ _MEMO_SIZE = 64
 @functools.lru_cache(maxsize=_MEMO_SIZE)
 def _reduced(k: int, u: float) -> float:
     # R_k(u) at real u >= 0
-    return bessel_i_reduced(k, u).real
+    return bessel_i_reduced(k, u)
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)

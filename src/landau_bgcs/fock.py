@@ -181,12 +181,16 @@ def lowering_band(m: int, dim: int, step: int = 1, dtype=np.float64) -> np.ndarr
     nu = 0 .. dim-step-1, of the step-th power of the lowering generator on a
     dim-state truncation of sector m.
 
-    The integer product is formed exactly and rounded once into the real
-    dtype before a single square root, so float64 and np.longdouble callers
-    each get correctly rounded entries.  np.diag(band, step) places it as
-    K-^step and np.diag(band, -step) as K+^step.
+    The integer product is formed exactly, in int64 while the largest one
+    (at nu = dim-step-1) stays below 2^63 and in Python ints beyond, and
+    rounded once into the real dtype before a single square root, so
+    float64 and np.longdouble callers each get correctly rounded entries.
+    np.diag(band, step) places it as K-^step and np.diag(band, -step) as
+    K+^step.
     """
-    nu = np.arange(dim - step, dtype=object)
+    top = dim - step - 1
+    largest = math.prod((top + j) * (m + top + j) for j in range(1, step + 1))
+    nu = np.arange(dim - step, dtype=np.int64 if largest < 2 ** 63 else object)
     prod = 1
     for j in range(1, step + 1):
         prod = prod * (nu + j) * (m + nu + j)

@@ -1,7 +1,7 @@
 """Self-contained special-function kernels used everywhere else in the package.
 
 Everything here is double-precision arithmetic built from ascending series,
-fixed polynomials, a trapezoid rule, upward recurrences and asymptotic
+fixed polynomials, a trapezoid rule, three-term recurrences and asymptotic
 expansions:
 
 * modified Bessel functions of integer order: ``I_m(w)`` for real or complex
@@ -22,15 +22,16 @@ The real-argument Bessel kernels, scalar and array alike, take their branch
 from (m, x) alone, and each branch is one fixed table read by one body that
 runs on a float or on a numpy array: the Hankel large-argument expansions
 from x0(m) = max(20, 0.4 m^2); below it, I_m from one 40-term polynomial at
-x < 20 and from the ascending series summed outward from its peak on
-[20, x0(m)) (m >= 8 only), and K_m from K_0/K_1 (four fixed 16-term
+x < 20 and on [20, x0(m)) (m >= 8 only) from the ratios I_k / I_{k-1} of
+the backward recurrence, started at a fixed order of about 4.1 m, times
+the Hankel I_0; and K_m from K_0/K_1 (four fixed 16-term
 polynomials at x <= 2, a 27-node trapezoid rule above) raised to order m by
 the stable upward recurrence; the reflection formula with a ``sin(m pi)``
 denominator is useless at integer order.  A scalar call costs 2-4
-microseconds on every branch but the peak sum, an array loop that a scalar
-kernel reads through a one-element array at 50-120 microseconds a call for
-x <= 690.  The series that stay scalar (the reduced series, 2F1 and the
-moment sums) use compensated (Kahan) accumulation.
+microseconds on every branch but the I recurrence, whose O(m) loop takes
+10-40 microseconds for m <= 50.  The series that stay scalar (the reduced
+series, 2F1 and the moment sums) and the logs of the I ratios use
+compensated (Kahan) accumulation.
 """
 
 from __future__ import annotations
@@ -163,12 +164,11 @@ def _i_poly(m: int, x: float) -> float:
 def bessel_i_scaled(m: int, x: float) -> float:
     """Exponentially scaled modified Bessel function e^{-x} I_m(x), x real >= 0.
 
-    It takes the branch that ln_bessel_i takes at (m, x): the fixed
-    polynomial times e^{-x} at x < 20, the Hankel sum from x0(m), and on
-    [20, x0(m)) (m >= 8 only) the exp of the peak-outward sum, read through
-    a one-element array at 50-120 microseconds a call for x <= 690, against
-    2-4 on the other branches.  No intermediate quantity leaves double range
-    up to x = DBL_MAX.
+    It takes the branch that ln_bessel_i takes at (m, x), on its float: the
+    fixed polynomial times e^{-x} at x < 20, the Hankel sum from x0(m), and
+    on [20, x0(m)) (m >= 8 only) the exp of the ratio recurrence's log, an
+    O(m) loop against 2-4 microseconds on the other branches.  No
+    intermediate quantity leaves double range up to x = DBL_MAX.
     """
     m = _order(m)
     x = float(x)
@@ -178,7 +178,7 @@ def bessel_i_scaled(m: int, x: float) -> float:
         return _i_poly(m, x) * math.exp(-x)
     if x >= _hankel_switch(m):
         return _hankel_sum(m, x, -1.0) / (_SQRT_2PI * math.sqrt(x))
-    return math.exp(_ln_i_series_scaled(m, np.array([x]))[0])
+    return math.exp(_ln_i_recurrence_scaled(m, x))
 
 
 def bessel_i(m: int, w):
@@ -216,20 +216,20 @@ def bessel_i_reduced(m: int, w):
 
     Satisfies I_m(2 sqrt(w)) = w^{m/2} R_m(w) on any branch, which makes it
     the single-valued series used by overlap kernels.  Accepts real or complex
-    scalar w (ndarray support lives in the quadrature layer).
+    scalar w and keeps its arithmetic: a real w is summed in floats and
+    gives a float, a complex w in complex (ndarray support lives in the
+    quadrature layer).
     """
     m = _order(m)
-    wc = complex(w)
-    term = complex(math.exp(-ln_factorial(m)))
-    s = 0.0 + 0.0j
-    comp = 0.0 + 0.0j
-    aw = abs(wc)
+    s = comp = 0j if isinstance(w, complex) else 0.0
+    term = s + math.exp(-ln_factorial(m))
+    aw = abs(w)
     for nu in range(_MAX_TERMS):
         y = term - comp
         t = s + y
         comp = (t - s) - y
         s = t
-        term *= wc / ((nu + 1.0) * (nu + 1.0 + m))
+        term *= w / ((nu + 1.0) * (nu + 1.0 + m))
         if abs(term) <= _REL_TOL * (abs(s) + 1e-300) \
                 and (nu + 1.0) * (nu + 1.0 + m) > aw:
             break
@@ -237,9 +237,7 @@ def bessel_i_reduced(m: int, w):
         raise EvaluationError(
             f"reduced I series (m={m}, |w|={aw:.3g}) did not converge "
             f"in {_MAX_TERMS} terms", partial=s, terms=_MAX_TERMS)
-    if isinstance(w, complex):
-        return s
-    return s.real
+    return s
 
 
 # ---------------------------------------------------------------------------
@@ -300,13 +298,12 @@ def bessel_k_scaled(m: int, x: float) -> float:
 # round alike, up to the last bit of a log (math.log against numpy's).
 # Each element takes its branch from (m, x) alone: the Hankel
 # expansion at x >= _hankel_switch(m); below it, for ln I_m one fixed
-# polynomial at x < 20 and the peak-outward sweep on [20, x0(m)) (m >= 8
-# only), for ln K_m four fixed polynomials at x <= 2 and a fixed trapezoid
-# rule above.  Only the sweep has a convergence test, and it is taken per
-# element.  So the value of an element never depends on the array it is in.
+# polynomial at x < 20 and the backward ratio recurrence on [20, x0(m))
+# (m >= 8 only), for ln K_m four fixed polynomials at x <= 2 and a fixed
+# trapezoid rule above, raised by the upward ratio recurrence.  No rule has
+# a convergence test: every loop bound is fixed by m.  So the value of an
+# element never depends on the array it is in.
 
-_ARRAY_REL_TOL = 1e-17
-_ARRAY_MAX_TERMS = 100_000
 _LN_SQRT_HALF_PI = 0.2257913526447274323630976149474410
 _SQRT_2PI = 2.506628274631000502415765284811045
 _SQRT_HALF_PI = 1.253314137315500251207882642405523
@@ -328,8 +325,9 @@ def _hankel_switch(m: int) -> float:
     by e^{m^2 / x} (at 18 it reaches 9e-16 in the log for m = 6), and so
     does the smallest of the 40 terms.  The 0.4 m^2 bounds the first term
     ratio m^2 / (2x) by 1.25, so the alternating I sum cancels by at most
-    about e^{2.5}.  Pinned against mpmath on both sides of the switch in
-    tests/test_specfun.py."""
+    about e^{2.5}.  Below x0(m) the backward I recurrence starts at an order
+    fixed by x0(m) (_ln_i_recurrence_scaled).  Pinned against mpmath on
+    both sides of the switch in tests/test_specfun.py."""
     return max(_HANKEL_FLOOR, 0.4 * m * m)
 
 
@@ -421,78 +419,17 @@ def _positive_array(x, name: str) -> np.ndarray:
     return x
 
 
-def _i_sweep_step(term, acc, cc, hh, nu, m, upward):
-    # one term of the peak-outward I_m sum, on a float or elementwise on an
-    # array: the next term relative to the peak, the compensated sum, its
-    # compensation, the index, and whether the sum goes on
-    if upward:
-        nu = nu + 1.0
-        term = term * (hh / (nu * (nu + m)))
-    else:
-        term = term * (nu * (nu + m) / hh)
-        nu = nu - 1.0
-    y = term - cc
-    t = acc + y
-    cc = (t - acc) - y
-    return term, t, cc, nu, (term > _ARRAY_REL_TOL * t) & (nu > 0.0)
-
-
-def _i_sweep(s, comp, tau0, live, peak, h2, m, upward):
-    """Add the terms of the I_m series above (upward) or below the peak,
-    relative to the peak term, into the compensated sums s[live] (in place)
-    until each element's last term is below _ARRAY_REL_TOL of its sum or is
-    the nu = 0 term; a lane that ends on the nu = 0 term stores that term,
-    t_0 / t_peak, in tau0.  A lone lane, from the start or once the others
-    have finished, goes on in floats by the same step, so to the same bits
-    at a fraction of the cost of one-element ufuncs."""
-    if live.size == 0:
-        return
-    term = np.ones(live.size)
-    acc, cc, hh, nu = s[live], comp[live], h2[live], peak[live]
-    active = np.ones(live.size, dtype=bool)
-    steps = 0
-    while live.size > 1 and steps < _ARRAY_MAX_TERMS:
-        steps += 1
-        term, acc, cc, nu, going = _i_sweep_step(term, acc, cc, hh, nu, m, upward)
-        done = active & ~going
-        if done.any():
-            s[live[done]] = acc[done]
-            comp[live[done]] = cc[done]
-            zero = done & (nu == 0.0)
-            tau0[live[zero]] = term[zero]
-            active &= ~done
-            n_active = np.count_nonzero(active)
-            if n_active == 0:
-                return
-            # finished lanes keep running, unread, until half have finished
-            if 2 * n_active <= live.size:
-                live, term, acc, cc, hh, nu, active = (
-                    v[active] for v in (live, term, acc, cc, hh, nu, active))
-    if live.size == 1:
-        lane = live[0]
-        term, acc, cc, hh, nu = (float(v[0]) for v in (term, acc, cc, hh, nu))
-        while steps < _ARRAY_MAX_TERMS:
-            steps += 1
-            term, acc, cc, nu, going = _i_sweep_step(term, acc, cc, hh, nu, m, upward)
-            if not going:
-                s[lane], comp[lane] = acc, cc
-                if nu == 0.0:
-                    tau0[lane] = term
-                return
-    raise EvaluationError(
-        f"I_{m} series did not converge in {_ARRAY_MAX_TERMS} terms")
-
-
 def _ln_bessel_i_scaled(m: int, x: np.ndarray) -> np.ndarray:
     """ln(e^{-x} I_m(x)) elementwise over a flat array of x > 0, to a few
     ulps of max(1, |result|): the Hankel expansion at x >= x0(m), the fixed
-    polynomial at x < 20, and the sweep between (m >= 8 only)."""
+    polynomial at x < 20, and the backward ratio recurrence between (m >= 8
+    only), within 5e-16 there."""
     return _with_hankel(m, x, -1.0, _ln_i_below_switch)
 
 
 def _ln_i_below_switch(m: int, x: np.ndarray) -> np.ndarray:
     return _split(x < _HANKEL_FLOOR, x, lambda v: _ln_i_poly_scaled(m, v),
-                  lambda v: _ln_i_series_scaled(m, v))
+                  lambda v: _ln_i_recurrence_scaled(m, v))
 
 
 # terms of the I_m polynomial; at x = 20 the first one left out is 3.4e-24
@@ -527,53 +464,39 @@ def _ln_i_poly_scaled(m: int, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _ln_i_series_scaled(m: int, x: np.ndarray) -> np.ndarray:
-    """ln(e^{-x} I_m(x)) from the ascending series, on 20 <= x < x0(m).
+def _ln_i_recurrence_scaled(m: int, x):
+    """ln(e^{-x} I_m(x)) on 20 <= x < x0(m), on a float or elementwise on an
+    array, from the three-term recurrence I_{k-1} - I_{k+1} = (2k/x) I_k
+    (DLMF 10.29.1) run downward on the ratios r_k = I_k / I_{k-1} (Miller's
+    algorithm; Gautschi, SIAM Rev. 9, 24 (1967)):
 
-    The series terms t_nu = (x/2)^(2 nu + m) / (nu! (nu+m)!) are summed
-    outward from t_peak, one below the largest, relative to t_peak.  The
-    scale ln t_peak - x is formed without cancelling large logs: from the
-    nu = 0 term h^m / m! and the ratio t_0 / t_peak the downward sweep ends
-    on when it reaches nu = 0 (always so for peak <= 15), and otherwise from
-    Stirling's series in differences that stay O(m + ln x).
-    """
-    h = 0.5 * x
-    h2 = h * h
-    # the term ratio h^2 / ((nu+1)(nu+m+1)) crosses 1 between peak and peak+1
-    peak = np.floor(np.maximum(0.0, 0.5 * (np.hypot(m, x) - m - 2.0)))
-    s = np.ones_like(x)
-    comp = np.zeros_like(x)
-    tau0 = np.where(peak == 0.0, 1.0, 0.0)
-    everyone = np.arange(x.size)
-    _i_sweep(s, comp, tau0, everyone, peak, h2, m, upward=True)
-    _i_sweep(s, comp, tau0, everyone[peak > 0.0], peak, h2, m, upward=False)
-    out = np.empty_like(x)
-    near = tau0 > 0.0
-    # e^{-x} enters before the log, so x itself never joins the sum; past
-    # x = 700, where e^{-x} would leave double range, only the excess does
-    x_near = x[near]
-    x_in = np.minimum(x_near, 700.0)
-    out[near] = m * np.log(h[near]) - ln_factorial(m) \
-        + np.log(s[near] / tau0[near] * np.exp(-x_in)) - (x_near - x_in)
-    far = ~near
-    nu, h_far = peak[far], h[far]
-    num = nu + m
-    out[far] = nu * np.log1p((h_far - nu) / nu) \
-        + num * np.log1p((h_far - num) / num) \
-        + ((2.0 * nu + m) - x[far]) - 0.5 * np.log(nu * num) \
-        - 2.0 * _LN_SQRT_2PI - _stirling_tail(nu) - _stirling_tail(num) \
-        + np.log(s[far])
-    return out
+        r_k = x / (2k + x r_{k+1}),   ln I_m = ln I_0 + sum_{k<=m} ln r_k,
+
+    started from r = 0 at the fixed order N = ceil(sqrt(m^2 + 40 x0(m))).
+    (N^2 - m^2) / (2x) >= 20 holds on the whole branch, so the start error
+    reaches r_m damped to about e^{-40}.  The logs are summed with
+    compensation (Kahan), then ln(e^{-x} I_0(x)) from the Hankel sum, which
+    serves order 0 from x = 20; each element costs about 4.1 m steps."""
+    log = np.log if isinstance(x, np.ndarray) else math.log
+    r = s = comp = 0.0
+    for k in range(math.ceil(math.sqrt(m * m + 40.0 * _hankel_switch(m))), 0, -1):
+        r = x / (2.0 * k + x * r)
+        if k <= m:
+            y = log(r) - comp
+            t = s + y
+            comp = (t - s) - y
+            s = t
+    return s + (_ln_hankel_scaled(0, x, -1.0) - comp)
 
 
 def ln_bessel_i(m: int, x) -> np.ndarray:
     """ln I_m(x) elementwise over an array of x > 0.
 
     From x0(m) = max(20, 0.4 m^2) the Hankel expansion; below it one fixed
-    40-term polynomial at x < 20 and, on [20, x0(m)) (m >= 8), the
-    ascending series summed in log space outward from its peak term, so
-    nothing overflows or underflows at any x or m.  Each element takes its
-    branch from (m, x) alone.  Absolute error is a few ulps of
+    40-term polynomial at x < 20 and, on [20, x0(m)) (m >= 8), the logs of
+    the ratios I_k / I_{k-1} from the backward recurrence added to the
+    Hankel ln I_0, so nothing overflows or underflows at any x or m.  Each
+    element takes its branch from (m, x) alone.  Absolute error is a few ulps of
     max(1, |ln I_m(x)|).
     """
     m = _order(m)

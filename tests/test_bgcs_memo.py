@@ -13,7 +13,7 @@ from landau_bgcs.fock import SubspaceSpec
 from landau_bgcs.specfun import EvaluationError
 
 # the log grid crosses the ratio switch at rho = 40 and, for m = 19 and 50,
-# reaches the peak sum (2|z| in [20, 0.4 m^2)) past it
+# reaches the ratio recurrence (2|z| in [20, 0.4 m^2)) past it
 _ORDERS = (0, 1, 8, 19, 50)
 _RHOS = tuple(np.geomspace(1e-3, 60.0, 12).tolist()) + (40.0, 41.9)
 _MEMOS = (bgcs._reduced, bgcs._scaled, bgcs._state)

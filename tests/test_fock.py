@@ -37,11 +37,12 @@ def test_raising_entries(m):
     assert kp.band == 1
 
 
-@pytest.mark.parametrize("m", [0, 3, 10 ** 7])
+@pytest.mark.parametrize("m", [0, 3, 10 ** 7, 10 ** 9])
 @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
 def test_lowering_band_matches_entry_by_entry_route(m, dtype):
     # reference: each entry's exact integer product converted on its own,
-    # then rooted; at m = 1e7 the K-^2 products pass 2^53 and are rounded
+    # then rooted; at m = 1e7 the K-^2 products pass 2^53 and are rounded,
+    # and at m = 1e9 they pass 2^63, so they are formed in Python ints
     for step in (1, 2):
         band = lowering_band(m, 30, step, dtype)
         assert band.dtype == dtype and band.size == 30 - step

@@ -63,7 +63,7 @@ def test_bessel_i_200_term_compensated_partial_sum():
 def test_wronskian_identity_log_grid():
     # e^{-x} I_m e^x K_{m+1} + e^{-x} I_{m+1} e^x K_m = 1/x on a log grid up
     # to 2 x0(m), so every branch of the scalar kernels takes part: the I
-    # polynomial, peak sum (m >= 8) and Hankel sum, the K polynomials,
+    # polynomial, ratio recurrence (m >= 8) and Hankel sum, the K polynomials,
     # trapezoid rule and Hankel sum
     for m in (*range(9), 12, 20, 30, 41, 60):
         for x in np.geomspace(1e-2, 2.0 * sf._hankel_switch(m), 24).tolist():
@@ -128,6 +128,19 @@ def test_reduced_series_matches_bessel_i():
     direct = sf.bessel_i(2, w)
     via_reduced = (w / 2.0) ** 2 * sf.bessel_i_reduced(2, w * w / 4.0)
     assert abs(direct - via_reduced) <= 1e-14 * abs(direct)
+
+
+def test_reduced_series_keeps_real_arithmetic():
+    # a real w is summed in floats: a float with the bits of the real part
+    # of the complex sum, on both sides of 0, where exp(-ln m!) goes
+    # subnormal (m = 171) and where it is 0 (m = 178)
+    ws = np.logspace(-300.0, 3.2, 60).tolist()
+    for m in (*range(60), 100, 169, 170, 171, 177, 178, 200):
+        for w in (0.0, *ws, *(-v for v in ws)):
+            got = sf.bessel_i_reduced(m, w)
+            assert type(got) is float
+            assert got.hex() == sf.bessel_i_reduced(m, complex(w)).real.hex(), (m, w)
+    assert sf.bessel_i_reduced(200, 5.0) == 0.0
 
 
 def test_negative_real_axis_parity():
@@ -387,9 +400,9 @@ def test_i_polynomial_truncation(m):
 
 
 @pytest.mark.parametrize("m", [12, 30])
-def test_i_polynomial_sweep_boundary_vs_mpmath(m):
-    # for m >= 8 the polynomial hands over to the peak-outward sweep at
-    # x = 20, below x0(m); both sides stay within 2e-15 of max(1, |ln|),
+def test_i_polynomial_recurrence_boundary_vs_mpmath(m):
+    # for m >= 8 the polynomial hands over to the backward ratio recurrence
+    # at x = 20, below x0(m); both sides stay within 2e-15 of max(1, |ln|),
     # about m/2 ulps of ln(x/2) that the prefix m ln(x/2) - ln m! carries
     mpmath = pytest.importorskip("mpmath")
     x = np.array([19.0, 20.0 * (1.0 - 1e-12), 20.0, 20.0 * (1.0 + 1e-12), 21.0])
@@ -397,9 +410,35 @@ def test_i_polynomial_sweep_boundary_vs_mpmath(m):
         want = np.array([float(mpmath.log(mpmath.besseli(m, v) * mpmath.exp(-v)))
                          for v in map(mpmath.mpf, x)])
     assert _ln_err(sf._ln_bessel_i_scaled(m, x), want).max() <= 2e-15
-    poly, sweep = x[x < 20.0], x[x >= 20.0]
+    poly, rec = x[x < 20.0], x[x >= 20.0]
     assert np.array_equal(sf._ln_bessel_i_scaled(m, poly), sf._ln_i_poly_scaled(m, poly))
-    assert np.array_equal(sf._ln_bessel_i_scaled(m, sweep), sf._ln_i_series_scaled(m, sweep))
+    assert np.array_equal(sf._ln_bessel_i_scaled(m, rec), sf._ln_i_recurrence_scaled(m, rec))
+
+
+# the orders that reach the recurrence, 20 <= x < x0(m), with the worst
+# relative error of the scalar bessel_i_scaled against mpmath that the
+# peak-outward sum it replaced gave on the grid below
+_RECURRENCE_ORDERS = {8: 3.4e-15, 9: 3.8e-15, 12: 5.2e-15, 16: 4.9e-15, 20: 8.3e-15,
+                      30: 1.7e-14, 41: 2.8e-14, 50: 2.9e-14, 60: 3.4e-14, 100: 6.6e-14,
+                      171: 8.8e-14, 300: 1.6e-13}
+
+
+@pytest.mark.parametrize("m", sorted(_RECURRENCE_ORDERS))
+def test_i_recurrence_vs_mpmath(m):
+    # on a log grid of [20, x0(m)): the scaled log within 5e-16 of
+    # max(1, |ln|), about two ulps (the peak-outward sum reached 3.5e-15 at
+    # m = 300), and the scalar kernel's exp of it, where e^{-x} I_m is a
+    # normal double, no less accurate than the peak-outward sum was
+    mpmath = pytest.importorskip("mpmath")
+    x = np.geomspace(20.0, sf._hankel_switch(m) * (1.0 - 1e-12), 24)
+    with mpmath.workdps(30):
+        exact = [mpmath.besseli(m, v) * mpmath.exp(-v) for v in map(mpmath.mpf, x)]
+        want_ln = np.array([float(mpmath.log(v)) for v in exact])
+        want = np.array([float(v) for v in exact])
+    assert _ln_err(sf._ln_bessel_i_scaled(m, x), want_ln).max() <= 5e-16
+    normal = want >= sys.float_info.min
+    got = np.array([sf.bessel_i_scaled(m, v) for v in x[normal].tolist()])
+    assert np.abs(got / want[normal] - 1.0).max() <= _RECURRENCE_ORDERS[m]
 
 
 def test_ln_bessel_kernels_match_scalar_kernels():
@@ -431,6 +470,11 @@ def test_fixed_rules_round_alike_on_floats_and_arrays():
                         (lambda u: sf._hankel_sum(m, u, -1.0), large),
                         (lambda u: sf._hankel_sum(m, u, 1.0), large)):
             assert np.array_equal(rule(v), [rule(u) for u in v.tolist()]), m
+    # the I_m ratio recurrence takes its logs with math.log on a float
+    for m in (8, 30, 171):
+        v = x[(x >= 20.0) & (x < sf._hankel_switch(m))]
+        alone = np.array([sf._ln_i_recurrence_scaled(m, u) for u in v.tolist()])
+        assert _ln_err(sf._ln_i_recurrence_scaled(m, v), alone).max() <= 1e-15, m
     rule = x[x > 2.0]
     assert np.array_equal(sf._k01_rule_scaled(rule),
                           np.array([sf._k01_rule_scaled(u) for u in rule.tolist()]).T)
@@ -444,7 +488,7 @@ _HANKEL_ORDERS = (0, 1, 2, 4, 6, 8, 30)
 @pytest.mark.parametrize("m", _HANKEL_ORDERS)
 def test_hankel_switch_pinned_vs_mpmath(m):
     # the switch x0(m) is pinned from both sides (x0 (1 - 1e-12) is the
-    # polynomial or peak-sum route for I and the trapezoid rule for K,
+    # polynomial or recurrence route for I and the trapezoid rule for K,
     # x0 (1 + 1e-12) the Hankel one) and
     # on a log grid of the Hankel branch up to 6e4, in the ln and in the
     # scaled ln, where x itself no longer hides an error
@@ -523,7 +567,7 @@ def test_bessel_kernels_at_tiny_arguments_vs_mpmath(x):
 @pytest.mark.parametrize("m", [0, 2, 50])
 def test_scaled_i_past_690_vs_mpmath(m):
     # past x = 690, where I_m itself leaves double range: the Hankel sum,
-    # and for m = 50 below x0 = 1000 the peak sum through a one-element array
+    # and for m = 50 below x0 = 1000 the backward ratio recurrence
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(40):
         for x in (691.0, 1e3, 5e3, 1e5):
