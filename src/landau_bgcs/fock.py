@@ -16,9 +16,9 @@ assemble is hamiltonian_matrix.
 
 Every operator is an OperatorMatrix built from its diagonals, which derives
 its band from them; a dense matrix (a quadrature, a product) enters through
-OperatorMatrix.from_entries.  lowering_band is the one builder of the K- and
-K-^2 bands; the ladders, the quantized symbols and their identity checks read
-it.
+OperatorMatrix.from_entries.  lowering_band is the one builder of every
+diagonal of K-^i K+^j; the ladders, the quantized symbols and their identity
+checks read it.
 """
 
 from __future__ import annotations
@@ -176,24 +176,33 @@ def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
                                        label=f"[{a.label},{b.label}]")
 
 
-def lowering_band(m: int, dim: int, step: int = 1, dtype=np.float64) -> np.ndarray:
-    """Band <nu| K-^step |nu+step> = sqrt(prod_{j=1..step} (nu+j)(m+nu+j)),
-    nu = 0 .. dim-step-1, of the step-th power of the lowering generator on a
-    dim-state truncation of sector m.
+def lowering_band(m: int, dim: int, step: int = 1, dtype=np.float64,
+                  raising: int = 0) -> np.ndarray:
+    """The one nonzero diagonal of K-^step K+^raising on a dim-state
+    truncation of sector m, as in the untruncated algebra: offset
+    k = step - raising (np.diag(band, k) places it), and entry t is
+    <row| K-^step K+^raising |row+k> = sqrt(P(row, step) P(row+k, raising))
+    with row = t + max(-k, 0) and P(a, s) = prod_{l=1..s} (a+l)(m+a+l).
 
     The integer product is formed exactly, in int64 while the largest one
-    (at nu = dim-step-1) stays below 2^63 and in Python ints beyond, and
+    (the last entry's) stays below 2^63 and in Python ints beyond, and
     rounded once into the real dtype before a single square root, so
     float64 and np.longdouble callers each get correctly rounded entries.
-    np.diag(band, step) places it as K-^step and np.diag(band, -step) as
-    K+^step.
     """
-    top = dim - step - 1
-    largest = math.prod((top + j) * (m + top + j) for j in range(1, step + 1))
-    nu = np.arange(dim - step, dtype=np.int64 if largest < 2 ** 63 else object)
-    prod = 1
-    for j in range(1, step + 1):
-        prod = prod * (nu + j) * (m + nu + j)
+    k = step - raising
+    n = dim - abs(k)
+    row = max(-k, 0)
+    # entry t is the product over the shifts s of (t+s)(m+t+s)
+    shifts = [*range(row + 1, row + step + 1), *range(row + k + 1, row + k + raising + 1)]
+    if not shifts:
+        return np.ones(n, dtype)
+    largest = math.prod((n - 1 + s) * (m + n - 1 + s) for s in shifts)
+    t = np.arange(n, dtype=np.int64 if largest < 2 ** 63 else object)
+    first, *rest = shifts
+    prod = (t + first) * (t + (m + first))
+    for s in rest:
+        prod *= t + s
+        prod *= t + (m + s)
     return np.sqrt(np.asarray(prod, dtype=dtype))
 
 

@@ -16,11 +16,10 @@ logs ln(e^{-x} I_m(x)) and ln(e^x K_m(x)) at x = (2 nodes) factor, keyed by
 sector m, built from the order-m scaled logs at factor 1
 (QuadratureGrid.radial_weight).  Every integral on that sector reuses the
 weight; an integrand of |z| alone needs no angles at all
-(integrate_radial).  Because the angular trapezoid
-rule is a discrete Fourier transform, every matrix element
-int f(z) a_nu(|z|) a_up(|z|) e^{i(nu-up)phi} dmeasure comes from one inverse
-FFT of the sampled f per radius (angular_mode_matrix); the quadrature
-quantization and the frame-identity Gram matrix are both assembled there.
+(integrate_radial).  So do the matrix elements of a monomial z^i conj(z)^j
+between coherent amplitudes: their angular integral is exact, and each is
+one radial sum against the weight (quantize.quantize_by_quadrature, and the
+frame-identity Gram diagonal of resolution_of_identity_check).
 
 Note the plane carries infinite total mass under this measure: the radial
 density (2/pi) I_m K_m r tends to the constant 1/(2 pi), exactly as for the
@@ -74,9 +73,11 @@ def measure_density(label, m: int):
 
     Accepts a coherent label, a complex number or a radius, and returns a
     float; or an array of radii (or complex labels), and returns the density
-    array.  Both go through one elementwise route, the array kernels'
-    ln(e^{-x} I_m(x)) + ln(e^x K_m(x)) at x = 2|z|, so a scalar call is
-    bit-identical to the same radius inside an array.  At |z| = 0 the
+    array.  Both take the kernels' branch and formula,
+    ln(e^{-x} I_m(x)) + ln(e^x K_m(x)) at x = 2|z|, a scalar on its float,
+    so a scalar call has the bits of the same radius inside an array except
+    where the I_m recurrence (m >= 8, 20 <= x < 0.4 m^2) sums math.log on a
+    float and np.log on an array, a few ulps apart.  At |z| = 0 the
     product limit is 1/(pi m) for m >= 1 and the m = 0 density diverges
     logarithmically (returned as inf).  Away from the origin, where the
     factors I_m and K_m (scaled by e^{-2|z|} and e^{2|z|} beyond |z| = 40)
@@ -86,7 +87,14 @@ def measure_density(label, m: int):
     m = _order(m)
     if isinstance(label, np.ndarray):
         return _density(np.abs(label).astype(np.float64, copy=False), m)
-    return float(_density(np.array([_label_radius(label)]), m)[0])
+    r = _label_radius(label)
+    if not math.isfinite(r):
+        raise DomainError("measure density needs a finite |z|")
+    if r == 0.0:
+        return math.inf if m == 0 else 1.0 / (math.pi * m)
+    x = 2.0 * r
+    return float(_positive_density(r, m, _ln_bessel_i_scaled(m, x),
+                                   _ln_bessel_k_scaled(m, x)))
 
 
 def _density(r: np.ndarray, m: int) -> np.ndarray:
@@ -101,15 +109,15 @@ def _density(r: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
-def _positive_density(r: np.ndarray, m: int, ln_ie: np.ndarray,
-                      ln_ke: np.ndarray) -> np.ndarray:
-    # (2/pi) I_m K_m at radii r > 0 from the scaled logs ln(e^{-x} I_m) and
-    # ln(e^x K_m) at x = 2r: the large x and -x never enter the sum
+def _positive_density(r, m: int, ln_ie, ln_ke):
+    # (2/pi) I_m K_m at radii r > 0 (a float or an array) from the scaled
+    # logs ln(e^{-x} I_m) and ln(e^x K_m) at x = 2r: the large x and -x never
+    # enter the sum
     shift = np.where(r > 40.0, 0.0, 2.0 * r)
     bad = (ln_ie + shift < _LN_SMALLEST) | (ln_ke - shift > _LN_LARGEST)
     if bad.any():
         raise EvaluationError(
-            f"order-{m} measure density at |z| = {r[np.argmax(bad)]:.6g} is "
+            f"order-{m} measure density at |z| = {np.extract(bad, r)[0]:.6g} is "
             "out of range (I_m or K_m leaves double range)")
     return (2.0 / math.pi) * np.exp(ln_ie + ln_ke)
 
@@ -336,26 +344,6 @@ def integrate_radial(vals, m: int, grid: QuadratureGrid) -> float:
     return _TWO_PI * float((grid.radial_weight(m) * vals).sum())
 
 
-def angular_mode_matrix(vals, amp: np.ndarray, m: int,
-                        grid: QuadratureGrid) -> np.ndarray:
-    """Matrix M[nu, up] = int f(z) a_nu(|z|) a_up(|z|) e^{i(nu-up)phi} dmeasure.
-
-    vals samples f on the (n_radial, n_angular) node matrix and amp holds the
-    real radial amplitudes, one row per radial node.  The angular trapezoid
-    sum of f e^{ik phi} is 2 pi ifft(f)[k mod n_angular], so one inverse FFT
-    per radius yields every entry with no approximation beyond the
-    quadrature itself; the radial sum runs against radial_weight(m).
-    """
-    shape = (grid.nodes.size, grid.n_angular)
-    coef = np.fft.ifft(_checked_samples(vals, grid, shape, np.complex128), axis=1)
-    d = np.arange(amp.shape[1])
-    modes = np.subtract.outer(d, d) % grid.n_angular
-    # 2 pi applied after the radial sum: a constant symbol then reproduces
-    # the plain Gram sum sum_r w a_nu a_up times 2 pi bit for bit
-    return _TWO_PI * np.einsum("r,ra,rb,rab->ab", grid.radial_weight(m),
-                               amp, amp, coef[:, modes])
-
-
 def radial_moment_check(n: int, m: int, grid: QuadratureGrid) -> float:
     """Relative error of the grid on 4 int r^(2n-m+1) K_m(2r) dr vs the
     Gamma-product Gamma(n-m+1) Gamma(n+1), compared in log space."""
@@ -375,25 +363,21 @@ def radial_moment_check(n: int, m: int, grid: QuadratureGrid) -> float:
 
 def resolution_of_identity_check(spec: SubspaceSpec, n_check: int,
                                  grid: QuadratureGrid) -> float:
-    """Max deviation from the identity of the quadrature Gram matrix
-    M[nu, up] = int a_nu(z) conj(a_up(z)) dmeasure over the first
-    n_check+1 coherent-amplitude modes, assembled by angular_mode_matrix
-    with the constant symbol (the quadrature quantization's code path)."""
+    """Max deviation from 1 of the frame's Gram diagonal
+    int |a_nu(z)|^2 dmeasure = 2 pi sum_r radial_weight(m) a_nu(r)^2 over
+    the first n_check+1 coherent-amplitude modes.  The angular integral is
+    exact: it is 2 pi on the diagonal and zero off it."""
     from .bgcs import _node_amplitudes
 
     n_check = _order(n_check, "n_check")
     if spec.depth is not None and n_check > spec.depth - 2:
         raise ValueError(
             f"n_check = {n_check} needs depth >= {n_check + 2}, have {spec.depth}")
-    if grid.max_mode < 2 * n_check:
-        raise ValueError(
-            f"grid resolves modes up to {grid.max_mode}, need {2 * n_check}")
     need_degree = 2 * n_check + spec.m + 1
     if grid.max_degree < need_degree:
         raise ValueError(
             f"grid built for degree {grid.max_degree}, need {need_degree}")
 
-    nr = grid.nodes.size
     amp = _node_amplitudes(spec.m, grid, n_check + 1)
-    matrix = angular_mode_matrix(np.ones((nr, grid.n_angular)), amp, spec.m, grid)
-    return float(np.max(np.abs(matrix - np.eye(n_check + 1))))
+    gram = _TWO_PI * (grid.radial_weight(spec.m) @ (amp * amp))
+    return float(np.max(np.abs(gram - 1.0)))

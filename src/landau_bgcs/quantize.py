@@ -1,7 +1,12 @@
-"""Anti-normal (coherent-state) quantization of phase-space symbols against
-the Bessel-measure family: closed-form ladder matrices, the independent
-quadrature route A_f[nu, up] = int f(z) a_nu(z) conj(a_up(z)) dmeasure, and
-the operator-identity reports for the quantized energy symbol.
+"""Anti-normal (Berezin-Klauder-Toeplitz) quantization of phase-space symbols
+against the Bessel-measure family, and the operator-identity reports for the
+quantized energy symbol.
+
+Every symbol is a sum of terms c z^i conj(z)^j, and both routes fill
+diagonal i - j term by term: the closed form with K-^i K+^j
+(fock.lowering_band), the independent quadrature route
+A_f[nu, up] = int f(z) a_nu(z) conj(a_up(z)) dmeasure with one radial moment
+per term, the angular integral being exact.
 
 Matrix identities are always asserted on the interior block (excluding the
 last few rows/columns), because a projected product like Q @ Q necessarily
@@ -12,6 +17,7 @@ Identity reports run their matrix algebra in 80-bit extended precision so the
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -19,26 +25,37 @@ import numpy as np
 
 from .bgcs import _as_label, _node_amplitudes, bgcs_state, mean_k3
 from .fock import OperatorMatrix, SubspaceSpec, lowering_band
-from .measure import QuadratureGrid, angular_mode_matrix
+from .measure import QuadratureGrid
 from .specfun import EvaluationError, _Record, _order
 
-NAMED_SYMBOLS = ("z", "z_bar", "z_sq", "z_bar_sq", "abs_z_sq",
-                 "q", "p", "q_sq", "p_sq")
-
-# (power of z, power of conj z) per named polynomial symbol; q = (z + conj z)/sqrt2
-_NAMED_DEGREE = {"z": 1, "z_bar": 1, "z_sq": 2, "z_bar_sq": 2, "abs_z_sq": 2,
-                 "q": 1, "p": 1, "q_sq": 2, "p_sq": 2}
+# (power of z, power of conj z, coefficient) per named symbol, with
+# q = (z + conj z)/sqrt2 and p = (z - conj z)/(i sqrt2)
+_SQRT_HALF = math.sqrt(0.5)
+_NAMED_TERMS = {
+    "z": ((1, 0, 1.0),),
+    "z_bar": ((0, 1, 1.0),),
+    "z_sq": ((2, 0, 1.0),),
+    "z_bar_sq": ((0, 2, 1.0),),
+    "abs_z_sq": ((1, 1, 1.0),),
+    "q": ((1, 0, _SQRT_HALF), (0, 1, _SQRT_HALF)),
+    "p": ((1, 0, -1j * _SQRT_HALF), (0, 1, 1j * _SQRT_HALF)),
+    "q_sq": ((2, 0, 0.5), (1, 1, 1.0), (0, 2, 0.5)),
+    "p_sq": ((2, 0, -0.5), (1, 1, 1.0), (0, 2, -0.5)),
+}
+NAMED_SYMBOLS = tuple(_NAMED_TERMS)
 
 _SQRT2 = math.sqrt(2.0)
+_TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
 class SymbolSpec:
-    """A phase-space function to quantize.
+    """A phase-space function to quantize, stored as its terms: a tuple of
+    (power_of_z, power_of_conj_z, coefficient).
 
-    Either one of the named tags, or tag='custom' with terms as a tuple of
-    (power_of_z, power_of_conj_z, coefficient).  Custom symbols only support
-    the quadrature route.
+    Either one of the named tags, whose terms come from _NAMED_TERMS, or
+    tag='custom' with the terms given.  Both routes quantize every symbol
+    term by term.
     """
 
     tag: str
@@ -52,93 +69,63 @@ class SymbolSpec:
             object.__setattr__(self, "terms", tuple(
                 (_order(i, "power of z"), _order(j, "power of conj z"), c)
                 for i, j, c in self.terms))
-        elif self.tag not in NAMED_SYMBOLS:
+        elif self.tag not in _NAMED_TERMS:
             raise ValueError(
                 f"unknown symbol {self.tag!r}; expected one of {NAMED_SYMBOLS} or 'custom'")
         elif self.terms is not None:
             raise ValueError("named symbols take no custom terms")
+        else:
+            object.__setattr__(self, "terms", _NAMED_TERMS[self.tag])
 
     @property
     def degree(self) -> int:
-        if self.tag == "custom":
-            return max(i + j for i, j, _ in self.terms)
-        return _NAMED_DEGREE[self.tag]
+        return max(i + j for i, j, _ in self.terms)
 
     def evaluate(self, z):
         """Pointwise symbol value on a complex scalar or array."""
         z = np.asarray(z, dtype=np.complex128)
         zc = np.conj(z)
-        if self.tag == "z":
-            return z
-        if self.tag == "z_bar":
-            return zc
-        if self.tag == "z_sq":
-            return z * z
-        if self.tag == "z_bar_sq":
-            return zc * zc
-        if self.tag == "abs_z_sq":
-            return (z * zc).real.astype(np.complex128)
-        if self.tag == "q":
-            return (z + zc) / _SQRT2
-        if self.tag == "p":
-            return (z - zc) / (1j * _SQRT2)
-        if self.tag == "q_sq":
-            return ((z + zc) / _SQRT2) ** 2
-        if self.tag == "p_sq":
-            return ((z - zc) / (1j * _SQRT2)) ** 2
         acc = np.zeros_like(z)
         for i, j, c in self.terms:
             acc = acc + c * z ** i * zc ** j
         return acc
 
 
+def _term_operator(sym: SymbolSpec, dim: int, band, label: str) -> OperatorMatrix:
+    # the sum over terms (i, j, c) of c band(i, j) on diagonal i - j; a term
+    # whose diagonal lies outside the truncation adds nothing.  K-^j K+^i is
+    # the transpose of K-^i K+^j, so band(i, j) depends on i + j and |i - j|
+    # alone, and each is built once
+    bands, diagonals = {}, {}
+    for i, j, c in sym.terms:
+        if not cmath.isfinite(c):
+            raise EvaluationError(f"non-finite coefficient {c!r} of z^{i} conj(z)^{j}")
+        k = i - j
+        if abs(k) < dim:
+            key = (i + j, abs(k))
+            if key not in bands:
+                bands[key] = band(i, j)
+            values = c * bands[key]
+            diagonals[k] = values if k not in diagonals else diagonals[k] + values
+    return OperatorMatrix(dim, diagonals, label)
+
+
 # ------------------------------------------------------------- closed forms
 
-def _energy_diagonal(m: int, dim: int, dtype) -> np.ndarray:
-    # diagonal (nu+1)(m+nu+1) of the quantized |z|^2; one rounding per entry
-    nu = np.arange(1, dim + 1, dtype=dtype)
-    return nu * (nu + m)
-
-
 def quantize_closed_form(sym: SymbolSpec, spec: SubspaceSpec) -> OperatorMatrix:
-    """Ladder-form matrix of the quantized named symbol on the m sector.
+    """Matrix of the quantized symbol on the m sector, term by term.
 
-    The quantized plain symbol acts as a shifted lowering operator with
-    entries <nu| . |nu+1> = sqrt((nu+1)(m+nu+1)), the K- band of
-    fock.lowering_band, and the quantized z^2 is its K-^2 band; everything
-    else is built from these: conjugate = adjoint, quadratics from the
-    natural combinations, and the modulus-squared symbol is exactly diagonal
-    (nu+1)(m+nu+1).  Each diagonal takes the complex arithmetic the dense
-    sums of np.diag matrices would, so every bit and signed zero is theirs:
-    q's diagonals are complex b / sqrt2 (a real quotient rounds otherwise),
-    p's lower one is (0 - b)/(i sqrt2), not -b/(i sqrt2).
+    A Barut-Girardello label is a K- eigenvalue, K-|z> = z|z>, and
+    <z|K+ = conj(z)<z|, so the anti-normal quantization of z^i conj(z)^j is
+    K-^i K+^j exactly: its one diagonal, i - j, is fock.lowering_band(m,
+    dim, i, raising=j), and each term adds c times it.  Named and custom
+    symbols take the same route; the quantized z is the K- band, its square
+    the K-^2 band and |z|^2 the diagonal (nu+1)(m+nu+1).
     """
-    if sym.tag == "custom":
-        raise ValueError("custom symbols are quantized by quadrature only")
     dim = spec.require_depth() + 1
     m = spec.m
-    b = lowering_band(m, dim)
-    if sym.tag == "z":
-        return OperatorMatrix(dim, {1: b}, label="quantized z")
-    if sym.tag == "z_bar":
-        return OperatorMatrix(dim, {-1: b}, label="quantized conj(z)")
-    bc = b.astype(np.complex128)
-    if sym.tag == "q":
-        return OperatorMatrix(dim, {1: bc / _SQRT2, -1: bc / _SQRT2}, label="quantized q")
-    if sym.tag == "p":
-        return OperatorMatrix(dim, {1: bc / (1j * _SQRT2), -1: (0.0 - bc) / (1j * _SQRT2)},
-                              label="quantized p")
-    diag = _energy_diagonal(m, dim, np.float64)
-    if sym.tag == "abs_z_sq":
-        return OperatorMatrix(dim, {0: diag}, label="quantized |z|^2")
-    b2 = lowering_band(m, dim, 2)
-    if sym.tag == "z_sq":
-        return OperatorMatrix(dim, {2: b2}, label="quantized z^2")
-    if sym.tag == "z_bar_sq":
-        return OperatorMatrix(dim, {-2: b2}, label="quantized conj(z)^2")
-    if sym.tag == "q_sq":
-        return OperatorMatrix(dim, {0: diag, 2: 0.5 * b2, -2: 0.5 * b2}, label="quantized q^2")
-    return OperatorMatrix(dim, {0: diag, 2: -0.5 * b2, -2: -0.5 * b2}, label="quantized p^2")
+    return _term_operator(sym, dim, lambda i, j: lowering_band(m, dim, i, raising=j),
+                          f"quantized {sym.tag}")
 
 
 # --------------------------------------------------------- quadrature route
@@ -146,30 +133,38 @@ def quantize_closed_form(sym: SymbolSpec, spec: SubspaceSpec) -> OperatorMatrix:
 def quantize_by_quadrature(sym: SymbolSpec, spec: SubspaceSpec,
                            grid: QuadratureGrid) -> OperatorMatrix:
     """Matrix of the quantized symbol, A_f[nu, up] = int f(z) a_nu(z)
-    conj(a_up(z)) dmeasure, by quadrature on the grid.
+    conj(a_up(z)) dmeasure, by quadrature on the grid, term by term.
 
-    The symbol is sampled once on the node matrix and the amplitudes once
-    over the node radii (bgcs.radial_amplitudes, with ln I_m from the grid's
-    profile cache); measure.angular_mode_matrix
-    then takes one angular inverse FFT per radius (the trapezoid rule in
-    angle is a DFT, so mode nu - up of that transform is exactly the angular
-    sum of entry (nu, up)) and sums every entry against the grid's cached
-    radial weight.  A non-finite
-    symbol sample raises EvaluationError."""
+    With a_nu(z) = a_nu(|z|) e^{i nu phi}, the angular integral of
+    z^i conj(z)^j a_nu conj(a_up) is exactly 2 pi r^{i+j} a_nu a_up where
+    up = nu + i - j and zero elsewhere, so each term (i, j, c) adds to
+    diagonal i - j the radial moment
+
+        2 pi c sum_r radial_weight(m) r^{i+j} a_t(r) a_{t+|i-j|}(r),
+
+    one matrix-vector product against the amplitudes at the nodes
+    (bgcs.radial_amplitudes, with ln I_m from the grid's profile cache).
+    Only the radial rule approximates; a non-finite entry raises
+    EvaluationError."""
     depth = spec.require_depth()
     m = spec.m
     need_degree = 2 * depth + m + sym.degree + 1
     if grid.max_degree < need_degree:
         raise ValueError(
             f"grid supports degree {grid.max_degree}, symbol needs {need_degree}")
-    need_mode = depth + sym.degree
-    if grid.max_mode < need_mode:
-        raise ValueError(
-            f"grid resolves modes to {grid.max_mode}, symbol needs {need_mode}")
 
     amp = _node_amplitudes(m, grid, depth + 1)
-    entries = angular_mode_matrix(sym.evaluate(grid.z_nodes), amp, m, grid)
-    return OperatorMatrix.from_entries(entries, label=f"quadrature({sym.tag})")
+    weight = grid.radial_weight(m)
+
+    def band(i, j):
+        n = abs(i - j)
+        return _TWO_PI * ((weight * grid.nodes ** (i + j))
+                          @ (amp[:, :depth + 1 - n] * amp[:, n:]))
+
+    op = _term_operator(sym, depth + 1, band, f"quadrature({sym.tag})")
+    if not np.isfinite(op.entries).all():
+        raise EvaluationError(f"non-finite quadrature entry of symbol {sym.tag!r}")
+    return op
 
 
 # ------------------------------------------------------------- mean values
@@ -279,7 +274,7 @@ def energy_operator_decomposition_check(m: int, spec: SubspaceSpec) -> Decomposi
     dim = depth + 1
     az = np.diag(lowering_band(m, dim, 1, np.longdouble), 1)
     a2 = np.diag(lowering_band(m, dim, 2, np.longdouble), 2)
-    diag = np.diag(_energy_diagonal(m, dim, np.longdouble))
+    diag = np.diag(lowering_band(m, dim, 1, np.longdouble, raising=1))
     azb = az.T
     comm_half = (az @ azb - azb @ az) / np.longdouble(2)
 
@@ -359,7 +354,7 @@ def energy_commutators(m: int, spec: SubspaceSpec) -> CommutatorReport:
     band2 = lowering_band(m, dim, 2, ld)
     az = np.diag(band, 1)
     a2 = np.diag(band2, 2)
-    diag = np.diag(_energy_diagonal(m, dim, ld))
+    diag = np.diag(lowering_band(m, dim, 1, ld, raising=1))
 
     # closed forms: the bands times their row factors, -(2 nu + m + 3) on the
     # superdiagonal, (2 nu + m + 1) on the subdiagonal (row nu + 1, so the

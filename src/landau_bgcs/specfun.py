@@ -372,10 +372,12 @@ def _ln_hankel_scaled(m: int, x: np.ndarray, sign: float) -> np.ndarray:
     return (np.log(s) + ln_c) - 0.5 * np.log(x)
 
 
-def _split(cond: np.ndarray, x: np.ndarray, yes, no) -> np.ndarray:
+def _split(cond, x, yes, no):
     # yes(x) where cond holds, no(x) elsewhere, along the last axis of their
-    # results; a side with no element is not entered, since its loops cost
-    # the same on none
+    # results; on a float, cond is a bool and picks one side, and a side with
+    # no element is not entered, since its loops cost the same on none
+    if not isinstance(cond, np.ndarray):
+        return yes(x) if cond else no(x)
     if cond.all():
         return yes(x)
     if not cond.any():

@@ -33,10 +33,10 @@ from .specfun import (
     DomainError,
     EvaluationError,
     _Record,
+    _ln_bessel_i_scaled,
+    _ln_bessel_k_scaled,
     _order,
     gauss_2f1,
-    ln_bessel_i,
-    ln_bessel_k,
 )
 
 __all__ = [
@@ -203,12 +203,19 @@ def level_weight(nu: int, ts: ThermalSpec) -> float:
 # read those logs from the grid's profile cache (_grid_ln_husimi, and
 # _grid_p, which caches the P profile itself) and integrate in 1-D against
 # its radial weight (integrate_radial); the point functions evaluate them
-# with the same array kernels at one radius (_at_radius).
+# with the same kernels on the float radius (_at_radius).
 
-def _at_radius(kernel, m: int, rho: float):
-    # factor -> kernel(m, 2 rho factor) on a one-element array
-    x = 2.0 * np.array([rho])
-    return lambda factor: kernel(m, x * factor)
+def _at_radius(kind: str, m: int, rho: float):
+    # factor -> ln I_m (kind "i") or ln K_m (kind "k") at the float
+    # x = 2 rho factor, by the branch and formula of ln_bessel_i or ln_bessel_k
+    def ln_bessel(factor: float):
+        x = 2.0 * rho * factor
+        if not 0.0 < x < math.inf:
+            raise DomainError(f"ln_bessel_{kind} requires finite x > 0")
+        if kind == "i":
+            return _ln_bessel_i_scaled(m, x) + x
+        return _ln_bessel_k_scaled(m, x) - x
+    return ln_bessel
 
 
 def _husimi_exponents(ts: ThermalSpec, strong_field: bool) -> tuple[float, float]:
@@ -256,10 +263,10 @@ def _husimi_point(label, ts: ThermalSpec, strong_field: bool) -> float:
     if rho == 0.0:
         # at the origin the ratio I_m(2ru)/I_m(2r) -> u^m
         a, ln_pref = _husimi_exponents(ts, strong_field)
-        ln_h = np.array([ln_pref + a * (ts.m - 1) - a * ts.m])
+        ln_h = ln_pref + a * (ts.m - 1) - a * ts.m
     else:
-        ln_h = _ln_husimi(ts, _at_radius(ln_bessel_i, ts.m, rho), strong_field)
-    return float(np.exp(ln_h)[0])
+        ln_h = _ln_husimi(ts, _at_radius("i", ts.m, rho), strong_field)
+    return float(np.exp(ln_h))
 
 
 def husimi_thermal(label, ts: ThermalSpec) -> float:
@@ -292,7 +299,7 @@ def p_function(label, ts: ThermalSpec) -> float:
     lab = _as_label(label)
     if lab.rho == 0.0:
         raise DomainError("diagonal weight undefined at z = 0")
-    return float(np.exp(_ln_p(ts, _at_radius(ln_bessel_k, ts.m, lab.rho)))[0])
+    return float(np.exp(_ln_p(ts, _at_radius("k", ts.m, lab.rho))))
 
 
 # ------------------------------------------------------------------------

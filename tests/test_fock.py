@@ -51,6 +51,42 @@ def test_lowering_band_matches_entry_by_entry_route(m, dtype):
             assert band[nu] == np.sqrt(np.asarray(exact, dtype=dtype))
 
 
+def _ladder_square(m, row, lower, raise_):
+    # <row| K-^lower K+^raise |row + lower - raise>^2 in Python ints, one
+    # ladder step at a time from the column: K+|c> = sqrt((c+1)(m+c+1))|c+1>,
+    # K-|c> = sqrt(c (m+c))|c-1>
+    c, sq = row + lower - raise_, 1
+    for _ in range(raise_):
+        sq *= (c + 1) * (m + c + 1)
+        c += 1
+    for _ in range(lower):
+        sq *= c * (m + c)
+        c -= 1
+    assert c == row
+    return sq
+
+
+@pytest.mark.parametrize("m", [0, 3, 10 ** 9])
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_lowering_band_of_every_monomial(m, dtype):
+    # the diagonal i - j of K-^i K+^j; at m = 1e9 the squares pass 2^63 and
+    # are formed in Python ints
+    dim = 20
+    for i in range(4):
+        for j in range(4):
+            band = lowering_band(m, dim, i, dtype, raising=j)
+            k = i - j
+            assert band.dtype == dtype and band.size == dim - abs(k)
+            for t in range(dim - abs(k)):
+                sq = _ladder_square(m, t + max(-k, 0), i, j)
+                assert band[t] == np.sqrt(np.asarray(sq, dtype=dtype)), (i, j, t)
+            if i == j == 1:
+                nu = np.arange(dim)
+                assert np.array_equal(band, ((nu + 1) * (nu + 1 + m)).astype(dtype))
+            if j == 0 and i:
+                assert np.array_equal(band, lowering_band(m, dim, 0, dtype, raising=i))
+
+
 def test_diagonal_entries():
     k3 = ladder_matrix("k3", _spec(4))
     assert k3.entries[3, 3] == 3 + 2.5

@@ -239,6 +239,21 @@ def test_identity_offdiagonal_killed_by_angle_sums(grid):
         assert abs(s) < 1e-12
 
 
+def test_identity_is_the_radial_gram_diagonal():
+    # 2 pi sum_r w a_nu^2 against 1, whatever the angular sampling
+    wide = build_grid(max_degree=24, max_mode=16)
+    narrow = build_grid(max_degree=24, max_mode=0, n_angular=4)
+    for m in (0, 3):
+        sp = SubspaceSpec(m, depth=12)
+        got = resolution_of_identity_check(sp, 8, wide)
+        assert got == resolution_of_identity_check(sp, 8, narrow)
+        amp = _node_amplitudes(m, wide, 9)
+        gram = [integrate_radial(amp[:, nu] ** 2, m, wide) for nu in range(9)]
+        # both are rounding residuals, summed in different orders
+        assert abs(got - max(abs(g - 1.0) for g in gram)) <= 4e-15
+        assert got < 1e-13
+
+
 def test_identity_grid_convergence():
     g1 = build_grid(max_degree=20, max_mode=16)
     g2 = build_grid(max_degree=20, max_mode=16, panel_width=1.0)

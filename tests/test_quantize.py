@@ -1,6 +1,7 @@
 """Quantized symbols: ladder forms, quadrature cross-route, operator reports."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -113,8 +114,14 @@ def test_symbol_validation():
         SymbolSpec("custom")
     with pytest.raises(ValueError):
         SymbolSpec("custom", terms=((-1, 0, 1.0),))
-    with pytest.raises(ValueError):
-        quantize_closed_form(SymbolSpec("custom", terms=((1, 1, 1.0),)), _spec(0))
+    # a custom symbol has a closed form: z^2 conj(z) / 2 is K-^2 K+ / 2, the
+    # lowering band times the diagonal of the quantized |z|^2
+    for m in (0, 3):
+        sp = _spec(m)
+        got = quantize_closed_form(SymbolSpec("custom", terms=((2, 1, 0.5),)), sp).entries
+        want = 0.5 * quantize_closed_form(SymbolSpec("z"), sp).entries \
+            @ quantize_closed_form(SymbolSpec("abs_z_sq"), sp).entries
+        assert np.all(np.abs(got - want) <= 2 * np.spacing(np.abs(want)))
 
 
 @pytest.mark.parametrize("power", [1.5, True, -1, math.nan])
@@ -133,6 +140,97 @@ def test_symbol_evaluation():
     custom = SymbolSpec("custom", terms=((1, 1, 2.0), (0, 0, -1.0)))
     assert custom.evaluate(z) == pytest.approx(9.0, rel=1e-15)
     assert custom.degree == 2
+
+
+_SQRT2 = math.sqrt(2.0)
+_TAG_FORMULAS = {
+    # each named symbol as a formula of z and conj(z), not from its terms
+    "z": lambda z, zc: z,
+    "z_bar": lambda z, zc: zc,
+    "z_sq": lambda z, zc: z * z,
+    "z_bar_sq": lambda z, zc: zc * zc,
+    "abs_z_sq": lambda z, zc: (z * zc).real.astype(np.complex128),
+    "q": lambda z, zc: (z + zc) / _SQRT2,
+    "p": lambda z, zc: (z - zc) / (1j * _SQRT2),
+    "q_sq": lambda z, zc: ((z + zc) / _SQRT2) ** 2,
+    "p_sq": lambda z, zc: ((z - zc) / (1j * _SQRT2)) ** 2,
+}
+
+
+@pytest.mark.parametrize("tag", sorted(_TAG_FORMULAS))
+def test_named_terms_evaluate_as_their_formulas(tag):
+    # the sum of terms rounds at the scale of its largest term: q^2 expanded
+    # as z^2/2 + |z|^2 + conj(z)^2/2 cancels where |Re z| << |Im z|
+    sym = SymbolSpec(tag)
+    rng = np.random.default_rng(7)
+    z = rng.normal(size=2000) * 3.0 + 1j * rng.normal(size=2000) * 3.0
+    got = sym.evaluate(z)
+    want = _TAG_FORMULAS[tag](z, np.conj(z))
+    scale = sum(abs(c) * np.abs(z) ** (i + j) for i, j, c in sym.terms)
+    assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * scale)
+    assert sym.degree == (1 if tag in ("z", "z_bar", "q", "p") else 2)
+
+
+def _dense_closed_form(tag, m, dim):
+    # the named closed forms as sums of np.diag matrices of the K- and K-^2
+    # bands and the diagonal (nu+1)(m+nu+1)
+    nu = np.arange(1, dim + 1, dtype=np.float64)
+    b = np.sqrt([float(n * (n + m)) for n in range(1, dim)])
+    b2 = np.sqrt([float(n * (n + m) * (n + 1) * (n + 1 + m)) for n in range(1, dim - 1)])
+    diag = np.diag(nu * (nu + m))
+    return {"z": np.diag(b, 1), "z_bar": np.diag(b, -1), "z_sq": np.diag(b2, 2),
+            "z_bar_sq": np.diag(b2, -2), "abs_z_sq": diag,
+            "q_sq": diag + 0.5 * np.diag(b2, 2) + 0.5 * np.diag(b2, -2),
+            "p_sq": diag - 0.5 * np.diag(b2, 2) - 0.5 * np.diag(b2, -2)}[tag], b
+
+
+@pytest.mark.parametrize("m", [0, 3])
+@pytest.mark.parametrize("depth", [12, 344])
+def test_named_closed_forms_match_dense_sums(m, depth):
+    dim = depth + 1
+    for tag in ("z", "z_bar", "z_sq", "z_bar_sq", "abs_z_sq", "q_sq", "p_sq"):
+        got = quantize_closed_form(SymbolSpec(tag), _spec(m, depth)).entries
+        want, b = _dense_closed_form(tag, m, dim)
+        assert np.array_equal(got.view(np.uint64), want.astype(np.complex128).view(np.uint64)), tag
+    # q and p are sqrt(1/2) b, one rounding from the band, where the complex
+    # quotient b / sqrt2 rounds twice; they differ by at most 2 ulps
+    bc = b.astype(np.complex128)
+    for tag, upper, lower in (("q", bc / _SQRT2, bc / _SQRT2),
+                              ("p", bc / (1j * _SQRT2), (0.0 - bc) / (1j * _SQRT2))):
+        got = quantize_closed_form(SymbolSpec(tag), _spec(m, depth)).entries
+        for k, want in ((1, upper), (-1, lower)):
+            d = np.diagonal(got, k)
+            assert np.array_equal(np.signbit(d.real), np.signbit(want.real))
+            assert np.array_equal(np.abs(d.real) == 0.0, np.abs(want.real) == 0.0)
+            part = d.imag if tag == "p" else d.real
+            ref = want.imag if tag == "p" else want.real
+            assert np.all(np.abs(part - ref) <= 2 * np.spacing(np.abs(ref)))
+        assert np.count_nonzero(got) == 2 * depth
+
+
+@pytest.mark.parametrize("m", [0, 3])
+def test_quantized_q_band_is_closer_to_exact_than_complex_quotient(m):
+    # mean distance in ulps from the exact sqrt((nu+1)(m+nu+1)/2) at depth 344
+    dim = 345
+    got = np.diagonal(quantize_closed_form(SymbolSpec("q"), _spec(m, 344)).entries, 1).real
+    b = np.sqrt([float(n * (n + m)) for n in range(1, dim)]).astype(np.complex128)
+    quotient = (b / _SQRT2).real
+    err_new = err_old = 0.0
+    with localcontext() as ctx:
+        ctx.prec = 40
+        for nu in range(dim - 1):
+            exact = (Decimal((nu + 1) * (nu + 1 + m)) / 2).sqrt()
+            err_new += float(abs(Decimal(float(got[nu])) - exact)) / math.ulp(got[nu])
+            err_old += float(abs(Decimal(float(quotient[nu])) - exact)) / math.ulp(quotient[nu])
+    assert err_new < err_old
+    assert err_new / (dim - 1) < 0.55
+
+
+def test_custom_term_outside_truncation_adds_nothing():
+    sym = SymbolSpec("custom", terms=((20, 0, 1.0), (1, 1, 2.0)))
+    got = quantize_closed_form(sym, _spec(1, depth=8)).entries
+    want = 2.0 * quantize_closed_form(SymbolSpec("abs_z_sq"), _spec(1, depth=8)).entries
+    assert np.array_equal(got, want)
 
 
 # ------------------------------------------------------------- quadrature
@@ -172,13 +270,12 @@ def test_quadrature_quadratic_coordinate(grid):
 
 
 def test_quadrature_custom_integer_powers(grid):
-    # anti-normal order: z^2 conj(z) quantizes to a (a a^dagger), the lowering
-    # band times the diagonal of the quantized |z|^2
+    # anti-normal order: z^2 conj(z) quantizes to K-^2 K+ on both routes
     sp = SubspaceSpec(0, depth=8)
-    quad = quantize_by_quadrature(SymbolSpec("custom", terms=((2, 1, 0.5),)), sp, grid)
-    closed = 0.5 * quantize_closed_form(SymbolSpec("z"), sp).entries \
-        @ quantize_closed_form(SymbolSpec("abs_z_sq"), sp).entries
-    assert _interior_err(quad.entries, closed, 2) < 1e-6
+    sym = SymbolSpec("custom", terms=((2, 1, 0.5),))
+    quad = quantize_by_quadrature(sym, sp, grid)
+    closed = quantize_closed_form(sym, sp)
+    assert _interior_err(quad.entries, closed.entries, 2) < 1e-6
 
 
 def _entry_by_entry_quadrature(sym, spec, grid):
@@ -197,8 +294,9 @@ def _entry_by_entry_quadrature(sym, spec, grid):
 
 
 @pytest.mark.parametrize("m", [0, 2])
-def test_quadrature_fft_route_matches_entry_by_entry(m):
-    # a symbol with no closed form, carrying angular modes +2, 0 and -2
+def test_quadrature_radial_route_matches_entry_by_entry(m):
+    # a custom symbol carrying angular modes +2, 0 and -2; the radial route
+    # integrates the angle exactly, the reference by the trapezoid rule
     sym = SymbolSpec("custom", terms=((3, 1, 0.5), (0, 2, 1j), (1, 1, -0.25)))
     sp = SubspaceSpec(m, depth=8)
     g = build_grid(max_degree=2 * 8 + m + 5, max_mode=12, points_per_panel=16,
@@ -206,12 +304,30 @@ def test_quadrature_fft_route_matches_entry_by_entry(m):
     got = quantize_by_quadrature(sym, sp, g).entries
     want = _entry_by_entry_quadrature(sym, sp, g)
     assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+    # both routes give the untruncated operator's entries, so they agree up
+    # to the last row and column
+    closed = quantize_closed_form(sym, sp).entries
+    assert np.max(np.abs(got - closed)) <= 1e-14 * np.max(np.abs(closed))
+
+
+def test_quadrature_reads_no_angles():
+    # the angular integral is exact, so the angular sampling cannot enter:
+    # grids that differ only in it give the same bits
+    sp = SubspaceSpec(2, depth=8)
+    sym = SymbolSpec("custom", terms=((3, 1, 0.5), (0, 2, 1j), (1, 1, -0.25)))
+    wide = build_grid(max_degree=24, max_mode=16)
+    narrow = build_grid(max_degree=24, max_mode=0, n_angular=4)
+    assert np.array_equal(quantize_by_quadrature(sym, sp, wide).entries,
+                          quantize_by_quadrature(sym, sp, narrow).entries)
 
 
 def test_quadrature_non_finite_symbol_raises(grid):
     bad = SymbolSpec("custom", terms=((1, 0, 1.0), (0, 0, complex(math.nan, 0.0))))
     with pytest.raises(EvaluationError, match="non-finite"):
         quantize_by_quadrature(bad, SubspaceSpec(0, depth=8), grid)
+    for c in (math.nan, math.inf, complex(0.0, -math.inf)):
+        with pytest.raises(EvaluationError, match="non-finite"):
+            quantize_closed_form(SymbolSpec("custom", terms=((1, 0, c),)), SubspaceSpec(0, depth=8))
 
 
 def test_quadrature_grid_validation(grid):

@@ -387,6 +387,23 @@ def test_i_polynomial_vs_mpmath():
         assert _ln_err(sf._ln_bessel_i_scaled(m, x), want).max() <= 1e-15, m
 
 
+@pytest.mark.parametrize("m", [171, 200])
+def test_i_polynomial_past_factorial_range_vs_mpmath(m):
+    # from m = 171, m! leaves double range and the scalar I_m below x = 20
+    # is the exp of its log, so its relative error is that of a log of size
+    # |ln I_m(x)|: (|ln I_m| + 1) 4 eps bounds it
+    mpmath = pytest.importorskip("mpmath")
+    for x in (5.0, 12.0, 19.0):
+        with mpmath.workdps(30):
+            want = mpmath.besseli(m, mpmath.mpf(x))
+            ln_abs = abs(float(mpmath.log(want)))
+            pairs = ((sf.bessel_i(m, x), want), (sf.bessel_i_scaled(m, x), want * mpmath.exp(-x)))
+            bound = (ln_abs + 1.0) * 4.0 * sys.float_info.epsilon
+            for got, exact in pairs:
+                assert float(abs(got / exact - 1)) <= bound, (m, x)
+    assert sf.bessel_i(300, 0.0) == 0.0
+
+
 @pytest.mark.parametrize("m", [0, 1, 7, 8, 30, 299, 10**6])
 def test_i_polynomial_truncation(m):
     # at x = 20 (q = 100), where the polynomial ends, the first term it

@@ -12,7 +12,7 @@ from landau_bgcs import thermo
 from landau_bgcs.fock import DomainError, PhysicalParams, SubspaceSpec
 from landau_bgcs.measure import integrate
 from landau_bgcs.quantize import SymbolSpec, quantize_closed_form
-from landau_bgcs.specfun import bessel_k_scaled, ln_factorial
+from landau_bgcs.specfun import bessel_k_scaled, ln_bessel_i, ln_bessel_k, ln_factorial
 from landau_bgcs.thermo import (
     SecondMomentReport,
     ThermalSpec,
@@ -551,6 +551,21 @@ def test_point_profiles_match_scalar_reference():
                           - _ref_ln_bessel_k(2, r))
         assert husimi_thermal(complex(r, 0.0), ts) == pytest.approx(want_h, rel=1e-13)
         assert p_function(complex(r, 0.0), ts) == pytest.approx(want_p, rel=1e-13)
+
+
+@pytest.mark.parametrize("beta_gap", [0.1, 1.0, 6.0])
+def test_point_functions_run_on_their_float(beta_gap):
+    # at m = 30, rho = 12 the Husimi reads the I_m recurrence at 2 rho (and
+    # at 2 rho e^{-a} for small a): the point value on the float radius has
+    # the bits of that radius inside an array
+    ts = _ts(beta_gap, m=30)
+    r = np.array([0.5, 12.0, 40.0])
+    husimi = np.exp(thermo._ln_husimi(ts, lambda f: ln_bessel_i(30, 2.0 * r * f)))
+    strong = np.exp(thermo._ln_husimi(ts, lambda f: ln_bessel_i(30, 2.0 * r * f), True))
+    p = np.exp(thermo._ln_p(ts, lambda f: ln_bessel_k(30, 2.0 * r * f)))
+    assert husimi_thermal(12.0, ts).hex() == float(husimi[1]).hex()
+    assert husimi_thermal_strong_field(12.0, ts).hex() == float(strong[1]).hex()
+    assert p_function(12.0, ts).hex() == float(p[1]).hex()
 
 
 # ------------------------------------------------- per-grid profile cache
