@@ -9,8 +9,8 @@ single-valued series in w = conj(z') z,
     sum_nu w^nu / (nu! (nu+m)!),
 so no fractional power of a complex argument is ever taken: the kernel is
 branch-free by construction and the Cauchy-Schwarz bound |<z'|z>| <= 1 holds
-with equality exactly on the diagonal.  The reproducing-kernel check samples
-the same kernel the other way, from the amplitudes, on a quadrature grid.
+with equality exactly on the diagonal.  The reproducing-kernel check forms
+the same kernel the other way, from the amplitudes, as one radial sum.
 
 Memos.  Every statistic of a label is a ratio of I_m, I_{m+1} and I_{m+2} at
 2|z|, and a label's state, statistics, overlap and matrix routes ask for the
@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fock import PhysicalParams, SubspaceSpec
-from .measure import QuadratureGrid, integrate
+from .measure import QuadratureGrid
 from .specfun import (
     DomainError,
     EvaluationError,
@@ -56,7 +56,7 @@ from .specfun import (
 
 _TWO_PI = 2.0 * math.pi
 DEFAULT_TAIL_TOL = 1e-16
-# label truncation for kernel samples: the last kept |a_nu|^2 is below this
+# label truncation for the kernel check: the last kept |a_nu|^2 is below this
 _KERNEL_TAIL_TOL = 1e-300
 
 # reduced-series vs scaled-Bessel switchover radius for mean-value ratios
@@ -264,6 +264,15 @@ def _amplitude_rows(m: int, r: np.ndarray, n: int, ln_i: np.ndarray) -> np.ndarr
     return np.exp(_ln_amplitude(m, np.log(r)[:, None], np.arange(n), ln_i[:, None]))
 
 
+def _gram_diagonal(m: int, grid: QuadratureGrid, n: int) -> np.ndarray:
+    # G_nu = int |a_nu(u)|^2 dmeasure = 2 pi sum_r radial_weight(m) a_nu(r)^2,
+    # nu < n, the angular integral being exact; cached on the grid per (m, n)
+    def build():
+        amp = _node_amplitudes(m, grid, n)
+        return _TWO_PI * (grid.radial_weight(m) @ (amp * amp))
+    return grid._cached(("gram", m, n), build)
+
+
 def probability_density(label, m: int, nu: int) -> float:
     """Closed-form occupation probability |z|^(2 nu + m)/(I_m(2|z|) nu! (nu+m)!)."""
     nu, m = _order(nu, "nu"), _order(m, "m")
@@ -302,33 +311,19 @@ def overlap(zp, z, m: int) -> complex:
     return num / (math.sqrt(d1) * math.sqrt(d2))
 
 
-def _kernel_samples(z: CoherentLabel, m: int, grid: QuadratureGrid) -> np.ndarray:
-    """K(z, u) = <z|u> = sum_nu conj(a_nu(z)) a_nu(|u|) e^{i nu phi} on the
-    (n_radial, n_angular) node matrix.
-
-    The label is truncated where its amplitudes leave double range, which
-    bounds the dropped tail since every a_nu(|u|) <= 1.  e^{i nu phi_j} is
-    n_angular-periodic in nu, so the coefficients are folded modulo
-    n_angular exactly and each radius takes one inverse FFT."""
-    a = bgcs_state(z, SubspaceSpec(m), tail_tol=_KERNEL_TAIL_TOL).amplitudes
-    coef = np.conj(a) * _node_amplitudes(m, grid, a.size)
-    n = grid.n_angular
-    coef = np.pad(coef, ((0, 0), (0, -a.size % n)))
-    folded = coef.reshape(grid.nodes.size, -1, n).sum(axis=1)
-    return n * np.fft.ifft(folded, axis=1)
-
-
 def kernel_idempotence_check(z, zp, m: int, grid: QuadratureGrid) -> float:
     """|quadrature of K(z,u) K(u,zp) du - K(z,zp)|: the reproducing-kernel
     self-consistency residual on the given grid.
 
-    The kernel samples come from the state amplitudes (_kernel_samples) and
-    the reference K(z, zp) from the reduced series (overlap), so the two
-    sides share no formula beyond the quadrature."""
+    The angular integral is exact, so the quadrature is the radial Gram sum
+    sum_nu conj(a_nu(z)) a_nu(zp) G_nu over the nu both labels keep
+    (_gram_diagonal), and the reference K(z, zp) comes from the reduced
+    series (overlap): the two share no formula beyond the quadrature."""
     z, zp = _as_label(z), _as_label(zp)
-    left = _kernel_samples(z, m, grid)
-    right = np.conj(_kernel_samples(zp, m, grid))
-    quad = integrate(lambda u: left * right, m, grid, vectorized=True)
+    a, ap = (bgcs_state(x, SubspaceSpec(m), tail_tol=_KERNEL_TAIL_TOL).amplitudes
+             for x in (z, zp))
+    n = min(a.size, ap.size)
+    quad = complex(np.sum(np.conj(a[:n]) * ap[:n] * _gram_diagonal(m, grid, n)))
     return abs(quad - overlap(z, zp, m))
 
 

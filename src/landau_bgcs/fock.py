@@ -187,7 +187,8 @@ def lowering_band(m: int, dim: int, step: int = 1, dtype=np.float64,
     The integer product is formed exactly, in int64 while the largest one
     (the last entry's) stays below 2^63 and in Python ints beyond, and
     rounded once into the real dtype before a single square root, so
-    float64 and np.longdouble callers each get correctly rounded entries.
+    float64 and np.longdouble callers each get correctly rounded entries;
+    where raising == step, the root P(row, step) is rounded instead.
     """
     k = step - raising
     n = dim - abs(k)
@@ -196,6 +197,8 @@ def lowering_band(m: int, dim: int, step: int = 1, dtype=np.float64,
     shifts = [*range(row + 1, row + step + 1), *range(row + k + 1, row + k + raising + 1)]
     if not shifts:
         return np.ones(n, dtype)
+    if raising == step:
+        shifts = shifts[:step]
     largest = math.prod((n - 1 + s) * (m + n - 1 + s) for s in shifts)
     t = np.arange(n, dtype=np.int64 if largest < 2 ** 63 else object)
     first, *rest = shifts
@@ -203,7 +206,8 @@ def lowering_band(m: int, dim: int, step: int = 1, dtype=np.float64,
     for s in rest:
         prod *= t + s
         prod *= t + (m + s)
-    return np.sqrt(np.asarray(prod, dtype=dtype))
+    prod = np.asarray(prod, dtype=dtype)
+    return prod if raising == step else np.sqrt(prod)
 
 
 def ladder_matrix(kind: str, spec: SubspaceSpec) -> OperatorMatrix:

@@ -19,7 +19,8 @@ weight; an integrand of |z| alone needs no angles at all
 (integrate_radial).  So do the matrix elements of a monomial z^i conj(z)^j
 between coherent amplitudes: their angular integral is exact, and each is
 one radial sum against the weight (quantize.quantize_by_quadrature, and the
-frame-identity Gram diagonal of resolution_of_identity_check).
+frame's Gram diagonal G_nu, which resolution_of_identity_check and the
+kernel check bgcs.kernel_idempotence_check read from the grid's cache).
 
 Note the plane carries infinite total mass under this measure: the radial
 density (2/pi) I_m K_m r tends to the constant 1/(2 pi), exactly as for the
@@ -137,9 +138,10 @@ class QuadratureGrid:
     the scaled logs ln(e^{-x} I_m(x)) and ln(e^x K_m(x)) at
     x = (2.0 * nodes) * factor, keyed by (kind, order, factor), of the
     per-sector radial factor radial_weight(m), keyed by ("weight", order),
-    and of the thermal P profile, keyed by ("p", order, beta gap).  The
-    thermal profiles, the coherent amplitudes and the moment check read
-    their Bessel logs through _ln_bessel, so each is evaluated once per grid.
+    of the Gram diagonal, keyed by ("gram", order, n), and of the thermal P
+    profile, keyed by ("p", order, beta gap).  The thermal profiles, the
+    coherent amplitudes and the moment check read their Bessel logs through
+    _ln_bessel, so each is evaluated once per grid.
     """
 
     nodes: np.ndarray
@@ -367,7 +369,7 @@ def resolution_of_identity_check(spec: SubspaceSpec, n_check: int,
     int |a_nu(z)|^2 dmeasure = 2 pi sum_r radial_weight(m) a_nu(r)^2 over
     the first n_check+1 coherent-amplitude modes.  The angular integral is
     exact: it is 2 pi on the diagonal and zero off it."""
-    from .bgcs import _node_amplitudes
+    from .bgcs import _gram_diagonal
 
     n_check = _order(n_check, "n_check")
     if spec.depth is not None and n_check > spec.depth - 2:
@@ -378,6 +380,5 @@ def resolution_of_identity_check(spec: SubspaceSpec, n_check: int,
         raise ValueError(
             f"grid built for degree {grid.max_degree}, need {need_degree}")
 
-    amp = _node_amplitudes(spec.m, grid, n_check + 1)
-    gram = _TWO_PI * (grid.radial_weight(spec.m) @ (amp * amp))
+    gram = _gram_diagonal(spec.m, grid, n_check + 1)
     return float(np.max(np.abs(gram - 1.0)))

@@ -445,19 +445,6 @@ def _q2_fock_trace(ts: ThermalSpec, depth: int) -> float:
     return float(np.sum((weights * diag)[::-1]))
 
 
-def _q2_quadratures(ts: ThermalSpec, grid: QuadratureGrid) -> tuple[float, float]:
-    # int P (k3 + 2 r^2 trig^2) dmeasure for trig = cos (q) and sin (p): both
-    # share the radial profile P k3; trig^2 enters through its angular mean
-    # under the grid's trapezoid rule
-    r = grid.nodes
-    weight = _grid_p(ts, grid)
-    p_k3 = weight * (_i_ratio(grid, ts.m, 1) + 0.5 * (ts.m + 1))
-    p_r_sq = 2.0 * weight * r * r
-    phi = grid.angles
-    return tuple(integrate_radial(p_k3 + np.mean(trig(phi) ** 2) * p_r_sq, ts.m, grid)
-                 for trig in (np.cos, np.sin))
-
-
 @dataclass(frozen=True)
 class SecondMomentReport(_Record):
     """Three independent routes to the thermal quadrature second moment."""
@@ -492,20 +479,25 @@ def thermal_q2_three_ways(ts: ThermalSpec,
 
     Routes: hypergeometric closed form, quadrature of the diagonal weight
     times the coherent-state mean, and a geometric-weighted trace of the
-    squared quadrature matrix.  Both components are integrated; their
-    closed forms coincide.
+    squared quadrature matrix.  The q and p components are one radial
+    integral, since cos^2 and sin^2 have the same angular mean 1/2.
     """
     if grid is None:
         grid = thermal_grid(ts)
     depth = _q2_trace_depth(ts)
-    first, second = _q2_quadratures(ts, grid)
+    # int P (k3 + 2 r^2 trig^2) dmeasure for trig = cos (q) and sin (p), with
+    # trig^2 entering by its exact angular mean 1/2
+    p = _grid_p(ts, grid)
+    p_k3 = p * (_i_ratio(grid, ts.m, 1) + 0.5 * (ts.m + 1))
+    p_r_sq = 2.0 * p * grid.nodes * grid.nodes
+    quad = integrate_radial(p_k3 + 0.5 * p_r_sq, ts.m, grid)
     return SecondMomentReport(
         m=ts.m,
         beta_gap=ts.beta_gap,
         closed_form=thermal_q2_closed(ts),
-        p_quadrature=first,
+        p_quadrature=quad,
         fock_trace=_q2_fock_trace(ts, depth),
-        second_component_quadrature=second,
+        second_component_quadrature=quad,
         trace_depth=depth,
     )
 

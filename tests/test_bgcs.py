@@ -26,13 +26,13 @@ from landau_bgcs.bgcs import (
     overlap,
     overlap_density,
     probability_density,
-    _kernel_samples,
     _ln_amplitude,
     radial_amplitudes,
     snr,
 )
 from landau_bgcs.fock import PhysicalParams, SubspaceSpec, ladder_matrix
-from landau_bgcs.measure import build_grid, integrate, measure_density
+from landau_bgcs.measure import (build_grid, integrate, measure_density,
+                                  resolution_of_identity_check)
 from landau_bgcs.quantize import dispersions
 from landau_bgcs.specfun import (
     DomainError,
@@ -221,57 +221,84 @@ def test_kernel_idempotence(grid):
     assert kernel_idempotence_check(_label(0.0), _label(0.8), 0, grid) < 1e-6
 
 
-@pytest.mark.parametrize("z, m", [(2.0, 0), (1.5 - 2.0j, 2)])
-def test_kernel_samples_vs_mpmath(grid, z, m):
-    # K(z, u) = S_m(conj(z) u) / sqrt(S_m(|z|^2) S_m(|u|^2)) with the entire
-    # S_m(w) = 0F1(; m+1; w) / m!.  On the negative real axis S_m cancels
-    # (|S_0(-81.6)| ~ 0.01 against a largest term ~1e6) and |K| drops to
-    # ~1e-19 there, so the bound is absolute: K <= 1 everywhere.
+@pytest.fixture(scope="module")
+def mp_kernel_grid():
+    # a small grid whose 16 angles and 48 nodes keep the test fast, with
+    # K_0, K_1 and K_2 = K_0 + (2/x) K_1 at x = 2r on its nodes, 40 digits
     mpmath = pytest.importorskip("mpmath")
-    got = _kernel_samples(CoherentLabel.from_complex(z), m, grid)
-    n = grid.n_angular
-    rows = list(range(0, grid.nodes.size, 97))
-    cols = list(range(0, n, 37))
-    points = [(i, j) for i in rows for j in cols]
-    # the node where conj(z) u is closest to -81.6
-    w = np.conj(z) * grid.z_nodes
-    i, j = np.unravel_index(np.argmin(np.abs(w + 81.6)), w.shape)
-    assert abs(w[i, j] + 81.6) < 1.0
-    points.append((int(i), int(j)))
+    g = build_grid(max_degree=4, max_mode=4, cutoff=20.0, panel_width=4.0,
+                   points_per_panel=4, n_angular=16)
+    k = []
+    with mpmath.workdps(40):
+        for r in g.nodes:
+            x = 2 * mpmath.mpf(float(r))
+            k0, k1 = mpmath.besselk(0, x), mpmath.besselk(1, x)
+            k.append((k0, k1, k0 + 2 / x * k1))
+    return mpmath, g, k
+
+
+def _mp_kernel_quadrature(mpmath, z, zp, m, grid, bessel_k, n):
+    # sum_{nu<n} conj(a_nu(z)) a_nu(zp) G_nu with the Gram diagonal
+    # G_nu = 2 pi sum_r w_r r (2/pi) I_m(2r) K_m(2r) a_nu(r)^2
+    def amplitudes(x):
+        x = mpmath.mpc(x)
+        scale = abs(x) ** m / mpmath.besseli(m, 2 * abs(x))
+        return [mpmath.sqrt(scale / (mpmath.factorial(nu) * mpmath.factorial(nu + m)))
+                * x ** nu for nu in range(n)]
+    gram = [mpmath.mpf(0)] * n
+    for r, w, k in zip(grid.nodes, grid.weights, bessel_k):
+        r, w = mpmath.mpf(float(r)), mpmath.mpf(float(w))
+        i_m = mpmath.besseli(m, 2 * r)
+        term = 4 * w * r * i_m * k[m] * r ** m / (i_m * mpmath.factorial(m))
+        r_sq = r * r
+        for nu in range(n):
+            if nu:
+                term *= r_sq / (nu * (nu + m))
+            gram[nu] += term
+    return mpmath.fsum(mpmath.conj(a) * b * g
+                       for a, b, g in zip(amplitudes(z), amplitudes(zp), gram))
+
+
+@pytest.mark.parametrize("z, zp, m", [
+    (2.0, -1.0 + 1.5j, 0),
+    (1.5 - 2.0j, 2.5 + 0.5j, 2),
+    (cmath.rect(10.0, 0.9), cmath.rect(10.0, -0.9), 1),
+])
+def test_kernel_quadrature_vs_mpmath(mp_kernel_grid, z, zp, m):
+    # the residual |sum_nu conj(a_nu(z)) a_nu(zp) G_nu - K(z, zp)| against
+    # the same radial rule and K(z, zp) = S_m(conj(z) zp) / sqrt(S_m(|z|^2)
+    # S_m(|zp|^2)) at 40 digits, with S_m(w) = 0F1(; m+1; w) / m!.  At
+    # |z| = 10 the labels keep 186 amplitudes, more than twice the 64 angles
+    # an angular sampling would need; the grid's 16 angles would alias the
+    # mode differences, but the radial form reads no angles
+    mpmath, g, bessel_k = mp_kernel_grid
+    a, ap = (bgcs_state(x, SubspaceSpec(m), tail_tol=1e-300).amplitudes for x in (z, zp))
+    n = min(a.size, ap.size)
+    if abs(z) == 10.0:
+        assert n == 186
+    got = kernel_idempotence_check(z, zp, m, g)
     with mpmath.workdps(40):
         def series(w):
             return mpmath.hyp0f1(m + 1, w) / mpmath.factorial(m)
-        zc = mpmath.conj(mpmath.mpc(z))
-        s_z = series(abs(mpmath.mpc(z)) ** 2)
-        worst = 0.0
-        for i, j in points:
-            r = mpmath.mpf(grid.nodes[i])
-            u = r * mpmath.expj(2 * mpmath.pi * j / n)
-            want = series(zc * u) / mpmath.sqrt(s_z * series(r * r))
-            worst = max(worst, abs(complex(want) - got[i, j]))
-    assert worst < 1e-14
+        zc, zpc = mpmath.mpc(z), mpmath.mpc(zp)
+        want_k = series(mpmath.conj(zc) * zpc) / mpmath.sqrt(
+            series(abs(zc) ** 2) * series(abs(zpc) ** 2))
+        want = abs(_mp_kernel_quadrature(mpmath, z, zp, m, g, bessel_k, n) - want_k)
+    assert abs(got - float(want)) < 1e-14
 
 
-@pytest.mark.parametrize("n_angular", [16, 64])
-def test_kernel_samples_fold_past_angular_count(n_angular):
-    # |z| = 10 keeps 186 amplitudes, so the coefficients wrap around the
-    # angular count before the inverse FFT.  Past nu = 64 they are below
-    # e^-67, so only the 16-angle grid folds terms that change the samples.
-    g = build_grid(max_degree=4, max_mode=4, cutoff=20.0, points_per_panel=8,
-                   n_angular=n_angular)
-    m = 1
-    z = CoherentLabel.from_polar(10.0, 0.9)
-    assert bgcs_state(z, SubspaceSpec(m), tail_tol=1e-300).depth + 1 > 2 * 64
-    got = _kernel_samples(z, m, g)
-    s_z = bessel_i_reduced(m, z.rho * z.rho)
-    worst = 0.0
-    for i in range(0, g.nodes.size, 3):
-        r = float(g.nodes[i])
-        s_u = bessel_i_reduced(m, r * r)
-        for j, u in enumerate(r * np.exp(1j * g.angles)):
-            want = bessel_i_reduced(m, z.z.conjugate() * complex(u)) / math.sqrt(s_z * s_u)
-            worst = max(worst, abs(want - got[i, j]))
-    assert worst < 1e-13
+def test_kernel_check_reads_the_identity_checks_gram_diagonal():
+    # both checks read one cached G_nu per (grid, m, mode count): the label 0
+    # keeps 31 amplitudes, the modes of n_check = 30, so after the identity
+    # check neither a kernel check nor its repeat adds a cache entry
+    g = build_grid(max_degree=64)
+    assert resolution_of_identity_check(SubspaceSpec(0), 30, g) < 1e-10
+    keys = list(g._profiles)
+    assert bgcs_state(0.8, SubspaceSpec(0), tail_tol=1e-300).amplitudes.size > 31
+    first = kernel_idempotence_check(0.0, 0.8, 0, g)
+    assert list(g._profiles) == keys
+    assert kernel_idempotence_check(0.0, 0.8, 0, g) == first
+    assert list(g._profiles) == keys
 
 
 def test_kernel_diagonal_reproduces_normalization(grid):

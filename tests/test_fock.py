@@ -70,7 +70,8 @@ def _ladder_square(m, row, lower, raise_):
 @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
 def test_lowering_band_of_every_monomial(m, dtype):
     # the diagonal i - j of K-^i K+^j; at m = 1e9 the squares pass 2^63 and
-    # are formed in Python ints
+    # are formed in Python ints.  Where i == j the square is a perfect
+    # square, and its integer root is rounded once
     dim = 20
     for i in range(4):
         for j in range(4):
@@ -79,12 +80,42 @@ def test_lowering_band_of_every_monomial(m, dtype):
             assert band.dtype == dtype and band.size == dim - abs(k)
             for t in range(dim - abs(k)):
                 sq = _ladder_square(m, t + max(-k, 0), i, j)
-                assert band[t] == np.sqrt(np.asarray(sq, dtype=dtype)), (i, j, t)
+                want = np.asarray(math.isqrt(sq), dtype=dtype) if i == j \
+                    else np.sqrt(np.asarray(sq, dtype=dtype))
+                assert band[t] == want, (i, j, t)
             if i == j == 1:
                 nu = np.arange(dim)
                 assert np.array_equal(band, ((nu + 1) * (nu + 1 + m)).astype(dtype))
             if j == 0 and i:
                 assert np.array_equal(band, lowering_band(m, dim, 0, dtype, raising=i))
+
+
+@pytest.mark.parametrize("m", [0, 3, 10 ** 6, 10 ** 9, 10 ** 12])
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_square_band_is_its_integer_root_rounded_once(m, dtype):
+    # K-^s K+^s has the integer diagonal P(nu, s) = prod_{l<=s} (nu+l)(m+nu+l).
+    # Rounded once, it is the correctly rounded value; the square-then-root
+    # route of the other bands gives the same bits for s = 1 (the quantized
+    # |z|^2 of energy_commutators), and for s = 2 differs only where P passes
+    # 2^53, by at most one rounding of the dtype
+    dim = 2000
+    up, down = dtype(np.inf), dtype(0.0)
+    for step in (1, 2):
+        exact = [math.prod((t + l) * (m + t + l) for l in range(1, step + 1))
+                 for t in range(dim)]
+        got = lowering_band(m, dim, step, dtype, raising=step)
+        assert got.dtype == dtype and got.size == dim
+        for x, p in zip(got, exact):
+            err = abs(int(x) - p)
+            assert err <= abs(int(np.nextafter(x, up)) - p)
+            assert err <= abs(int(np.nextafter(x, down)) - p)
+        rooted = np.sqrt(np.asarray([p * p for p in exact], dtype=dtype))
+        if step == 1:
+            assert np.array_equal(got, rooted)
+        else:
+            moved = np.flatnonzero(got != rooted)
+            assert all(exact[t] > 2 ** 53 for t in moved)
+            assert np.all(np.abs(got - rooted) <= np.finfo(dtype).eps * rooted)
 
 
 def test_diagonal_entries():

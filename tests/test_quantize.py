@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from landau_bgcs.bgcs import CoherentLabel, bgcs_state, mean_k3
 from landau_bgcs.fock import SubspaceSpec, adjoint, ladder_matrix
-from landau_bgcs.measure import build_grid, integrate
+from landau_bgcs.measure import _TAIL_TOL, build_grid, integrate
 from landau_bgcs.quantize import (
     CommutatorReport,
     DecompositionReport,
@@ -308,6 +308,19 @@ def test_quadrature_radial_route_matches_entry_by_entry(m):
     # to the last row and column
     closed = quantize_closed_form(sym, sp).entries
     assert np.max(np.abs(got - closed)) <= 1e-14 * np.max(np.abs(closed))
+
+
+@pytest.mark.parametrize("m", [0, 20])
+@pytest.mark.parametrize("tag", ["q", "p_sq"])
+def test_quadrature_matches_closed_form_at_depth_64(tag, m):
+    # the grid resolves every moment the 65 modes need, up to its declared
+    # relative tail _TAIL_TOL, which bounds the interior of the difference
+    sym = SymbolSpec(tag)
+    sp = SubspaceSpec(m, depth=64)
+    g = build_grid(max_degree=2 * 64 + m + sym.degree + 1)
+    quad = quantize_by_quadrature(sym, sp, g).entries
+    closed = quantize_closed_form(sym, sp).entries
+    assert _interior_err(quad, closed, 2) <= _TAIL_TOL * np.max(np.abs(closed))
 
 
 def test_quadrature_reads_no_angles():

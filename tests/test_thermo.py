@@ -305,6 +305,18 @@ def test_q2_three_routes(m, beta_gap, grids):
         rep.p_quadrature, rel=1e-10)
 
 
+def test_q2_exact_angular_mean_is_the_trapezoid_mean(grids):
+    # the q^2 quadrature weights 2 r^2 by the exact angular mean 1/2 of cos^2
+    # and sin^2; the trapezoid mean over the 256 angles the thermal grids
+    # sampled is that same double, so the exact form moves no bit
+    phi = (2.0 * math.pi) * np.arange(256) / 256
+    assert np.mean(np.cos(phi) ** 2) == 0.5
+    assert np.mean(np.sin(phi) ** 2) == 0.5
+    for beta_gap, grid in grids.items():
+        rep = thermal_q2_three_ways(_ts(beta_gap, m=1), grid)
+        assert rep.second_component_quadrature == rep.p_quadrature
+
+
 def test_q2_report_serializable(grids):
     rep = thermal_q2_three_ways(_ts(1.0, m=1), grids[1.0])
     d = rep.as_dict()
