@@ -13,7 +13,7 @@ import argparse
 import sys
 
 from landau_bgcs.fock import PhysicalParams
-from landau_bgcs.thermo import ThermalSpec, thermal_grid, thermal_summary
+from landau_bgcs.thermo import ThermalSpec, thermal_summary
 
 COLUMNS = ("beta_gap", "m", "Z", "N_mean", "N2_mean", "g",
            "W_quad", "W_approx", "Q2")
@@ -44,14 +44,11 @@ def main(argv=None) -> int:
     params = PhysicalParams(omega0=args.omega0, omega_c=args.omega_c)
     sectors = [int(s) for s in args.sectors.split(",")]
     lines = [",".join(COLUMNS)]
-    grids = {}  # one grid per cutoff: the grid depends on nothing else
     for beta_gap in parse_range(args.range):
         beta = beta_gap / params.epsilon_gap
         for m in sectors:
             ts = ThermalSpec(params, beta=beta, m=m)
-            grid = thermal_grid(ts)
-            grid = grids.setdefault(grid.cutoff, grid)
-            row = thermal_summary(ts, grid)
+            row = thermal_summary(ts)
             lines.append(",".join([f"{beta_gap:.10g}", str(m)] + [
                 f"{row[k]:.10g}" for k in COLUMNS[2:]]))
     text = "\n".join(lines) + "\n"

@@ -39,7 +39,7 @@ from .quantize import (
     quantize_closed_form,
 )
 from .specfun import DomainError, EvaluationError
-from .thermo import ThermalSpec, thermal_grid, thermal_summary, wehrl_entropy
+from .thermo import ThermalSpec, thermal_summary, wehrl_entropy
 
 __all__ = ["main", "RunConfig"]
 
@@ -359,7 +359,7 @@ def cmd_commutators(cfg: RunConfig):
 
 def cmd_thermal(cfg: RunConfig):
     ts = cfg.thermal()
-    payload = thermal_summary(ts, thermal_grid(ts), area=cfg.area)
+    payload = thermal_summary(ts, area=cfg.area)
     payload["beta_gap"] = ts.beta_gap
     payload["n0"] = ts.fast_index
     return payload, False, None
@@ -367,7 +367,7 @@ def cmd_thermal(cfg: RunConfig):
 
 def cmd_wehrl(cfg: RunConfig):
     ts = cfg.thermal()
-    rep = wehrl_entropy(ts, thermal_grid(ts), area=cfg.area)
+    rep = wehrl_entropy(ts, area=cfg.area)
     return rep.as_dict(), False, None
 
 
@@ -379,17 +379,13 @@ def cmd_sweep(cfg: RunConfig):
     betas = [start] if count == 1 else \
         [start + (stop - start) * i / (count - 1) for i in range(count)]
     params = cfg.params()
-    grids = {}
     rows = []
     for beta in betas:
         for m in m_values:
             try:
                 ts = ThermalSpec(params, beta=beta, m=m,
                                  fast_index=cfg.n0, gap_energy=cfg.gap)
-                # a grid depends on its cutoff alone, which most rows share
-                grid = thermal_grid(ts)
-                grid = grids.setdefault(grid.cutoff, grid)
-                rows.append(thermal_summary(ts, grid, area=cfg.area))
+                rows.append(thermal_summary(ts, area=cfg.area))
             except (DomainError, EvaluationError) as e:
                 raise UsageError(f"sweep row beta={beta:g}, m={m}: {e}") from None
     return rows, False, rows

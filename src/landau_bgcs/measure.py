@@ -31,6 +31,7 @@ Gamma(n-m+1) Gamma(n+1) underlying the resolution of the identity.
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 from dataclasses import dataclass, field
@@ -206,13 +207,18 @@ class QuadratureGrid:
 
     def _scaled_ln_bessel(self, kind: str, m: int, factor: float = 1.0):
         # (x, ln(e^{-x} I_m(x)) or ln(e^x K_m(x))), the log cached per key
+        # x is validated only when its profile is built: a cached profile's
+        # x passed that check, as the nodes and factor key it
         m = _order(m)
         factor = float(factor)
         if not (math.isfinite(factor) and factor > 0.0):
             raise DomainError(f"profile factor must be finite and > 0, got {factor!r}")
-        kernel = {"i": _ln_bessel_i_scaled, "k": _ln_bessel_k_scaled}[kind]
-        x = _positive_array((2.0 * self.nodes) * factor, f"ln_bessel_{kind}")
-        return x, self._cached((kind, m, factor), lambda: kernel(m, x))
+        x = (2.0 * self.nodes) * factor
+
+        def build():
+            kernel = {"i": _ln_bessel_i_scaled, "k": _ln_bessel_k_scaled}[kind]
+            return kernel(m, _positive_array(x, f"ln_bessel_{kind}"))
+        return x, self._cached((kind, m, factor), build)
 
     def _cached(self, key, build) -> np.ndarray:
         value = self._profiles.get(key)
@@ -261,11 +267,14 @@ def build_grid(max_degree: int = 24,
                n_angular: int | None = None) -> QuadratureGrid:
     """Build the composite radial rule and angular sampling.
 
-    The first panel [0, panel_width] is subdivided geometrically toward the
-    origin (_GRADING_LEVELS intervals shrinking by _GRADING_RATIO) so the
+    [0, panel_width / 4] is split into _GRADING_LEVELS panels whose edges
+    shrink geometrically toward the origin by _GRADING_RATIO, so the
     near-origin weight behavior is captured without ever placing a node at
-    r = 0; the rest of [0, R] uses uniform panels of panel_width.  Without a
-    cutoff, R leaves a max_degree moment tail below _TAIL_TOL.
+    r = 0.  The next panel is [panel_width / 4, 2 panel_width], 1.75 panel
+    widths wide, and uniform panels of panel_width follow from 2 panel_width
+    to R, the last one cut short at R.  Every panel has points_per_panel
+    Gauss-Legendre nodes.  Without a cutoff, R leaves a max_degree moment
+    tail below _TAIL_TOL.
     """
     max_degree = _order(max_degree, "max_degree")
     max_mode = _order(max_mode, "max_mode")
@@ -300,10 +309,21 @@ def build_grid(max_degree: int = 24,
                           max_mode=max_mode)
 
 
-def _checked_samples(vals, grid: QuadratureGrid, shape, dtype) -> np.ndarray:
+def _samples(vals, shape, dtype) -> np.ndarray:
     vals = np.asarray(vals, dtype=dtype)
     if vals.shape != shape:
         raise ValueError("integrand samples have the wrong shape")
+    return vals
+
+
+def _checked_total(total, vals, grid: QuadratureGrid):
+    # IEEE arithmetic never turns an inf or a NaN back into a finite value
+    # and the radial weights are finite, so a finite total means that every
+    # sample and every partial sum was finite: the callers sum with overflow
+    # and invalid-value warnings off, and the samples are scanned only to
+    # name the first bad one
+    if cmath.isfinite(total):
+        return total
     bad = ~np.isfinite(vals)
     if np.any(bad):
         at = np.argwhere(bad)[0]
@@ -311,7 +331,7 @@ def _checked_samples(vals, grid: QuadratureGrid, shape, dtype) -> np.ndarray:
         if at.size > 1:
             where += f", phi = {grid.angles[at[1]]:.6g}"
         raise EvaluationError(f"non-finite integrand sample at {where}")
-    return vals
+    raise EvaluationError("integral overflows although every integrand sample is finite")
 
 
 def integrate(f, m: int, grid: QuadratureGrid, vectorized: bool = False) -> complex:
@@ -322,17 +342,21 @@ def integrate(f, m: int, grid: QuadratureGrid, vectorized: bool = False) -> comp
     labels r e^{i phi}.  With vectorized=True, f is called once with the full
     (n_radial, n_angular) complex node matrix and must return a like-shaped
     array.  Summation is angular-first then radial, both via pairwise
-    reduction, for run-to-run bit identity.
+    reduction, for run-to-run bit identity.  A non-finite sample raises
+    EvaluationError naming its r and phi, and so do finite samples whose
+    sum overflows.
     """
     z_nodes = grid.z_nodes
     if vectorized:
         vals = f(z_nodes)
     else:
         vals = [[f(z) for z in row] for row in z_nodes]
-    vals = _checked_samples(vals, grid, (grid.nodes.size, grid.n_angular),
-                            np.complex128)
-    angular = vals.sum(axis=1) * (_TWO_PI / grid.n_angular)
-    return complex((grid.radial_weight(m) * angular).sum())
+    vals = _samples(vals, (grid.nodes.size, grid.n_angular), np.complex128)
+    weight = grid.radial_weight(m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        angular = vals.sum(axis=1) * (_TWO_PI / grid.n_angular)
+        total = complex((weight * angular).sum())
+    return _checked_total(total, vals, grid)
 
 
 def integrate_radial(vals, m: int, grid: QuadratureGrid) -> float:
@@ -340,10 +364,13 @@ def integrate_radial(vals, m: int, grid: QuadratureGrid) -> float:
 
     vals samples f on grid.nodes; the angular integral of a constant is
     2 pi, so the result is 2 pi sum_r radial_weight(m) f(r).  A non-finite
-    sample raises EvaluationError, as in integrate.
+    sample, or a sum that overflows, raises EvaluationError, as in integrate.
     """
-    vals = _checked_samples(vals, grid, grid.nodes.shape, np.float64)
-    return _TWO_PI * float((grid.radial_weight(m) * vals).sum())
+    vals = _samples(vals, grid.nodes.shape, np.float64)
+    weight = grid.radial_weight(m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = _TWO_PI * float((weight * vals).sum())
+    return _checked_total(total, vals, grid)
 
 
 def radial_moment_check(n: int, m: int, grid: QuadratureGrid) -> float:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -78,6 +78,10 @@ _PARTITION_MAX_TERMS = 200_000
 # thermal grids resolve these radial degrees and angular modes
 _THERMAL_MAX_DEGREE = 24
 _THERMAL_MAX_MODE = 8
+# thermal grids the process keeps, one per cutoff, least recently used
+# dropped first; each holds at most 64 cached profiles of at most 9824
+# doubles (cutoff 600)
+_THERMAL_GRIDS = 8
 
 
 @dataclass(frozen=True)
@@ -310,7 +314,10 @@ def thermal_grid(ts: ThermalSpec) -> QuadratureGrid:
 
     The Husimi-type integrands fall off like exp(-2 r (1 - e^{-a})), much
     slower than the bare measure when a is small, so the cutoff must grow
-    as the temperature rises.
+    as the temperature rises.  The grid depends on that even cutoff alone,
+    so every temperature and sector with the same cutoff gets the same
+    shared grid, and with it the profiles its cache holds.  The process
+    keeps at most 8 such grids, the least recently used dropped first.
     """
     a = ts.half_beta_gap
     rate = 2.0 * (1.0 - math.exp(-a))
@@ -322,6 +329,11 @@ def thermal_grid(ts: ThermalSpec) -> QuadratureGrid:
             "beta gap is too small for the quadrature window")
     # _required_cutoff steps by 2 from 30, so it is even like the window
     cutoff = max(_required_cutoff(_THERMAL_MAX_DEGREE), 2 * math.ceil(needed / 2.0))
+    return _grid_at_cutoff(float(cutoff))
+
+
+@lru_cache(maxsize=_THERMAL_GRIDS)
+def _grid_at_cutoff(cutoff: float) -> QuadratureGrid:
     return build_grid(max_degree=_THERMAL_MAX_DEGREE, max_mode=_THERMAL_MAX_MODE,
                       cutoff=cutoff)
 

@@ -2,12 +2,15 @@
 
 import pytest
 
-from landau_bgcs import measure
+from landau_bgcs import measure, thermo
 
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """Counts of the scaled ln I and ln K array kernels, as measure calls them."""
+    """Counts of the scaled ln I and ln K array kernels, as measure calls them,
+    from an empty thermal-grid memo, so grids that earlier tests warmed do not
+    hide the profiles a test builds."""
+    thermo._grid_at_cutoff.cache_clear()
     calls = {"i": 0, "k": 0}
 
     def counted(kind, kernel):

@@ -42,10 +42,10 @@ from landau_bgcs.specfun import (
     bessel_i_scaled,
     bessel_k,
     bessel_k_scaled,
-    bessel_power_sum,
     ln_bessel_i,
     ln_factorial,
 )
+from oracles import bessel_power_sum
 
 # frozen 60-digit reference values
 _OV_OPP = -0.035140024107915261894          # <-2|2> at m = 0

@@ -156,6 +156,26 @@ def test_integrate_rejects_nonfinite_samples(grid):
     assert "non-finite" in str(err.value)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(1.0, np.inf),
+                                 complex(np.nan, 0.0)])
+def test_integrate_names_the_nonfinite_sample(grid, bad):
+    def f(u):
+        out = np.ones_like(u)
+        out[3, 5] = bad
+        return out
+    where = f"r = {grid.nodes[3]:.6g}, phi = {grid.angles[5]:.6g}"
+    with pytest.raises(EvaluationError, match=f"non-finite integrand sample at {where}"):
+        integrate(f, 0, grid, vectorized=True)
+
+
+def test_finite_samples_whose_sum_overflows_raise(grid):
+    # each sample is finite, but a row of 256 of them sums past DBL_MAX
+    with pytest.raises(EvaluationError, match="overflows"):
+        integrate(lambda u: np.full(u.shape, 1e308), 0, grid, vectorized=True)
+    with pytest.raises(EvaluationError, match="overflows"):
+        integrate_radial(np.full(grid.nodes.shape, 1e308), 0, grid)
+
+
 def test_integrate_radial_is_integrate_of_a_radial_profile(grid):
     r = grid.nodes
     vals = r ** 3 * np.exp(-r)
@@ -289,6 +309,19 @@ def test_grid_basic_properties(grid):
 def test_grid_angular_autoraise():
     g = build_grid(max_degree=4, max_mode=100)
     assert g.n_angular == 408
+
+
+def test_build_grid_panel_edges():
+    # graded panels up to panel_width / 4, then [panel_width / 4,
+    # 2 panel_width], then uniform panels: moving an edge moves every grid
+    g = build_grid(max_degree=24, points_per_panel=4)
+    half = g.weights.reshape(-1, 4).sum(axis=1) / 2.0
+    mid = g.nodes.reshape(-1, 4).mean(axis=1)
+    edges = np.append(mid - half, mid[-1] + half[-1])
+    want = np.concatenate(([0.0], 2.0 * 4.0 ** np.arange(-8.0, 0.0),
+                           np.arange(4.0, g.cutoff + 1.0, 2.0)))
+    assert g.cutoff == 42.0
+    np.testing.assert_allclose(edges, want, rtol=1e-13, atol=1e-16)
 
 
 def test_grid_explicit_cutoff_respected():

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from landau_bgcs.bgcs import CoherentLabel, _ln_bessel_i, mean_k3, mean_n, mean_n_sq
 from landau_bgcs import thermo
 from landau_bgcs.fock import DomainError, PhysicalParams, SubspaceSpec
-from landau_bgcs.measure import integrate
+from landau_bgcs.measure import build_grid, integrate
 from landau_bgcs.quantize import SymbolSpec, quantize_closed_form
 from landau_bgcs.specfun import bessel_k_scaled, ln_bessel_i, ln_bessel_k, ln_factorial
 from landau_bgcs.thermo import (
@@ -455,6 +455,23 @@ def test_thermal_grid_tracks_decay():
         thermal_grid(_ts(0.01))
 
 
+def test_thermal_grid_is_shared_per_cutoff():
+    # beta gap 3 and 5.5 share cutoff 42 across sectors; 0.5 takes 62
+    grid = thermal_grid(_ts(3.0))
+    assert thermal_grid(_ts(5.5, m=2)) is grid
+    assert thermal_grid(_ts(0.5)) is not grid
+    assert thermal_grid(_ts(0.5)).cutoff == 62.0 and grid.cutoff == 42.0
+    assert type(grid.cutoff) is float
+
+
+def test_thermal_grid_memo_is_bounded():
+    # beta gap 0.1 .. 0.3 gives ten distinct cutoffs, 292 down to 100
+    cutoffs = {thermal_grid(_ts(bg)).cutoff for bg in np.linspace(0.1, 0.3, 10)}
+    assert len(cutoffs) == 10
+    info = thermo._grid_at_cutoff.cache_info()
+    assert info.currsize <= info.maxsize == thermo._THERMAL_GRIDS == 8
+
+
 def test_summary_row_schema(grids):
     row = thermal_summary(_ts(1.0, m=1), grids[1.0])
     assert list(row) == ["beta", "m", "Z", "N_mean", "N2_mean", "g",
@@ -603,12 +620,19 @@ def _thermal_routes(ts):
 def test_thermal_routes_same_bits_cold_warm_and_reversed(beta_gap, m):
     ts = _ts(beta_gap, m=m)
     routes = _thermal_routes(ts)
-    cold = {k: f(thermal_grid(ts)) for k, f in routes.items()}
-    grid = thermal_grid(ts)
+    # the cold sides build fresh grids at the shared grid's cutoff
+    cutoff = thermal_grid(ts).cutoff
+
+    def fresh():
+        return build_grid(max_degree=thermo._THERMAL_MAX_DEGREE,
+                          max_mode=thermo._THERMAL_MAX_MODE, cutoff=cutoff)
+    cold = {k: f(fresh()) for k, f in routes.items()}
+    grid = fresh()
     in_order = {k: f(grid) for k, f in routes.items()}
     warm = {k: f(grid) for k, f in routes.items()}
-    grid = thermal_grid(ts)
+    grid = fresh()
     reversed_order = {k: routes[k](grid) for k in reversed(list(routes))}
+    assert {k: f(thermal_grid(ts)) for k, f in routes.items()} == cold
     assert in_order == cold
     assert warm == cold
     assert reversed_order == cold
@@ -626,6 +650,24 @@ def test_thermal_point_evaluates_each_profile_once(kernel_calls):
     fock_population_reconstruction(1, ts, grid)
     thermal_q2_three_ways(ts, grid)
     integrate(lambda z: np.abs(z) ** 2, 2, grid, vectorized=True)
+    assert kernel_calls == {"i": 3, "k": 2}
+
+
+def test_repeated_thermal_point_evaluates_no_kernel_array(kernel_calls):
+    # the second identical point reads every profile from the shared grid
+    def point():
+        ts = _ts(1.17, m=2)
+        thermal_summary(ts)
+        grid = thermal_grid(ts)
+        husimi_normalization_check(ts, grid)
+        p_normalization_check(ts, grid)
+        thermal_mean_n_quadrature(ts, grid)
+        fock_population_reconstruction(1, ts, grid)
+        thermal_q2_three_ways(ts)
+        return wehrl_entropy(ts).quadrature
+    first = point()
+    assert kernel_calls == {"i": 3, "k": 2}
+    assert point() == first
     assert kernel_calls == {"i": 3, "k": 2}
 
 
