@@ -36,11 +36,11 @@ import functools
 import math
 import sys
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .fock import PhysicalParams, SubspaceSpec
-from .measure import QuadratureGrid
 from .specfun import (
     DomainError,
     EvaluationError,
@@ -50,9 +50,11 @@ from .specfun import (
     _order,
     bessel_i_reduced,
     bessel_i_scaled,
-    ln_bessel_i,
     ln_factorial,
 )
+
+if TYPE_CHECKING:
+    from .measure import QuadratureGrid
 
 _TWO_PI = 2.0 * math.pi
 DEFAULT_TAIL_TOL = 1e-16
@@ -243,25 +245,12 @@ def _state(label: CoherentLabel, signs: tuple, m: int, depth: int | None,
     return StateVector(m=m, amplitudes=amps, label=label, tail_tol=checked)
 
 
-def radial_amplitudes(m: int, r, n: int) -> np.ndarray:
-    """Amplitudes a_nu(r), nu < n, of the states with real labels r > 0, one
-    row per radius: shape (r.size, n).
-
-    The same log-space formula as bgcs_state, with ln I_m(2r) from the array
-    kernel over the whole radius vector; a quadrature route that needs the
-    amplitudes at every radial node builds them here in one pass.
-    """
-    r = np.asarray(r, dtype=np.float64)
-    return _amplitude_rows(m, r, n, ln_bessel_i(m, 2.0 * r))
-
-
 def _node_amplitudes(m: int, grid: QuadratureGrid, n: int) -> np.ndarray:
-    # radial_amplitudes at the grid's nodes, with ln I_m(2r) from its cache
-    return _amplitude_rows(m, grid.nodes, n, grid._ln_bessel("i", m))
-
-
-def _amplitude_rows(m: int, r: np.ndarray, n: int, ln_i: np.ndarray) -> np.ndarray:
-    return np.exp(_ln_amplitude(m, np.log(r)[:, None], np.arange(n), ln_i[:, None]))
+    # amplitudes a_nu(r), nu < n, of the real labels r at the grid's nodes,
+    # one row per node: the log-space formula of bgcs_state, with ln I_m(2r)
+    # from the grid's cache
+    return np.exp(_ln_amplitude(m, np.log(grid.nodes)[:, None], np.arange(n),
+                                grid._ln_bessel("i", m)[:, None]))
 
 
 def _gram_diagonal(m: int, grid: QuadratureGrid, n: int) -> np.ndarray:

@@ -88,7 +88,7 @@ def suite_identity(tol: float | None = None) -> list[CheckResult]:
     tol = 1e-6 if tol is None else tol
     # degree covers both the frame check (2 n_check + m + 1) and the radial
     # moments up to n = 20
-    grid = build_grid(max_degree=42, max_mode=16)
+    grid = build_grid(max_degree=42)
     out = []
     for m in (0, 2, 4):
         res = resolution_of_identity_check(SubspaceSpec(m), 8, grid)
@@ -104,7 +104,7 @@ def suite_identity(tol: float | None = None) -> list[CheckResult]:
 def suite_kernel(tol: float | None = None) -> list[CheckResult]:
     """Reproducing-kernel idempotence on random label pairs."""
     tol = 1e-6 if tol is None else tol
-    grid = build_grid(max_degree=24, max_mode=16)
+    grid = build_grid(max_degree=24)
     rng = np.random.default_rng(20240817)
     out = []
     for m in (0, 2):
@@ -127,7 +127,7 @@ def suite_quantize(tol: float | None = None) -> list[CheckResult]:
     out = []
     for m in (0, 1, 3):
         sp = SubspaceSpec(m, depth=depth)
-        grid = build_grid(max_degree=2 * depth + m + 3, max_mode=depth + 2)
+        grid = build_grid(max_degree=2 * depth + m + 3)
         worst = 0.0
         for tag in ("z", "z_bar", "abs_z_sq", "z_sq", "q_sq"):
             quad = quantize_by_quadrature(SymbolSpec(tag), sp, grid)

@@ -309,7 +309,7 @@ def cmd_evolve(cfg: RunConfig):
 def cmd_identity(cfg: RunConfig):
     n_check = cfg.n_check
     sp = cfg.subspace()
-    grid = build_grid(max_degree=2 * n_check + cfg.m + 2, max_mode=2 * n_check)
+    grid = build_grid(max_degree=2 * n_check + cfg.m + 2)
     residual = resolution_of_identity_check(sp, n_check, grid)
     tolerance = cfg.tol if cfg.tol is not None else 1e-6
     payload = {

@@ -39,6 +39,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .bgcs import _gram_diagonal
 from .fock import SubspaceSpec
 from .specfun import (
     DomainError,
@@ -126,13 +127,14 @@ def _positive_density(r, m: int, ln_ie, ln_ke):
 
 @dataclass(frozen=True)
 class QuadratureGrid:
-    """Radial nodes/weights plus uniform angular sampling.
+    """Radial nodes/weights plus the angle count of integrate.
 
     nodes are strictly increasing points in (0, cutoff]; weights are plain
     dr-weights (the r dr dphi area Jacobian is applied by integrate, not
     stored here, so the same weights serve one-dimensional radial moments).
-    max_degree and max_mode declare the polynomial degree and Fourier mode
-    content the grid guarantees to resolve.
+    max_degree declares the radial polynomial degree the grid guarantees to
+    resolve.  n_angular >= 1 is the number of uniform angles on which
+    integrate, and nothing else, samples a 2-D integrand.
 
     Each instance keeps one bounded cache (at most _PROFILE_CACHE_SIZE
     read-only arrays, oldest evicted first, never shared between grids) of
@@ -150,7 +152,6 @@ class QuadratureGrid:
     cutoff: float
     n_angular: int
     max_degree: int
-    max_mode: int
     _profiles: dict = field(init=False, repr=False, compare=False,
                             default_factory=dict)
 
@@ -165,9 +166,8 @@ class QuadratureGrid:
             raise ValueError("nodes must be strictly increasing and positive")
         if nodes[-1] > self.cutoff * (1.0 + 1e-12):
             raise ValueError("nodes exceed the declared cutoff radius")
-        if self.n_angular <= 2 * self.max_mode:
-            raise ValueError(
-                f"n_angular = {self.n_angular} cannot resolve modes up to {self.max_mode}")
+        if type(self.n_angular) is not int or self.n_angular < 1:
+            raise ValueError(f"n_angular must be an integer >= 1, got {self.n_angular!r}")
         if _ln_relative_tail(self.cutoff, self.max_degree) > math.log(_TAIL_TOL):
             raise ValueError(
                 f"cutoff {self.cutoff} too small for degree {self.max_degree} "
@@ -178,15 +178,6 @@ class QuadratureGrid:
         weights.flags.writeable = False
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
-
-    @property
-    def angles(self) -> np.ndarray:
-        return _TWO_PI * np.arange(self.n_angular) / self.n_angular
-
-    @property
-    def z_nodes(self) -> np.ndarray:
-        """Complex node matrix r e^{i phi}, shape (n_radial, n_angular)."""
-        return self.nodes[:, None] * np.exp(1j * self.angles)[None, :]
 
     def radial_weight(self, m: int) -> np.ndarray:
         """Read-only radial factor weights * nodes * density_m, built once
@@ -263,9 +254,8 @@ def build_grid(max_degree: int = 24,
                max_mode: int = 32,
                cutoff: float | None = None,
                panel_width: float = 2.0,
-               points_per_panel: int = 32,
-               n_angular: int | None = None) -> QuadratureGrid:
-    """Build the composite radial rule and angular sampling.
+               points_per_panel: int = 32) -> QuadratureGrid:
+    """Build the composite radial rule and the angle count of integrate.
 
     [0, panel_width / 4] is split into _GRADING_LEVELS panels whose edges
     shrink geometrically toward the origin by _GRADING_RATIO, so the
@@ -274,7 +264,8 @@ def build_grid(max_degree: int = 24,
     widths wide, and uniform panels of panel_width follow from 2 panel_width
     to R, the last one cut short at R.  Every panel has points_per_panel
     Gauss-Legendre nodes.  Without a cutoff, R leaves a max_degree moment
-    tail below _TAIL_TOL.
+    tail below _TAIL_TOL.  max_mode only sets n_angular = max(256,
+    4 max_mode + 8); every library route but integrate is radial.
     """
     max_degree = _order(max_degree, "max_degree")
     max_mode = _order(max_mode, "max_mode")
@@ -282,8 +273,6 @@ def build_grid(max_degree: int = 24,
         raise ValueError("invalid panel geometry")
     radius = float(cutoff) if cutoff is not None \
         else _required_cutoff(max_degree)
-    if n_angular is None:
-        n_angular = max(256, 4 * max_mode + 8)
 
     edges = [0.0]
     edges += [panel_width * _GRADING_RATIO ** (k - _GRADING_LEVELS)
@@ -304,9 +293,8 @@ def build_grid(max_degree: int = 24,
     return QuadratureGrid(nodes=np.concatenate(nodes),
                           weights=np.concatenate(weights),
                           cutoff=radius,
-                          n_angular=int(n_angular),
-                          max_degree=max_degree,
-                          max_mode=max_mode)
+                          n_angular=max(256, 4 * max_mode + 8),
+                          max_degree=max_degree)
 
 
 def _samples(vals, shape, dtype) -> np.ndarray:
@@ -316,7 +304,7 @@ def _samples(vals, shape, dtype) -> np.ndarray:
     return vals
 
 
-def _checked_total(total, vals, grid: QuadratureGrid):
+def _checked_total(total, vals, nodes: np.ndarray, angles: np.ndarray | None = None):
     # IEEE arithmetic never turns an inf or a NaN back into a finite value
     # and the radial weights are finite, so a finite total means that every
     # sample and every partial sum was finite: the callers sum with overflow
@@ -327,9 +315,9 @@ def _checked_total(total, vals, grid: QuadratureGrid):
     bad = ~np.isfinite(vals)
     if np.any(bad):
         at = np.argwhere(bad)[0]
-        where = f"r = {grid.nodes[at[0]]:.6g}"
+        where = f"r = {nodes[at[0]]:.6g}"
         if at.size > 1:
-            where += f", phi = {grid.angles[at[1]]:.6g}"
+            where += f", phi = {angles[at[1]]:.6g}"
         raise EvaluationError(f"non-finite integrand sample at {where}")
     raise EvaluationError("integral overflows although every integrand sample is finite")
 
@@ -346,7 +334,8 @@ def integrate(f, m: int, grid: QuadratureGrid, vectorized: bool = False) -> comp
     EvaluationError naming its r and phi, and so do finite samples whose
     sum overflows.
     """
-    z_nodes = grid.z_nodes
+    angles = _TWO_PI * np.arange(grid.n_angular) / grid.n_angular
+    z_nodes = grid.nodes[:, None] * np.exp(1j * angles)[None, :]
     if vectorized:
         vals = f(z_nodes)
     else:
@@ -356,7 +345,7 @@ def integrate(f, m: int, grid: QuadratureGrid, vectorized: bool = False) -> comp
     with np.errstate(over="ignore", invalid="ignore"):
         angular = vals.sum(axis=1) * (_TWO_PI / grid.n_angular)
         total = complex((weight * angular).sum())
-    return _checked_total(total, vals, grid)
+    return _checked_total(total, vals, grid.nodes, angles)
 
 
 def integrate_radial(vals, m: int, grid: QuadratureGrid) -> float:
@@ -370,7 +359,7 @@ def integrate_radial(vals, m: int, grid: QuadratureGrid) -> float:
     weight = grid.radial_weight(m)
     with np.errstate(over="ignore", invalid="ignore"):
         total = _TWO_PI * float((weight * vals).sum())
-    return _checked_total(total, vals, grid)
+    return _checked_total(total, vals, grid.nodes)
 
 
 def radial_moment_check(n: int, m: int, grid: QuadratureGrid) -> float:
@@ -396,8 +385,6 @@ def resolution_of_identity_check(spec: SubspaceSpec, n_check: int,
     int |a_nu(z)|^2 dmeasure = 2 pi sum_r radial_weight(m) a_nu(r)^2 over
     the first n_check+1 coherent-amplitude modes.  The angular integral is
     exact: it is 2 pi on the diagonal and zero off it."""
-    from .bgcs import _gram_diagonal
-
     n_check = _order(n_check, "n_check")
     if spec.depth is not None and n_check > spec.depth - 2:
         raise ValueError(

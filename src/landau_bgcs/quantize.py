@@ -144,8 +144,8 @@ def quantize_by_quadrature(sym: SymbolSpec, spec: SubspaceSpec,
 
         2 pi c sum_r radial_weight(m) r^{i+j} a_t(r) a_{t+|i-j|}(r),
 
-    one matrix-vector product against the amplitudes at the nodes
-    (bgcs.radial_amplitudes, with ln I_m from the grid's profile cache).
+    one matrix-vector product against the amplitudes at the nodes, built
+    in one pass with ln I_m from the grid's profile cache.
     Only the radial rule approximates; a non-finite entry raises
     EvaluationError."""
     depth = spec.require_depth()

@@ -14,9 +14,7 @@ expansions:
   (``ln_bessel_i``, ``ln_bessel_k``), for callers that need a whole radial
   profile at once,
 * ``ln n!`` (exact cumulative sums up to 256, Stirling beyond),
-* the Gauss hypergeometric series ``2F1(a, b; c; x)`` for ``|x| < 1``,
-* weighted Bessel-type moment sums used as series oracles for closed-form
-  expectation values.
+* the Gauss hypergeometric series ``2F1(a, b; c; x)`` for ``|x| < 1``.
 
 The real-argument Bessel kernels, scalar and array alike, take their branch
 from (m, x) alone, and each branch is one fixed table read by one body that
@@ -30,8 +28,8 @@ the stable upward recurrence; the reflection formula with a ``sin(m pi)``
 denominator is useless at integer order.  A scalar call costs 2-4
 microseconds on every branch but the I recurrence, whose O(m) loop takes
 10-40 microseconds for m <= 50.  The series that stay scalar (the reduced
-series, 2F1 and the moment sums) and the logs of the I ratios use
-compensated (Kahan) accumulation.
+series and 2F1) and the logs of the I ratios use compensated (Kahan)
+accumulation.
 """
 
 from __future__ import annotations

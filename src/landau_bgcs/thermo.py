@@ -75,9 +75,11 @@ _MAX_BETA_GAP = math.log(sys.float_info.max)
 # of the first term
 _PARTITION_TAIL_TOL = 1e-16
 _PARTITION_MAX_TERMS = 200_000
-# thermal grids resolve these radial degrees and angular modes
+# thermal grids resolve this radial degree, which alone sets the smallest
+# thermal cutoff; _required_cutoff steps by 2 from 30, so it is even like
+# the window of thermal_grid
 _THERMAL_MAX_DEGREE = 24
-_THERMAL_MAX_MODE = 8
+_THERMAL_MIN_CUTOFF = _required_cutoff(_THERMAL_MAX_DEGREE)
 # thermal grids the process keeps, one per cutoff, least recently used
 # dropped first; each holds at most 64 cached profiles of at most 9824
 # doubles (cutoff 600)
@@ -327,15 +329,13 @@ def thermal_grid(ts: ThermalSpec) -> QuadratureGrid:
         raise DomainError(
             f"thermal decay rate {rate:.3g} needs cutoff {needed:.0f} > 600; "
             "beta gap is too small for the quadrature window")
-    # _required_cutoff steps by 2 from 30, so it is even like the window
-    cutoff = max(_required_cutoff(_THERMAL_MAX_DEGREE), 2 * math.ceil(needed / 2.0))
+    cutoff = max(_THERMAL_MIN_CUTOFF, 2 * math.ceil(needed / 2.0))
     return _grid_at_cutoff(float(cutoff))
 
 
 @lru_cache(maxsize=_THERMAL_GRIDS)
 def _grid_at_cutoff(cutoff: float) -> QuadratureGrid:
-    return build_grid(max_degree=_THERMAL_MAX_DEGREE, max_mode=_THERMAL_MAX_MODE,
-                      cutoff=cutoff)
+    return build_grid(max_degree=_THERMAL_MAX_DEGREE, cutoff=cutoff)
 
 
 def husimi_normalization_check(ts: ThermalSpec, grid: QuadratureGrid,

@@ -1,6 +1,7 @@
 """Coherent states: amplitudes, kernel, statistics, dynamics, entire functions."""
 
 import cmath
+import dataclasses
 import functools
 import math
 
@@ -27,7 +28,7 @@ from landau_bgcs.bgcs import (
     overlap_density,
     probability_density,
     _ln_amplitude,
-    radial_amplitudes,
+    _node_amplitudes,
     snr,
 )
 from landau_bgcs.fock import PhysicalParams, SubspaceSpec, ladder_matrix
@@ -160,8 +161,8 @@ def test_lowering_eigenvector_property():
 def test_radial_amplitudes_match_bgcs_state(m):
     # the amplitude matrix over a depth-8 quadrature grid's radii, row by
     # row against the per-node state construction
-    g = build_grid(max_degree=2 * 8 + m + 3, max_mode=10)
-    got = radial_amplitudes(m, g.nodes, 9)
+    g = build_grid(max_degree=2 * 8 + m + 3)
+    got = _node_amplitudes(m, g, 9)
     assert got.shape == (g.nodes.size, 9)
     want = np.array([bgcs_state(CoherentLabel(float(r)), SubspaceSpec(m, depth=8))
                      .amplitudes.real for r in g.nodes])
@@ -226,8 +227,8 @@ def mp_kernel_grid():
     # a small grid whose 16 angles and 48 nodes keep the test fast, with
     # K_0, K_1 and K_2 = K_0 + (2/x) K_1 at x = 2r on its nodes, 40 digits
     mpmath = pytest.importorskip("mpmath")
-    g = build_grid(max_degree=4, max_mode=4, cutoff=20.0, panel_width=4.0,
-                   points_per_panel=4, n_angular=16)
+    g = dataclasses.replace(build_grid(max_degree=4, cutoff=20.0, panel_width=4.0,
+                                       points_per_panel=4), n_angular=16)
     k = []
     with mpmath.workdps(40):
         for r in g.nodes:
@@ -345,7 +346,9 @@ _ORDER_TAKERS = {
     "probability_density": lambda z, m: probability_density(z, m, 0),
     "overlap": lambda z, m: overlap(z, z, m),
     "analytic_weight": lambda z, m: analytic_weight(abs(z), m),
-    "radial_amplitudes": lambda z, m: radial_amplitudes(m, np.array([abs(z)]), 3),
+    # the radial amplitudes a_nu(r) at a grid's nodes, from their one builder
+    "radial_amplitudes": lambda z, m: _node_amplitudes(
+        m, build_grid(max_degree=0, cutoff=20.0, points_per_panel=4), 3),
     "bessel_i": lambda z, m: bessel_i(m, abs(z)),
     "bessel_i_scaled": lambda z, m: bessel_i_scaled(m, abs(z)),
     "bessel_i_reduced": lambda z, m: bessel_i_reduced(m, z),

@@ -1,14 +1,15 @@
 """Quadrature engine: density values, moment identities, identity resolution."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from landau_bgcs import checks, measure
-from landau_bgcs.bgcs import _node_amplitudes, radial_amplitudes
-from landau_bgcs.fock import SubspaceSpec
+from landau_bgcs import checks, cli, measure, thermo
+from landau_bgcs.bgcs import _node_amplitudes
+from landau_bgcs.fock import PhysicalParams, SubspaceSpec
 from landau_bgcs.measure import (
     QuadratureGrid,
     build_grid,
@@ -136,8 +137,8 @@ def test_moment_function_reduces_to_radial_identity(grid):
 
 
 def test_integrate_scalar_and_vectorized_agree():
-    g = build_grid(max_degree=4, max_mode=4, cutoff=20.0, points_per_panel=8,
-                   n_angular=32)
+    g = dataclasses.replace(build_grid(max_degree=4, cutoff=20.0, points_per_panel=8),
+                            n_angular=32)
     # |u|^2 spelled without pow or abs, so a scalar and an array sample of
     # the same node round identically and only the two routes are compared
     f = lambda u: u.real * u.real + u.imag * u.imag
@@ -163,7 +164,7 @@ def test_integrate_names_the_nonfinite_sample(grid, bad):
         out = np.ones_like(u)
         out[3, 5] = bad
         return out
-    where = f"r = {grid.nodes[3]:.6g}, phi = {grid.angles[5]:.6g}"
+    where = f"r = {grid.nodes[3]:.6g}, phi = {2.0 * math.pi * 5 / grid.n_angular:.6g}"
     with pytest.raises(EvaluationError, match=f"non-finite integrand sample at {where}"):
         integrate(f, 0, grid, vectorized=True)
 
@@ -254,15 +255,16 @@ def test_identity_offdiagonal_killed_by_angle_sums(grid):
     # coarse radial sampling cannot disturb the off-diagonal zeros: those
     # vanish through the angular sums alone
     coarse = build_grid(max_degree=24, max_mode=32, points_per_panel=6)
+    angles = 2.0 * math.pi * np.arange(coarse.n_angular) / coarse.n_angular
     for d in (1, 2, 5, 9):
-        s = np.exp(1j * d * coarse.angles).sum() * (2.0 * math.pi / coarse.n_angular)
+        s = np.exp(1j * d * angles).sum() * (2.0 * math.pi / coarse.n_angular)
         assert abs(s) < 1e-12
 
 
 def test_identity_is_the_radial_gram_diagonal():
     # 2 pi sum_r w a_nu^2 against 1, whatever the angular sampling
     wide = build_grid(max_degree=24, max_mode=16)
-    narrow = build_grid(max_degree=24, max_mode=0, n_angular=4)
+    narrow = dataclasses.replace(build_grid(max_degree=24), n_angular=4)
     for m in (0, 3):
         sp = SubspaceSpec(m, depth=12)
         got = resolution_of_identity_check(sp, 8, wide)
@@ -303,7 +305,7 @@ def test_grid_basic_properties(grid):
     assert np.all(np.diff(grid.nodes) > 0)
     assert grid.nodes[0] > 0
     assert grid.nodes[-1] <= grid.cutoff
-    assert grid.angles.size == grid.n_angular
+    assert grid.n_angular == 256
 
 
 def test_grid_angular_autoraise():
@@ -324,6 +326,33 @@ def test_build_grid_panel_edges():
     np.testing.assert_allclose(edges, want, rtol=1e-13, atol=1e-16)
 
 
+def test_library_grids_are_the_plain_radial_grids(monkeypatch):
+    # every grid the library builds (three suites, identity at n_check 40,
+    # two thermal cutoffs) is build_grid(max_degree, cutoff) bit for bit,
+    # with its 256 angles: no caller asks for angles of its own
+    built = []
+
+    def recording(*args, **kw):
+        built.append(build_grid(*args, **kw))
+        return built[-1]
+    monkeypatch.setattr(checks, "build_grid", recording)
+    monkeypatch.setattr(cli, "build_grid", recording)
+    for suite in ("identity", "kernel", "quantize"):
+        checks.run_suite(suite)
+    assert cli.main(["identity", "--m", "0", "--n-check", "40"]) == 0
+    assert len(built) == 6 and built[-1].max_degree == 82
+    thermal = [thermo.thermal_grid(thermo.ThermalSpec(PhysicalParams(), beta=b,
+                                                      gap_energy=1.0))
+               for b in (0.1, 3.0)]
+    assert [g.cutoff for g in thermal] == [292.0, 42.0]
+    assert thermo._THERMAL_MIN_CUTOFF == 42.0
+    for g in built + thermal:
+        want = build_grid(max_degree=g.max_degree, cutoff=g.cutoff)
+        assert g.nodes.tobytes() == want.nodes.tobytes()
+        assert g.weights.tobytes() == want.weights.tobytes()
+        assert g.n_angular == want.n_angular == 256
+
+
 def test_grid_explicit_cutoff_respected():
     g = build_grid(max_degree=4, max_mode=4, cutoff=25.0)
     assert g.cutoff == 25.0
@@ -340,13 +369,13 @@ def test_grid_validation_errors():
             build_grid(max_degree=degree, max_mode=mode)
     with pytest.raises(ValueError):
         QuadratureGrid(nodes=np.array([1.0, 2.0]), weights=np.array([1.0, -1.0]),
-                       cutoff=30.0, n_angular=64, max_degree=0, max_mode=4)
+                       cutoff=30.0, n_angular=64, max_degree=0)
     with pytest.raises(ValueError):
         QuadratureGrid(nodes=np.array([2.0, 1.0]), weights=np.array([1.0, 1.0]),
-                       cutoff=30.0, n_angular=64, max_degree=0, max_mode=4)
+                       cutoff=30.0, n_angular=64, max_degree=0)
     with pytest.raises(ValueError):
         QuadratureGrid(nodes=np.array([1.0, 2.0]), weights=np.array([1.0, 1.0]),
-                       cutoff=30.0, n_angular=8, max_degree=0, max_mode=4)
+                       cutoff=30.0, n_angular=0, max_degree=0)
 
 
 def test_grid_arrays_read_only(grid):
@@ -440,13 +469,6 @@ def test_radial_weight_out_of_range_is_not_cached():
         with pytest.raises(EvaluationError, match="order-200"):
             g.radial_weight(200)
     assert ("weight", 200) not in g._profiles
-
-
-@pytest.mark.parametrize("m", [0, 3])
-def test_node_amplitudes_are_radial_amplitudes(m, grid):
-    want = radial_amplitudes(m, grid.nodes, 9)
-    for _ in range(2):
-        assert np.array_equal(_node_amplitudes(m, grid, 9), want)
 
 
 def test_identity_suite_evaluates_each_profile_once(kernel_calls):

@@ -624,8 +624,7 @@ def test_thermal_routes_same_bits_cold_warm_and_reversed(beta_gap, m):
     cutoff = thermal_grid(ts).cutoff
 
     def fresh():
-        return build_grid(max_degree=thermo._THERMAL_MAX_DEGREE,
-                          max_mode=thermo._THERMAL_MAX_MODE, cutoff=cutoff)
+        return build_grid(max_degree=thermo._THERMAL_MAX_DEGREE, cutoff=cutoff)
     cold = {k: f(fresh()) for k, f in routes.items()}
     grid = fresh()
     in_order = {k: f(grid) for k, f in routes.items()}
