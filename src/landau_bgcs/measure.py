@@ -62,6 +62,13 @@ _GRADING_RATIO = 4.0
 _TAIL_TOL = 1e-12
 # Bessel profiles and radial weights one grid keeps; the oldest goes first
 _PROFILE_CACHE_SIZE = 64
+# uniform radial panel width and the Gauss-Legendre rule of every panel
+_PANEL_WIDTH = 2.0
+_PANEL_X, _PANEL_W = np.polynomial.legendre.leggauss(32)
+_MAX_CUTOFF = 600.0
+# grids build_grid keeps, least recently used dropped first; each holds at
+# most _PROFILE_CACHE_SIZE profiles of at most 9824 doubles (cutoff 600)
+_SHARED_GRIDS = 8
 
 
 def _label_radius(label) -> float:
@@ -129,16 +136,17 @@ def _positive_density(r, m: int, ln_ie, ln_ke):
 class QuadratureGrid:
     """Radial nodes/weights plus the angle count of integrate.
 
-    nodes are strictly increasing points in (0, cutoff]; weights are plain
-    dr-weights (the r dr dphi area Jacobian is applied by integrate, not
-    stored here, so the same weights serve one-dimensional radial moments).
-    max_degree declares the radial polynomial degree the grid guarantees to
-    resolve.  n_angular >= 1 is the number of uniform angles on which
-    integrate, and nothing else, samples a 2-D integrand.
+    nodes are strictly increasing points in (0, cutoff], cutoff finite;
+    weights are plain dr-weights (the r dr dphi area Jacobian is applied by
+    integrate, not stored here, so the same weights serve one-dimensional
+    radial moments).  max_degree, an integer >= 0, declares the radial
+    polynomial degree the grid guarantees to resolve.  n_angular >= 1 is the
+    number of uniform angles on which integrate, and nothing else, samples a
+    2-D integrand.
 
     Each instance keeps one bounded cache (at most _PROFILE_CACHE_SIZE
-    read-only arrays, oldest evicted first, never shared between grids) of
-    the scaled logs ln(e^{-x} I_m(x)) and ln(e^x K_m(x)) at
+    read-only arrays, oldest evicted first; a dataclasses.replace copy
+    starts empty) of the scaled logs ln(e^{-x} I_m(x)) and ln(e^x K_m(x)) at
     x = (2.0 * nodes) * factor, keyed by (kind, order, factor), of the
     per-sector radial factor radial_weight(m), keyed by ("weight", order),
     of the Gram diagonal, keyed by ("gram", order, n), and of the thermal P
@@ -164,10 +172,13 @@ class QuadratureGrid:
             raise ValueError("all quadrature weights must be positive")
         if not (np.all(nodes > 0.0) and np.all(np.diff(nodes) > 0.0)):
             raise ValueError("nodes must be strictly increasing and positive")
+        if not math.isfinite(self.cutoff):
+            raise ValueError(f"cutoff must be finite, got {self.cutoff!r}")
         if nodes[-1] > self.cutoff * (1.0 + 1e-12):
             raise ValueError("nodes exceed the declared cutoff radius")
         if type(self.n_angular) is not int or self.n_angular < 1:
             raise ValueError(f"n_angular must be an integer >= 1, got {self.n_angular!r}")
+        object.__setattr__(self, "max_degree", _order(self.max_degree, "max_degree"))
         if _ln_relative_tail(self.cutoff, self.max_degree) > math.log(_TAIL_TOL):
             raise ValueError(
                 f"cutoff {self.cutoff} too small for degree {self.max_degree} "
@@ -225,7 +236,10 @@ class QuadratureGrid:
 def _ln_relative_tail(radius: float, degree: int) -> float:
     # tail of int_R^inf r^p K(2r) dr bounded by R^p e^{-2R}, measured against
     # the smallest Gamma-moment of that degree; an absolute R^p e^{-2R} bound
-    # is unsatisfiable once p exceeds ~25 and would over-demand the cutoff
+    # is unsatisfiable once p exceeds ~25 and would over-demand the cutoff.
+    # It holds only past the peak r = p / 2 of r^p e^{-2r}
+    if radius <= 0.5 * degree:
+        return math.inf
     half = max((degree + 1) // 2 - 1, 0)
     ln_target = 2.0 * ln_factorial(half)
     return degree * math.log(radius) - 2.0 * radius - ln_target
@@ -236,64 +250,58 @@ def _required_cutoff(degree: int) -> float:
     ln_tol = math.log(_TAIL_TOL)
     while _ln_relative_tail(r, degree) > ln_tol:
         r += 2.0
-        if r > 600.0:
+        if r > _MAX_CUTOFF:
             raise DomainError(
                 f"cannot satisfy tail tolerance {_TAIL_TOL} at degree {degree}")
     return r
 
 
-@lru_cache(maxsize=8)
-def _panel_rule(points: int):
-    x, w = np.polynomial.legendre.leggauss(points)
-    x.flags.writeable = False
-    w.flags.writeable = False
-    return x, w
-
-
 def build_grid(max_degree: int = 24,
                max_mode: int = 32,
-               cutoff: float | None = None,
-               panel_width: float = 2.0,
-               points_per_panel: int = 32) -> QuadratureGrid:
-    """Build the composite radial rule and the angle count of integrate.
+               cutoff: float | None = None) -> QuadratureGrid:
+    """The composite radial rule and the angle count of integrate.
 
-    [0, panel_width / 4] is split into _GRADING_LEVELS panels whose edges
+    [0, _PANEL_WIDTH / 4] is split into _GRADING_LEVELS panels whose edges
     shrink geometrically toward the origin by _GRADING_RATIO, so the
     near-origin weight behavior is captured without ever placing a node at
-    r = 0.  The next panel is [panel_width / 4, 2 panel_width], 1.75 panel
-    widths wide, and uniform panels of panel_width follow from 2 panel_width
-    to R, the last one cut short at R.  Every panel has points_per_panel
-    Gauss-Legendre nodes.  Without a cutoff, R leaves a max_degree moment
-    tail below _TAIL_TOL.  max_mode only sets n_angular = max(256,
-    4 max_mode + 8); every library route but integrate is radial.
+    r = 0.  The next panel is [_PANEL_WIDTH / 4, 2 _PANEL_WIDTH], 1.75 panel
+    widths wide, and uniform panels of _PANEL_WIDTH follow to R, the last one
+    cut short at R.  Every panel has 32 Gauss-Legendre nodes.  Without a
+    cutoff, R leaves a max_degree moment tail below _TAIL_TOL; a cutoff
+    outside (0, _MAX_CUTOFF] raises DomainError.  max_mode only sets
+    n_angular = max(256, 4 max_mode + 8); every library route but integrate
+    is radial.  Each rule (max_degree, n_angular, R) is one shared grid, its
+    profile cache with it, and _SHARED_GRIDS of them are kept.
     """
     max_degree = _order(max_degree, "max_degree")
     max_mode = _order(max_mode, "max_mode")
-    if panel_width <= 0 or points_per_panel < 4:
-        raise ValueError("invalid panel geometry")
-    radius = float(cutoff) if cutoff is not None \
-        else _required_cutoff(max_degree)
+    radius = _required_cutoff(max_degree) if cutoff is None else float(cutoff)
+    if not 0.0 < radius <= _MAX_CUTOFF:
+        raise DomainError(f"cutoff must be in (0, {_MAX_CUTOFF:g}], got {cutoff!r}")
+    return _shared_grid(max_degree, max(256, 4 * max_mode + 8), radius)
 
+
+@lru_cache(maxsize=_SHARED_GRIDS)
+def _shared_grid(max_degree: int, n_angular: int, radius: float) -> QuadratureGrid:
     edges = [0.0]
-    edges += [panel_width * _GRADING_RATIO ** (k - _GRADING_LEVELS)
+    edges += [_PANEL_WIDTH * _GRADING_RATIO ** (k - _GRADING_LEVELS)
               for k in range(_GRADING_LEVELS)]
-    b = panel_width
+    b = _PANEL_WIDTH
     while b < radius - 1e-9:
-        b = min(b + panel_width, radius)
+        b = min(b + _PANEL_WIDTH, radius)
         edges.append(b)
     if edges[-1] < radius:
         edges.append(radius)
 
-    xs, ws = _panel_rule(points_per_panel)
     nodes, weights = [], []
     for lo, hi in zip(edges[:-1], edges[1:]):
         mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        nodes.append(mid + half * xs)
-        weights.append(half * ws)
+        nodes.append(mid + half * _PANEL_X)
+        weights.append(half * _PANEL_W)
     return QuadratureGrid(nodes=np.concatenate(nodes),
                           weights=np.concatenate(weights),
                           cutoff=radius,
-                          n_angular=max(256, 4 * max_mode + 8),
+                          n_angular=n_angular,
                           max_degree=max_degree)
 
 

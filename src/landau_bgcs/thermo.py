@@ -21,14 +21,14 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
 
 from .bgcs import _as_label, _ln_amplitude
 from .fock import PhysicalParams, lowering_band
-from .measure import (QuadratureGrid, _required_cutoff, build_grid, integrate,
-                      integrate_radial)
+from .measure import (_MAX_CUTOFF, QuadratureGrid, _required_cutoff, build_grid,
+                      integrate, integrate_radial)
 from .specfun import (
     DomainError,
     EvaluationError,
@@ -80,10 +80,6 @@ _PARTITION_MAX_TERMS = 200_000
 # the window of thermal_grid
 _THERMAL_MAX_DEGREE = 24
 _THERMAL_MIN_CUTOFF = _required_cutoff(_THERMAL_MAX_DEGREE)
-# thermal grids the process keeps, one per cutoff, least recently used
-# dropped first; each holds at most 64 cached profiles of at most 9824
-# doubles (cutoff 600)
-_THERMAL_GRIDS = 8
 
 
 @dataclass(frozen=True)
@@ -316,25 +312,19 @@ def thermal_grid(ts: ThermalSpec) -> QuadratureGrid:
 
     The Husimi-type integrands fall off like exp(-2 r (1 - e^{-a})), much
     slower than the bare measure when a is small, so the cutoff must grow
-    as the temperature rises.  The grid depends on that even cutoff alone,
-    so every temperature and sector with the same cutoff gets the same
-    shared grid, and with it the profiles its cache holds.  The process
-    keeps at most 8 such grids, the least recently used dropped first.
+    as the temperature rises.  The grid is build_grid's shared grid at that
+    even cutoff, so every temperature and sector with the same cutoff reads
+    the same profile cache; at cutoff 42 it is build_grid(max_degree=24).
     """
     a = ts.half_beta_gap
     rate = 2.0 * (1.0 - math.exp(-a))
     # e^{-a} rounds to 1 for beta gap below about 1.1e-16: no decay at all
     needed = (26.0 + math.log1p(1.0 / rate)) / rate if rate > 0.0 else math.inf
-    if needed > 600.0:
+    if needed > _MAX_CUTOFF:
         raise DomainError(
-            f"thermal decay rate {rate:.3g} needs cutoff {needed:.0f} > 600; "
-            "beta gap is too small for the quadrature window")
+            f"thermal decay rate {rate:.3g} needs cutoff {needed:.0f} > "
+            f"{_MAX_CUTOFF:.0f}; beta gap is too small for the quadrature window")
     cutoff = max(_THERMAL_MIN_CUTOFF, 2 * math.ceil(needed / 2.0))
-    return _grid_at_cutoff(float(cutoff))
-
-
-@lru_cache(maxsize=_THERMAL_GRIDS)
-def _grid_at_cutoff(cutoff: float) -> QuadratureGrid:
     return build_grid(max_degree=_THERMAL_MAX_DEGREE, cutoff=cutoff)
 
 

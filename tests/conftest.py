@@ -1,16 +1,35 @@
 """Shared fixtures."""
 
+import numpy as np
 import pytest
 
-from landau_bgcs import measure, thermo
+from landau_bgcs import measure
+
+
+def panel_grid(points: int, width: float = 2.0, max_degree: int = 0,
+               cutoff: float | None = None, n_angular: int = 256):
+    """A fresh QuadratureGrid on build_grid's panel layout, but with `points`
+    Gauss-Legendre nodes per panel and uniform panels `width` wide: graded
+    panels up to width / 4, then [width / 4, 2 width], then uniform panels
+    to the cutoff (by default the one build_grid picks for max_degree)."""
+    if cutoff is None:
+        cutoff = measure._required_cutoff(max_degree)
+    edges = np.concatenate(([0.0], width * 4.0 ** np.arange(-8.0, 0.0),
+                            np.arange(2.0 * width, cutoff, width), [cutoff]))
+    lo, hi = edges[:-1, None], edges[1:, None]
+    x, w = np.polynomial.legendre.leggauss(points)
+    return measure.QuadratureGrid(
+        nodes=(0.5 * (hi + lo) + 0.5 * (hi - lo) * x).ravel(),
+        weights=(0.5 * (hi - lo) * w).ravel(), cutoff=float(cutoff),
+        n_angular=n_angular, max_degree=max_degree)
 
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
     """Counts of the scaled ln I and ln K array kernels, as measure calls them,
-    from an empty thermal-grid memo, so grids that earlier tests warmed do not
-    hide the profiles a test builds."""
-    thermo._grid_at_cutoff.cache_clear()
+    from an empty grid memo, so grids that earlier tests warmed do not hide
+    the profiles a test builds."""
+    measure._shared_grid.cache_clear()
     calls = {"i": 0, "k": 0}
 
     def counted(kind, kernel):

@@ -1,7 +1,6 @@
 """Coherent states: amplitudes, kernel, statistics, dynamics, entire functions."""
 
 import cmath
-import dataclasses
 import functools
 import math
 
@@ -46,6 +45,7 @@ from landau_bgcs.specfun import (
     ln_bessel_i,
     ln_factorial,
 )
+from conftest import panel_grid
 from oracles import bessel_power_sum
 
 # frozen 60-digit reference values
@@ -227,8 +227,7 @@ def mp_kernel_grid():
     # a small grid whose 16 angles and 48 nodes keep the test fast, with
     # K_0, K_1 and K_2 = K_0 + (2/x) K_1 at x = 2r on its nodes, 40 digits
     mpmath = pytest.importorskip("mpmath")
-    g = dataclasses.replace(build_grid(max_degree=4, cutoff=20.0, panel_width=4.0,
-                                       points_per_panel=4), n_angular=16)
+    g = panel_grid(4, width=4.0, max_degree=4, cutoff=20.0, n_angular=16)
     k = []
     with mpmath.workdps(40):
         for r in g.nodes:
@@ -348,7 +347,7 @@ _ORDER_TAKERS = {
     "analytic_weight": lambda z, m: analytic_weight(abs(z), m),
     # the radial amplitudes a_nu(r) at a grid's nodes, from their one builder
     "radial_amplitudes": lambda z, m: _node_amplitudes(
-        m, build_grid(max_degree=0, cutoff=20.0, points_per_panel=4), 3),
+        m, panel_grid(4, cutoff=20.0), 3),
     "bessel_i": lambda z, m: bessel_i(m, abs(z)),
     "bessel_i_scaled": lambda z, m: bessel_i_scaled(m, abs(z)),
     "bessel_i_reduced": lambda z, m: bessel_i_reduced(m, z),

@@ -26,6 +26,7 @@ from landau_bgcs.specfun import (
     ln_bessel_k,
     ln_factorial,
 )
+from conftest import panel_grid
 
 # density values frozen from a 40-digit reference evaluation
 _DENSITY_CASES = [
@@ -137,8 +138,7 @@ def test_moment_function_reduces_to_radial_identity(grid):
 
 
 def test_integrate_scalar_and_vectorized_agree():
-    g = dataclasses.replace(build_grid(max_degree=4, cutoff=20.0, points_per_panel=8),
-                            n_angular=32)
+    g = panel_grid(8, max_degree=4, cutoff=20.0, n_angular=32)
     # |u|^2 spelled without pow or abs, so a scalar and an array sample of
     # the same node round identically and only the two routes are compared
     f = lambda u: u.real * u.real + u.imag * u.imag
@@ -254,7 +254,7 @@ def test_identity_resolution_auto_depth(grid):
 def test_identity_offdiagonal_killed_by_angle_sums(grid):
     # coarse radial sampling cannot disturb the off-diagonal zeros: those
     # vanish through the angular sums alone
-    coarse = build_grid(max_degree=24, max_mode=32, points_per_panel=6)
+    coarse = panel_grid(6, max_degree=24)
     angles = 2.0 * math.pi * np.arange(coarse.n_angular) / coarse.n_angular
     for d in (1, 2, 5, 9):
         s = np.exp(1j * d * angles).sum() * (2.0 * math.pi / coarse.n_angular)
@@ -278,7 +278,7 @@ def test_identity_is_the_radial_gram_diagonal():
 
 def test_identity_grid_convergence():
     g1 = build_grid(max_degree=20, max_mode=16)
-    g2 = build_grid(max_degree=20, max_mode=16, panel_width=1.0)
+    g2 = panel_grid(32, width=1.0, max_degree=20)
     sp = SubspaceSpec(0, depth=12)
     a = resolution_of_identity_check(sp, 8, g1)
     b = resolution_of_identity_check(sp, 8, g2)
@@ -314,11 +314,12 @@ def test_grid_angular_autoraise():
 
 
 def test_build_grid_panel_edges():
-    # graded panels up to panel_width / 4, then [panel_width / 4,
-    # 2 panel_width], then uniform panels: moving an edge moves every grid
-    g = build_grid(max_degree=24, points_per_panel=4)
-    half = g.weights.reshape(-1, 4).sum(axis=1) / 2.0
-    mid = g.nodes.reshape(-1, 4).mean(axis=1)
+    # graded panels up to _PANEL_WIDTH / 4, then [_PANEL_WIDTH / 4,
+    # 2 _PANEL_WIDTH], then uniform panels of 32 points each: moving an edge
+    # moves every grid
+    g = build_grid(max_degree=24)
+    half = g.weights.reshape(-1, 32).sum(axis=1) / 2.0
+    mid = g.nodes.reshape(-1, 32).mean(axis=1)
     edges = np.append(mid - half, mid[-1] + half[-1])
     want = np.concatenate(([0.0], 2.0 * 4.0 ** np.arange(-8.0, 0.0),
                            np.arange(4.0, g.cutoff + 1.0, 2.0)))
@@ -328,8 +329,10 @@ def test_build_grid_panel_edges():
 
 def test_library_grids_are_the_plain_radial_grids(monkeypatch):
     # every grid the library builds (three suites, identity at n_check 40,
-    # two thermal cutoffs) is build_grid(max_degree, cutoff) bit for bit,
-    # with its 256 angles: no caller asks for angles of its own
+    # two thermal cutoffs) is build_grid(max_degree, cutoff), with its 256
+    # angles: no caller asks for angles of its own.  Its nodes and weights
+    # are the 32-point panels laid out anew by the tests' panel_grid, bit
+    # for bit, so sharing the grids moved none of them
     built = []
 
     def recording(*args, **kw):
@@ -347,10 +350,52 @@ def test_library_grids_are_the_plain_radial_grids(monkeypatch):
     assert [g.cutoff for g in thermal] == [292.0, 42.0]
     assert thermo._THERMAL_MIN_CUTOFF == 42.0
     for g in built + thermal:
-        want = build_grid(max_degree=g.max_degree, cutoff=g.cutoff)
+        assert g is build_grid(max_degree=g.max_degree, cutoff=g.cutoff)
+        want = panel_grid(32, max_degree=g.max_degree, cutoff=g.cutoff)
         assert g.nodes.tobytes() == want.nodes.tobytes()
         assert g.weights.tobytes() == want.weights.tobytes()
         assert g.n_angular == want.n_angular == 256
+
+
+# ------------------------------------------------------------- shared grids
+
+def test_grid_is_shared_per_rule():
+    g = build_grid(max_degree=24)
+    assert build_grid(24, 32, 42) is g and build_grid(max_degree=24, cutoff=42) is g
+    assert thermo.thermal_grid(thermo.ThermalSpec(PhysicalParams(), beta=3.0,
+                                                  gap_energy=1.0)) is g
+    # max_mode only moves the rule once it raises the angle count past 256
+    for d in (0, 8, 40):
+        for k in (0, 10, 62):
+            assert build_grid(d, max_mode=k) is build_grid(d)
+        assert build_grid(d, max_mode=63) is not build_grid(d)
+        assert build_grid(d, max_mode=63).n_angular == 260
+    assert build_grid(24, cutoff=44.0) is not g
+
+
+def test_grid_memo_is_bounded():
+    # ten distinct cutoffs, each its own rule, and the oldest ones dropped
+    grids = [build_grid(max_degree=4, cutoff=c) for c in range(30, 50, 2)]
+    info = measure._shared_grid.cache_info()
+    assert info.currsize <= info.maxsize == measure._SHARED_GRIDS == 8
+    assert build_grid(max_degree=4, cutoff=48) is grids[-1]
+    assert build_grid(max_degree=4, cutoff=30) is not grids[0]
+
+
+def test_identity_command_twice_reads_the_warm_grid(kernel_calls, capsys):
+    argv = ["identity", "--m", "3", "--n-check", "40"]
+    assert cli.main(argv) == 0
+    first = capsys.readouterr().out
+    cold = dict(kernel_calls)
+    assert cold["i"] + cold["k"] > 0
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == first
+    assert kernel_calls == cold
+
+
+def test_suites_twice_give_the_same_results():
+    first = [r.as_dict() for r in checks.run_suite("all")]
+    assert [r.as_dict() for r in checks.run_suite("all")] == first
 
 
 def test_grid_explicit_cutoff_respected():
@@ -378,13 +423,65 @@ def test_grid_validation_errors():
                        cutoff=30.0, n_angular=0, max_degree=0)
 
 
+@pytest.mark.parametrize("cutoff", [math.nan, math.inf, -math.inf, 0.0, -1.0, 600.5])
+def test_build_grid_rejects_bad_cutoffs(cutoff):
+    # checked before any panel is laid: an inf cutoff would never stop
+    with pytest.raises(DomainError, match=r"^cutoff must be in \(0, 600\]"):
+        build_grid(max_degree=8, cutoff=cutoff)
+
+
+def test_build_grid_accepts_the_cutoff_bound():
+    assert measure._MAX_CUTOFF == 600.0
+    assert build_grid(max_degree=8, cutoff=600.0).cutoff == 600.0
+    with pytest.raises(DomainError, match="cannot satisfy tail tolerance"):
+        build_grid(max_degree=1200)
+
+
+def _two_node_grid(**kw):
+    args = dict(nodes=np.array([1.0, 2.0]), weights=np.array([1.0, 1.0]),
+                cutoff=30.0, n_angular=64, max_degree=0)
+    return QuadratureGrid(**{**args, **kw})
+
+
+@pytest.mark.parametrize("cutoff", [math.nan, math.inf, -math.inf])
+def test_grid_rejects_non_finite_cutoff(cutoff):
+    with pytest.raises(ValueError, match="^cutoff must be finite"):
+        _two_node_grid(cutoff=cutoff)
+
+
+@pytest.mark.parametrize("degree", [-3, 2.5, True])
+def test_grid_max_degree_is_an_order(degree):
+    with pytest.raises(DomainError, match="^max_degree must be an integer >= 0"):
+        _two_node_grid(max_degree=degree)
+
+
+def test_grid_max_degree_is_stored_as_int():
+    g = _two_node_grid(max_degree=np.int64(4))
+    assert type(g.max_degree) is int and g.max_degree == 4
+
+
+def test_tail_check_needs_the_cutoff_past_the_moment_peak():
+    # R^p e^{-2R} bounds the tail only past r = p / 2: at R = 42 and p = 200
+    # it would pass although the grid misses the degree-199 moment entirely
+    assert measure._ln_relative_tail(42.0, 200) == math.inf
+    assert measure._ln_relative_tail(100.0, 200) == math.inf
+    assert measure._ln_relative_tail(101.0, 200) < math.inf
+    with pytest.raises(ValueError, match="too small for degree 200"):
+        build_grid(max_degree=200, cutoff=42.0)
+    with pytest.raises(ValueError, match="too small for degree 1000000000"):
+        _two_node_grid(max_degree=1e9)
+    # every grid _required_cutoff picks starts 10 past the peak
+    for degree in (0, 24, 200, 800):
+        assert measure._required_cutoff(degree) >= 0.5 * degree + 10.0
+
+
 def test_grid_arrays_read_only(grid):
     with pytest.raises(ValueError):
         grid.nodes[0] = 5.0
 
 
 def test_radial_weight_cached_read_only():
-    g = build_grid(max_degree=8, max_mode=4, points_per_panel=8)
+    g = panel_grid(8, max_degree=8)
     w = g.radial_weight(3)
     assert g.radial_weight(3) is w
     density = np.array([measure_density(r, 3) for r in g.nodes])
@@ -395,9 +492,11 @@ def test_radial_weight_cached_read_only():
 
 
 def test_radial_weight_cache_is_per_instance():
-    a = build_grid(max_degree=8, max_mode=4, points_per_panel=8)
-    b = build_grid(max_degree=8, max_mode=4, points_per_panel=8)
+    # a dataclasses.replace copy of a shared grid has a cache of its own
+    a = build_grid(max_degree=8, max_mode=4)
+    b = dataclasses.replace(a)
     w = a.radial_weight(1)
+    assert b._profiles == {}
     assert b.radial_weight(1) is not w
     assert np.array_equal(b.radial_weight(1), w)
     # True hashes like 1 but is no order: the cache must not answer for it
@@ -409,7 +508,7 @@ def test_radial_weight_cache_is_per_instance():
 # ---------------------------------------------------- Bessel profile cache
 
 def _small_grid():
-    return build_grid(max_degree=8, max_mode=4, points_per_panel=8)
+    return panel_grid(8, max_degree=8)
 
 
 @pytest.mark.parametrize("m", [0, 1, 2, 4, 9])
@@ -424,7 +523,8 @@ def test_cached_bessel_logs_are_the_kernel_bits(m):
 
 
 def test_profile_cache_is_per_instance_and_bounded():
-    a, b = _small_grid(), _small_grid()
+    a = dataclasses.replace(build_grid(max_degree=8))
+    b = dataclasses.replace(a)
     first = a._ln_bessel("k", 0, 1.0)
     assert len(a._profiles) == 1 and len(b._profiles) == 0
     assert "_profiles" not in repr(a)
@@ -483,7 +583,7 @@ def test_identity_suite_evaluates_each_profile_once(kernel_calls):
 @settings(max_examples=25, deadline=None)
 @given(k=st.integers(min_value=1, max_value=30))
 def test_harmonic_orthogonality_property(k):
-    g = build_grid(max_degree=0, max_mode=32, cutoff=15.0, points_per_panel=8)
+    g = panel_grid(8, cutoff=15.0)
     val = integrate(lambda u: (u / np.abs(u)) ** k, 1, g, vectorized=True)
     assert abs(val) < 1e-12
 

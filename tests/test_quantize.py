@@ -25,6 +25,7 @@ from landau_bgcs.quantize import (
     quantize_closed_form,
 )
 from landau_bgcs.specfun import DomainError, EvaluationError
+from conftest import panel_grid
 
 
 def _spec(m, depth=16):
@@ -300,8 +301,7 @@ def test_quadrature_radial_route_matches_entry_by_entry(m):
     # integrates the angle exactly, the reference by the trapezoid rule
     sym = SymbolSpec("custom", terms=((3, 1, 0.5), (0, 2, 1j), (1, 1, -0.25)))
     sp = SubspaceSpec(m, depth=8)
-    g = dataclasses.replace(build_grid(max_degree=2 * 8 + m + 5, points_per_panel=16),
-                            n_angular=64)
+    g = panel_grid(16, max_degree=2 * 8 + m + 5, n_angular=64)
     got = quantize_by_quadrature(sym, sp, g).entries
     want = _entry_by_entry_quadrature(sym, sp, g)
     assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
