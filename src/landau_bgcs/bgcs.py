@@ -4,7 +4,12 @@ statistics, label dynamics, and the associated entire-function representation.
 
 Amplitudes in the nu-basis are
     a_nu = |z|^(m/2) z^nu / (sqrt(I_m(2|z|)) sqrt(nu! (nu+m)!)),
-always assembled in log space.  Every overlap is evaluated through the
+always assembled in log space.  Whatever takes one number runs on Python
+floats: ln I_m(2|z|), the auto-depth tail test and the reduced series.  The
+amplitude vector is the same formula elementwise, with ln nu! + ln (nu+m)!
+read as two slices of the exact ln k! table while nu + m <= 256.  A float
+and an array element see the same operations in the same order, so they
+round alike.  Every overlap is evaluated through the
 single-valued series in w = conj(z') z,
     sum_nu w^nu / (nu! (nu+m)!),
 so no fractional power of a complex argument is ever taken: the kernel is
@@ -145,7 +150,7 @@ class StateVector:
         a = np.asarray(self.amplitudes, dtype=np.complex128)
         if a.ndim != 1 or a.size == 0:
             raise ValueError("amplitudes must be a nonempty 1-d array")
-        _order(self.m, "m")
+        object.__setattr__(self, "m", _order(self.m, "m"))
         norm = _norm_sq(a)
         if norm > 1.0 + 1e-12:
             raise ValueError(f"amplitude norm {norm} exceeds 1")
@@ -180,27 +185,46 @@ def _ln_bessel_i(m: int, r: float) -> float:
 
 
 def _ln_factorials(k: np.ndarray) -> np.ndarray:
-    # ln k! elementwise: the table, and the scalar kernel past its range
-    flat = k.ravel()
-    out = _LN_FACT[np.minimum(flat, _EXACT_LN_FACT_LIMIT)]
-    big = flat > _EXACT_LN_FACT_LIMIT
+    # ln k! over a 1-d integer array: the table, and the scalar kernel past
+    # its range
+    out = _LN_FACT[np.minimum(k, _EXACT_LN_FACT_LIMIT)]
+    big = k > _EXACT_LN_FACT_LIMIT
     if big.any():
-        out[big] = [ln_factorial(j) for j in flat[big].tolist()]
-    return out.reshape(k.shape)
+        out[big] = [ln_factorial(j) for j in k[big].tolist()]
+    return out
+
+
+def _ln_fact_pairs(m: int, n: int) -> np.ndarray:
+    # ln nu! + ln (nu+m)! for nu < n: two slices of the table while nu + m
+    # stays in its range, elementwise past it
+    if m + n - 1 <= _EXACT_LN_FACT_LIMIT:
+        return _LN_FACT[:n] + _LN_FACT[m:m + n]
+    nu = np.arange(n)
+    return _ln_factorials(nu) + _ln_factorials(nu + m)
 
 
 def _ln_amplitude(m: int, ln_r, nu, ln_i):
-    """ln a_nu = (m/2 + nu) ln r - ln I_m(2r)/2 - ln(nu! (nu+m)!)/2, broadcast
-    over an integer nu (scalar or array) against ln r and ln I_m(2r) (scalars,
-    or columns over radii)."""
-    nu = np.asarray(nu)
-    ln_fact = _ln_factorials(nu) + _ln_factorials(nu + m)
+    """ln a_nu = (m/2 + nu) ln r - ln I_m(2r)/2 - ln(nu! (nu+m)!)/2, for an
+    int nu or for nu = np.arange(n), broadcast against ln r and ln I_m(2r)
+    (floats, or columns over radii).  An int nu with float ln r and ln I_m
+    runs on floats throughout; an array runs the same operations in the
+    same order elementwise, so either rounds alike."""
+    if isinstance(nu, np.ndarray):
+        ln_fact = _ln_fact_pairs(m, nu.size)
+    else:
+        ln_fact = ln_factorial(nu) + ln_factorial(nu + m)
     return (0.5 * m + nu) * ln_r - 0.5 * ln_i - 0.5 * ln_fact
 
 
 def _auto_depth(m: int, r: float, tail_tol: float, ln_i: float) -> int:
+    """The first depth, from a Poisson-like start in steps of 16, whose
+    |a_depth|^2 is below tail_tol.  The tail test is _ln_amplitude at an
+    int depth, on floats: the operations of the amplitude vector's element,
+    in the same order, so the test reads the bits that element will have,
+    and no step builds an array."""
+    ln_r, ln_tol = math.log(r), math.log(tail_tol)
     depth = max(30, math.ceil(2.0 * math.e * r) + math.ceil(10.0 * math.sqrt(r + 1.0)))
-    while 2.0 * _ln_amplitude(m, math.log(r), depth, ln_i) >= math.log(tail_tol):
+    while 2.0 * _ln_amplitude(m, ln_r, depth, ln_i) >= ln_tol:
         depth += 16
         if depth > 200_000:
             raise DomainError("auto depth selection diverged")
@@ -443,9 +467,8 @@ def analytic_function(state: StateVector, z: complex) -> complex:
     integrals of these functions: <s1|s2> = int dmeasure (|z|^m / I_m(2|z|))
     conj(f1(conj(z))) f2(conj(z)).
     """
-    k = np.arange(state.amplitudes.size)
     coeff = state.amplitudes * np.exp(
-        -0.5 * (_ln_factorials(k) + _ln_factorials(k + state.m)))
+        -0.5 * _ln_fact_pairs(state.m, state.amplitudes.size))
     acc = 0.0 + 0.0j
     for c in coeff[::-1]:
         acc = acc * z + c

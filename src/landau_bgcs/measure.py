@@ -62,9 +62,9 @@ _GRADING_RATIO = 4.0
 _TAIL_TOL = 1e-12
 # Bessel profiles and radial weights one grid keeps; the oldest goes first
 _PROFILE_CACHE_SIZE = 64
-# uniform radial panel width and the Gauss-Legendre rule of every panel
+# uniform radial panel width and the Gauss-Legendre node count of every panel
 _PANEL_WIDTH = 2.0
-_PANEL_X, _PANEL_W = np.polynomial.legendre.leggauss(32)
+_PANEL_POINTS = 32
 _MAX_CUTOFF = 600.0
 # grids build_grid keeps, least recently used dropped first; each holds at
 # most _PROFILE_CACHE_SIZE profiles of at most 9824 doubles (cutoff 600)
@@ -293,11 +293,14 @@ def _shared_grid(max_degree: int, n_angular: int, radius: float) -> QuadratureGr
     if edges[-1] < radius:
         edges.append(radius)
 
+    # the rule is formed here, not at import, so numpy.polynomial loads
+    # only in a process that builds a grid; the memo forms it once per grid
+    panel_x, panel_w = np.polynomial.legendre.leggauss(_PANEL_POINTS)
     nodes, weights = [], []
     for lo, hi in zip(edges[:-1], edges[1:]):
         mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        nodes.append(mid + half * _PANEL_X)
-        weights.append(half * _PANEL_W)
+        nodes.append(mid + half * panel_x)
+        weights.append(half * panel_w)
     return QuadratureGrid(nodes=np.concatenate(nodes),
                           weights=np.concatenate(weights),
                           cutoff=radius,

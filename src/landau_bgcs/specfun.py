@@ -216,20 +216,27 @@ def bessel_i_reduced(m: int, w):
     the single-valued series used by overlap kernels.  Accepts real or complex
     scalar w and keeps its arithmetic: a real w is summed in floats and
     gives a float, a complex w in complex (ndarray support lives in the
-    quadrature layer).
+    quadrature layer).  One loop serves both, on Python scalars: each term
+    forms its divisor k (k + m) once, in floats, and the stopping test
+    compares that divisor with |w| before it takes any abs.  A real and a
+    complex w see the same operations in the same order.
     """
     m = _order(m)
     s = comp = 0j if isinstance(w, complex) else 0.0
     term = s + math.exp(-ln_factorial(m))
     aw = abs(w)
-    for nu in range(_MAX_TERMS):
+    # the counter and the order as floats, so each divisor is float
+    # arithmetic alone
+    k, order = 0.0, float(m)
+    for _ in range(_MAX_TERMS):
         y = term - comp
         t = s + y
         comp = (t - s) - y
         s = t
-        term *= w / ((nu + 1.0) * (nu + 1.0 + m))
-        if abs(term) <= _REL_TOL * (abs(s) + 1e-300) \
-                and (nu + 1.0) * (nu + 1.0 + m) > aw:
+        k += 1.0
+        d = k * (k + order)
+        term *= w / d
+        if d > aw and abs(term) <= _REL_TOL * (abs(s) + 1e-300):
             break
     else:
         raise EvaluationError(

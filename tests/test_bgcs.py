@@ -141,9 +141,19 @@ def test_state_vector_invariants():
         StateVector(m=0, amplitudes=np.array([0.5, 0.5]), tail_tol=1e-16)
     with pytest.raises(ValueError):
         StateVector(m=0, amplitudes=np.array([]))
-    for m in (-1, True):
+    for m in (-1, True, 2.5):
         with pytest.raises(DomainError):
             StateVector(m=m, amplitudes=np.array([1.0]))
+
+
+def test_state_vector_stores_an_integral_m_as_int():
+    # as SubspaceSpec does: a float 2.0 is the order 2, and the entire
+    # representative, which indexes the ln k! table by nu + m, works on it
+    amps = np.array([0.6, 0.8j])
+    v = StateVector(m=2.0, amplitudes=amps)
+    assert type(v.m) is int and v.m == 2
+    assert analytic_function(v, 0.3 - 0.4j) == analytic_function(
+        StateVector(m=2, amplitudes=amps), 0.3 - 0.4j)
 
 
 def test_lowering_eigenvector_property():
