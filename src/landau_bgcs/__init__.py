@@ -7,9 +7,9 @@ thermodynamics, with every closed form paired with an independent series or
 quadrature route.
 
 The curated surface below re-exports the everyday entry points; the
-submodules keep the full APIs (specfun for the Bessel/hypergeometric
-kernels, measure for quadrature grids, quantize for operator construction,
-thermo for the canonical ensemble, checks for the verification suites).
+submodules keep the full APIs (specfun for the Bessel kernels, measure
+for quadrature grids, quantize for operator construction, thermo for the
+canonical ensemble, checks for the verification suites).
 """
 
 from .bgcs import (

@@ -23,7 +23,7 @@ from .quantize import (
     quantize_by_quadrature,
     quantize_closed_form,
 )
-from .specfun import _Record, bessel_i, bessel_k, gauss_2f1
+from .specfun import _Record, bessel_i, bessel_k
 from .thermo import (
     ThermalSpec,
     fock_population_reconstruction,
@@ -32,7 +32,6 @@ from .thermo import (
     p_normalization_check,
     partition_function,
     partition_function_direct,
-    partition_function_hypergeometric,
     thermal_g_quadrature,
     thermal_grid,
     thermal_mean_n,
@@ -63,7 +62,7 @@ class CheckResult(_Record):
 
 
 def suite_specfun(tol: float | None = None) -> list[CheckResult]:
-    """Bessel cross-product identity and hypergeometric reduction."""
+    """Bessel cross-product identity."""
     tol = 1e-12 if tol is None else tol
     xs = np.logspace(-2.0, math.log10(50.0), 20)
     worst = 0.0
@@ -73,14 +72,7 @@ def suite_specfun(tol: float | None = None) -> list[CheckResult]:
             cross = bessel_i(m, x) * bessel_k(m + 1, x) \
                 + bessel_i(m + 1, x) * bessel_k(m, x)
             worst = max(worst, abs(x * cross - 1.0))
-    out = [CheckResult("bessel_cross_product_vs_inverse_argument", worst, tol)]
-    worst = 0.0
-    for x in (0.1, 0.4, 0.8):
-        for c, mu in ((1.5, 0.5), (3.0, 1.0), (7.0, 2.5)):
-            got = gauss_2f1(c, mu, c, x)
-            worst = max(worst, abs(got * (1.0 - x) ** mu - 1.0))
-    out.append(CheckResult("hypergeometric_binomial_reduction", worst, tol))
-    return out
+    return [CheckResult("bessel_cross_product_vs_inverse_argument", worst, tol)]
 
 
 def suite_identity(tol: float | None = None) -> list[CheckResult]:
@@ -169,10 +161,6 @@ def suite_thermo(tol: float | None = None) -> list[CheckResult]:
     out.append(CheckResult(
         "partition_closed_vs_direct",
         abs(partition_function_direct(ts0) - z_closed) / z_closed, strict_tol))
-    out.append(CheckResult(
-        "partition_closed_vs_hypergeometric",
-        abs(partition_function_hypergeometric(ts0) - z_closed) / z_closed,
-        strict_tol))
 
     for m in (0, 1):
         ts = ThermalSpec(params, beta=beta, m=m)

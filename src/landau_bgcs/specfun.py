@@ -13,8 +13,7 @@ expansions:
 * ``ln I_m(x)`` and ``ln K_m(x)`` elementwise over numpy arrays of x > 0
   (``ln_bessel_i``, ``ln_bessel_k``), for callers that need a whole radial
   profile at once,
-* ``ln n!`` (exact cumulative sums up to 256, Stirling beyond),
-* the Gauss hypergeometric series ``2F1(a, b; c; x)`` for ``|x| < 1``.
+* ``ln n!`` (exact cumulative sums up to 256, Stirling beyond).
 
 The real-argument Bessel kernels, scalar and array alike, take their branch
 from (m, x) alone, and each branch is one fixed table read by one body that
@@ -27,9 +26,8 @@ polynomials at x <= 2, a 27-node trapezoid rule above) raised to order m by
 the stable upward recurrence; the reflection formula with a ``sin(m pi)``
 denominator is useless at integer order.  A scalar call costs 2-4
 microseconds on every branch but the I recurrence, whose O(m) loop takes
-10-40 microseconds for m <= 50.  The series that stay scalar (the reduced
-series and 2F1) and the logs of the I ratios use compensated (Kahan)
-accumulation.
+10-40 microseconds for m <= 50.  The reduced series, which stays scalar,
+and the logs of the I ratios use compensated (Kahan) accumulation.
 """
 
 from __future__ import annotations
@@ -655,35 +653,3 @@ def ln_bessel_k(m: int, x) -> np.ndarray:
     x = _positive_array(x, "ln_bessel_k")
     flat = x.ravel()
     return (_ln_bessel_k_scaled(m, flat) - flat).reshape(x.shape)
-
-
-# ---------------------------------------------------------------------------
-# hypergeometric and moment series
-
-def gauss_2f1(a: float, b: float, c: float, x: float) -> float:
-    """Gauss hypergeometric 2F1(a, b; c; x) by its ascending series, |x| < 1.
-
-    c must not be a non-positive integer.  Terminating (polynomial) cases are
-    handled naturally when a or b is a non-positive integer.
-    """
-    if c <= 0.0 and c == int(c):
-        raise DomainError(f"2F1 undefined for non-positive integer c = {c}")
-    if not abs(x) < 1.0:
-        raise DomainError(f"2F1 series requires |x| < 1, got x = {x}")
-    s = 0.0
-    comp = 0.0
-    term = 1.0
-    for k in range(_MAX_TERMS):
-        y = term - comp
-        t = s + y
-        comp = (t - s) - y
-        s = t
-        term *= (a + k) * (b + k) / ((c + k) * (k + 1.0)) * x
-        if term == 0.0:
-            return s
-        if abs(term) <= _REL_TOL * (abs(s) + 1e-300) \
-                and k + 1 > max(abs(a), abs(b)) * abs(x) / (1.0 - abs(x)):
-            return s
-    raise EvaluationError(
-        f"2F1({a},{b};{c};{x}) did not converge in {_MAX_TERMS} terms",
-        partial=s, terms=_MAX_TERMS)

@@ -11,9 +11,9 @@ beta-linear amount is kept as an explicit external parameter; it cancels
 from every normalized quantity and only rescales the partition function.
 
 All closed forms carry an independent cross-route: direct Boltzmann sums,
-hypergeometric resummation, phase-space quadrature against the diagonal
-weight, or a truncated-matrix trace.  Disagreements between routes are
-reported, never silently reconciled.
+phase-space quadrature against the diagonal weight, or a truncated-matrix
+trace.  Disagreements between routes are reported, never silently
+reconciled.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .specfun import (
     _ln_bessel_i_scaled,
     _ln_bessel_k_scaled,
     _order,
-    gauss_2f1,
 )
 
 __all__ = [
@@ -45,7 +44,6 @@ __all__ = [
     "WehrlReport",
     "partition_function",
     "partition_function_direct",
-    "partition_function_hypergeometric",
     "level_weight",
     "husimi_thermal",
     "husimi_thermal_strong_field",
@@ -88,6 +86,10 @@ class ThermalSpec:
 
     fast_index is the frozen fast quantum number whose energy offset scales
     the partition function but cancels from all normalized quantities.
+    The thermal ladder is n_- = nu at frozen n_+ = fast_index, so at the
+    default gap level nu has E = hbar omega_+ n_+ + hbar omega_- n_- +
+    hbar Omega / 2, omega_+- = (Omega +- omega_c) / 2, which is
+    fock.level_energy(n_+, n_+ - nu, params) for nu <= n_+.
     gap_energy overrides the ladder quantum (defaults to the slow-ladder
     value hbar (Omega - omega_c) / 2 of params).  beta gap must keep the
     Boltzmann factor e^{-beta gap} in (0, 1) and be at most ln(DBL_MAX),
@@ -153,7 +155,7 @@ class ThermalSpec:
 
 
 # ------------------------------------------------------------------------
-# partition function, three routes
+# partition function, two routes
 
 def partition_function(ts: ThermalSpec) -> float:
     """Closed geometric form, assembled in log space.
@@ -182,12 +184,6 @@ def partition_function_direct(ts: ThermalSpec) -> float:
         f"partition sum did not converge in {_PARTITION_MAX_TERMS} terms "
         f"(beta gap = {ts.beta_gap:.3g})", partial=math.fsum(terms),
         terms=_PARTITION_MAX_TERMS)
-
-
-def partition_function_hypergeometric(ts: ThermalSpec) -> float:
-    """Resummation route: geometric prefactor times 2F1(m+1, 1; m+1; y)."""
-    pref = math.exp(-ts.beta * ts.ground_energy)
-    return pref * gauss_2f1(ts.m + 1.0, 1.0, ts.m + 1.0, ts.boltzmann_factor)
 
 
 def level_weight(nu: int, ts: ThermalSpec) -> float:
@@ -412,15 +408,12 @@ def thermal_g_quadrature(ts: ThermalSpec, grid: QuadratureGrid) -> float:
 
 
 def thermal_q2_closed(ts: ThermalSpec) -> float:
-    """Second moment of either quadrature operator, hypergeometric route.
+    """Second moment of either quadrature operator, a polynomial in nbar.
 
-    (e^{beta gap} - 1) y^2 (m+1) 2F1(m+2, 2; m+1; y) + nbar + (m+1)/2 with
-    y the Boltzmann factor; identical for both quadrature components.
+    <nu^2> + (m+1) <nu> + (m+1)/2 = 2 nbar^2 + (m+2) nbar + (m+1)/2 under
+    the geometric populations; identical for both quadrature components.
     """
-    y = ts.boltzmann_factor
-    hyp = gauss_2f1(ts.m + 2.0, 2.0, ts.m + 1.0, y)
-    return math.expm1(ts.beta_gap) * y * y * (ts.m + 1.0) * hyp \
-        + ts.occupancy + 0.5 * (ts.m + 1.0)
+    return thermal_mean_n_sq(ts) + (ts.m + 1) * (ts.occupancy + 0.5)
 
 
 def _q2_trace_depth(ts: ThermalSpec) -> int:
@@ -471,7 +464,7 @@ class SecondMomentReport(_Record):
 
     @property
     def closed_form_consistent(self) -> bool:
-        """Whether the hypergeometric route agrees with the trace route."""
+        """Whether the closed form agrees with the trace route."""
         return self.closed_vs_trace < 1e-6
 
 
@@ -479,7 +472,7 @@ def thermal_q2_three_ways(ts: ThermalSpec,
                           grid: QuadratureGrid | None = None) -> SecondMomentReport:
     """Cross-validated thermal second moment of the quadrature operators.
 
-    Routes: hypergeometric closed form, quadrature of the diagonal weight
+    Routes: closed polynomial in nbar, quadrature of the diagonal weight
     times the coherent-state mean, and a geometric-weighted trace of the
     squared quadrature matrix.  The q and p components are one radial
     integral, since cos^2 and sin^2 have the same angular mean 1/2.

@@ -35,3 +35,32 @@ def bessel_power_sum(power: int, order: int, x: float) -> float:
     raise EvaluationError(
         f"bessel_power_sum({power},{order},{x}) did not converge",
         partial=s, terms=_MAX_TERMS)
+
+
+def gauss_2f1(a: float, b: float, c: float, x: float) -> float:
+    """Gauss hypergeometric 2F1(a, b; c; x) by its ascending series, |x| < 1.
+
+    c must not be a non-positive integer.  Terminating (polynomial) cases are
+    handled naturally when a or b is a non-positive integer.
+    """
+    if c <= 0.0 and c == int(c):
+        raise DomainError(f"2F1 undefined for non-positive integer c = {c}")
+    if not abs(x) < 1.0:
+        raise DomainError(f"2F1 series requires |x| < 1, got x = {x}")
+    s = 0.0
+    comp = 0.0
+    term = 1.0
+    for k in range(_MAX_TERMS):
+        y = term - comp
+        t = s + y
+        comp = (t - s) - y
+        s = t
+        term *= (a + k) * (b + k) / ((c + k) * (k + 1.0)) * x
+        if term == 0.0:
+            return s
+        if abs(term) <= _REL_TOL * (abs(s) + 1e-300) \
+                and k + 1 > max(abs(a), abs(b)) * abs(x) / (1.0 - abs(x)):
+            return s
+    raise EvaluationError(
+        f"2F1({a},{b};{c};{x}) did not converge in {_MAX_TERMS} terms",
+        partial=s, terms=_MAX_TERMS)

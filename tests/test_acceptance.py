@@ -63,7 +63,6 @@ def _suite_green(name: str, expected: dict[str, float]) -> float:
 def test_criterion_01_special_function_cross_checks():
     worst = _suite_green("specfun", {
         "bessel_cross_product_vs_inverse_argument": 1e-12,
-        "hypergeometric_binomial_reduction": 1e-12,
     })
     print(f"criterion 1 PASS (worst residual {worst:.3e})")
 
@@ -164,7 +163,6 @@ def test_criterion_07_uncertainty_saturation():
 def test_criterion_08_thermal_closed_forms_vs_quadrature():
     worst = _suite_green("thermo", {
         "partition_closed_vs_direct": 1e-12,
-        "partition_closed_vs_hypergeometric": 1e-12,
         "husimi_normalization_m0": 1e-6,
         "husimi_normalization_m1": 1e-6,
         "p_normalization_m0": 1e-6,
@@ -178,7 +176,7 @@ def test_criterion_08_thermal_closed_forms_vs_quadrature():
 
 
 def test_criterion_09_second_moment_routes_and_entropy_band():
-    # three-way second moment: closed hypergeometric form, diagonal-kernel
+    # three-way second moment: closed polynomial in nbar, diagonal-kernel
     # quadrature, and the truncated trace must agree
     for beta_gap, m in ((1.0, 0), (1.0, 2), (3.0, 0)):
         rep = thermal_q2_three_ways(_ts(beta_gap, m))

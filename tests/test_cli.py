@@ -282,8 +282,7 @@ def test_verify_specfun_suite(capsys):
     assert doc["passed"] is True
     assert all(c["passed"] for c in doc["checks"])
     assert {c["name"] for c in doc["checks"]} == {
-        "bessel_cross_product_vs_inverse_argument",
-        "hypergeometric_binomial_reduction"}
+        "bessel_cross_product_vs_inverse_argument"}
 
 
 def test_verify_csv_format(capsys):

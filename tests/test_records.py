@@ -31,7 +31,6 @@ def _schema(d):
 def test_run_suite_all_gives_every_check_in_suite_order():
     assert [c.name for c in run_suite("all")] == [
         "bessel_cross_product_vs_inverse_argument",
-        "hypergeometric_binomial_reduction",
         "frame_identity_m0", "frame_identity_m2", "frame_identity_m4",
         "radial_moment_family",
         "kernel_idempotence_m0", "kernel_idempotence_m2",
@@ -40,7 +39,7 @@ def test_run_suite_all_gives_every_check_in_suite_order():
         "lowering_raising_commutator_m0", "energy_commutators_m0",
         "lowering_raising_commutator_m1", "energy_commutators_m1",
         "lowering_raising_commutator_m3", "energy_commutators_m3",
-        "partition_closed_vs_direct", "partition_closed_vs_hypergeometric",
+        "partition_closed_vs_direct",
         "husimi_normalization_m0", "p_normalization_m0",
         "husimi_normalization_m1", "p_normalization_m1",
         "thermal_occupancy_vs_bose", "thermal_occupancy_sector_independent",

@@ -10,10 +10,11 @@ from hypothesis import given, settings, strategies as st
 
 from landau_bgcs.bgcs import CoherentLabel, _ln_bessel_i, mean_k3, mean_n, mean_n_sq
 from landau_bgcs import thermo
-from landau_bgcs.fock import DomainError, PhysicalParams, SubspaceSpec
+from landau_bgcs.fock import DomainError, PhysicalParams, SubspaceSpec, level_energy
 from landau_bgcs.measure import build_grid, integrate
 from landau_bgcs.quantize import SymbolSpec, quantize_closed_form
-from landau_bgcs.specfun import bessel_k_scaled, ln_bessel_i, ln_bessel_k, ln_factorial
+from landau_bgcs.specfun import (EvaluationError, bessel_k_scaled, ln_bessel_i,
+                                 ln_bessel_k, ln_factorial)
 from landau_bgcs.thermo import (
     SecondMomentReport,
     ThermalSpec,
@@ -27,7 +28,6 @@ from landau_bgcs.thermo import (
     p_normalization_check,
     partition_function,
     partition_function_direct,
-    partition_function_hypergeometric,
     thermal_average,
     thermal_g,
     thermal_g_quadrature,
@@ -41,6 +41,7 @@ from landau_bgcs.thermo import (
     thermal_summary,
     wehrl_entropy,
 )
+from oracles import gauss_2f1
 
 # mpmath oracle values of -int h ln h d(measure), 30-digit working precision
 _W_20 = 0.8803135643650416
@@ -57,6 +58,13 @@ _GAP = _PARAMS.epsilon_gap
 
 def _ts(beta_gap, m=0, **kw):
     return ThermalSpec(_PARAMS, beta=beta_gap / _GAP, m=m, **kw)
+
+
+def _partition_resummed(ts):
+    # the ground Boltzmann factor times 2F1(m+1, 1; m+1; y) = 1 / (1 - y),
+    # summed term by term by the test oracle
+    y = ts.boltzmann_factor
+    return math.exp(-ts.beta * ts.ground_energy) * gauss_2f1(ts.m + 1.0, 1.0, ts.m + 1.0, y)
 
 
 @pytest.fixture(scope="module")
@@ -145,6 +153,18 @@ def test_gap_override_changes_ladder_only():
     assert ts.ground_energy == ThermalSpec(_PARAMS, beta=2.0).ground_energy
 
 
+@pytest.mark.parametrize("params", [PhysicalParams(),
+                                    PhysicalParams(omega0=0.7, omega_c=2.3, hbar=1.3, mass=0.6)])
+def test_thermal_ladder_is_n_minus_at_frozen_n_plus(params):
+    # level nu of the ensemble is the Fock level n_+ = fast_index, n_- = nu,
+    # that is Landau index n = n_+ and sector m = n_+ - nu
+    for n_plus in range(7):
+        ts = ThermalSpec(params, beta=1.0, fast_index=n_plus)
+        for nu in range(n_plus + 1):
+            assert ts.level_energy(nu) == pytest.approx(
+                level_energy(n_plus, n_plus - nu, params), rel=1e-14)
+
+
 # ------------------------------------------------------- partition function
 
 def test_partition_closed_form_halving_case():
@@ -160,8 +180,7 @@ def test_partition_three_routes_agree(beta_gap):
     ts = _ts(beta_gap, m=2)
     z_closed = partition_function(ts)
     assert partition_function_direct(ts) == pytest.approx(z_closed, rel=1e-12)
-    assert partition_function_hypergeometric(ts) == pytest.approx(
-        z_closed, rel=1e-12)
+    assert _partition_resummed(ts) == pytest.approx(z_closed, rel=1e-12)
 
 
 def test_partition_ground_state_dominance():
@@ -296,7 +315,7 @@ def test_q2_three_routes(m, beta_gap, grids):
     rep = thermal_q2_three_ways(ts, grids[beta_gap])
     assert isinstance(rep, SecondMomentReport)
     nbar = ts.occupancy
-    # independent polynomial form of the same moment
+    # the polynomial in nbar, written out term by term
     want = 2.0 * nbar * nbar + (m + 2.0) * nbar + 0.5 * (m + 1.0)
     assert rep.closed_form == pytest.approx(want, rel=1e-12)
     assert rep.quadrature_vs_trace < 1e-5
@@ -334,6 +353,43 @@ def test_q2_closed_small_temperature_floor():
     # beta -> infinity leaves only the vacuum width (m+1)/2
     ts = _ts(45.0, m=3)
     assert thermal_q2_closed(ts) == pytest.approx(2.0, rel=1e-12)
+
+
+# 48 log-spaced beta gaps from 1e-15 up to, not including, ln(DBL_MAX), and
+# ln(DBL_MAX) itself: all that ThermalSpec admits but the sliver from about
+# 1.1e-16, where e^{-beta gap} stops rounding to 1, to 1e-15
+_Q2_BETA_GAPS = [1e-15 * (_LN_DBL_MAX / 1e-15) ** (k / 48) for k in range(48)] + [_LN_DBL_MAX]
+
+
+@pytest.mark.parametrize("m", [0, 1, 4, 20, 36, 100, 171, 1000])
+def test_q2_closed_is_the_polynomial_in_nbar_over_the_admitted_range(m):
+    # Error budget, at most one ulp (eps relative) per rounding: nbar =
+    # 1 / expm1 carries expm1 and the division, 2 eps; the square doubles that
+    # and rounds, 5 eps; nbar + 2 nbar^2 adds one, 6 eps; (m+1)(nbar + 1/2)
+    # gathers 2 + 1 + 1 = 4 eps; the last sum of positive terms adds one,
+    # 7 eps.  8 eps leaves one for the second-order terms.
+    mpmath = pytest.importorskip("mpmath")
+    tol = 8.0 * sys.float_info.epsilon
+    for beta_gap in _Q2_BETA_GAPS:
+        ts = _ts(beta_gap, m=m)
+        got = thermal_q2_closed(ts)
+        assert math.isfinite(got), beta_gap
+        with mpmath.workdps(40):
+            nbar = 1 / mpmath.expm1(mpmath.mpf(ts.beta_gap))
+            want = 2 * nbar ** 2 + (m + 2) * nbar + mpmath.mpf(m + 1) / 2
+            err = float(abs(got - want) / want)
+        assert err <= tol, (beta_gap, err)
+        # the former 2F1 expression, where the oracle's 2048-term series
+        # converges; term k is the product of k recurrence steps of five
+        # roundings, so its error may grow to about 5 * 2048 * eps / 2 = 1.1e-12
+        y = ts.boltzmann_factor
+        try:
+            hyp = gauss_2f1(m + 2.0, 2.0, m + 1.0, y)
+        except EvaluationError:
+            continue
+        old = math.expm1(ts.beta_gap) * y * y * (m + 1.0) * hyp \
+            + ts.occupancy + 0.5 * (m + 1.0)
+        assert got == pytest.approx(old, rel=2e-12), beta_gap
 
 
 @pytest.mark.parametrize("m", [0, 4])
@@ -670,8 +726,7 @@ def test_partition_routes_property(beta_gap, m):
     ts = _ts(beta_gap, m=m)
     z_closed = partition_function(ts)
     assert partition_function_direct(ts) == pytest.approx(z_closed, rel=1e-12)
-    assert partition_function_hypergeometric(ts) == pytest.approx(
-        z_closed, rel=1e-11)
+    assert _partition_resummed(ts) == pytest.approx(z_closed, rel=1e-11)
 
 
 @settings(max_examples=40, deadline=None)
