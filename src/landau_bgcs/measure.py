@@ -1,11 +1,14 @@
 """Complex-plane quadrature against the Bessel-product measure
 (2/pi) I_m(2|z|) K_m(2|z|) d^2 z.
 
-The radial direction uses composite Gauss-Legendre panels on (0, R] with a
-geometrically graded first panel (the weight has a log singularity at the
-origin for m = 0 and steep power behavior for larger m); the angular
-direction uses the uniform trapezoid rule, which is spectrally exact for
-trigonometric polynomials below the node count.  Integration is deterministic:
+The radial direction uses composite 32-point Gauss-Legendre panels on
+(0, R]: eight panels graded geometrically toward the origin up to r = 0.5
+(the weight has a log singularity at the origin for m = 0 and steep power
+behavior for larger m), one panel [0.5, 4], and uniform panels 8 wide from
+r = 4 to R, where every library integrand is a smooth e^{-c r} (c <= 2)
+times a slowly varying factor (see build_grid).  The angular direction uses
+the uniform trapezoid rule, which is spectrally exact for trigonometric
+polynomials below the node count.  Integration is deterministic:
 fixed radial-then-angular order with pairwise reductions, so identical inputs
 give bit-identical results.
 
@@ -62,12 +65,15 @@ _GRADING_RATIO = 4.0
 _TAIL_TOL = 1e-12
 # Bessel profiles and radial weights one grid keeps; the oldest goes first
 _PROFILE_CACHE_SIZE = 64
-# uniform radial panel width and the Gauss-Legendre node count of every panel
+# the near-origin scale (graded panels up to _PANEL_WIDTH / 4, then one panel
+# to 2 _PANEL_WIDTH), the width of the uniform panels past 2 _PANEL_WIDTH and
+# the Gauss-Legendre node count of every panel
 _PANEL_WIDTH = 2.0
+_FAR_PANEL_WIDTH = 8.0
 _PANEL_POINTS = 32
 _MAX_CUTOFF = 600.0
 # grids build_grid keeps, least recently used dropped first; each holds at
-# most _PROFILE_CACHE_SIZE profiles of at most 9824 doubles (cutoff 600)
+# most _PROFILE_CACHE_SIZE profiles of at most 2688 doubles (cutoff 600)
 _SHARED_GRIDS = 8
 
 
@@ -261,14 +267,22 @@ def build_grid(max_degree: int = 24,
                cutoff: float | None = None) -> QuadratureGrid:
     """The composite radial rule and the angle count of integrate.
 
-    [0, _PANEL_WIDTH / 4] is split into _GRADING_LEVELS panels whose edges
-    shrink geometrically toward the origin by _GRADING_RATIO, so the
-    near-origin weight behavior is captured without ever placing a node at
-    r = 0.  The next panel is [_PANEL_WIDTH / 4, 2 _PANEL_WIDTH], 1.75 panel
-    widths wide, and uniform panels of _PANEL_WIDTH follow to R, the last one
-    cut short at R.  Every panel has 32 Gauss-Legendre nodes.  Without a
-    cutoff, R leaves a max_degree moment tail below _TAIL_TOL; a cutoff
-    outside (0, _MAX_CUTOFF] raises DomainError.  max_mode only sets
+    [0, _PANEL_WIDTH / 4] = [0, 0.5] is split into _GRADING_LEVELS panels
+    whose edges shrink geometrically toward the origin by _GRADING_RATIO, so
+    the near-origin weight behavior is captured without ever placing a node
+    at r = 0.  The next panel is [0.5, 2 _PANEL_WIDTH] = [0.5, 4], and
+    uniform panels _FAR_PANEL_WIDTH = 8 wide follow (edges 4, 12, 20, ...),
+    the last one cut short at R.  Every panel has _PANEL_POINTS = 32
+    Gauss-Legendre nodes.  Past r = 4 every library integrand is e^{-c r}
+    (c <= 2) times a factor whose nearest singularity is the origin, at
+    least half a far panel away.  The Bernstein-ellipse bound for an
+    n-point rule, 64 M / (15 (rho^2 - 1) rho^(2n)) with M the bound on the
+    ellipse (Trefethen, SIAM Rev. 50, 67 (2008), Thm 4.5), puts e^{-2r} on
+    an 8-wide panel below 1.2e-51 of its midpoint value (rho = 16.6), and
+    the factor's singularity (rho < 2 + sqrt 3) still leaves about 1e-29,
+    so the wide far panels cost no accuracy.  Without a cutoff, R leaves a
+    max_degree moment tail below _TAIL_TOL; a cutoff outside
+    (0, _MAX_CUTOFF] raises DomainError.  max_mode only sets
     n_angular = max(256, 4 max_mode + 8); every library route but integrate
     is radial.  Each rule (max_degree, n_angular, R) is one shared grid, its
     profile cache with it, and _SHARED_GRIDS of them are kept.
@@ -286,10 +300,13 @@ def _shared_grid(max_degree: int, n_angular: int, radius: float) -> QuadratureGr
     edges = [0.0]
     edges += [_PANEL_WIDTH * _GRADING_RATIO ** (k - _GRADING_LEVELS)
               for k in range(_GRADING_LEVELS)]
-    b = _PANEL_WIDTH
+    # the first step closes the panel [_PANEL_WIDTH / 4, 2 _PANEL_WIDTH];
+    # every later one is a far panel
+    b, width = _PANEL_WIDTH, _PANEL_WIDTH
     while b < radius - 1e-9:
-        b = min(b + _PANEL_WIDTH, radius)
+        b = min(b + width, radius)
         edges.append(b)
+        width = _FAR_PANEL_WIDTH
     if edges[-1] < radius:
         edges.append(radius)
 

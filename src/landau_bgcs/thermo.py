@@ -69,6 +69,8 @@ _UNDERFLOW_FLOOR = 1e-300
 # past ln(DBL_MAX) the occupancy 1 / (e^{beta gap} - 1) and the closed forms
 # built on e^{beta gap} overflow
 _MAX_BETA_GAP = math.log(sys.float_info.max)
+# ln(1 - e^{-beta gap}) goes through expm1 up to here and log1p above
+_LN_2 = math.log(2.0)
 # the direct partition sum stops once its geometric tail is below this share
 # of the first term
 _PARTITION_TAIL_TOL = 1e-16
@@ -140,6 +142,16 @@ class ThermalSpec:
         return math.exp(-self.beta_gap)
 
     @property
+    def ln_one_minus_boltzmann(self) -> float:
+        """ln(1 - e^{-beta gap}): log(-expm1(-beta gap)) up to beta gap = ln 2,
+        where e^{-beta gap} rounds near 1, and log1p(-e^{-beta gap}) above,
+        where expm1 rounds to -1 (Maechler, "Accurately computing
+        log(1 - exp(-|a|))", Rmpfr vignette, 2012)."""
+        if self.beta_gap <= _LN_2:
+            return math.log(-math.expm1(-self.beta_gap))
+        return math.log1p(-self.boltzmann_factor)
+
+    @property
     def occupancy(self) -> float:
         """Bose mean occupancy 1 / (e^{beta gap} - 1)."""
         return 1.0 / math.expm1(self.beta_gap)
@@ -165,7 +177,7 @@ def partition_function(ts: ThermalSpec) -> float:
     p = ts.params
     ln_pref = -0.5 * ts.beta * p.hbar * (ts.fast_index + 0.5) * (p.omega + p.omega_c)
     # 1 / (2 sinh a) = e^{-a} / (1 - e^{-2a})
-    ln_sinh = ts.half_beta_gap + math.log1p(-ts.boltzmann_factor)
+    ln_sinh = ts.half_beta_gap + ts.ln_one_minus_boltzmann
     return math.exp(ln_pref - ln_sinh)
 
 
@@ -544,7 +556,7 @@ def wehrl_entropy(ts: ThermalSpec, grid: QuadratureGrid | None = None,
     h = np.exp(ln_h)
     h_ln_h = np.where(h < _UNDERFLOW_FLOOR, 0.0, h * ln_h)
     w_quad = -integrate_radial(h_ln_h, ts.m, grid)
-    approx = -math.log1p(-ts.boltzmann_factor)
+    approx = -ts.ln_one_minus_boltzmann
     scaled = None
     if area is not None:
         cell = 2.0 * math.pi * ts.params.slow_length ** 2

@@ -7,15 +7,20 @@ from landau_bgcs import measure
 
 
 def panel_grid(points: int, width: float = 2.0, max_degree: int = 0,
-               cutoff: float | None = None, n_angular: int = 256):
+               cutoff: float | None = None, n_angular: int = 256,
+               far_width: float | None = None):
     """A fresh QuadratureGrid on build_grid's panel layout, but with `points`
-    Gauss-Legendre nodes per panel and uniform panels `width` wide: graded
+    Gauss-Legendre nodes per panel and near-origin scale `width`: graded
     panels up to width / 4, then [width / 4, 2 width], then uniform panels
-    to the cutoff (by default the one build_grid picks for max_degree)."""
+    `far_width` wide (by default `width`; build_grid's is
+    measure._FAR_PANEL_WIDTH) to the cutoff (by default the one build_grid
+    picks for max_degree)."""
     if cutoff is None:
         cutoff = measure._required_cutoff(max_degree)
+    far_width = width if far_width is None else far_width
     edges = np.concatenate(([0.0], width * 4.0 ** np.arange(-8.0, 0.0),
-                            np.arange(2.0 * width, cutoff, width), [cutoff]))
+                            np.arange(2.0 * width, cutoff, far_width),
+                            [cutoff]))
     lo, hi = edges[:-1, None], edges[1:, None]
     x, w = np.polynomial.legendre.leggauss(points)
     return measure.QuadratureGrid(

@@ -315,14 +315,14 @@ def test_grid_angular_autoraise():
 
 def test_build_grid_panel_edges():
     # graded panels up to _PANEL_WIDTH / 4, then [_PANEL_WIDTH / 4,
-    # 2 _PANEL_WIDTH], then uniform panels of 32 points each: moving an edge
-    # moves every grid
+    # 2 _PANEL_WIDTH], then uniform panels _FAR_PANEL_WIDTH wide, the last
+    # cut short at the cutoff, 32 points each: moving an edge moves every grid
     g = build_grid(max_degree=24)
     half = g.weights.reshape(-1, 32).sum(axis=1) / 2.0
     mid = g.nodes.reshape(-1, 32).mean(axis=1)
     edges = np.append(mid - half, mid[-1] + half[-1])
     want = np.concatenate(([0.0], 2.0 * 4.0 ** np.arange(-8.0, 0.0),
-                           np.arange(4.0, g.cutoff + 1.0, 2.0)))
+                           [4.0, 12.0, 20.0, 28.0, 36.0, 42.0]))
     assert g.cutoff == 42.0
     np.testing.assert_allclose(edges, want, rtol=1e-13, atol=1e-16)
 
@@ -351,10 +351,56 @@ def test_library_grids_are_the_plain_radial_grids(monkeypatch):
     assert thermo._THERMAL_MIN_CUTOFF == 42.0
     for g in built + thermal:
         assert g is build_grid(max_degree=g.max_degree, cutoff=g.cutoff)
-        want = panel_grid(32, max_degree=g.max_degree, cutoff=g.cutoff)
+        want = panel_grid(32, far_width=measure._FAR_PANEL_WIDTH,
+                          max_degree=g.max_degree, cutoff=g.cutoff)
         assert g.nodes.tobytes() == want.nodes.tobytes()
         assert g.weights.tobytes() == want.weights.tobytes()
         assert g.n_angular == want.n_angular == 256
+
+
+# ------------------------------------------------------ wide far panels
+
+# the 8-wide panels past r = 4 hold every radial moment, the frame at its
+# largest n_check and the thermal P normalisation where it is hardest; a
+# sector's lowest moment, n = m, has degree m + 1
+_MOMENT_CASES = [(d, m) for d in (24, 82, 200, 801) for m in (0, 1, 5, 20, 36)
+                 if m + 1 <= d]
+
+
+@pytest.mark.parametrize("degree,m", _MOMENT_CASES)
+def test_far_panels_keep_every_radial_moment(degree, m):
+    # every (n, m) moment of degree <= max_degree, Gamma-exact to the
+    # log-space rounding of its target (9.1e-13 at degree 801)
+    g = build_grid(max_degree=degree)
+    last = (degree + m - 1) // 2
+    assert max(radial_moment_check(n, m, g) for n in range(m, last + 1)) <= 1e-12
+
+
+@pytest.mark.parametrize("m", [0, 1, 5, 20, 36])
+def test_far_panels_keep_the_frame_at_n_check_400(m):
+    # the Gram diagonal up to nu = 400 sums log-space amplitudes whose
+    # rounding alone reaches about 1e-12 at this degree
+    g = build_grid(max_degree=801 + m)
+    assert resolution_of_identity_check(SubspaceSpec(m, depth=None), 400, g) <= 2e-12
+
+
+# p_normalization_check on the 2-wide far panels, where the P profile is
+# steepest; its mass sits near the origin, so the far width moves no bit
+_P_NORM_2_WIDE = {
+    (6.0, 0): 3.377298440909726e-13, (6.0, 1): 9.992007221626409e-16,
+    (6.0, 4): 5.551115123125783e-16, (10.0, 0): 1.8489876296712282e-11,
+    (10.0, 1): 3.3306690738754696e-16, (10.0, 4): 2.220446049250313e-15,
+    (20.0, 0): 4.072821477851818e-07, (20.0, 1): 5.896394483784206e-13,
+    (20.0, 4): 3.6637359812630166e-15,
+}
+
+
+@pytest.mark.parametrize("beta_gap,m", sorted(_P_NORM_2_WIDE))
+def test_far_panels_keep_the_p_normalization(beta_gap, m):
+    params = PhysicalParams(omega0=1.0, omega_c=1.0)
+    ts = thermo.ThermalSpec(params, beta=beta_gap / params.epsilon_gap, m=m)
+    got = thermo.p_normalization_check(ts, thermo.thermal_grid(ts))
+    assert got <= _P_NORM_2_WIDE[beta_gap, m]
 
 
 # ------------------------------------------------------------- shared grids

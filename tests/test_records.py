@@ -132,8 +132,8 @@ def test_wehrl_report_schema():
     assert _schema(d) == [("m", "int"), ("beta_gap", "float"), ("quadrature", "float"),
                           ("approximation", "float"), ("scaled", "float"),
                           ("strong_field_approximation", "float")]
-    assert d["quadrature"] == 1.314268788307302
-    assert d["scaled"] == 1.2977649898323989
+    assert d["quadrature"] == 1.3142687883073025
+    assert d["scaled"] == 1.2977649898323993
     assert wehrl_entropy(ts).as_dict()["scaled"] is None
 
 

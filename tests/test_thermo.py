@@ -190,6 +190,40 @@ def test_partition_ground_state_dominance():
     assert residual == pytest.approx(1.0, abs=1e-15)
 
 
+# 25 log-spaced beta gaps from 1e-15 to 1e-3, where e^{-beta gap} rounds
+# near 1, then both sides of ln 2, where ln(1 - e^{-beta gap}) switches from
+# expm1 to log1p, and a few larger ones
+_LN_2 = math.log(2.0)
+_SMALL_BETA_GAPS = [1e-15 * 1e12 ** (k / 24) for k in range(25)] + [
+    0.5, _LN_2, math.nextafter(_LN_2, 1.0), 1.0, 5.0, 40.0]
+
+
+@pytest.mark.parametrize("beta_gap", _SMALL_BETA_GAPS)
+def test_partition_and_wehrl_surrogate_near_zero_beta_gap(beta_gap):
+    # Error budget, at most one ulp (eps relative) per rounding.  L =
+    # ln(1 - e^{-beta gap}): expm1 and log, or exp and log1p, stay within
+    # 3 eps of L.  Z = exp(u), u = ln_pref - (beta gap / 2 + L): u gathers
+    # 3 eps |L| from L and one rounding per product and sum, at most
+    # 4 eps (1 + |u|) absolute, which exp turns into relative error and adds
+    # one rounding: 5 eps (1 + |u|).  Rounding e^{-beta gap} before taking
+    # 1 - e^{-beta gap}, as log1p(-y) does, misses by 8e-4 at 1e-15.
+    mpmath = pytest.importorskip("mpmath")
+    eps = sys.float_info.epsilon
+    ts = _ts(beta_gap, m=1)
+    p = ts.params
+    with mpmath.workdps(40):
+        a = mpmath.mpf(ts.beta_gap)
+        ln_one_minus = mpmath.log(-mpmath.expm1(-a))
+        ln_z = (-mpmath.mpf(ts.beta) * p.hbar * (ts.fast_index + 0.5)
+                * (mpmath.mpf(p.omega) + p.omega_c) / 2 - a / 2 - ln_one_minus)
+        err_l = float(abs(ts.ln_one_minus_boltzmann / ln_one_minus - 1))
+        err_z = float(abs(partition_function(ts) / mpmath.exp(ln_z) - 1))
+    assert err_l <= 3.0 * eps, err_l
+    assert err_z <= 5.0 * eps * (1.0 + abs(float(ln_z))), err_z
+    if beta_gap > 0.05:  # thermal_grid's window
+        assert wehrl_entropy(ts).approximation == -ts.ln_one_minus_boltzmann
+
+
 def test_level_weights_sum_to_one():
     ts = _ts(0.7)
     y = ts.boltzmann_factor
