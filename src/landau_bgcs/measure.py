@@ -25,6 +25,11 @@ one radial sum against the weight (quantize.quantize_by_quadrature, and the
 frame's Gram diagonal G_nu, which resolution_of_identity_check and the
 kernel check bgcs.kernel_idempotence_check read from the grid's cache).
 
+integrate alone forms angles.  It writes the complex node matrix r e^{i phi}
+into one reusable workspace per thread, at most 10.5 MiB (the node matrix of
+the cutoff-600 grid at 256 angles; a larger one is allocated per call), and
+hands its integrand a read-only view that is valid only during the call.
+
 Note the plane carries infinite total mass under this measure: the radial
 density (2/pi) I_m K_m r tends to the constant 1/(2 pi), exactly as for the
 standard Glauber d^2alpha/pi case.  What is finite, and what the grid is
@@ -37,6 +42,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
+import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -72,9 +78,19 @@ _PANEL_WIDTH = 2.0
 _FAR_PANEL_WIDTH = 8.0
 _PANEL_POINTS = 32
 _MAX_CUTOFF = 600.0
+# the angle count of every library grid; build_grid raises it only for a
+# max_mode above 62
+_MIN_ANGLES = 256
 # grids build_grid keeps, least recently used dropped first; each holds at
 # most _PROFILE_CACHE_SIZE profiles of at most 2688 doubles (cutoff 600)
 _SHARED_GRIDS = 8
+# entries of the node matrix of the largest library grid, cutoff 600 at
+# _MIN_ANGLES angles: 2688 x 256 complex, 10.5 MiB.  integrate keeps one
+# reusable buffer of at most this size per thread and allocates a larger
+# matrix per call
+_WORKSPACE_ENTRIES = _MIN_ANGLES * _PANEL_POINTS * (
+    _GRADING_LEVELS + 1 + math.ceil((_MAX_CUTOFF - 2.0 * _PANEL_WIDTH) / _FAR_PANEL_WIDTH))
+_WORKSPACE = threading.local()
 
 
 def _label_radius(label) -> float:
@@ -292,7 +308,7 @@ def build_grid(max_degree: int = 24,
     radius = _required_cutoff(max_degree) if cutoff is None else float(cutoff)
     if not 0.0 < radius <= _MAX_CUTOFF:
         raise DomainError(f"cutoff must be in (0, {_MAX_CUTOFF:g}], got {cutoff!r}")
-    return _shared_grid(max_degree, max(256, 4 * max_mode + 8), radius)
+    return _shared_grid(max_degree, max(_MIN_ANGLES, 4 * max_mode + 8), radius)
 
 
 @lru_cache(maxsize=_SHARED_GRIDS)
@@ -350,6 +366,38 @@ def _checked_total(total, vals, nodes: np.ndarray, angles: np.ndarray | None = N
     raise EvaluationError("integral overflows although every integrand sample is finite")
 
 
+@lru_cache(maxsize=_SHARED_GRIDS)
+def _unit_phases(n_angular: int) -> tuple[np.ndarray, np.ndarray]:
+    # the read-only angles 2 pi k / n and phases e^{i phi} of integrate
+    angles = _TWO_PI * np.arange(n_angular) / n_angular
+    phases = np.exp(1j * angles)
+    angles.flags.writeable = False
+    phases.flags.writeable = False
+    return angles, phases
+
+
+def _take_workspace(size: int) -> np.ndarray:
+    # this thread's buffer if it holds size entries, else a fresh one; the
+    # slot stays empty until _return_workspace, so an integrand that calls
+    # integrate gets a buffer of its own
+    held = getattr(_WORKSPACE, "buffer", None)
+    if held is not None and held.size >= size:
+        _WORKSPACE.buffer = None
+        return held
+    if size <= _WORKSPACE_ENTRIES:
+        # the larger buffer replaces the held one, which is freed first: the
+        # first call on a larger grid then peaks as a per-call matrix did
+        _WORKSPACE.buffer = None
+    del held
+    return np.empty(size, dtype=np.complex128)
+
+
+def _return_workspace(buf: np.ndarray) -> None:
+    held = getattr(_WORKSPACE, "buffer", None)
+    if buf.size <= _WORKSPACE_ENTRIES and (held is None or held.size < buf.size):
+        _WORKSPACE.buffer = buf
+
+
 def integrate(f, m: int, grid: QuadratureGrid, vectorized: bool = False) -> complex:
     """Integral of f(z) against the order-m measure over the disk of radius R.
 
@@ -357,23 +405,34 @@ def integrate(f, m: int, grid: QuadratureGrid, vectorized: bool = False) -> comp
     through the grid's cached radial_weight(m); f receives bare complex
     labels r e^{i phi}.  With vectorized=True, f is called once with the full
     (n_radial, n_angular) complex node matrix and must return a like-shaped
-    array.  Summation is angular-first then radial, both via pairwise
-    reduction, for run-to-run bit identity.  A non-finite sample raises
-    EvaluationError naming its r and phi, and so do finite samples whose
-    sum overflows.
+    array.  That matrix is read-only and valid only during the call: it is
+    written into one reusable workspace per thread, at most 10.5 MiB (the
+    node matrix of the cutoff-600 grid at 256 angles; a larger matrix is
+    allocated per call), and an integrand that itself calls integrate gets
+    a workspace of its own.  Summation is angular-first then radial, both
+    via pairwise reduction, for run-to-run bit identity.  A non-finite
+    sample raises EvaluationError naming its r and phi, and so do finite
+    samples whose sum overflows.
     """
-    angles = _TWO_PI * np.arange(grid.n_angular) / grid.n_angular
-    z_nodes = grid.nodes[:, None] * np.exp(1j * angles)[None, :]
-    if vectorized:
-        vals = f(z_nodes)
-    else:
-        vals = [[f(z) for z in row] for row in z_nodes]
-    vals = _samples(vals, (grid.nodes.size, grid.n_angular), np.complex128)
-    weight = grid.radial_weight(m)
-    with np.errstate(over="ignore", invalid="ignore"):
-        angular = vals.sum(axis=1) * (_TWO_PI / grid.n_angular)
-        total = complex((weight * angular).sum())
-    return _checked_total(total, vals, grid.nodes, angles)
+    n_radial, n_angular = grid.nodes.size, grid.n_angular
+    angles, phases = _unit_phases(n_angular)
+    buf = _take_workspace(n_radial * n_angular)
+    try:
+        z_nodes = buf[:n_radial * n_angular].reshape(n_radial, n_angular)
+        np.multiply(grid.nodes[:, None], phases[None, :], out=z_nodes)
+        z_nodes.flags.writeable = False
+        if vectorized:
+            vals = f(z_nodes)
+        else:
+            vals = [[f(z) for z in row] for row in z_nodes]
+        vals = _samples(vals, (n_radial, n_angular), np.complex128)
+        weight = grid.radial_weight(m)
+        with np.errstate(over="ignore", invalid="ignore"):
+            angular = vals.sum(axis=1) * (_TWO_PI / n_angular)
+            total = complex((weight * angular).sum())
+        return _checked_total(total, vals, grid.nodes, angles)
+    finally:
+        _return_workspace(buf)
 
 
 def integrate_radial(vals, m: int, grid: QuadratureGrid) -> float:

@@ -182,20 +182,27 @@ def partition_function(ts: ThermalSpec) -> float:
 
 
 def partition_function_direct(ts: ThermalSpec) -> float:
-    """Term-by-term Boltzmann sum over ladder levels until the tail is negligible."""
+    """Term-by-term Boltzmann sum over ladder levels until the tail is negligible.
+
+    The sum stops at the first term t y^k whose geometric tail t y^(k+1) /
+    (1 - y) is below _PARTITION_TAIL_TOL of the first term t, after about
+    ln(tol (1 - y)) / ln y terms, y = e^{-beta gap}.  Where that count
+    exceeds _PARTITION_MAX_TERMS (beta gap below about 2.3e-4) the sum is
+    refused up front with EvaluationError (partial None).
+    """
     y = ts.boltzmann_factor
-    term = math.exp(-ts.beta * ts.ground_energy)
-    terms = []
-    for _ in range(_PARTITION_MAX_TERMS):
-        terms.append(term)
-        # geometric tail bound: remaining mass = term * y / (1 - y)
-        if term * y <= _PARTITION_TAIL_TOL * (1.0 - y) * terms[0]:
-            return math.fsum(terms)
-        term *= y
+    if math.log(_PARTITION_TAIL_TOL * (1.0 - y)) / math.log(y) <= _PARTITION_MAX_TERMS:
+        term = math.exp(-ts.beta * ts.ground_energy)
+        terms = []
+        for _ in range(_PARTITION_MAX_TERMS):
+            terms.append(term)
+            # geometric tail bound: remaining mass = term * y / (1 - y)
+            if term * y <= _PARTITION_TAIL_TOL * (1.0 - y) * terms[0]:
+                return math.fsum(terms)
+            term *= y
     raise EvaluationError(
-        f"partition sum did not converge in {_PARTITION_MAX_TERMS} terms "
-        f"(beta gap = {ts.beta_gap:.3g})", partial=math.fsum(terms),
-        terms=_PARTITION_MAX_TERMS)
+        f"partition sum needs more than {_PARTITION_MAX_TERMS} terms "
+        f"(beta gap = {ts.beta_gap:.3g})", partial=None, terms=_PARTITION_MAX_TERMS)
 
 
 def level_weight(nu: int, ts: ThermalSpec) -> float:
@@ -365,7 +372,10 @@ def thermal_average(mean_fn, ts: ThermalSpec, grid: QuadratureGrid) -> complex:
     """Ensemble average by quadrature: weight times coherent-state mean.
 
     mean_fn receives the full complex node matrix and must return a
-    like-shaped array of coherent-state mean values.
+    like-shaped array of coherent-state mean values.  The matrix is the
+    read-only one integrate hands its integrand, valid only during the
+    call: integrate writes it into one reusable workspace per thread, at
+    most 10.5 MiB.
     """
     w = _grid_p(ts, grid)[:, None]
     return integrate(lambda z: w * np.asarray(mean_fn(z)), ts.m, grid,

@@ -2,6 +2,10 @@
 
 import dataclasses
 import math
+import sys
+import threading
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -203,6 +207,150 @@ def test_integrate_deterministic(grid):
     f = lambda u: np.exp(-np.abs(u)) * (1.0 + 0.3j * u / (1.0 + np.abs(u)))
     assert integrate(f, 2, grid, vectorized=True) \
         == integrate(f, 2, grid, vectorized=True)
+
+
+# ------------------------------------------------------- integrate workspace
+
+def _angular_integrand(u):
+    return np.exp(-np.abs(u)) * (1.0 + 0.3j * u / (1.0 + np.abs(u)))
+
+
+def _fresh_integrate(f, m, grid):
+    # integrate with a freshly allocated node matrix, the formula before the
+    # workspace: the result and the matrix f receives
+    angles = 2.0 * math.pi * np.arange(grid.n_angular) / grid.n_angular
+    z_nodes = grid.nodes[:, None] * np.exp(1j * angles)[None, :]
+    vals = np.asarray(f(z_nodes), dtype=np.complex128)
+    angular = vals.sum(axis=1) * (2.0 * math.pi / grid.n_angular)
+    return complex((grid.radial_weight(m) * angular).sum()), z_nodes
+
+
+# build_grid cutoffs of 1440, 448, 768, 2688 and 448 radial nodes
+_WORKSPACE_CUTOFFS = [(292.0, 1440), (42.0, 448), (120.0, 768), (600.0, 2688),
+                      (42.0, 448)]
+
+
+def test_workspace_grows_and_is_reused_bit_for_bit():
+    measure._WORKSPACE.buffer = None
+    largest = 0
+    for cutoff, n_radial in _WORKSPACE_CUTOFFS:
+        g = build_grid(cutoff=cutoff)
+        assert g.nodes.size == n_radial
+        seen = []
+
+        def f(u):
+            seen.append(u.tobytes())
+            return _angular_integrand(u)
+        got = integrate(f, 2, g, vectorized=True)
+        want, z_nodes = _fresh_integrate(_angular_integrand, 2, g)
+        assert repr(got) == repr(want)
+        assert seen == [z_nodes.tobytes()]
+        largest = max(largest, n_radial * g.n_angular)
+        assert measure._WORKSPACE.buffer.size == largest
+    assert largest == measure._WORKSPACE_ENTRIES
+
+
+def test_growing_workspace_frees_the_smaller_buffer_first():
+    measure._WORKSPACE.buffer = None
+    integrate(_angular_integrand, 0, build_grid(cutoff=42.0), vectorized=True)
+    smaller = weakref.ref(measure._WORKSPACE.buffer)
+    alive = []
+
+    def f(u):
+        alive.append(smaller() is not None)
+        return _angular_integrand(u)
+    integrate(f, 0, build_grid(cutoff=292.0), vectorized=True)
+    assert alive == [False]
+
+
+def test_workspace_larger_than_the_bound_is_not_kept():
+    g = build_grid(max_degree=0, max_mode=64, cutoff=600.0)
+    assert g.nodes.size * g.n_angular > measure._WORKSPACE_ENTRIES
+    measure._WORKSPACE.buffer = None
+    want, _ = _fresh_integrate(_angular_integrand, 0, g)
+    assert repr(integrate(_angular_integrand, 0, g, vectorized=True)) == repr(want)
+    assert measure._WORKSPACE.buffer is None
+
+
+def _scale_in_place(u):
+    u *= 2.0
+    return u
+
+
+def _set_in_place(u):
+    u[0, 0] = 1.0
+    return u
+
+
+@pytest.mark.parametrize("write", [_scale_in_place, _set_in_place,
+                                   lambda u: np.exp(u, out=u)])
+def test_integrand_argument_is_read_only(grid, write):
+    with pytest.raises(ValueError, match="read-only"):
+        integrate(write, 0, grid, vectorized=True)
+
+
+def test_nested_integrate_gets_its_own_workspace(grid):
+    inner_grid = panel_grid(8, max_degree=4, cutoff=20.0, n_angular=32)
+    inner = integrate(_angular_integrand, 1, inner_grid, vectorized=True)
+    _, z_nodes = _fresh_integrate(_angular_integrand, 1, grid)
+
+    def outer(u):
+        before = u.tobytes()
+        c = integrate(_angular_integrand, 1, inner_grid, vectorized=True)
+        assert repr(c) == repr(inner)
+        assert u.tobytes() == before == z_nodes.tobytes()
+        return _angular_integrand(u) * c
+    flat = integrate(lambda u: _angular_integrand(u) * inner, 0, grid, vectorized=True)
+    assert repr(integrate(outer, 0, grid, vectorized=True)) == repr(flat)
+
+
+def test_threads_never_share_a_workspace():
+    grids = [build_grid(cutoff=c) for c in (42.0, 120.0, 292.0)]
+    serial = [integrate(_angular_integrand, 3, g, vectorized=True) for g in grids]
+    start = threading.Barrier(len(grids), timeout=60.0)
+    got = [[] for _ in grids]
+
+    def run(i):
+        start.wait()
+        for _ in range(30):
+            got[i].append(integrate(_angular_integrand, 3, grids[i], vectorized=True))
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(grids))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for want, values in zip(serial, got):
+        assert [repr(v) for v in values] == [repr(want)] * 30
+
+
+def test_integrate_after_a_raising_integrand(grid):
+    def fails(u):
+        raise RuntimeError("integrand failed")
+    with pytest.raises(RuntimeError, match="integrand failed"):
+        integrate(fails, 0, grid, vectorized=True)
+    want, _ = _fresh_integrate(_angular_integrand, 0, grid)
+    assert repr(integrate(_angular_integrand, 0, grid, vectorized=True)) == repr(want)
+
+
+def test_warm_integrate_allocates_no_node_matrix():
+    g = build_grid(cutoff=292.0)
+    col = (np.exp(-g.nodes) + 0j)[:, None]
+    f = lambda u: np.broadcast_to(col, u.shape)
+    want = integrate(f, 0, g, vectorized=True)
+    tracemalloc.start()
+    try:
+        got = integrate(f, 0, g, vectorized=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak < g.nodes.size * g.n_angular * 16 / 4
 
 
 # ---------------------------------------------------------------- moments

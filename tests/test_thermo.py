@@ -183,6 +183,26 @@ def test_partition_three_routes_agree(beta_gap):
     assert _partition_resummed(ts) == pytest.approx(z_closed, rel=1e-12)
 
 
+# the direct sums before the up-front refusal, bit for bit
+@pytest.mark.parametrize("beta_gap,want", [
+    (3e-4, 3332.0245608392856),
+    (1e-3, 998.6917977825264),
+    (1.0, 0.259151654770953),
+    (6.0, 1.937319522229279e-05),
+])
+def test_partition_direct_keeps_its_bits(beta_gap, want):
+    assert repr(partition_function_direct(_ts(beta_gap))) == repr(want)
+
+
+@pytest.mark.parametrize("beta_gap", [2e-4, 1e-6])
+def test_partition_direct_refuses_up_front(beta_gap):
+    # ln(1e-16 (1 - y)) / ln y terms exceed the cap: refused before summing
+    with pytest.raises(EvaluationError, match="needs more than 200000 terms") as err:
+        partition_function_direct(_ts(beta_gap))
+    assert err.value.partial is None
+    assert err.value.terms == thermo._PARTITION_MAX_TERMS
+
+
 def test_partition_ground_state_dominance():
     # Z e^{beta E_0} = 1/(1 - y) -> 1 once excited weights die off
     ts = _ts(40.0, fast_index=1)
