@@ -19,15 +19,16 @@ the same kernel the other way, from the amplitudes, as one radial sum.
 
 Memos.  Every statistic of a label is a ratio of I_m, I_{m+1} and I_{m+2} at
 2|z|, and a label's state, statistics, overlap and matrix routes ask for the
-same few values.  Three private least-recently-used memos of 64 entries each
+same few values.  Two private least-recently-used memos of 64 entries each
 serve those repeats from one evaluation: the real reduced series R_k(u)
-keyed by (k, u), e^{-x} I_k(x) keyed by (k, x), and the StateVector of
-bgcs_state keyed by (label, the signs of its components, m, depth,
-tail_tol) and their types.  Only real floats reach the series memos; the
-public specfun kernels stay uncached.  A hit returns what a fresh build
-returns, field for field, and an exception is never stored, so a repeat
-raises again.  A label's state, statistics and overlap store one state
-and at most five series values, so the memos keep the last dozen or more
+keyed by (k, u), and the StateVector of bgcs_state keyed by (label, the
+signs of its components, m, depth, tail_tol) and their types.  Only real
+floats reach the series memo; the public specfun kernels stay uncached, so
+past |z| = 40, where the ratios read e^{-x} I_k(x) instead of the series,
+each route evaluates its own.  A hit returns what a fresh build returns,
+field for field, and an exception is never stored, so a repeat raises
+again.  A label's state, statistics and overlap store one state and at
+most four series values, so the memos keep the last dozen or more
 labels.  A cyclic pass over more than 64 distinct labels, such as a
 benchmark round of 512, finds nothing from its previous pass but the one
 normaliser its last overlap stored for the first label, which hits only
@@ -78,12 +79,6 @@ _MEMO_SIZE = 64
 def _reduced(k: int, u: float) -> float:
     # R_k(u) at real u >= 0
     return bessel_i_reduced(k, u)
-
-
-@functools.lru_cache(maxsize=_MEMO_SIZE)
-def _scaled(k: int, x: float) -> float:
-    # e^{-x} I_k(x) at real x > 0
-    return bessel_i_scaled(k, x)
 
 
 @dataclass(frozen=True)
@@ -181,7 +176,7 @@ def _ln_bessel_i(m: int, r: float) -> float:
     # log of I_m(2r) without overflow or small-argument underflow
     if r <= _RATIO_SWITCH:
         return m * math.log(r) + math.log(_reduced(m, r * r))
-    return math.log(_scaled(m, 2.0 * r)) + 2.0 * r
+    return math.log(bessel_i_scaled(m, 2.0 * r)) + 2.0 * r
 
 
 def _ln_factorials(k: np.ndarray) -> np.ndarray:
@@ -350,7 +345,7 @@ def _bessel_series(m: int, r: float) -> tuple[float, list[float]]:
     if r <= _RATIO_SWITCH:
         u = r * r
         return u, [_reduced(m + k, u) for k in range(3)]
-    return r, _in_double_range(m, [_scaled(m + k, 2.0 * r) for k in range(3)])
+    return r, _in_double_range(m, [bessel_i_scaled(m + k, 2.0 * r) for k in range(3)])
 
 
 def _step_ratios(m: int, r: float, second: bool = True) -> tuple[float, float]:

@@ -239,9 +239,12 @@ def _emit(payload, cfg: RunConfig, csv_rows, default_fmt: str) -> None:
         text = _csvify(csv_rows)
     if cfg.out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as e:
+        raise UsageError(f"cannot write output file: {e}") from None
 
 
 # ----------------------------------------------------------------- commands

@@ -48,7 +48,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bgcs import _gram_diagonal
+from .bgcs import _as_label, _gram_diagonal
 from .fock import SubspaceSpec
 from .specfun import (
     DomainError,
@@ -93,13 +93,6 @@ _WORKSPACE_ENTRIES = _MIN_ANGLES * _PANEL_POINTS * (
 _WORKSPACE = threading.local()
 
 
-def _label_radius(label) -> float:
-    rho = getattr(label, "rho", None)
-    if rho is not None:
-        return float(rho)
-    return abs(complex(label))
-
-
 def measure_density(label, m: int):
     """Density (2/pi) I_m(2|z|) K_m(2|z|) of the reproducing measure.
 
@@ -119,7 +112,7 @@ def measure_density(label, m: int):
     m = _order(m)
     if isinstance(label, np.ndarray):
         return _density(np.abs(label).astype(np.float64, copy=False), m)
-    r = _label_radius(label)
+    r = _as_label(label).rho
     if not math.isfinite(r):
         raise DomainError("measure density needs a finite |z|")
     if r == 0.0:
@@ -221,6 +214,11 @@ class QuadratureGrid:
                             * _positive_density(self.nodes, m,
                                                 self._scaled_ln_bessel("i", m)[1],
                                                 self._scaled_ln_bessel("k", m)[1]))
+
+    def _require_degree(self, need: int) -> None:
+        # ValueError unless this grid resolves radial degree need
+        if need > self.max_degree:
+            raise ValueError(f"grid built for degree {self.max_degree}, need {need}")
 
     def _ln_bessel(self, kind: str, m: int, factor: float = 1.0) -> np.ndarray:
         """ln I_m(x) (kind "i") or ln K_m(x) (kind "k") at the node arguments
@@ -456,9 +454,7 @@ def radial_moment_check(n: int, m: int, grid: QuadratureGrid) -> float:
     if m > n:
         raise DomainError(f"need n >= m >= 0, got n={n}, m={m}")
     p = 2 * n - m + 1
-    if p > grid.max_degree:
-        raise ValueError(
-            f"grid built for degree {grid.max_degree}, moment needs {p}")
+    grid._require_degree(p)
     ln_terms = np.log(grid.weights) + p * np.log(grid.nodes) + grid._ln_bessel("k", m)
     peak = ln_terms.max()
     ln_quad = math.log(4.0) + peak + math.log(np.exp(ln_terms - peak).sum())
@@ -476,10 +472,7 @@ def resolution_of_identity_check(spec: SubspaceSpec, n_check: int,
     if spec.depth is not None and n_check > spec.depth - 2:
         raise ValueError(
             f"n_check = {n_check} needs depth >= {n_check + 2}, have {spec.depth}")
-    need_degree = 2 * n_check + spec.m + 1
-    if grid.max_degree < need_degree:
-        raise ValueError(
-            f"grid built for degree {grid.max_degree}, need {need_degree}")
+    grid._require_degree(2 * n_check + spec.m + 1)
 
     gram = _gram_diagonal(spec.m, grid, n_check + 1)
     return float(np.max(np.abs(gram - 1.0)))

@@ -150,10 +150,7 @@ def quantize_by_quadrature(sym: SymbolSpec, spec: SubspaceSpec,
     EvaluationError."""
     depth = spec.require_depth()
     m = spec.m
-    need_degree = 2 * depth + m + sym.degree + 1
-    if grid.max_degree < need_degree:
-        raise ValueError(
-            f"grid supports degree {grid.max_degree}, symbol needs {need_degree}")
+    grid._require_degree(2 * depth + m + sym.degree + 1)
 
     amp = _node_amplitudes(m, grid, depth + 1)
     weight = grid.radial_weight(m)
@@ -278,10 +275,11 @@ def energy_operator_decomposition_check(m: int, spec: SubspaceSpec) -> Decomposi
     a2 = np.diag(lowering_band(m, dim, 2, np.longdouble), 2)
     diag = np.diag(lowering_band(m, dim, 1, np.longdouble, raising=1))
     azb = az.T
-    comm_half = (az @ azb - azb @ az) / np.longdouble(2)
+    z_z, zb_zb, z_zb, zb_z = az @ az, azb @ azb, az @ azb, azb @ az
+    comm_half = (z_zb - zb_z) / np.longdouble(2)
 
-    q_sq_matrix = 0.5 * (az @ az + azb @ azb + az @ azb + azb @ az)
-    p_sq_matrix = -0.5 * (az @ az + azb @ azb - az @ azb - azb @ az)
+    q_sq_matrix = 0.5 * (z_z + zb_zb + z_zb + zb_z)
+    p_sq_matrix = -0.5 * (z_z + zb_zb - z_zb - zb_z)
     a_qsq = diag + 0.5 * (a2 + a2.T)
     a_psq = diag - 0.5 * (a2 + a2.T)
 

@@ -12,7 +12,7 @@ expansions:
   single-valued building block for overlap kernels,
 * ``ln I_m(x)`` and ``ln K_m(x)`` elementwise over numpy arrays of x > 0
   (``ln_bessel_i``, ``ln_bessel_k``), for callers that need a whole radial
-  profile at once,
+  profile at once, or on one Python float, which gives a float,
 * ``ln n!`` (exact cumulative sums up to 256, Stirling beyond).
 
 The real-argument Bessel kernels, scalar and array alike, take their branch
@@ -425,10 +425,10 @@ def _positive_array(x, name: str) -> np.ndarray:
 
 
 def _ln_bessel_i_scaled(m: int, x: np.ndarray) -> np.ndarray:
-    """ln(e^{-x} I_m(x)) elementwise over a flat array of x > 0, to a few
-    ulps of max(1, |result|): the Hankel expansion at x >= x0(m), the fixed
-    polynomial at x < 20, and the backward ratio recurrence between (m >= 8
-    only), within 5e-16 there."""
+    """ln(e^{-x} I_m(x)) on a float or elementwise over a flat array of
+    x > 0, to a few ulps of max(1, |result|): the Hankel expansion at
+    x >= x0(m), the fixed polynomial at x < 20, and the backward ratio
+    recurrence between (m >= 8 only), within 5e-16 there."""
     return _with_hankel(m, x, -1.0, _ln_i_below_switch)
 
 
@@ -494,8 +494,22 @@ def _ln_i_recurrence_scaled(m: int, x):
     return s + (_ln_hankel_scaled(0, x, -1.0) - comp)
 
 
-def ln_bessel_i(m: int, x) -> np.ndarray:
-    """ln I_m(x) elementwise over an array of x > 0.
+def _ln_bessel(scaled, sign: float, m, x, name: str):
+    # scaled(m, x) + sign x: on a Python float by the float body, with no
+    # array built; on anything else elementwise over the flattened array
+    m = _order(m)
+    if type(x) is float:
+        if not 0.0 < x < math.inf:
+            raise DomainError(f"{name} requires finite x > 0")
+        return float(scaled(m, x) + sign * x)
+    x = _positive_array(x, name)
+    flat = x.ravel()
+    return (scaled(m, flat) + sign * flat).reshape(x.shape)
+
+
+def ln_bessel_i(m: int, x):
+    """ln I_m(x) elementwise over an array of x > 0, or on a Python float
+    x > 0, which gives a float from the same branch and formula.
 
     From x0(m) = max(20, 0.4 m^2) the Hankel expansion; below it one fixed
     40-term polynomial at x < 20 and, on [20, x0(m)) (m >= 8), the logs of
@@ -504,10 +518,7 @@ def ln_bessel_i(m: int, x) -> np.ndarray:
     element takes its branch from (m, x) alone.  Absolute error is a few ulps of
     max(1, |ln I_m(x)|).
     """
-    m = _order(m)
-    x = _positive_array(x, "ln_bessel_i")
-    flat = x.ravel()
-    return (_ln_bessel_i_scaled(m, flat) + flat).reshape(x.shape)
+    return _ln_bessel(_ln_bessel_i_scaled, 1.0, m, x, "ln_bessel_i")
 
 
 _K_POLY_TERMS = 16
@@ -591,9 +602,9 @@ def _k01_rule_scaled(x):
 
 
 def _ln_bessel_k_scaled(m: int, x: np.ndarray) -> np.ndarray:
-    """ln(e^x K_m(x)) elementwise over a flat array of x > 0: the Hankel
-    expansion at x >= x0(m), the recurrence route below, and the leading
-    terms where that route would leave double range."""
+    """ln(e^x K_m(x)) on a float or elementwise over a flat array of x > 0:
+    the Hankel expansion at x >= x0(m), the recurrence route below, and the
+    leading terms where that route would leave double range."""
     return _with_hankel(m, x, 1.0, _ln_k_below_switch)
 
 
@@ -638,8 +649,9 @@ def _ln_k_recurrence_scaled(m: int, x: np.ndarray) -> np.ndarray:
     return ln_k
 
 
-def ln_bessel_k(m: int, x) -> np.ndarray:
-    """ln K_m(x) elementwise over an array of x > 0.
+def ln_bessel_k(m: int, x):
+    """ln K_m(x) elementwise over an array of x > 0, or on a Python float
+    x > 0, which gives a float from the same branch and formula.
 
     From x0(m) = max(20, 0.4 m^2) the Hankel expansion; below it K_0 and
     K_1 come from four fixed 16-term polynomials (x <= 2) or a fixed
@@ -649,7 +661,4 @@ def ln_bessel_k(m: int, x) -> np.ndarray:
     takes its branch from (m, x) alone.  Absolute error is a few ulps of
     max(1, |ln K_m(x)|).
     """
-    m = _order(m)
-    x = _positive_array(x, "ln_bessel_k")
-    flat = x.ravel()
-    return (_ln_bessel_k_scaled(m, flat) - flat).reshape(x.shape)
+    return _ln_bessel(_ln_bessel_k_scaled, -1.0, m, x, "ln_bessel_k")

@@ -29,14 +29,7 @@ from .bgcs import _as_label, _ln_amplitude
 from .fock import PhysicalParams, lowering_band
 from .measure import (_MAX_CUTOFF, QuadratureGrid, _required_cutoff, build_grid,
                       integrate, integrate_radial)
-from .specfun import (
-    DomainError,
-    EvaluationError,
-    _Record,
-    _ln_bessel_i_scaled,
-    _ln_bessel_k_scaled,
-    _order,
-)
+from .specfun import DomainError, EvaluationError, _Record, _order, ln_bessel_i, ln_bessel_k
 
 __all__ = [
     "ThermalSpec",
@@ -219,20 +212,9 @@ def level_weight(nu: int, ts: ThermalSpec) -> float:
 # ln K_m at 2|z| times a factor (_ln_husimi, _ln_p): the quadrature routes
 # read those logs from the grid's profile cache (_grid_ln_husimi, and
 # _grid_p, which caches the P profile itself) and integrate in 1-D against
-# its radial weight (integrate_radial); the point functions evaluate them
-# with the same kernels on the float radius (_at_radius).
-
-def _at_radius(kind: str, m: int, rho: float):
-    # factor -> ln I_m (kind "i") or ln K_m (kind "k") at the float
-    # x = 2 rho factor, by the branch and formula of ln_bessel_i or ln_bessel_k
-    def ln_bessel(factor: float):
-        x = 2.0 * rho * factor
-        if not 0.0 < x < math.inf:
-            raise DomainError(f"ln_bessel_{kind} requires finite x > 0")
-        if kind == "i":
-            return _ln_bessel_i_scaled(m, x) + x
-        return _ln_bessel_k_scaled(m, x) - x
-    return ln_bessel
+# its radial weight (integrate_radial); the point functions call specfun's
+# ln_bessel_i and ln_bessel_k on the float x = 2 rho factor, which run the
+# same kernels on a float.
 
 
 def _husimi_exponents(ts: ThermalSpec, strong_field: bool) -> tuple[float, float]:
@@ -282,7 +264,7 @@ def _husimi_point(label, ts: ThermalSpec, strong_field: bool) -> float:
         a, ln_pref = _husimi_exponents(ts, strong_field)
         ln_h = ln_pref + a * (ts.m - 1) - a * ts.m
     else:
-        ln_h = _ln_husimi(ts, _at_radius("i", ts.m, rho), strong_field)
+        ln_h = _ln_husimi(ts, lambda f: ln_bessel_i(ts.m, 2.0 * rho * f), strong_field)
     return float(np.exp(ln_h))
 
 
@@ -316,7 +298,7 @@ def p_function(label, ts: ThermalSpec) -> float:
     lab = _as_label(label)
     if lab.rho == 0.0:
         raise DomainError("diagonal weight undefined at z = 0")
-    return float(np.exp(_ln_p(ts, _at_radius("k", ts.m, lab.rho))))
+    return float(np.exp(_ln_p(ts, lambda f: ln_bessel_k(ts.m, 2.0 * lab.rho * f))))
 
 
 # ------------------------------------------------------------------------
@@ -451,12 +433,12 @@ def _q2_trace_depth(ts: ThermalSpec) -> int:
 
 
 def _q2_fock_trace(ts: ThermalSpec, depth: int) -> float:
-    # the quantized q is tridiagonal with off-diagonal c = b/sqrt(2), b the K-
-    # band (times 1/sqrt(2), rounded as NumPy divides the complex matrix), so
-    # (q q)[nu, nu] = c[nu-1]^2 + c[nu]^2; the truncated last entry is left
-    # out, its weight being below the truncation tolerance by construction
-    c_sq = (lowering_band(ts.m, max(16, depth) + 1) * (1.0 / math.sqrt(2.0))) ** 2
-    diag = c_sq + np.concatenate(([0.0], c_sq[:-1]))
+    # q = (K- + K+) / sqrt(2), so (q q)[nu, nu] = (P(nu-1) + P(nu)) / 2 with
+    # P(nu) = (nu+1)(nu+m+1) the diagonal of K- K+, exact in doubles; the
+    # levels nu >= depth are left out, their weight being below the
+    # truncation tolerance by construction
+    p = lowering_band(ts.m, depth, 1, raising=1)
+    diag = 0.5 * (p + np.concatenate(([0.0], p[:-1])))
     y = ts.boltzmann_factor
     weights = -math.expm1(-ts.beta_gap) * y ** np.arange(diag.size)
     return float(np.sum((weights * diag)[::-1]))

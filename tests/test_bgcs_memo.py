@@ -16,7 +16,7 @@ from landau_bgcs.specfun import EvaluationError
 # reaches the ratio recurrence (2|z| in [20, 0.4 m^2)) past it
 _ORDERS = (0, 1, 8, 19, 50)
 _RHOS = tuple(np.geomspace(1e-3, 60.0, 12).tolist()) + (40.0, 41.9)
-_MEMOS = (bgcs._reduced, bgcs._scaled, bgcs._state)
+_MEMOS = (bgcs._reduced, bgcs._state)
 
 
 def _clear_memos():
@@ -91,7 +91,7 @@ def series_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("z", ["3,0.5", "45,0"])
+@pytest.mark.parametrize("z", ["3,0.5"])
 def test_stats_command_evaluates_each_series_once(series_calls, capsys, z):
     # mean_n, mean_n_sq, mean_k3, g2, snr, mandel_q, fano and the dispersions
     # each read orders m, m+1 and m+2 at one argument: 24 evaluations unmemoised

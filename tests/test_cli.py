@@ -428,6 +428,15 @@ def test_output_file_byte_identical(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("where", ["missing/x.json", "."])
+def test_unwritable_output_file_is_a_usage_error(tmp_path, capsys, where):
+    # a missing directory or a directory in place of the file: one stderr
+    # line and exit 2, not a traceback
+    rc, out, err = _run(capsys, "stats", "--z=1,0", "--out", str(tmp_path / where))
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: cannot write output file: ") and err.count("\n") == 1
+
+
 def test_invalid_physical_parameters(capsys):
     rc, _, err = _run(capsys, "stats", "--z", "1,0", "--omega0", "-1")
     assert rc == 2 and "frequencies" in err

@@ -601,11 +601,25 @@ def test_ln_bessel_kernels_stay_finite_at_extreme_orders():
     assert total == pytest.approx(math.log(1.0 / 400.0), abs=1e-3)
 
 
+@pytest.mark.parametrize("m", [0, 3, 12, 30])
+def test_ln_bessel_kernels_on_a_float(m, monkeypatch):
+    # a Python float runs the float body and gives a float, a few ulps of
+    # max(1, |ln|) from the same x inside an array (math.log against np.log)
+    whole = {fn: fn(m, _ARRAY_X) for fn in (sf.ln_bessel_i, sf.ln_bessel_k)}
+    monkeypatch.setattr(sf, "_positive_array", None)
+    for fn, want in whole.items():
+        got = [fn(m, x) for x in _ARRAY_X.tolist()]
+        assert all(type(v) is float for v in got)
+        assert _ln_err(np.array(got), want).max() <= 4e-16
+
+
 def test_ln_bessel_kernels_domain():
     for fn in (sf.ln_bessel_i, sf.ln_bessel_k):
         for bad in ([0.0], [-1.0], [math.nan], [math.inf]):
             with pytest.raises(sf.DomainError):
                 fn(0, np.array(bad))
+            with pytest.raises(sf.DomainError, match="requires finite x > 0"):
+                fn(0, bad[0])
         with pytest.raises(sf.DomainError):
             fn(-1, np.array([1.0]))
         assert fn(2, np.array([])).shape == (0,)

@@ -449,8 +449,9 @@ def test_q2_closed_is_the_polynomial_in_nbar_over_the_admitted_range(m):
 @pytest.mark.parametrize("m", [0, 4])
 @pytest.mark.parametrize("beta_gap", [0.03, 0.1, 1.0, 6.0])
 def test_q2_trace_matches_dense_reference(beta_gap, m):
-    # the trace route reads diag(q q) off the K- band; this reference squares
-    # the dense quantized q matrix and takes the same geometric-weighted trace
+    # the trace route reads diag(q q) off the K- K+ diagonal; this reference
+    # squares the dense quantized q matrix and takes the same
+    # geometric-weighted trace
     ts = _ts(beta_gap, m=m)
     depth = thermo._q2_trace_depth(ts)
     q = quantize_closed_form(SymbolSpec("q"), SubspaceSpec(m, depth=max(16, depth))).entries
