@@ -62,15 +62,15 @@ class CheckResult(_Record):
 
 
 def suite_specfun(tol: float | None = None) -> list[CheckResult]:
-    """Bessel cross-product identity."""
+    """Bessel cross-product identity x (I_m K_{m+1} + I_{m+1} K_m) = 1 for
+    m = 0..8, from one evaluation of I_k and K_k, k = 0..9, per point."""
     tol = 1e-12 if tol is None else tol
-    xs = np.logspace(-2.0, math.log10(50.0), 20)
     worst = 0.0
-    for m in range(9):
-        for x in xs:
-            x = float(x)
-            cross = bessel_i(m, x) * bessel_k(m + 1, x) \
-                + bessel_i(m + 1, x) * bessel_k(m, x)
+    for x in np.logspace(-2.0, math.log10(50.0), 20).tolist():
+        i_n = [bessel_i(n, x) for n in range(10)]
+        k_n = [bessel_k(n, x) for n in range(10)]
+        for m in range(9):
+            cross = i_n[m] * k_n[m + 1] + i_n[m + 1] * k_n[m]
             worst = max(worst, abs(x * cross - 1.0))
     return [CheckResult("bessel_cross_product_vs_inverse_argument", worst, tol)]
 

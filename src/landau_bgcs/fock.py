@@ -17,12 +17,17 @@ assemble is hamiltonian_matrix.
 Every operator is an OperatorMatrix built from its diagonals, which derives
 its band from them; a dense matrix (a quadrature, a product) enters through
 OperatorMatrix.from_entries.  lowering_band is the one builder of every
-diagonal of K-^i K+^j; the ladders, the quantized symbols and their identity
-checks read it.
+diagonal of K-^i K+^j; the ladders, the quantized symbols, their identity
+checks and the thermal q^2 trace read it.  Each band is exact and depends
+on (m, dim, step, raising, dtype) alone, so it is built once and kept,
+read-only, in a memo of the last 64 bands: at most 10 MiB while each is a
+float64 band no longer than the q^2 trace's 20000 entries (see
+lowering_band).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -31,6 +36,8 @@ import numpy as np
 from .specfun import DomainError, _order
 
 _LADDER_KINDS = ("k_plus", "k_minus", "k3", "number")
+# bands kept by the lowering_band memo
+_BAND_MEMO_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -189,25 +196,48 @@ def lowering_band(m: int, dim: int, step: int = 1, dtype=np.float64,
     rounded once into the real dtype before a single square root, so
     float64 and np.longdouble callers each get correctly rounded entries;
     where raising == step, the root P(row, step) is rounded instead.
+
+    m, step and raising are orders (specfun._order) and dim an integer
+    >= 1, else DomainError.  A band depends on those and the dtype alone,
+    so it is built once and served read-only from a memo of the last
+    _BAND_MEMO_SIZE (64) bands asked for.  A band of n entries holds 8n
+    bytes (16n in longdouble).  The q^2 trace asks for up to 20000 entries
+    (160 kB), and 64 such bands take 10 MiB; the memo holds more only where
+    callers ask for longer bands, such as a deep ladder_matrix or the
+    dispersions of a label at large |z|.
     """
+    m, step, raising = _order(m, "m"), _order(step, "step"), _order(raising, "raising")
+    dim = _order(dim, "dim")
+    if dim < 1:
+        raise DomainError(f"dim must be an integer >= 1, got {dim!r}")
+    return _band(m, dim, step, np.dtype(dtype), raising)
+
+
+@functools.lru_cache(maxsize=_BAND_MEMO_SIZE)
+def _band(m: int, dim: int, step: int, dtype: np.dtype, raising: int) -> np.ndarray:
+    # the build behind lowering_band, on validated ints
     k = step - raising
     n = dim - abs(k)
     row = max(-k, 0)
     # entry t is the product over the shifts s of (t+s)(m+t+s)
     shifts = [*range(row + 1, row + step + 1), *range(row + k + 1, row + k + raising + 1)]
     if not shifts:
-        return np.ones(n, dtype)
-    if raising == step:
-        shifts = shifts[:step]
-    largest = math.prod((n - 1 + s) * (m + n - 1 + s) for s in shifts)
-    t = np.arange(n, dtype=np.int64 if largest < 2 ** 63 else object)
-    first, *rest = shifts
-    prod = (t + first) * (t + (m + first))
-    for s in rest:
-        prod *= t + s
-        prod *= t + (m + s)
-    prod = np.asarray(prod, dtype=dtype)
-    return prod if raising == step else np.sqrt(prod)
+        band = np.ones(n, dtype)
+    else:
+        if raising == step:
+            shifts = shifts[:step]
+        largest = math.prod((n - 1 + s) * (m + n - 1 + s) for s in shifts)
+        t = np.arange(n, dtype=np.int64 if largest < 2 ** 63 else object)
+        first, *rest = shifts
+        prod = (t + first) * (t + (m + first))
+        for s in rest:
+            prod *= t + s
+            prod *= t + (m + s)
+        band = np.asarray(prod, dtype=dtype)
+        if raising != step:
+            band = np.sqrt(band)
+    band.flags.writeable = False
+    return band
 
 
 def ladder_matrix(kind: str, spec: SubspaceSpec) -> OperatorMatrix:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from landau_bgcs import fock
 from landau_bgcs.bgcs import bgcs_state
 from landau_bgcs.fock import (
     OperatorMatrix,
@@ -116,6 +117,49 @@ def test_square_band_is_its_integer_root_rounded_once(m, dtype):
             moved = np.flatnonzero(got != rooted)
             assert all(exact[t] > 2 ** 53 for t in moved)
             assert np.all(np.abs(got - rooted) <= np.finfo(dtype).eps * rooted)
+
+
+def _value_bytes(a):
+    # the bytes that hold each value: x86 extended precision keeps 80 bits
+    # (63-bit mantissa) in a 16-byte slot whose padding is not set
+    width = 10 if np.finfo(a.dtype).nmant == 63 else a.dtype.itemsize
+    return a.view(np.uint8).reshape(a.size, a.dtype.itemsize)[:, :width].tobytes()
+
+
+@pytest.mark.parametrize("m", [0, 5, 10 ** 9])
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_memoised_band_equals_an_uncached_build_and_is_read_only(m, dtype):
+    build = fock._band.__wrapped__
+    for dim in (1, 9, 31):
+        for step, raising in ((0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 2), (3, 1)):
+            want = build(m, dim, step, np.dtype(dtype), raising)
+            for _ in range(2):
+                got = lowering_band(m, dim, step, dtype, raising=raising)
+                assert got.dtype == want.dtype and _value_bytes(got) == _value_bytes(want)
+                assert not got.flags.writeable
+                if got.size:
+                    with pytest.raises(ValueError):
+                        got[0] = 0.0
+    # an accepted int-valued float is the same key, served the same band
+    assert lowering_band(float(m), 31.0, 1.0, dtype, 0.0) is lowering_band(m, 31, 1, dtype)
+
+
+def test_band_memo_is_bounded():
+    fock._band.cache_clear()
+    for dim in range(1, 101):
+        lowering_band(3, dim)
+    info = fock._band.cache_info()
+    assert info.maxsize == fock._BAND_MEMO_SIZE == 64 and info.currsize == 64
+
+
+@pytest.mark.parametrize("args", [
+    (-2, 6), (3, 10, -1), (2.5, 10), (True, 10), (np.bool_(True), 10), (2, 0),
+    (2, -3), (2, 10.5), (2, True), (2, 10, 1, np.float64, -1), (2, 10, 1.5),
+    (2, 10, 1, np.float64, 0.5), (math.nan, 10), ("2", 10), (2, math.inf),
+])
+def test_lowering_band_rejects_what_is_no_order(args):
+    with pytest.raises(DomainError):
+        lowering_band(*args)
 
 
 def test_diagonal_entries():

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from landau_bgcs import specfun as sf
+from landau_bgcs import checks, specfun as sf
 from oracles import bessel_power_sum, gauss_2f1
 
 # (name, got, want, rel_tol)
@@ -623,3 +623,22 @@ def test_ln_bessel_kernels_domain():
         with pytest.raises(sf.DomainError):
             fn(-1, np.array([1.0]))
         assert fn(2, np.array([])).shape == (0,)
+
+
+def test_specfun_suite_evaluates_each_kernel_value_once(monkeypatch):
+    # I_k and K_k for k = 0..9 at each of the 20 points, the cross products
+    # formed from them; the residual keeps its bits
+    calls = {"bessel_i": 0, "bessel_k": 0}
+
+    def counted(name):
+        kernel = getattr(checks, name)
+
+        def call(k, x):
+            calls[name] += 1
+            return kernel(k, x)
+        return call
+    for name in calls:
+        monkeypatch.setattr(checks, name, counted(name))
+    (result,) = checks.suite_specfun()
+    assert calls == {"bessel_i": 200, "bessel_k": 200}
+    assert result.residual.hex() == "0x1.c000000000000p-50"
