@@ -1,6 +1,6 @@
 """Coherent states on a fixed angular-momentum sector: lowering-operator
 eigenstates labeled by a complex number, their overlap kernel, photon
-statistics, label dynamics, and the associated entire-function representation.
+statistics and label dynamics.
 
 Amplitudes in the nu-basis are
     a_nu = |z|^(m/2) z^nu / (sqrt(I_m(2|z|)) sqrt(nu! (nu+m)!)),
@@ -408,13 +408,6 @@ def mean_k3(label, m: int) -> float:
     return mean_n(label, m) + 0.5 * (m + 1)
 
 
-def mean_k3_sq(label, m: int) -> float:
-    """Second moment of the diagonal generator:
-    |z|^2 I_{m+2}/I_m + (m+2)|z| I_{m+1}/I_m + ((m+1)/2)^2."""
-    r1, r2 = _step_ratios(m, _as_label(label).rho)
-    return r2 + (m + 2) * r1 + (0.5 * (m + 1)) ** 2
-
-
 def g2(label, m: int) -> float:
     """Intensity correlation I_m I_{m+2} / I_{m+1}^2 at argument 2|z|.
 
@@ -449,11 +442,11 @@ def fano(label, m: int) -> float:
     return mandel_q(label, m) + 1.0
 
 
-def snr(label, m: int, use_q_coordinate: bool = True) -> float:
+def snr(label, m: int) -> float:
     """Signal-to-noise ratio 2|z|^2 cos^2(phi)/mean_k3 of the dimensionless
-    position quadrature (sin^2 for the conjugate momentum quadrature)."""
+    position quadrature."""
     label = _as_label(label)
-    trig = math.cos(label.phi) if use_q_coordinate else math.sin(label.phi)
+    trig = math.cos(label.phi)
     try:
         scale = 2.0 * label.rho ** 2
     except OverflowError:
@@ -474,39 +467,3 @@ def evolve_label(label, t: float, params: PhysicalParams) -> CoherentLabel:
     label = _as_label(label)
     return CoherentLabel.from_polar(label.rho, label.phi - params.omega_minus * t)
 
-
-def overlap_density(z, z0, m: int) -> float:
-    """Squared kernel |<z|z0>|^2, the localization profile of the state z0
-    as seen through the coherent family."""
-    return abs(overlap(z, z0, m)) ** 2
-
-
-# ---------------------------------------------------------- entire function
-
-def analytic_function(state: StateVector, z: complex) -> complex:
-    """Entire-series representative f(z) = sum_nu a_nu z^nu / sqrt(nu!(nu+m)!).
-
-    Under the reproducing measure, sector inner products become weighted
-    integrals of these functions: <s1|s2> = int dmeasure (|z|^m / I_m(2|z|))
-    conj(f1(conj(z))) f2(conj(z)).
-    """
-    coeff = state.amplitudes * np.exp(
-        -0.5 * _ln_fact_pairs(state.m, state.amplitudes.size))
-    acc = 0.0 + 0.0j
-    for c in coeff[::-1]:
-        acc = acc * z + c
-    return acc
-
-
-def analytic_weight(r: float, m: int) -> float:
-    """Weight |z|^m / I_m(2|z|) pairing entire representatives under the
-    reproducing measure."""
-    m = _order(m, "m")
-    if r == 0.0 and m <= 170:
-        return float(math.factorial(m))
-    ln_w = ln_factorial(m) if r == 0.0 else m * math.log(r) - _ln_bessel_i(m, r)
-    try:
-        return math.exp(ln_w)
-    except OverflowError:
-        raise EvaluationError(
-            f"analytic_weight overflows at m={m}, r={r!r} (ln weight {ln_w:.6g})") from None

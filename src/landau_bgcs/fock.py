@@ -15,8 +15,7 @@ only their products survive, and those are diagonal: the Hamiltonian they
 assemble is hamiltonian_matrix.
 
 Every operator is an OperatorMatrix built from its diagonals, which derives
-its band from them; a dense matrix (a quadrature, a product) enters through
-OperatorMatrix.from_entries.  lowering_band is the one builder of every
+its band from them.  lowering_band alone builds every
 diagonal of K-^i K+^j; the ladders, the quantized symbols, their identity
 checks and the thermal q^2 trace read it.  Each band is exact and depends
 on (m, dim, step, raising, dtype) alone, so it is built once and kept,
@@ -130,7 +129,7 @@ class OperatorMatrix:
     is the diagonal np.diag(entries, k), so it needs dim - |k| values.  band
     is derived, never declared: the largest |k| whose diagonal has a nonzero
     real or imaginary part (NaN counts, -0.0 does not), 0 for a diagonal or
-    zero operator.  A dense matrix enters through from_entries.
+    zero operator.
     """
 
     entries: np.ndarray
@@ -156,31 +155,9 @@ class OperatorMatrix:
         object.__setattr__(self, "band", band)
         object.__setattr__(self, "label", label)
 
-    @classmethod
-    def from_entries(cls, entries, label: str = "") -> OperatorMatrix:
-        """The operator with the given dense square entries, copied."""
-        a = np.asarray(entries, dtype=np.complex128)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"entries must be square, got shape {a.shape}")
-        n = a.shape[0]
-        return cls(n, {k: np.diagonal(a, k) for k in range(1 - n, n)}, label)
-
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
-
-
-def adjoint(op: OperatorMatrix) -> OperatorMatrix:
-    """Hermitian adjoint."""
-    return OperatorMatrix.from_entries(op.entries.conj().T, label=f"adjoint({op.label})")
-
-
-def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
-    """[a, b] = ab - ba on the common truncation."""
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    return OperatorMatrix.from_entries(a.entries @ b.entries - b.entries @ a.entries,
-                                       label=f"[{a.label},{b.label}]")
 
 
 def lowering_band(m: int, dim: int, step: int = 1, dtype=np.float64,

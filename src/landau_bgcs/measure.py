@@ -28,7 +28,9 @@ kernel check bgcs.kernel_idempotence_check read from the grid's cache).
 integrate alone forms angles.  It writes the complex node matrix r e^{i phi}
 into one reusable workspace per thread, at most 10.5 MiB (the node matrix of
 the cutoff-600 grid at 256 angles; a larger one is allocated per call), and
-hands its integrand a read-only view that is valid only during the call.
+hands its integrand a read-only view that is valid only during the call.  No
+library route calls it; it stays here as the full 2-D rule that the
+benchmark (perfbench) times and that the tests use as an independent check.
 
 Note the plane carries infinite total mass under this measure: the radial
 density (2/pi) I_m K_m r tends to the constant 1/(2 pi), exactly as for the

@@ -166,24 +166,7 @@ def quantize_by_quadrature(sym: SymbolSpec, spec: SubspaceSpec,
     return op
 
 
-# ------------------------------------------------------------- mean values
-
-def mean_matrix(op: OperatorMatrix, amplitudes: np.ndarray) -> complex:
-    """Expectation <v|A|v> of a truncated operator in a given amplitude vector."""
-    v = np.asarray(amplitudes, dtype=np.complex128)
-    if v.size != op.dim:
-        raise ValueError(f"vector length {v.size} does not match matrix dim {op.dim}")
-    return complex(np.vdot(v, op.entries @ v))
-
-
-def mean_values_on_bgcs(sym: SymbolSpec, label, m: int) -> complex:
-    """Expectation of the quantized symbol in the coherent state with the
-    given label, via the matrix route at automatic depth."""
-    label = _as_label(label)
-    state = bgcs_state(label, SubspaceSpec(m))
-    op = quantize_closed_form(sym, SubspaceSpec(m, depth=state.depth))
-    return mean_matrix(op, state.amplitudes)
-
+# ------------------------------------------------------------- dispersions
 
 def dispersions(label, m: int) -> tuple[float, float, float]:
     """Closed-form quadrature-coordinate variances: both equal the mean of

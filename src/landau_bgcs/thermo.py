@@ -4,7 +4,8 @@ Within one fixed angular sector the Boltzmann weights over the radial ladder
 form a geometric sequence with ratio exp(-beta * gap), where the ladder gap
 is hbar (Omega - omega_c) / 2.  Everything here follows from that single
 ratio: the partition function, the diagonal (Husimi) density, the diagonal
-expansion weight (P-function), Wehrl entropy, and thermal averages.
+expansion weight (P-function), the moments of the ladder number and of the
+quadratures, and Wehrl entropy.
 
 The fast quantum number that offsets every ladder energy by a common
 beta-linear amount is kept as an explicit external parameter; it cancels
@@ -28,7 +29,7 @@ import numpy as np
 from .bgcs import _as_label, _ln_amplitude
 from .fock import PhysicalParams, lowering_band
 from .measure import (_MAX_CUTOFF, QuadratureGrid, _required_cutoff, build_grid,
-                      integrate, integrate_radial)
+                      integrate_radial)
 from .specfun import DomainError, EvaluationError, _Record, _order, ln_bessel_i, ln_bessel_k
 
 __all__ = [
@@ -39,17 +40,14 @@ __all__ = [
     "partition_function_direct",
     "level_weight",
     "husimi_thermal",
-    "husimi_thermal_strong_field",
     "p_function",
     "husimi_normalization_check",
     "p_normalization_check",
     "fock_population_reconstruction",
-    "thermal_average",
     "thermal_mean_n",
     "thermal_mean_n_sq",
     "thermal_g",
     "thermal_mean_n_quadrature",
-    "thermal_mean_n_sq_quadrature",
     "thermal_g_quadrature",
     "thermal_q2_closed",
     "thermal_q2_three_ways",
@@ -217,21 +215,15 @@ def level_weight(nu: int, ts: ThermalSpec) -> float:
 # same kernels on a float.
 
 
-def _husimi_exponents(ts: ThermalSpec, strong_field: bool) -> tuple[float, float]:
+def _husimi_exponents(ts: ThermalSpec) -> tuple[float, float]:
     # returns (decay exponent a, log prefactor excluding the e^{a(m-1)} factor)
-    if strong_field:
-        p = ts.params
-        if p.omega_c <= 0.0:
-            raise DomainError("strong-field form needs omega_c > 0")
-        a = 0.5 * ts.beta * p.hbar * p.omega0 ** 2 / p.omega_c
-        return a, math.log(2.0 * a)
     a = ts.half_beta_gap
     return a, math.log(2.0 * math.sinh(a))
 
 
-def _ln_husimi(ts: ThermalSpec, ln_i, strong_field: bool = False) -> np.ndarray:
+def _ln_husimi(ts: ThermalSpec, ln_i) -> np.ndarray:
     # ln of 2 sinh(a) e^{a(m-1)} I_m(2r e^{-a}) / I_m(2r), r > 0
-    a, ln_pref = _husimi_exponents(ts, strong_field)
+    a, ln_pref = _husimi_exponents(ts)
     return ln_pref + a * (ts.m - 1) + ln_i(math.exp(-a)) - ln_i(1.0)
 
 
@@ -241,9 +233,8 @@ def _ln_p(ts: ThermalSpec, ln_k) -> np.ndarray:
     return math.log(math.expm1(ts.beta_gap)) + a * ts.m + ln_k(math.exp(a)) - ln_k(1.0)
 
 
-def _grid_ln_husimi(ts: ThermalSpec, grid: QuadratureGrid,
-                    strong_field: bool = False) -> np.ndarray:
-    return _ln_husimi(ts, partial(grid._ln_bessel, "i", ts.m), strong_field)
+def _grid_ln_husimi(ts: ThermalSpec, grid: QuadratureGrid) -> np.ndarray:
+    return _ln_husimi(ts, partial(grid._ln_bessel, "i", ts.m))
 
 
 def _grid_p(ts: ThermalSpec, grid: QuadratureGrid) -> np.ndarray:
@@ -257,17 +248,6 @@ def _i_ratio(grid: QuadratureGrid, m: int, k: int) -> np.ndarray:
     return grid.nodes ** k * np.exp(grid._ln_bessel("i", m + k) - grid._ln_bessel("i", m))
 
 
-def _husimi_point(label, ts: ThermalSpec, strong_field: bool) -> float:
-    rho = _as_label(label).rho
-    if rho == 0.0:
-        # at the origin the ratio I_m(2ru)/I_m(2r) -> u^m
-        a, ln_pref = _husimi_exponents(ts, strong_field)
-        ln_h = ln_pref + a * (ts.m - 1) - a * ts.m
-    else:
-        ln_h = _ln_husimi(ts, lambda f: ln_bessel_i(ts.m, 2.0 * rho * f), strong_field)
-    return float(np.exp(ln_h))
-
-
 def husimi_thermal(label, ts: ThermalSpec) -> float:
     """Diagonal thermal density in the coherent-state representation.
 
@@ -275,18 +255,14 @@ def husimi_thermal(label, ts: ThermalSpec) -> float:
     at the origin this is 1 - e^{-beta gap} for every m.  Values lie in
     (0, 1) and integrate to 1 against the reproducing measure.
     """
-    return _husimi_point(label, ts, strong_field=False)
-
-
-def husimi_thermal_strong_field(label, ts: ThermalSpec) -> float:
-    """Dominant-field limit of husimi_thermal.
-
-    Replaces the decay exponent by beta hbar omega0^2 / (2 omega_c) and
-    linearizes the sinh prefactor; accurate to a relative floor of order
-    (omega0/omega_c)^2, which the caller should keep below the target
-    tolerance.
-    """
-    return _husimi_point(label, ts, strong_field=True)
+    rho = _as_label(label).rho
+    if rho == 0.0:
+        # at the origin the ratio I_m(2ru)/I_m(2r) -> u^m
+        a, ln_pref = _husimi_exponents(ts)
+        ln_h = ln_pref + a * (ts.m - 1) - a * ts.m
+    else:
+        ln_h = _ln_husimi(ts, lambda f: ln_bessel_i(ts.m, 2.0 * rho * f))
+    return float(np.exp(ln_h))
 
 
 def p_function(label, ts: ThermalSpec) -> float:
@@ -325,10 +301,9 @@ def thermal_grid(ts: ThermalSpec) -> QuadratureGrid:
     return build_grid(max_degree=_THERMAL_MAX_DEGREE, cutoff=cutoff)
 
 
-def husimi_normalization_check(ts: ThermalSpec, grid: QuadratureGrid,
-                               strong_field: bool = False) -> float:
+def husimi_normalization_check(ts: ThermalSpec, grid: QuadratureGrid) -> float:
     """|integral of the diagonal density against the measure - 1|."""
-    h = np.exp(_grid_ln_husimi(ts, grid, strong_field))
+    h = np.exp(_grid_ln_husimi(ts, grid))
     return abs(integrate_radial(h, ts.m, grid) - 1.0)
 
 
@@ -348,20 +323,6 @@ def fock_population_reconstruction(nu: int, ts: ThermalSpec,
     m = ts.m
     ln_sq_amp = 2.0 * _ln_amplitude(m, np.log(grid.nodes), nu, grid._ln_bessel("i", m))
     return integrate_radial(_grid_p(ts, grid) * np.exp(ln_sq_amp), m, grid)
-
-
-def thermal_average(mean_fn, ts: ThermalSpec, grid: QuadratureGrid) -> complex:
-    """Ensemble average by quadrature: weight times coherent-state mean.
-
-    mean_fn receives the full complex node matrix and must return a
-    like-shaped array of coherent-state mean values.  The matrix is the
-    read-only one integrate hands its integrand, valid only during the
-    call: integrate writes it into one reusable workspace per thread, at
-    most 10.5 MiB.
-    """
-    w = _grid_p(ts, grid)[:, None]
-    return integrate(lambda z: w * np.asarray(mean_fn(z)), ts.m, grid,
-                     vectorized=True)
 
 
 # ------------------------------------------------------------------------
@@ -387,28 +348,17 @@ def thermal_g(ts: ThermalSpec) -> float:
     return 2.0
 
 
-def _n_moment_integrands(ts: ThermalSpec, grid: QuadratureGrid):
-    # the radial integrands of <n> and then <n^2>, lazily: the P profile
-    # times r I_{m+1}/I_m, then times r^2 I_{m+2}/I_m + r I_{m+1}/I_m, with
-    # the first ratio formed once for both
-    p = _grid_p(ts, grid)
-    r1 = _i_ratio(grid, ts.m, 1)
-    yield p * r1
-    yield p * (_i_ratio(grid, ts.m, 2) + r1)
-
-
 def thermal_mean_n_quadrature(ts: ThermalSpec, grid: QuadratureGrid) -> float:
-    return integrate_radial(next(_n_moment_integrands(ts, grid)), ts.m, grid)
-
-
-def thermal_mean_n_sq_quadrature(ts: ThermalSpec, grid: QuadratureGrid) -> float:
-    _, vals = _n_moment_integrands(ts, grid)
-    return integrate_radial(vals, ts.m, grid)
+    return integrate_radial(_grid_p(ts, grid) * _i_ratio(grid, ts.m, 1), ts.m, grid)
 
 
 def thermal_g_quadrature(ts: ThermalSpec, grid: QuadratureGrid) -> float:
-    n1, n2 = (integrate_radial(v, ts.m, grid) for v in _n_moment_integrands(ts, grid))
-    return (n2 - n1) / (n1 * n1)
+    """<n(n-1)> / <n>^2 from the P profile: <n(n-1)> is the integral of P
+    against the lower symbol r^2 I_{m+2}/I_m and <n> against r I_{m+1}/I_m.
+    No difference of two near-equal integrals is formed, so the ratio stays
+    resolved as <n> vanishes at low temperature."""
+    n1 = thermal_mean_n_quadrature(ts, grid)
+    return integrate_radial(_grid_p(ts, grid) * _i_ratio(grid, ts.m, 2), ts.m, grid) / (n1 * n1)
 
 
 def thermal_q2_closed(ts: ThermalSpec) -> float:

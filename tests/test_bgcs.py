@@ -1,7 +1,6 @@
 """Coherent states: amplitudes, kernel, statistics, dynamics, entire functions."""
 
 import cmath
-import functools
 import math
 
 import numpy as np
@@ -11,8 +10,6 @@ from hypothesis import given, settings, strategies as st
 from landau_bgcs.bgcs import (
     CoherentLabel,
     StateVector,
-    analytic_function,
-    analytic_weight,
     bgcs_state,
     evolve_label,
     fano,
@@ -20,11 +17,9 @@ from landau_bgcs.bgcs import (
     kernel_idempotence_check,
     mandel_q,
     mean_k3,
-    mean_k3_sq,
     mean_n,
     mean_n_sq,
     overlap,
-    overlap_density,
     probability_density,
     _ln_amplitude,
     _node_amplitudes,
@@ -56,7 +51,6 @@ _PDF_213 = 0.091079672388756755257          # |a_3|^2 at |z|=2, m=1
 _MEAN_N_21 = 1.3160945347187191711
 _MEAN_N2_21 = 2.6839054652812808289
 _MEAN_K3_21 = 2.3160945347187191711
-_MEAN_K32_21 = 6.3160945347187191711
 _G2_21 = 0.78968138149625163355
 _Q_21 = -0.27679918436237450676
 _G2_50 = 0.990000382651127133539
@@ -147,13 +141,9 @@ def test_state_vector_invariants():
 
 
 def test_state_vector_stores_an_integral_m_as_int():
-    # as SubspaceSpec does: a float 2.0 is the order 2, and the entire
-    # representative, which indexes the ln k! table by nu + m, works on it
-    amps = np.array([0.6, 0.8j])
-    v = StateVector(m=2.0, amplitudes=amps)
+    # as SubspaceSpec does: a float 2.0 is the order 2
+    v = StateVector(m=2.0, amplitudes=np.array([0.6, 0.8j]))
     assert type(v.m) is int and v.m == 2
-    assert analytic_function(v, 0.3 - 0.4j) == analytic_function(
-        StateVector(m=2, amplitudes=amps), 0.3 - 0.4j)
 
 
 def test_lowering_eigenvector_property():
@@ -324,7 +314,6 @@ def test_mean_values_frozen():
     assert mean_n(lab, 1) == pytest.approx(_MEAN_N_21, rel=5e-14)
     assert mean_n_sq(lab, 1) == pytest.approx(_MEAN_N2_21, rel=5e-14)
     assert mean_k3(lab, 1) == pytest.approx(_MEAN_K3_21, rel=5e-14)
-    assert mean_k3_sq(lab, 1) == pytest.approx(_MEAN_K32_21, rel=5e-14)
     assert g2(lab, 1) == pytest.approx(_G2_21, rel=1e-13)
     assert mandel_q(lab, 1) == pytest.approx(_Q_21, rel=1e-13)
 
@@ -348,13 +337,11 @@ _ORDER_TAKERS = {
     "mean_n": mean_n,
     "mean_n_sq": mean_n_sq,
     "mean_k3": mean_k3,
-    "mean_k3_sq": mean_k3_sq,
     "g2": g2,
     "mandel_q": mandel_q,
     "snr": snr,
     "probability_density": lambda z, m: probability_density(z, m, 0),
     "overlap": lambda z, m: overlap(z, z, m),
-    "analytic_weight": lambda z, m: analytic_weight(abs(z), m),
     # the radial amplitudes a_nu(r) at a grid's nodes, from their one builder
     "radial_amplitudes": lambda z, m: _node_amplitudes(
         m, panel_grid(4, cutoff=20.0), 3),
@@ -390,8 +377,6 @@ def test_closed_forms_match_series_oracle(rho, m):
     assert mean_n(lab, m) == pytest.approx(n1, rel=1e-10)
     assert mean_n_sq(lab, m) == pytest.approx(n2, rel=1e-10)
     assert mean_k3(lab, m) == pytest.approx(n1 + 0.5 * (m + 1), rel=1e-10)
-    assert mean_k3_sq(lab, m) == pytest.approx(
-        n2 + (m + 1) * n1 + 0.25 * (m + 1) ** 2, rel=1e-10)
     assert g2(lab, m) == pytest.approx((n2 - n1) / n1 ** 2, rel=1e-10)
 
 
@@ -487,8 +472,8 @@ def test_statistics_past_sqrt_dbl_max_raise(rho, m):
     # past sqrt(DBL_MAX) |z|^2 I_{m+2}/I_m and mean_k3^2 overflow; snr's
     # 2|z|^2 overflows already from sqrt(DBL_MAX/2); the first ratio stays finite
     lab = _label(rho)
-    overflows = (mean_n_sq, mean_k3_sq, mandel_q, fano, dispersions) if math.isinf(rho * rho) else ()
-    for fn in overflows + (snr, functools.partial(snr, use_q_coordinate=False)):
+    overflows = (mean_n_sq, mandel_q, fano, dispersions) if math.isinf(rho * rho) else ()
+    for fn in overflows + (snr,):
         with pytest.raises(EvaluationError):
             fn(lab, m)
     for fn in (mean_n, mean_k3, g2):
@@ -544,9 +529,10 @@ def test_snr_small_label_expansion():
 
 
 def test_snr_momentum_variant():
+    # the momentum quadrature's ratio is snr at the label a quarter turn back
     lab = _label(2.0, 0.5 * math.pi)
     full = 2.0 * lab.rho ** 2 / mean_k3(lab, 1)
-    assert snr(lab, 1, use_q_coordinate=False) == pytest.approx(full, rel=1e-12)
+    assert snr(_label(lab.rho, lab.phi - 0.5 * math.pi), 1) == pytest.approx(full, rel=1e-12)
 
 
 # ---------------------------------------------------------------- dynamics
@@ -576,7 +562,7 @@ def test_orbit_density_matches_bessel_product_form():
     z0, z, m = _label(1.2, 0.3), _label(0.9, 2.0), 1
     for t in (0.0, 0.7, 3.9):
         zt = evolve_label(z0, t, p)
-        got = overlap_density(z, zt, m)
+        got = abs(overlap(z, zt, m)) ** 2
         u = z.z.conjugate() * zt.z
         prod = bessel_i(m, 2.0 * cmath.sqrt(u)) * bessel_i(m, 2.0 * cmath.sqrt(u.conjugate()))
         want = prod.real / (bessel_i(m, 2.0 * z.rho).real * bessel_i(m, 2.0 * zt.rho).real)
@@ -584,27 +570,6 @@ def test_orbit_density_matches_bessel_product_form():
 
 
 # ------------------------------------------------------- entire functions
-
-def test_analytic_function_of_basis_state():
-    m = 3
-    amps = np.zeros(8, dtype=complex)
-    amps[0] = 1.0
-    v = StateVector(m=m, amplitudes=amps)
-    for z in (0.0, 1.7, 2.0 - 1.0j):
-        assert analytic_function(v, z) == pytest.approx(1.0 / math.sqrt(6.0), rel=1e-14)
-
-
-def test_analytic_function_of_coherent_state():
-    m = 2
-    z0 = _label(1.4, 0.8)
-    v = bgcs_state(z0, SubspaceSpec(m))
-    from landau_bgcs.specfun import bessel_i_reduced
-    for z in (0.5, 1.0 + 0.7j, -2.0):
-        want = z0.rho ** (0.5 * m) \
-            * bessel_i_reduced(m, z0.z * z) \
-            / math.sqrt(bessel_i(m, 2.0 * z0.rho).real)
-        assert analytic_function(v, z) == pytest.approx(want, rel=1e-11)
-
 
 def test_scalar_product_identity_under_quadrature(grid):
     m = 1
@@ -633,20 +598,6 @@ def test_scalar_product_identity_under_quadrature(grid):
 
     quad = integrate(integrand, m, grid, vectorized=True)
     assert abs(quad - direct) < 1e-6
-
-
-def test_analytic_weight_origin():
-    assert analytic_weight(0.0, 4) == 24.0
-    assert analytic_weight(1.0, 0) == pytest.approx(1.0 / bessel_i(0, 2.0).real, rel=1e-13)
-
-
-@pytest.mark.parametrize("r", [0.0, 1e-3])
-@pytest.mark.parametrize("m", [171, 177])
-def test_analytic_weight_past_170_factorial_raises(m, r):
-    # the weight is about m! at small r, past DBL_MAX from m = 171
-    assert math.isfinite(analytic_weight(r, 170))
-    with pytest.raises(EvaluationError, match="overflows"):
-        analytic_weight(r, m)
 
 
 # ---------------------------------------------------------------- properties

@@ -1,6 +1,9 @@
 """The command-line exit contract over a fixed grid of sectors and labels:
 every call returns 0 (a finite result) or 2 (a typed domain or evaluation
-error), and none raises."""
+error), and none raises.  The table in cli_exit_codes.txt, which the CI
+workflow also runs as separate processes, pins the wanted code per call."""
+
+from pathlib import Path
 
 import pytest
 
@@ -44,3 +47,16 @@ def _grid_cases():
 def test_exit_code_is_0_or_2(argv, capsys):
     assert main(argv) in (0, 2)
     capsys.readouterr()
+
+
+def _table_cases():
+    # one "want args" line per call
+    for line in Path(__file__).with_name("cli_exit_codes.txt").read_text().splitlines():
+        want, *argv = line.split()
+        yield pytest.param(argv, int(want), id="_".join(argv))
+
+
+@pytest.mark.parametrize("argv,want", [*_table_cases()])
+def test_exit_code_table(argv, want, capsys):
+    assert main(argv) == want
+    assert "Traceback" not in capsys.readouterr().err

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from landau_bgcs.bgcs import CoherentLabel, bgcs_state, mean_k3
-from landau_bgcs.fock import SubspaceSpec, adjoint, ladder_matrix
+from landau_bgcs.fock import SubspaceSpec, ladder_matrix
 from landau_bgcs.measure import _TAIL_TOL, build_grid, integrate
 from landau_bgcs.quantize import (
     CommutatorReport,
@@ -19,8 +19,6 @@ from landau_bgcs.quantize import (
     dispersions_matrix_route,
     energy_commutators,
     energy_operator_decomposition_check,
-    mean_matrix,
-    mean_values_on_bgcs,
     quantize_by_quadrature,
     quantize_closed_form,
 )
@@ -58,10 +56,10 @@ def test_adjoint_pairs():
     for m in (0, 2):
         az = quantize_closed_form(SymbolSpec("z"), _spec(m))
         azb = quantize_closed_form(SymbolSpec("z_bar"), _spec(m))
-        assert np.array_equal(adjoint(az).entries, azb.entries)
+        assert np.array_equal(az.entries.conj().T, azb.entries)
         a2 = quantize_closed_form(SymbolSpec("z_sq"), _spec(m))
         a2b = quantize_closed_form(SymbolSpec("z_bar_sq"), _spec(m))
-        assert np.array_equal(adjoint(a2).entries, a2b.entries)
+        assert np.array_equal(a2.entries.conj().T, a2b.entries)
 
 
 def test_self_adjoint_symbols():
@@ -354,11 +352,19 @@ def test_quadrature_grid_validation(grid):
 
 # ------------------------------------------------------------ mean values
 
+def _mean_on_bgcs(tag, label, m):
+    # <z|A_f|z> on the coherent state at its automatic depth
+    state = bgcs_state(label, SubspaceSpec(m))
+    op = quantize_closed_form(SymbolSpec(tag), SubspaceSpec(m, depth=state.depth))
+    v = state.amplitudes
+    return complex(np.vdot(v, op.entries @ v))
+
+
 def test_mean_of_lowering_symbol_reproduces_label():
     lab = CoherentLabel.from_polar(1.2, 0.7)
-    got = mean_values_on_bgcs(SymbolSpec("z"), lab, 2)
+    got = _mean_on_bgcs("z", lab, 2)
     assert got == pytest.approx(lab.z, rel=1e-10)
-    got_bar = mean_values_on_bgcs(SymbolSpec("z_bar"), lab, 2)
+    got_bar = _mean_on_bgcs("z_bar", lab, 2)
     assert got_bar == pytest.approx(lab.z.conjugate(), rel=1e-10)
 
 
@@ -366,39 +372,31 @@ def test_mean_coordinates():
     lab = CoherentLabel.from_polar(1.5, 2.2)
     q = math.sqrt(2.0) * lab.rho * math.cos(lab.phi)
     p = math.sqrt(2.0) * lab.rho * math.sin(lab.phi)
-    assert mean_values_on_bgcs(SymbolSpec("q"), lab, 1).real == pytest.approx(q, rel=1e-10)
-    assert mean_values_on_bgcs(SymbolSpec("p"), lab, 1).real == pytest.approx(p, rel=1e-10)
+    assert _mean_on_bgcs("q", lab, 1).real == pytest.approx(q, rel=1e-10)
+    assert _mean_on_bgcs("p", lab, 1).real == pytest.approx(p, rel=1e-10)
 
 
 def test_mean_of_squared_symbol():
     lab = CoherentLabel.from_polar(0.9, 1.1)
-    got = mean_values_on_bgcs(SymbolSpec("z_sq"), lab, 0)
+    got = _mean_on_bgcs("z_sq", lab, 0)
     assert got == pytest.approx(lab.z ** 2, rel=1e-9)
 
 
 def test_mean_energy_symbol_and_orderings():
     lab, m = CoherentLabel.from_polar(2.0, 0.3), 1
     k3 = mean_k3(lab, m)
-    got = mean_values_on_bgcs(SymbolSpec("abs_z_sq"), lab, m).real
+    got = _mean_on_bgcs("abs_z_sq", lab, m).real
     assert got == pytest.approx(lab.rho ** 2 + 2.0 * k3, rel=1e-8)
 
     state = bgcs_state(lab, SubspaceSpec(m))
     sp = SubspaceSpec(m, depth=state.depth)
-    az = quantize_closed_form(SymbolSpec("z"), sp)
-    azb = quantize_closed_form(SymbolSpec("z_bar"), sp)
-    from landau_bgcs.fock import OperatorMatrix
-    anti = OperatorMatrix.from_entries(az.entries @ azb.entries)
-    normal = OperatorMatrix.from_entries(azb.entries @ az.entries)
+    az = quantize_closed_form(SymbolSpec("z"), sp).entries
+    azb = quantize_closed_form(SymbolSpec("z_bar"), sp).entries
     v = state.amplitudes
-    assert mean_matrix(normal, v).real == pytest.approx(lab.rho ** 2, rel=1e-8)
-    diff = mean_matrix(anti, v).real - mean_matrix(normal, v).real
-    assert diff == pytest.approx(2.0 * k3, rel=1e-8)
-
-
-def test_mean_matrix_validation():
-    op = quantize_closed_form(SymbolSpec("z"), _spec(0, depth=8))
-    with pytest.raises(ValueError):
-        mean_matrix(op, np.zeros(5))
+    anti = np.vdot(v, az @ azb @ v).real
+    normal = np.vdot(v, azb @ az @ v).real
+    assert normal == pytest.approx(lab.rho ** 2, rel=1e-8)
+    assert anti - normal == pytest.approx(2.0 * k3, rel=1e-8)
 
 
 # ------------------------------------------------------------ dispersions
