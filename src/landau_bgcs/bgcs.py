@@ -240,27 +240,50 @@ def _ln_amplitude(m: int, ln_r, nu, ln_i):
 
 
 def _auto_depth(m: int, r: float, tail_tol: float, ln_i: float) -> int:
-    """The first depth, from a Poisson-like start in steps of 16, whose
-    |a_depth|^2 is below tail_tol.  The tail test is _ln_amplitude at an
-    int depth, on floats: the operations of the amplitude vector's element,
-    in the same order, so the test reads the bits that element will have,
-    and no step builds an array."""
+    """The first depth d >= max(30, ceil(nu*)) whose |a_d|^2 is below
+    tail_tol, with nu* = (sqrt(m^2 + 4 r^2) - m)/2 the peak of the nu
+    distribution.  Past the peak ln a_nu is concave and falling, so the test
+    holds from one depth on: steps doubling from the start bracket that
+    depth and a bisection finds it, the depth a linear scan from the same
+    start returns.  The tail test is _ln_amplitude at an int depth, on
+    floats: the operations of the amplitude vector's element, in the same
+    order, so the test reads the bits that element will have, and no step
+    builds an array."""
     ln_r, ln_tol = math.log(r), math.log(tail_tol)
-    depth = max(30, math.ceil(2.0 * math.e * r) + math.ceil(10.0 * math.sqrt(r + 1.0)))
-    while 2.0 * _ln_amplitude(m, ln_r, depth, ln_i) >= ln_tol:
-        depth += 16
-        if depth > 200_000:
+
+    def below(depth: int) -> bool:
+        twice = 2.0 * _ln_amplitude(m, ln_r, depth, ln_i)
+        if twice < ln_tol:
+            return True
+        if not twice < math.inf:
+            # a NaN or infinite amplitude passes at no depth
             raise DomainError("auto depth selection diverged")
-    return depth
+        return False
+
+    lo = max(30, math.ceil(0.5 * (math.hypot(m, 2.0 * r) - m)))
+    if below(lo):
+        return lo
+    step = 1
+    while not below(lo + step):
+        lo += step
+        step *= 2
+    hi = lo + step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if below(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def bgcs_state(label, spec: SubspaceSpec,
                tail_tol: float = DEFAULT_TAIL_TOL) -> StateVector:
     """Lowering-operator eigenstate with eigenvalue label.z on sector spec.m.
 
-    With spec.depth None the truncation is chosen from the Poisson-like tail
-    of the nu distribution and then extended until the last probability drops
-    below tail_tol; an explicit depth is honored as given (without the tail
+    With spec.depth None the truncation is the first depth past the peak of
+    the nu distribution (and at least 30) whose probability is below
+    tail_tol; an explicit depth is honored as given (without the tail
     guarantee).  Served from the state memo on a repeat (module docstring).
     """
     label = _as_label(label)

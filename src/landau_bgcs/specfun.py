@@ -92,6 +92,8 @@ def _order(value, name: str = "order") -> int:
     """value as an int if it is an integer >= 0, else DomainError: the one
     check of every order and index.  A bool is an int to Python but never an
     order; a NaN, inf or non-number fails the comparison or the int()."""
+    if type(value) is int and value >= 0:
+        return value
     try:
         bad = value < 0 or value != int(value)
     except (TypeError, ValueError, OverflowError):

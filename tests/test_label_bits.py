@@ -7,8 +7,10 @@ label set, of states built at the kernel check's tail 1e-300, and of
 bessel_i_reduced at real and complex arguments; an input that raises is
 pinned by its exception type and message.  The label set has m in
 {0, 1, 8, 50} and rho in {1e-3, 0.5, 5, 39, 45}, so it covers auto depths
-on both sides of m + depth = 256 (the end of the exact ln k! table) and
-both sides of the reduced-series / scaled-Bessel switch at rho = 40.
+on both sides of m + depth = 256 (the end of the exact ln k! table: every
+state at tail 1e-16 ends below it, the tail-1e-300 states at rho = 39 and
+45 past it) and both sides of the reduced-series / scaled-Bessel switch at
+rho = 40.
 
 A change that is meant to move these bits regenerates the file with
 ``python tests/test_label_bits.py`` and says why.
@@ -109,12 +111,17 @@ def test_label_route_bits(got, key):
 
 def test_pinned_set_spans_the_table_end_and_the_switch():
     # the two sides this file exists to pin are really in it
-    depths = {(m, rho): int(_WANT[f"m={m} rho={rho!r} state"].split()[1])
-              for m in ORDERS for rho in RADII}
-    assert any(m + d <= 256 for (m, _), d in depths.items())
-    assert any(m + d > 256 for (m, _), d in depths.items())
+    depths = {(m, rho, tail): int(_WANT[f"m={m} rho={rho!r} state{tail}"].split()[1])
+              for m in ORDERS for rho in RADII for tail in ("", " tail=1e-300")}
+    assert any(m + d <= 256 for (m, _, _), d in depths.items())
+    assert any(m + d > 256 for (m, _, _), d in depths.items())
     assert min(RADII) < 40.0 < max(RADII)
 
 
 if __name__ == "__main__":
-    PINNED.write_text(json.dumps(record(), indent=1, sort_keys=True) + "\n")
+    # name every pinned value that moves before the file is rewritten
+    fresh = record()
+    for key in sorted(fresh.keys() | _WANT.keys()):
+        if fresh.get(key) != _WANT.get(key):
+            print(f"{key}: {_WANT.get(key)} -> {fresh.get(key)}")
+    PINNED.write_text(json.dumps(fresh, indent=1, sort_keys=True) + "\n")

@@ -440,13 +440,13 @@ def _dense_dispersions(lab, m):
     return out[0], out[1]
 
 
-@pytest.mark.parametrize("rho,phi,m,min_depth", [
+@pytest.mark.parametrize("rho,phi,m,depth", [
     (0.7, 0.9, 0, 30), (2.0, 0.0, 1, 30), (1.3, 2.5, 3, 30),
-    (1e-3, 0.4, 50, 30), (6.0, 4.0, 25, 30), (20.0, 1.0, 50, 150),
-    (50.0, 0.3, 0, 300), (49.0, 2.2, 8, 300), (50.0, 5.9, 50, 300)])
-def test_dispersions_matrix_route_matches_dense_reference(rho, phi, m, min_depth):
+    (1e-3, 0.4, 50, 30), (6.0, 4.0, 25, 30), (20.0, 1.0, 50, 35),
+    (50.0, 0.3, 0, 97), (49.0, 2.2, 8, 92), (50.0, 5.9, 50, 76)])
+def test_dispersions_matrix_route_matches_dense_reference(rho, phi, m, depth):
     lab = CoherentLabel.from_polar(rho, phi)
-    assert bgcs_state(lab, SubspaceSpec(m)).depth >= min_depth
+    assert bgcs_state(lab, SubspaceSpec(m)).depth == depth
     band = dispersions_matrix_route(lab, m)
     dense = _dense_dispersions(lab, m)
     for got, want in zip(band, dense):

@@ -221,6 +221,25 @@ def test_domain_errors():
         bessel_power_sum(-1, 0, 1.0)
 
 
+class _Order(int):
+    pass
+
+
+@pytest.mark.parametrize("value,want", [
+    (0, 0), (5, 5), (10 ** 30, 10 ** 30), (np.int64(3), 3), (2.0, 2),
+    (_Order(4), 4), (True, None), (np.True_, None), (-1, None),
+    (math.nan, None), (math.inf, None), (2.5, None), ("3", None)])
+def test_order_accepts_exactly_the_integers_at_least_zero(value, want):
+    # a plain int takes the short path; every other type, bool and int
+    # subclasses included, is judged by comparison and returns a plain int
+    if want is None:
+        with pytest.raises(sf.DomainError, match=f"got {value!r}$"):
+            sf._order(value)
+    else:
+        got = sf._order(value)
+        assert type(got) is int and got == want
+
+
 def test_unscaled_i_past_690_names_the_scaled_form():
     # I_0(700) ~ 1.5e302 is still finite, but bessel_i stops at x = 690;
     # the caller is sent to the scaled form instead of inf
