@@ -7,10 +7,9 @@ Amplitudes in the nu-basis are
 always assembled in log space.  Whatever takes one number runs on Python
 floats: ln I_m(2|z|), the auto-depth tail test and the reduced series.  The
 amplitude vector is the same formula elementwise, with ln nu! + ln (nu+m)!
-read as two slices of the ln k! table while nu + m <= 512.  A float
-and an array element see the same operations in the same order, so they
-round alike.  Every overlap is evaluated through the
-single-valued series in w = conj(z') z,
+read from specfun's ln k! (below).  A float and an array element see the
+same operations in the same order, so they round alike.  Every overlap is
+evaluated through the single-valued series in w = conj(z') z,
     sum_nu w^nu / (nu! (nu+m)!),
 so no fractional power of a complex argument is ever taken: the kernel is
 branch-free by construction and the Cauchy-Schwarz bound |<z'|z>| <= 1 holds
@@ -35,13 +34,10 @@ normaliser its last overlap stored for the first label, which hits only
 where those two labels share an order.  The state memo keeps up to 64
 amplitude vectors alive, 16 bytes per level.
 
-The ln k! table is the exact one of specfun through k = 256.  A call that
-needs ln k! past the table's end appends the scalar ln_factorial(j) for
-every j up to k, or up to 512 where k is larger, so the table grows to at
-most 513 entries (4 kB) and holds the bits the scalar kernel gives; it is
-never shrunk.  Nothing past 256 is computed at import, and each element
-past 512 calls the scalar kernel.  The bound covers nu + m of every
-amplitude the grid routes admit (at most 485).
+ln nu! + ln (nu+m)! comes from specfun alone: two slices of its exact ln k!
+table, which a call whose nu + m runs past 256 extends for itself alone by
+the scalar ln_factorial of each k past 256, the values the auto-depth tail
+test reads.  No ln k! table is grown or kept here.
 """
 
 from __future__ import annotations
@@ -76,12 +72,8 @@ _KERNEL_TAIL_TOL = 1e-300
 
 # reduced-series vs scaled-Bessel switchover radius for mean-value ratios
 _RATIO_SWITCH = 40.0
-# ln k!, the exact table of specfun.ln_factorial through k = 256, grown on
-# demand up to _LN_FACT_BOUND by _ln_fact_table
+# ln k!, the exact table of specfun.ln_factorial through k = 256
 _LN_FACT = np.array(_LN_FACT_TABLE)
-# the largest k the table grows to; nu + m of every amplitude the grid
-# routes admit is at most 485
-_LN_FACT_BOUND = 512
 # entries per memo (see the module docstring)
 _MEMO_SIZE = 64
 
@@ -155,7 +147,7 @@ class StateVector:
     def __post_init__(self):
         a = np.asarray(self.amplitudes, dtype=np.complex128)
         if a.ndim != 1 or a.size == 0:
-            raise ValueError("amplitudes must be a nonempty 1-d array")
+            raise DomainError("amplitudes must be a nonempty 1-d array")
         object.__setattr__(self, "m", _order(self.m, "m"))
         norm = _norm_sq(a)
         if norm > 1.0 + 1e-12:
@@ -190,40 +182,13 @@ def _ln_bessel_i(m: int, r: float) -> float:
     return math.log(bessel_i_scaled(m, 2.0 * r)) + 2.0 * r
 
 
-def _ln_fact_table(top: int) -> np.ndarray:
-    # ln k! for k <= min(top, _LN_FACT_BOUND) at least: the exact table of
-    # specfun, grown on demand by the scalar ln_factorial past k = 256.
-    # Callers read the table returned, so two threads growing it at once
-    # only repeat work
-    global _LN_FACT
-    table = _LN_FACT
-    top = min(top, _LN_FACT_BOUND)
-    if top >= table.size:
-        grown = [ln_factorial(j) for j in range(table.size, top + 1)]
-        table = _LN_FACT = np.concatenate((table, grown))
-    return table
-
-
-def _ln_factorials(k: np.ndarray) -> np.ndarray:
-    # ln k! over a 1-d integer array: the table, and the scalar kernel past
-    # its bound
-    table = _ln_fact_table(int(k.max(initial=0)))
-    top = table.size - 1
-    out = table[np.minimum(k, top)]
-    big = k > top
-    if big.any():
-        out[big] = [ln_factorial(j) for j in k[big].tolist()]
-    return out
-
-
 def _ln_fact_pairs(m: int, n: int) -> np.ndarray:
-    # ln nu! + ln (nu+m)! for nu < n: two slices of the table while nu + m
-    # stays in its bound, elementwise past it
-    table = _ln_fact_table(m + n - 1)
-    if m + n <= table.size:
-        return table[:n] + table[m:m + n]
-    nu = np.arange(n)
-    return _ln_factorials(nu) + _ln_factorials(nu + m)
+    # ln nu! + ln (nu+m)! for nu < n: two slices of the exact table, extended
+    # for this call alone by the scalar kernel where nu + m runs past it
+    table = _LN_FACT
+    if m + n > table.size:
+        table = np.concatenate((table, [ln_factorial(k) for k in range(table.size, m + n)]))
+    return table[:n] + table[m:m + n]
 
 
 def _ln_amplitude(m: int, ln_r, nu, ln_i):

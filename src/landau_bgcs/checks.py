@@ -23,7 +23,7 @@ from .quantize import (
     quantize_by_quadrature,
     quantize_closed_form,
 )
-from .specfun import _Record, bessel_i, bessel_k
+from .specfun import DomainError, _Record, bessel_i, bessel_k
 from .thermo import (
     ThermalSpec,
     fock_population_reconstruction,
@@ -211,5 +211,5 @@ def run_suite(name: str, tol: float | None = None) -> list[CheckResult]:
             out.extend(fn(tol))
         return out
     if name not in _SUITES:
-        raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
+        raise DomainError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
     return _SUITES[name](tol)

@@ -5,7 +5,7 @@ Configuration comes from defaults, then a flat key = value config file,
 then explicit flags, in that order of increasing precedence.  Output is
 JSON (17-significant-digit floats, round-trip safe) or CSV with '.'
 decimals; identical inputs produce byte-identical output.  Exit codes:
-0 success, 1 failed check, 2 usage or domain error.
+0 success, 1 failed check, 2 usage or domain error or exhausted memory.
 """
 
 from __future__ import annotations
@@ -476,6 +476,9 @@ def main(argv=None) -> int:
         return 2
     except EvaluationError as e:
         print(f"evaluation error: {e}", file=sys.stderr)
+        return 2
+    except MemoryError as e:
+        print(f"error: {str(e) or 'out of memory'}", file=sys.stderr)
         return 2
     return 1 if failed else 0
 

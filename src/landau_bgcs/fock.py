@@ -75,11 +75,6 @@ class PhysicalParams:
         return 0.5 * (self.omega - self.omega_c)
 
     @property
-    def magnetic_length(self) -> float:
-        """l = sqrt(hbar / (mass Omega))."""
-        return math.sqrt(self.hbar / (self.mass * self.omega))
-
-    @property
     def slow_length(self) -> float:
         """l_minus = sqrt(hbar / (mass (Omega - omega_c)/2)); needs omega0 > 0."""
         om = self.omega_minus
@@ -116,7 +111,7 @@ class SubspaceSpec:
 
     def require_depth(self) -> int:
         if self.depth is None:
-            raise ValueError("this operation needs an explicit truncation depth")
+            raise DomainError("this operation needs an explicit truncation depth")
         return self.depth
 
 
@@ -144,8 +139,8 @@ class OperatorMatrix:
             size = dim - abs(k)
             d = np.asarray(values, dtype=np.complex128)
             if size < 1 or d.shape != (size,):
-                raise ValueError(f"diagonal {k} of a dimension-{dim} operator "
-                                 f"needs {max(size, 0)} values, got shape {d.shape}")
+                raise DomainError(f"diagonal {k} of a dimension-{dim} operator "
+                                  f"needs {max(size, 0)} values, got shape {d.shape}")
             start = k if k >= 0 else -k * dim
             flat[start::dim + 1][:size] = d
             if d.real.any() or d.imag.any():
@@ -154,10 +149,6 @@ class OperatorMatrix:
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "band", band)
         object.__setattr__(self, "label", label)
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
 
 
 def lowering_band(m: int, dim: int, step: int = 1, dtype=np.float64,
@@ -221,7 +212,7 @@ def ladder_matrix(kind: str, spec: SubspaceSpec) -> OperatorMatrix:
     """Truncated matrix of one su(1,1) generator on the m sector: k_plus,
     k_minus, k3 or number, each exact within the sector."""
     if kind not in _LADDER_KINDS:
-        raise ValueError(f"unknown ladder kind {kind!r}; expected one of {_LADDER_KINDS}")
+        raise DomainError(f"unknown ladder kind {kind!r}; expected one of {_LADDER_KINDS}")
     n = spec.require_depth() + 1
     m = spec.m
     nu = np.arange(n)

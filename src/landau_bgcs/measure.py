@@ -184,20 +184,20 @@ class QuadratureGrid:
         nodes = np.asarray(self.nodes, dtype=np.float64)
         weights = np.asarray(self.weights, dtype=np.float64)
         if nodes.ndim != 1 or nodes.shape != weights.shape:
-            raise ValueError("nodes and weights must be matching 1-d arrays")
+            raise DomainError("nodes and weights must be matching 1-d arrays")
         if not np.all(weights > 0.0):
-            raise ValueError("all quadrature weights must be positive")
+            raise DomainError("all quadrature weights must be positive")
         if not (np.all(nodes > 0.0) and np.all(np.diff(nodes) > 0.0)):
-            raise ValueError("nodes must be strictly increasing and positive")
+            raise DomainError("nodes must be strictly increasing and positive")
         if not math.isfinite(self.cutoff):
-            raise ValueError(f"cutoff must be finite, got {self.cutoff!r}")
+            raise DomainError(f"cutoff must be finite, got {self.cutoff!r}")
         if nodes[-1] > self.cutoff * (1.0 + 1e-12):
-            raise ValueError("nodes exceed the declared cutoff radius")
+            raise DomainError("nodes exceed the declared cutoff radius")
         if type(self.n_angular) is not int or self.n_angular < 1:
-            raise ValueError(f"n_angular must be an integer >= 1, got {self.n_angular!r}")
+            raise DomainError(f"n_angular must be an integer >= 1, got {self.n_angular!r}")
         object.__setattr__(self, "max_degree", _order(self.max_degree, "max_degree"))
         if _ln_relative_tail(self.cutoff, self.max_degree) > math.log(_TAIL_TOL):
-            raise ValueError(
+            raise DomainError(
                 f"cutoff {self.cutoff} too small for degree {self.max_degree} "
                 f"at tail tolerance {_TAIL_TOL}")
         nodes = nodes.copy()
@@ -218,9 +218,9 @@ class QuadratureGrid:
                                                 self._scaled_ln_bessel("k", m)[1]))
 
     def _require_degree(self, need: int) -> None:
-        # ValueError unless this grid resolves radial degree need
+        # DomainError unless this grid resolves radial degree need
         if need > self.max_degree:
-            raise ValueError(f"grid built for degree {self.max_degree}, need {need}")
+            raise DomainError(f"grid built for degree {self.max_degree}, need {need}")
 
     def _ln_bessel(self, kind: str, m: int, factor: float = 1.0) -> np.ndarray:
         """ln I_m(x) (kind "i") or ln K_m(x) (kind "k") at the node arguments
@@ -344,7 +344,7 @@ def _shared_grid(max_degree: int, n_angular: int, radius: float) -> QuadratureGr
 def _samples(vals, shape, dtype) -> np.ndarray:
     vals = np.asarray(vals, dtype=dtype)
     if vals.shape != shape:
-        raise ValueError("integrand samples have the wrong shape")
+        raise DomainError("integrand samples have the wrong shape")
     return vals
 
 
@@ -472,7 +472,7 @@ def resolution_of_identity_check(spec: SubspaceSpec, n_check: int,
     exact: it is 2 pi on the diagonal and zero off it."""
     n_check = _order(n_check, "n_check")
     if spec.depth is not None and n_check > spec.depth - 2:
-        raise ValueError(
+        raise DomainError(
             f"n_check = {n_check} needs depth >= {n_check + 2}, have {spec.depth}")
     grid._require_degree(2 * n_check + spec.m + 1)
 

@@ -26,7 +26,7 @@ import numpy as np
 from .bgcs import _as_label, _node_amplitudes, bgcs_state, mean_k3
 from .fock import OperatorMatrix, SubspaceSpec, lowering_band
 from .measure import QuadratureGrid
-from .specfun import EvaluationError, _Record, _order
+from .specfun import DomainError, EvaluationError, _Record, _order
 
 # (power of z, power of conj z, coefficient) per named symbol, with
 # q = (z + conj z)/sqrt2 and p = (z - conj z)/(i sqrt2)
@@ -64,33 +64,22 @@ class SymbolSpec:
     def __post_init__(self):
         if self.tag == "custom":
             if not self.terms:
-                raise ValueError("custom symbol needs at least one term")
+                raise DomainError("custom symbol needs at least one term")
             # integer powers only: z**1.5 would carry a branch cut
             object.__setattr__(self, "terms", tuple(
                 (_order(i, "power of z"), _order(j, "power of conj z"), c)
                 for i, j, c in self.terms))
         elif self.tag not in _NAMED_TERMS:
-            raise ValueError(
+            raise DomainError(
                 f"unknown symbol {self.tag!r}; expected one of {NAMED_SYMBOLS} or 'custom'")
         elif self.terms is not None:
-            raise ValueError("named symbols take no custom terms")
+            raise DomainError("named symbols take no custom terms")
         else:
             object.__setattr__(self, "terms", _NAMED_TERMS[self.tag])
 
     @property
     def degree(self) -> int:
         return max(i + j for i, j, _ in self.terms)
-
-    def evaluate(self, z):
-        """Pointwise symbol value on a complex scalar or array: the sum of
-        its terms, within 4 eps times the sum of their moduli, so q_sq cancels
-        where |Re z| << |Im z| and p_sq where |Im z| << |Re z|."""
-        z = np.asarray(z, dtype=np.complex128)
-        zc = np.conj(z)
-        acc = np.zeros_like(z)
-        for i, j, c in self.terms:
-            acc = acc + c * z ** i * zc ** j
-        return acc
 
 
 def _term_operator(sym: SymbolSpec, dim: int, band, label: str) -> OperatorMatrix:

@@ -153,9 +153,6 @@ class ThermalSpec:
         p = self.params
         return 0.5 * p.hbar * (self.fast_index * (p.omega + p.omega_c) + p.omega)
 
-    def level_energy(self, nu: int) -> float:
-        return self.ground_energy + self.gap * nu
-
 
 # ------------------------------------------------------------------------
 # partition function, two routes

@@ -1,8 +1,11 @@
-"""Brute-force series oracles that only the tests read."""
+"""Brute-force series oracles and the pointwise symbol value that only the
+tests read."""
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from landau_bgcs.specfun import (_MAX_TERMS, _REL_TOL, DomainError, EvaluationError,
                                  _order, ln_factorial)
@@ -64,3 +67,15 @@ def gauss_2f1(a: float, b: float, c: float, x: float) -> float:
     raise EvaluationError(
         f"2F1({a},{b};{c};{x}) did not converge in {_MAX_TERMS} terms",
         partial=s, terms=_MAX_TERMS)
+
+
+def symbol_value(sym, z):
+    """Pointwise value of a quantize.SymbolSpec on a complex scalar or array:
+    the sum of its terms, within 4 eps times the sum of their moduli, so q_sq
+    cancels where |Re z| << |Im z| and p_sq where |Im z| << |Re z|."""
+    z = np.asarray(z, dtype=np.complex128)
+    zc = np.conj(z)
+    acc = np.zeros_like(z)
+    for i, j, c in sym.terms:
+        acc = acc + c * z ** i * zc ** j
+    return acc

@@ -3,9 +3,6 @@ series value is evaluated once, and no exception is stored."""
 
 import inspect
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -183,36 +180,3 @@ def test_public_functions_stay_plain_functions(module):
         obj = getattr(module, name)
         if callable(obj) and not inspect.isclass(obj):
             assert inspect.isfunction(obj), name
-
-
-@pytest.fixture
-def fresh_ln_fact(monkeypatch):
-    """bgcs's ln k! table as at import: the exact table through k = 256."""
-    monkeypatch.setattr(bgcs, "_LN_FACT", np.array(specfun._LN_FACT_TABLE))
-
-
-def _hexes(values):
-    return [float(v).hex() for v in values]
-
-
-def test_ln_factorials_past_256_are_the_scalar_kernel_bit_for_bit(fresh_ln_fact):
-    assert bgcs._LN_FACT.size == 257 and bgcs._LN_FACT_BOUND == 512
-    for top, size in ((261, 262), (400, 401), (700, 513)):
-        k = np.arange(250, top + 1)
-        got = bgcs._ln_factorials(k)
-        assert _hexes(got) == [specfun.ln_factorial(j).hex() for j in k.tolist()]
-        assert bgcs._LN_FACT.size == size
-        assert _hexes(bgcs._LN_FACT[257:]) == \
-            [specfun.ln_factorial(j).hex() for j in range(257, size)]
-        # the state route's pairs ln nu! + ln (nu+m)! read the same entries
-        m = 36
-        pairs = bgcs._ln_fact_pairs(m, top - m + 1)
-        assert _hexes(pairs) == [(specfun.ln_factorial(nu) + specfun.ln_factorial(nu + m)).hex()
-                                 for nu in range(top - m + 1)]
-
-
-def test_importing_the_library_grows_no_ln_factorial_table():
-    code = ("import landau_bgcs.cli, landau_bgcs.bgcs as b; "
-            "assert b._LN_FACT.size == 257, b._LN_FACT.size")
-    subprocess.run([sys.executable, "-c", code], check=True,
-                   env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})

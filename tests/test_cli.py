@@ -138,6 +138,21 @@ def test_quantize_emits_ladder_matrix(capsys):
     assert sym["self_adjoint"] is True
 
 
+@pytest.mark.parametrize("message,line", [
+    ("Unable to allocate 149. GiB for an array with shape (100001, 100001)",
+     "error: Unable to allocate 149. GiB for an array with shape (100001, 100001)\n"),
+    ("", "error: out of memory\n"),
+])
+def test_memory_exhaustion_exits_two_with_one_line(capsys, monkeypatch, message, line):
+    # a stand-in for the dense matrix of quantize --depth 100000: nothing
+    # this large is ever allocated here
+    def exhausted(*args, **kwargs):
+        raise MemoryError(message)
+    monkeypatch.setattr("landau_bgcs.cli.quantize_closed_form", exhausted)
+    rc, out, err = _run(capsys, "quantize", "--symbol", "z", "--depth", "100000")
+    assert (rc, out, err) == (2, "", line)
+
+
 def test_commutators_report(capsys):
     doc = _run_json(capsys, "commutators", "--m", "1", "--depth", "12")
     assert doc["passed"] is True

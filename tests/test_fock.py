@@ -31,7 +31,7 @@ def _spec(m, depth=24):
 @pytest.mark.parametrize("m", [0, 1, 2, 5, 11])
 def test_raising_entries(m):
     kp = ladder_matrix("k_plus", _spec(m))
-    for nu in range(1, kp.dim):
+    for nu in range(1, kp.entries.shape[0]):
         assert kp.entries[nu, nu - 1] == math.sqrt(nu * (nu + m))
     assert kp.band == 1
 
@@ -176,7 +176,7 @@ def test_adjoint_pairs_exact():
 
 def test_lowering_annihilates_bottom():
     km = ladder_matrix("k_minus", _spec(3))
-    e0 = np.zeros(km.dim)
+    e0 = np.zeros(km.entries.shape[0])
     e0[0] = 1.0
     assert np.all(km.entries @ e0 == 0.0)
 
@@ -330,7 +330,7 @@ def test_params_derived_quantities():
     assert p.omega == pytest.approx(math.sqrt(5.0), rel=1e-15)
     assert p.omega_minus == pytest.approx(0.5 * (math.sqrt(5.0) - 1.0), rel=1e-15)
     assert p.epsilon_gap == pytest.approx(p.omega_minus, rel=1e-15)
-    assert p.magnetic_length == pytest.approx(5.0 ** -0.25, rel=1e-15)
+    assert math.sqrt(p.hbar / (p.mass * p.omega)) == pytest.approx(5.0 ** -0.25, rel=1e-15)
 
 
 def test_params_validation():
@@ -411,7 +411,7 @@ def test_hamiltonian_reconstruction(m):
     nu = ladder_matrix("number", sp).entries
     om, hbar, mass = p.omega, p.hbar, p.mass
     pi_product = 2.0 * mass * om * hbar * (nu + m * np.eye(sp.depth + 1))
-    x_product = 2.0 * p.magnetic_length ** 2 * nu
+    x_product = 2.0 * math.sqrt(p.hbar / (p.mass * p.omega)) ** 2 * nu
     rebuilt = 0.5 * (pi_product / (2.0 * mass) * (1.0 + p.omega_c / om)
                      + 0.5 * mass * om * om * (1.0 - p.omega_c / om) * x_product
                      + hbar * om * np.eye(sp.depth + 1))

@@ -1,10 +1,12 @@
 """The public surface: every public module-level function and class of the
 library is called by the library, the CLI, scripts/ or perfbench/, or is
-exported by the package.
+exported by the package, and every public method and property of a public
+class is read as an attribute there or named in its class's _derived.
 
 A use is the name read as an identifier in the parsed code (an ast Name, an
 Attribute or an import alias) outside the name's own definition, so a
-docstring, a comment or a string in __all__ does not count."""
+docstring, a comment or a string in __all__ does not count.  A member's use
+is an ast Attribute of its name outside its own body."""
 
 import ast
 from pathlib import Path
@@ -22,9 +24,11 @@ _ALLOWED = {
 }
 
 
-def _sources():
-    for pattern in ("src/landau_bgcs/*.py", "scripts/*.py", "perfbench/*.py"):
-        yield from sorted(_ROOT.glob(pattern))
+def _trees():
+    # the parsed library, scripts/ and perfbench/, by path
+    return {path: ast.parse(path.read_text(), str(path))
+            for pattern in ("src/landau_bgcs/*.py", "scripts/*.py", "perfbench/*.py")
+            for path in sorted(_ROOT.glob(pattern))}
 
 
 def _identifiers(node):
@@ -46,7 +50,7 @@ def _public_definitions(tree):
 
 
 def _unused_public_names():
-    trees = {path: ast.parse(path.read_text(), str(path)) for path in _sources()}
+    trees = _trees()
     used = set()
     for tree in trees.values():
         # a top-level definition's own body does not use its name
@@ -67,3 +71,36 @@ def _unused_public_names():
 def test_every_public_name_is_used_or_exported():
     assert sorted(_unused_public_names()) == sorted(_ALLOWED)
 
+
+def _attributes(node, skip=None):
+    return {sub.attr for sub in ast.walk(node)
+            if isinstance(sub, ast.Attribute) and sub.attr != skip}
+
+
+def _unused_public_members():
+    trees = _trees()
+    read = set()
+    for tree in trees.values():
+        for node in tree.body:
+            if not isinstance(node, ast.ClassDef):
+                read |= _attributes(node)
+                continue
+            # a member's own body does not read it
+            for item in node.body:
+                read |= _attributes(item, getattr(item, "name", None))
+    unused = []
+    for module in _MODULES:
+        tree = trees[Path(module.__file__).resolve()]
+        for cls in _public_definitions(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            derived = getattr(getattr(module, cls.name), "_derived", ())
+            for member in cls.body:
+                if isinstance(member, ast.FunctionDef) and not member.name.startswith("_") \
+                        and member.name not in read and member.name not in derived:
+                    unused.append(f"{module.__name__}.{cls.name}.{member.name}")
+    return unused
+
+
+def test_every_public_member_is_read_or_derived():
+    assert sorted(_unused_public_members()) == []
