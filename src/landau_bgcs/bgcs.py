@@ -36,8 +36,10 @@ amplitude vectors alive, 16 bytes per level.
 
 ln nu! + ln (nu+m)! comes from specfun alone: two slices of its exact ln k!
 table, which a call whose nu + m runs past 256 extends for itself alone by
-the scalar ln_factorial of each k past 256, the values the auto-depth tail
-test reads.  No ln k! table is grown or kept here.
+ln_factorial's Stirling form (specfun._stirling), run once on the array of
+k past 256 and their math.log: the bits of the scalar ln_factorial of each
+k, which the auto-depth tail test reads.  No ln k! table is grown or kept
+here.
 """
 
 from __future__ import annotations
@@ -57,6 +59,7 @@ from .specfun import (
     _LN_FACT_TABLE,
     _Record,
     _order,
+    _stirling,
     bessel_i_reduced,
     bessel_i_scaled,
     ln_factorial,
@@ -184,10 +187,13 @@ def _ln_bessel_i(m: int, r: float) -> float:
 
 def _ln_fact_pairs(m: int, n: int) -> np.ndarray:
     # ln nu! + ln (nu+m)! for nu < n: two slices of the exact table, extended
-    # for this call alone by the scalar kernel where nu + m runs past it
+    # for this call alone where nu + m runs past it by Stirling's form of
+    # ln_factorial in one array pass, on the same math.log values
     table = _LN_FACT
     if m + n > table.size:
-        table = np.concatenate((table, [ln_factorial(k) for k in range(table.size, m + n)]))
+        k = range(table.size, m + n)
+        table = np.concatenate((table, _stirling(np.array(k, dtype=float),
+                                                 np.array([math.log(j) for j in k]))))
     return table[:n] + table[m:m + n]
 
 

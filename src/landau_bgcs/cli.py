@@ -3,9 +3,13 @@ commutators, thermal, wehrl, sweep, verify.
 
 Configuration comes from defaults, then a flat key = value config file,
 then explicit flags, in that order of increasing precedence.  Output is
-JSON (17-significant-digit floats, round-trip safe) or CSV with '.'
-decimals; identical inputs produce byte-identical output.  Exit codes:
-0 success, 1 failed check, 2 usage or domain error or exhausted memory.
+JSON (17-significant-digit floats, round-trip safe, NaN and inf as null)
+or CSV with '.' decimals; identical inputs produce byte-identical output,
+in one process and across processes whatever the string hash seed.  The
+JSON writer dispatches on the exact type of each value and builds each
+container with one join; a subclass, such as np.float64, prints as its
+base type does.  Exit codes: 0 success, 1 failed check, 2 usage or domain
+error or exhausted memory.
 """
 
 from __future__ import annotations
@@ -186,35 +190,62 @@ def _load_config_file(path: str) -> dict:
 
 # ------------------------------------------------------------------- output
 
+def _number(x: float) -> str:
+    return f"{x:.17g}" if math.isfinite(x) else "null"
+
+
+def _quote(s: str) -> str:
+    # only the backslash and the double quote are escaped
+    return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def _jsonify(obj, indent: int = 0) -> str:
+    # dispatch on the exact type first and build each container with one
+    # join; a subclass or any other type takes the isinstance chain of
+    # _jsonify_other
+    t = type(obj)
+    if t is float:
+        return f"{obj:.17g}" if math.isfinite(obj) else "null"
     pad = "  " * indent
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, float)) and not isinstance(obj, bool):
-        if isinstance(obj, int):
-            return str(obj)
-        if math.isnan(obj) or math.isinf(obj):
-            return "null"
-        return f"{obj:.17g}"
-    if isinstance(obj, complex):
-        return _jsonify([obj.real, obj.imag], indent)
-    if isinstance(obj, str):
-        escaped = obj.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{escaped}"'
-    if isinstance(obj, (list, tuple)):
+    if t is complex:
+        return f"[\n{pad}  {_number(obj.real)},\n{pad}  {_number(obj.imag)}\n{pad}]"
+    if t is list or t is tuple:
         if not obj:
             return "[]"
-        inner = ",\n".join(
-            f"{pad}  {_jsonify(v, indent + 1)}" for v in obj)
-        return f"[\n{inner}\n{pad}]"
-    if isinstance(obj, dict):
+        inner = f",\n{pad}  ".join([_jsonify(v, indent + 1) for v in obj])
+        return f"[\n{pad}  {inner}\n{pad}]"
+    if t is dict:
         if not obj:
             return "{}"
-        inner = ",\n".join(
-            f'{pad}  "{k}": {_jsonify(v, indent + 1)}' for k, v in obj.items())
-        return f"{{\n{inner}\n{pad}}}"
+        inner = f',\n{pad}  "'.join(
+            [f'{k}": {_jsonify(v, indent + 1)}' for k, v in obj.items()])
+        return f'{{\n{pad}  "{inner}\n{pad}}}'
+    if obj is None:
+        return "null"
+    if t is bool:
+        return "true" if obj else "false"
+    if t is int:
+        return str(obj)
+    if t is str:
+        return _quote(obj)
+    return _jsonify_other(obj, indent)
+
+
+def _jsonify_other(obj, indent: int) -> str:
+    # a subclass prints as its base type does (np.float64 as a float); any
+    # other type, np.bool_ among them, cannot be serialized
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        return _number(obj)
+    if isinstance(obj, complex):
+        return _jsonify(complex(obj), indent)
+    if isinstance(obj, str):
+        return _quote(obj)
+    if isinstance(obj, (list, tuple)):
+        return _jsonify(list(obj), indent)
+    if isinstance(obj, dict):
+        return _jsonify(dict(obj.items()), indent)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -336,7 +367,7 @@ def cmd_quantize(cfg: RunConfig):
         "depth": depth,
         "band": op.band,
         "self_adjoint": herm == 0.0,
-        "entries": [[complex(v) for v in row] for row in op.entries],
+        "entries": op.entries.tolist(),
     }
     return payload, False, None
 

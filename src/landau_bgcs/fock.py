@@ -137,13 +137,13 @@ class OperatorMatrix:
         band = 0
         for k, values in diagonals.items():
             size = dim - abs(k)
-            d = np.asarray(values, dtype=np.complex128)
+            d = np.asarray(values)
             if size < 1 or d.shape != (size,):
                 raise DomainError(f"diagonal {k} of a dimension-{dim} operator "
                                   f"needs {max(size, 0)} values, got shape {d.shape}")
             start = k if k >= 0 else -k * dim
             flat[start::dim + 1][:size] = d
-            if d.real.any() or d.imag.any():
+            if d.any():
                 band = max(band, abs(k))
         entries.flags.writeable = False
         object.__setattr__(self, "entries", entries)
@@ -215,10 +215,10 @@ def ladder_matrix(kind: str, spec: SubspaceSpec) -> OperatorMatrix:
         raise DomainError(f"unknown ladder kind {kind!r}; expected one of {_LADDER_KINDS}")
     n = spec.require_depth() + 1
     m = spec.m
-    nu = np.arange(n)
     if kind in ("k_plus", "k_minus"):
         return OperatorMatrix(n, {1 if kind == "k_minus" else -1: lowering_band(m, n)},
                               label=kind)
+    nu = np.arange(n)
     if kind == "k3":
         return OperatorMatrix(n, {0: nu + 0.5 * (m + 1)}, label="k3")
     return OperatorMatrix(n, {0: nu}, label="number")

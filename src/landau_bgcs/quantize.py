@@ -173,23 +173,30 @@ def dispersions_matrix_route(label, m: int) -> tuple[float, float]:
     as an independent check on the closed form.
 
     Both act through the K- band b of fock.lowering_band on the state's
-    amplitude vector v in O(depth): A v = b v[1:] and A^T v = b v[:-1], each
-    shifted into place, and X v = (A v +- A^T v)/sqrt2 (over i for p).  X is
-    Hermitian, so Var X = <Xv, Xv> - <v, Xv>^2 is <v|X X|v> - <v|X|v>^2.
-    Only the band and the amplitudes enter, never mean_k3.
+    amplitude vector v, from four O(depth) sums: with av = b v[1:] (K- v)
+    and atv = b v[:-1] (K+ v, shifted down one place),
+
+        S = <v|K-|v>,  A = |av|^2,  T = |atv|^2,  C = Re <K- v, K+ v>,
+
+    and q = (K- + K+)/sqrt2, p = (K- - K+)/(i sqrt2) give <q> = sqrt2 Re S,
+    <p> = sqrt2 Im S and <q^2>, <p^2> = (A + T +- 2C)/2.  Both moments are
+    divided by the state's own squared norm |v|^2, so the variances measure
+    the state and not its norm deficit of a few 1e-14.  Only the band and
+    the amplitudes enter, never mean_k3.
     """
     label = _as_label(label)
     v = bgcs_state(label, SubspaceSpec(m)).amplitudes
     b = lowering_band(m, v.size)
-    av = np.zeros_like(v)
-    av[:-1] = b * v[1:]
-    atv = np.zeros_like(v)
-    atv[1:] = b * v[:-1]
-    out = []
-    for xv in ((av + atv) / _SQRT2, (av - atv) / (1j * _SQRT2)):
-        first = np.vdot(v, xv)
-        out.append(float((np.vdot(xv, xv) - first * first).real))
-    return out[0], out[1]
+    av = b * v[1:]
+    atv = b * v[:-1]
+    s = complex(np.vdot(v[:-1], av))
+    both = float(np.vdot(av, av).real) + float(np.vdot(atv, atv).real)
+    cross = 2.0 * float(np.vdot(av[1:], atv[:-1]).real)
+    norm = float(np.vdot(v, v).real)
+    mean_q = _SQRT2 * s.real / norm
+    mean_p = _SQRT2 * s.imag / norm
+    return (0.5 * (both + cross) / norm - mean_q * mean_q,
+            0.5 * (both - cross) / norm - mean_p * mean_p)
 
 
 # ----------------------------------------------------------------- reports

@@ -140,7 +140,14 @@ def ln_factorial(n: int) -> float:
     if n <= _EXACT_LN_FACT_LIMIT:
         return _LN_FACT_TABLE[n]
     x = float(n)
-    return (x + 0.5) * math.log(x) - x + _LN_SQRT_2PI + _stirling_tail(x)
+    return _stirling(x, math.log(x))
+
+
+def _stirling(x, ln_x):
+    # ln x! past the exact table from x and its log, which the caller takes:
+    # on floats, or elementwise on arrays by the same operations in the same
+    # order, so an array entry has the bits of the scalar call
+    return (x + 0.5) * ln_x - x + _LN_SQRT_2PI + _stirling_tail(x)
 
 
 # ---------------------------------------------------------------------------

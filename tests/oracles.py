@@ -1,5 +1,5 @@
-"""Brute-force series oracles and the pointwise symbol value that only the
-tests read."""
+"""Brute-force series oracles, the pointwise symbol value and the recursive
+JSON writer that only the tests read."""
 
 from __future__ import annotations
 
@@ -79,3 +79,37 @@ def symbol_value(sym, z):
     for i, j, c in sym.terms:
         acc = acc + c * z ** i * zc ** j
     return acc
+
+
+def jsonify_reference(obj, indent: int = 0) -> str:
+    """The CLI's recursive JSON writer before its exact-type dispatch, kept
+    unchanged as the reference that cli._jsonify must print alike."""
+    pad = "  " * indent
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, float)) and not isinstance(obj, bool):
+        if isinstance(obj, int):
+            return str(obj)
+        if math.isnan(obj) or math.isinf(obj):
+            return "null"
+        return f"{obj:.17g}"
+    if isinstance(obj, complex):
+        return jsonify_reference([obj.real, obj.imag], indent)
+    if isinstance(obj, str):
+        escaped = obj.replace("\\", "\\\\").replace('"', '\\"')
+        return f'"{escaped}"'
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = ",\n".join(
+            f"{pad}  {jsonify_reference(v, indent + 1)}" for v in obj)
+        return f"[\n{inner}\n{pad}]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = ",\n".join(
+            f'{pad}  "{k}": {jsonify_reference(v, indent + 1)}' for k, v in obj.items())
+        return f"{{\n{inner}\n{pad}}}"
+    raise TypeError(f"cannot serialize {type(obj).__name__}")

@@ -23,6 +23,7 @@ from landau_bgcs.bgcs import (
     probability_density,
     _auto_depth,
     _ln_amplitude,
+    _ln_fact_pairs,
     _ln_bessel_i,
     _node_amplitudes,
     snr,
@@ -214,6 +215,14 @@ def test_ln_amplitude_factorials_match_the_scalar_kernel(m):
             assert _ln_amplitude(m, ln_r, np.arange(n), ln_i).tobytes() == want[:n].tobytes()
     for k in (0, 255, 256, 257, 299):
         assert _ln_amplitude(m, ln_r, k, ln_i) == want[k]
+
+
+def test_ln_fact_pairs_past_the_table_are_the_scalar_kernel_bit_for_bit():
+    # past k = 256 the table is extended by Stirling's form in one array
+    # pass; each entry has the float.hex of the scalar ln_factorial (m = 0
+    # gives 2 ln k!, and halving it is exact)
+    got = _ln_fact_pairs(0, 20000)[257:] / 2.0
+    assert [float(x).hex() for x in got] == [ln_factorial(k).hex() for k in range(257, 20000)]
 
 
 # ---------------------------------------------------------------- overlap

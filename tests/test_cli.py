@@ -4,11 +4,15 @@ import json
 import math
 from dataclasses import fields
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from landau_bgcs import cli
 from landau_bgcs.bgcs import CoherentLabel, g2, mandel_q, mean_k3, mean_n, mean_n_sq, snr
 from landau_bgcs.cli import RunConfig, _build_config, _build_parser, main
 from landau_bgcs.fock import PhysicalParams
+from oracles import jsonify_reference
 
 _GAP = PhysicalParams().epsilon_gap
 _BETA_LN2 = math.log(2.0) / _GAP
@@ -469,3 +473,50 @@ def test_non_finite_physical_parameters(capsys, flag, value):
 def test_bad_label_syntax(capsys):
     rc, _, err = _run(capsys, "stats", "--z", "1;2")
     assert rc == 2 and "re,im" in err
+
+
+# ---------------------------------------------------------------- writer
+
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(),
+    st.integers(min_value=-2 ** 80, max_value=2 ** 80),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -1e-310,
+                     1e308, -1e308, 2.0 ** 63, 2 ** 63, -2 ** 64 - 1]),
+    st.complex_numbers(allow_nan=True, allow_infinity=True),
+    st.text(alphabet=st.sampled_from('ab"\\ \n\u00e9{}[]:,')),
+    st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=24)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_VALUES, st.integers(min_value=0, max_value=3))
+def test_writer_prints_what_the_reference_writer_prints(value, indent):
+    assert cli._jsonify(value, indent) == jsonify_reference(value, indent)
+
+
+@pytest.mark.parametrize("value", [np.bool_(True), np.int64(3), {1, 2}, [1.0, b"x"]])
+def test_writer_refuses_what_the_reference_writer_refuses(value):
+    with pytest.raises(TypeError) as want:
+        jsonify_reference(value)
+    with pytest.raises(TypeError) as got:
+        cli._jsonify(value)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "all"],
+    ["quantize", "--symbol", "p_sq", "--m", "3", "--depth", "344"],
+    ["sweep", "--beta-range", "1:8:4", "--m-list", "0,2", "--format", "csv"],
+    ["stats", "--z=400,0", "--m", "1"],
+])
+def test_commands_print_the_reference_writer_bytes(capsys, monkeypatch, argv):
+    want = _run(capsys, *argv)
+    monkeypatch.setattr(cli, "_jsonify", jsonify_reference)
+    assert _run(capsys, *argv) == want

@@ -430,14 +430,16 @@ def test_dispersions_matrix_route(rho, phi, m):
 
 
 def _dense_dispersions(lab, m):
-    # test-only reference: dense (depth+1)^2 q and p, squared by two products
+    # test-only reference: dense (depth+1)^2 q and p, squared by two
+    # products, with both moments divided by the state's squared norm
     v = bgcs_state(lab, SubspaceSpec(m)).amplitudes
     spec = SubspaceSpec(m, depth=v.size - 1)
+    norm = np.vdot(v, v).real
     out = []
     for tag in ("q", "p"):
         x = quantize_closed_form(SymbolSpec(tag), spec).entries
-        first = np.vdot(v, x @ v)
-        out.append(float((np.vdot(v, x @ (x @ v)) - first * first).real))
+        first = np.vdot(v, x @ v) / norm
+        out.append(float((np.vdot(v, x @ (x @ v)) / norm - first * first).real))
     return out[0], out[1]
 
 
