@@ -22,13 +22,14 @@ same few values.  Two private least-recently-used memos of 64 entries each
 serve those repeats from one evaluation: the real reduced series R_k(u)
 keyed by (k, u), and the StateVector of bgcs_state keyed by (label, the
 signs of its components, m, depth, tail_tol) and their types.  Only real
-floats reach the series memo; the public specfun kernels stay uncached, so
-past |z| = 40, where the ratios read e^{-x} I_k(x) instead of the series,
-each route evaluates its own.  A hit returns what a fresh build returns,
-field for field, and an exception is never stored, so a repeat raises
-again.  A label's state, statistics and overlap store one state and at
-most four series values, so the memos keep the last dozen or more
-labels.  A cyclic pass over more than 64 distinct labels, such as a
+floats reach the series memo.  No public specfun kernel's result is memoised
+(specfun memoises only the K_0/K_1 pair per float argument that bessel_k
+raises to each order), so past |z| = 40, where the ratios read e^{-x} I_k(x)
+instead of the series, each route evaluates its own.  A hit returns what a
+fresh build returns, field for field, and an exception is never stored, so a
+repeat raises again.  A label's state, statistics and overlap store one
+state and at most four series values, so the memos keep the last dozen or
+more labels.  A cyclic pass over more than 64 distinct labels, such as a
 benchmark round of 512, finds nothing from its previous pass but the one
 normaliser its last overlap stored for the first label, which hits only
 where those two labels share an order.  The state memo keeps up to 64
@@ -117,9 +118,13 @@ class CoherentLabel(_Record):
         if not (math.isfinite(rho) and rho >= 0.0):
             raise DomainError(f"modulus must be finite and >= 0, got {rho}")
         phi = float(phi) % _TWO_PI
-        label = cls(re=rho * math.cos(phi), im=rho * math.sin(phi))
-        object.__setattr__(label, "rho", float(rho))
-        object.__setattr__(label, "phi", phi)
+        re, im = rho * math.cos(phi), rho * math.sin(phi)
+        # the constructor's check (an infinite phi leaves the modulo NaN),
+        # without the polar data it would derive and this would overwrite
+        if not (math.isfinite(re) and math.isfinite(im)):
+            raise DomainError("label components must be finite")
+        label = object.__new__(cls)
+        label.__dict__.update(re=re, im=im, rho=float(rho), phi=phi)
         return label
 
     @property
@@ -257,10 +262,16 @@ def bgcs_state(label, spec: SubspaceSpec,
     tail_tol; an explicit depth is honored as given (without the tail
     guarantee).  Served from the state memo on a repeat (module docstring).
     """
-    label = _as_label(label)
+    return _memo_state(_as_label(label), spec.m, spec.depth, tail_tol)
+
+
+def _memo_state(label: CoherentLabel, m, depth: int | None = None,
+                tail_tol: float = DEFAULT_TAIL_TOL) -> StateVector:
+    # bgcs_state(label, SubspaceSpec(m, depth)) on a label without building
+    # the spec: m checked as SubspaceSpec checks it, the same memo key
     signs = (math.copysign(1.0, label.re), math.copysign(1.0, label.im),
              math.copysign(1.0, label.rho))
-    return _state(label, signs, spec.m, spec.depth, tail_tol)
+    return _state(label, signs, _order(m, "m"), depth, tail_tol)
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE, typed=True)

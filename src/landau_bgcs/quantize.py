@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bgcs import _as_label, _node_amplitudes, bgcs_state, mean_k3
+from .bgcs import _as_label, _memo_state, _node_amplitudes, mean_k3
 from .fock import OperatorMatrix, SubspaceSpec, lowering_band
 from .measure import QuadratureGrid
 from .specfun import DomainError, EvaluationError, _Record, _order
@@ -184,8 +184,7 @@ def dispersions_matrix_route(label, m: int) -> tuple[float, float]:
     the state and not its norm deficit of a few 1e-14.  Only the band and
     the amplitudes enter, never mean_k3.
     """
-    label = _as_label(label)
-    v = bgcs_state(label, SubspaceSpec(m)).amplitudes
+    v = _memo_state(_as_label(label), m).amplitudes
     b = lowering_band(m, v.size)
     av = b * v[1:]
     atv = b * v[:-1]
@@ -235,6 +234,14 @@ class DecompositionReport(_Record):
     matches_claimed_projectors: bool
 
 
+def _sector(m, spec: SubspaceSpec) -> int:
+    # the sector of a report: m as an order, and the sector of its spec
+    m = _order(m, "m")
+    if m != spec.m:
+        raise DomainError(f"sector m={m} differs from the spec's m={spec.m}")
+    return m
+
+
 def _interior(a: np.ndarray, margin: int) -> np.ndarray:
     return a[:a.shape[0] - margin, :a.shape[1] - margin]
 
@@ -247,7 +254,9 @@ def energy_operator_decomposition_check(m: int, spec: SubspaceSpec) -> Decomposi
     quantized z^2 equals the square of the quantized z, entry by entry); the
     report records what the matrices actually say, and separately whether
     that matches the claimed extra single-entry projector corrections.
+    m must be spec.m, else DomainError.
     """
+    m = _sector(m, spec)
     depth = spec.require_depth()
     dim = depth + 1
     az = np.diag(lowering_band(m, dim, 1, np.longdouble), 1)
@@ -325,7 +334,15 @@ class CommutatorReport(_Record):
 
 def energy_commutators(m: int, spec: SubspaceSpec) -> CommutatorReport:
     """Commutators of the quantized energy with the four plain power symbols,
-    matrix algebra vs banded closed forms, on the interior block."""
+    matrix algebra vs banded closed forms, on the interior block.
+
+    The quantized energy is the diagonal d of K- K+, so each commutator
+    [diag(d), X] is formed by scaling, d[row] X - X d[col], in 80-bit
+    extended precision: every entry is the one nonzero product a matrix
+    product would form, so it has the same bits, in O(dim^2).  The route
+    never reads the closed forms it is checked against.  m must be spec.m,
+    else DomainError."""
+    m = _sector(m, spec)
     depth = spec.require_depth()
     dim = depth + 1
     ld = np.longdouble
@@ -333,7 +350,7 @@ def energy_commutators(m: int, spec: SubspaceSpec) -> CommutatorReport:
     band2 = lowering_band(m, dim, 2, ld)
     az = np.diag(band, 1)
     a2 = np.diag(band2, 2)
-    diag = np.diag(lowering_band(m, dim, 1, ld, raising=1))
+    d = lowering_band(m, dim, 1, ld, raising=1)
 
     # closed forms: the bands times their row factors, -(2 nu + m + 3) on the
     # superdiagonal, (2 nu + m + 1) on the subdiagonal (row nu + 1, so the
@@ -353,7 +370,7 @@ def energy_commutators(m: int, spec: SubspaceSpec) -> CommutatorReport:
     ]
     checks = []
     for name, other, closed, margin, example in cases:
-        comm = diag @ other - other @ diag
+        comm = d[:, None] * other - other * d[None, :]
         err = float(np.max(np.abs(_interior(comm - closed, margin))))
         checks.append(CommutatorCheck(
             name=name, max_interior_err=err, example_entry=example,

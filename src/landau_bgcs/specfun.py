@@ -24,7 +24,9 @@ the backward recurrence, started at a fixed order of about 4.1 m, times
 the Hankel I_0; and K_m from K_0/K_1 (four fixed 16-term
 polynomials at x <= 2, a 27-node trapezoid rule above) raised to order m by
 the stable upward recurrence; the reflection formula with a ``sin(m pi)``
-denominator is useless at integer order.  A scalar call costs 2-4
+denominator is useless at integer order.  The scalar K kernels read that
+K_0/K_1 pair from a memo of the last 64 float arguments, so the orders
+asked for at one x build it once.  A scalar call costs 2-4
 microseconds on every branch but the I recurrence, whose O(m) loop takes
 10-40 microseconds for m <= 50.  The reduced series, which stays scalar,
 and the logs of the I ratios use compensated (Kahan) accumulation.
@@ -281,18 +283,29 @@ def _bessel_k(m, x, scaled: bool, name: str) -> float:
     if x >= _hankel_switch(m):
         ek = _hankel_sum(m, x, 1.0) * _SQRT_HALF_PI / math.sqrt(x)
         return ek if scaled else ek * math.exp(-x)
+    k0, k1 = _k01_pair(x)
     if x <= 2.0:
-        k0, k1 = _k01_small(x)
         scale = math.exp(x) if scaled else 1.0
     else:
-        k0, k1 = _k01_rule_scaled(x)
         scale = 1.0 if scaled else math.exp(-x)
     return _k_upward(m, x, k0 * scale, k1 * scale)
 
 
+@functools.lru_cache(maxsize=64)
+def _k01_pair(x: float) -> tuple:
+    # K_0, K_1 at x <= 2, else e^x K_0, e^x K_1: the pair every order at x
+    # is raised from, built once for the last 64 floats asked for
+    return _k01_small(x) if x <= 2.0 else _k01_rule_scaled(x)
+
+
 def bessel_k(m: int, x: float) -> float:
     """Modified Bessel function K_m(x) for integer m >= 0 and finite real
-    x > 0; inf where K_m leaves double range."""
+    x > 0; inf where K_m leaves double range.
+
+    Below the Hankel switch x0(m), K_0 and K_1 at x are read from a private
+    memo of the last 64 float arguments, shared with bessel_k_scaled, so
+    the orders asked for at one x build that pair once; the memo holds
+    the pair alone, and the scaling and the order recurrence run per call."""
     return _bessel_k(m, x, False, "bessel_k")
 
 

@@ -1,5 +1,6 @@
-"""Brute-force series oracles, the pointwise symbol value and the recursive
-JSON writer that only the tests read."""
+"""Brute-force series oracles, the pointwise symbol value, the recursive
+JSON writer, the matrix-product energy commutators and the constructor-built
+polar label that only the tests read."""
 
 from __future__ import annotations
 
@@ -7,6 +8,9 @@ import math
 
 import numpy as np
 
+from landau_bgcs.bgcs import _TWO_PI, CoherentLabel
+from landau_bgcs.fock import SubspaceSpec, lowering_band
+from landau_bgcs.quantize import CommutatorCheck, CommutatorReport, _interior
 from landau_bgcs.specfun import (_MAX_TERMS, _REL_TOL, DomainError, EvaluationError,
                                  _order, ln_factorial)
 
@@ -113,3 +117,56 @@ def jsonify_reference(obj, indent: int = 0) -> str:
             f'{pad}  "{k}": {jsonify_reference(v, indent + 1)}' for k, v in obj.items())
         return f"{{\n{inner}\n{pad}}}"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def energy_commutators_reference(m: int, spec: SubspaceSpec) -> CommutatorReport:
+    """quantize.energy_commutators as dense extended-precision matrix
+    products, kept unchanged as the reference whose every bit the scaled
+    route must reproduce."""
+    depth = spec.require_depth()
+    dim = depth + 1
+    ld = np.longdouble
+    band = lowering_band(m, dim, 1, ld)
+    band2 = lowering_band(m, dim, 2, ld)
+    az = np.diag(band, 1)
+    a2 = np.diag(band2, 2)
+    diag = np.diag(lowering_band(m, dim, 1, ld, raising=1))
+
+    # closed forms: the bands times their row factors, -(2 nu + m + 3) on the
+    # superdiagonal, (2 nu + m + 1) on the subdiagonal (row nu + 1, so the
+    # same numbers) and -2 (2 nu + m + 4) on the second superdiagonal
+    nu = np.arange(dim - 1, dtype=ld)
+    closed_band = (2 * nu + m + 3) * band
+    closed_z = -np.diag(closed_band, 1)
+    closed_zb = np.diag(closed_band, -1)
+    closed_z2 = -2.0 * np.diag((2 * nu[:-1] + m + 4) * band2, 2)
+    closed_zb2 = -closed_z2.T
+
+    cases = [
+        ("[abs_z_sq, z]", az, closed_z, 2, (0, 1)),
+        ("[abs_z_sq, z_bar]", az.T, closed_zb, 2, (2, 1)),
+        ("[abs_z_sq, z_sq]", a2, closed_z2, 3, (0, 2)),
+        ("[abs_z_sq, z_bar_sq]", a2.T, closed_zb2, 3, (2, 0)),
+    ]
+    checks = []
+    for name, other, closed, margin, example in cases:
+        comm = diag @ other - other @ diag
+        err = float(np.max(np.abs(_interior(comm - closed, margin))))
+        checks.append(CommutatorCheck(
+            name=name, max_interior_err=err, example_entry=example,
+            example_value=float(comm[example]),
+            expected_value=float(closed[example])))
+    return CommutatorReport(m=m, depth=depth, checks=tuple(checks))
+
+
+def from_polar_reference(rho: float, phi: float) -> CoherentLabel:
+    """CoherentLabel.from_polar through the constructor, whose polar data
+    are then overwritten, kept unchanged as the reference whose fields,
+    refusals and equality the direct build must reproduce."""
+    if not (math.isfinite(rho) and rho >= 0.0):
+        raise DomainError(f"modulus must be finite and >= 0, got {rho}")
+    phi = float(phi) % _TWO_PI
+    label = CoherentLabel(re=rho * math.cos(phi), im=rho * math.sin(phi))
+    object.__setattr__(label, "rho", float(rho))
+    object.__setattr__(label, "phi", phi)
+    return label

@@ -44,7 +44,7 @@ from landau_bgcs.specfun import (
     ln_factorial,
 )
 from conftest import panel_grid
-from oracles import bessel_power_sum
+from oracles import bessel_power_sum, from_polar_reference
 
 # frozen 60-digit reference values
 _OV_OPP = -0.035140024107915261894          # <-2|2> at m = 0
@@ -91,6 +91,36 @@ def test_label_validation():
         CoherentLabel(re=math.inf, im=0.0)
     with pytest.raises(DomainError):
         CoherentLabel.from_polar(-1.0, 0.0)
+
+
+_RNG = np.random.default_rng(20261020)
+_POLAR_CASES = list(zip(np.exp(_RNG.uniform(-30.0, 30.0, 60)).tolist(),
+                        _RNG.uniform(-50.0, 50.0, 60).tolist())) + [
+    (0.0, 0.0), (-0.0, 1.0), (0.0, -0.0), (5e-324, 2.0), (1.7e308, 0.3),
+    (1.0, 2.0 * math.pi), (1.0, -1e-300), (2.0, 1e300), (3, 4), (np.float64(2.5), 1.0),
+    (-1.0, 0.0), (math.nan, 0.0), (math.inf, 0.0), (1.0, math.inf),
+    (1.0, -math.inf), (0.0, math.nan), (1.0, "x"), ("1", 0.0),
+]
+
+
+def _polar_outcome(build, rho, phi):
+    try:
+        lab = build(rho, phi)
+    except (DomainError, TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return lab, [(type(v), float(v).hex()) for v in (lab.re, lab.im, lab.rho, lab.phi)]
+
+
+@pytest.mark.parametrize("rho,phi", _POLAR_CASES)
+def test_from_polar_keeps_the_constructor_built_label(rho, phi):
+    got = _polar_outcome(CoherentLabel.from_polar, rho, phi)
+    want = _polar_outcome(from_polar_reference, rho, phi)
+    assert got[1] == want[1]
+    if isinstance(want[0], CoherentLabel):
+        assert got[0] == want[0] and hash(got[0]) == hash(want[0])
+        assert repr(got[0]) == repr(want[0])
+    else:
+        assert got[0] is want[0]
 
 
 # ---------------------------------------------------------------- states

@@ -24,7 +24,7 @@ from landau_bgcs.quantize import (
 )
 from landau_bgcs.specfun import DomainError, EvaluationError
 from conftest import panel_grid
-from oracles import symbol_value
+from oracles import energy_commutators_reference, symbol_value
 
 
 def _spec(m, depth=16):
@@ -517,6 +517,23 @@ def test_energy_commutator_example_entries():
     zb = {c.name: c for c in rep1.checks}["[abs_z_sq, z_bar]"]
     assert zb.example_value == pytest.approx(6.0 * math.sqrt(6.0), rel=1e-14)
     assert zb.expected_value == pytest.approx(6.0 * math.sqrt(6.0), rel=1e-14)
+
+
+@pytest.mark.parametrize("depth", [8, 16, 40, 120])
+@pytest.mark.parametrize("m", [0, 1, 3, 7, 50])
+def test_energy_commutators_equal_the_matrix_product_reference(m, depth):
+    # scaling by the diagonal forms each entry's one nonzero product, so
+    # every field keeps the bits of the dense longdouble products
+    spec = _spec(m, depth=depth)
+    assert energy_commutators(m, spec).as_dict() == \
+        energy_commutators_reference(m, spec).as_dict()
+
+
+@pytest.mark.parametrize("report", [energy_commutators, energy_operator_decomposition_check])
+@pytest.mark.parametrize("m,spec_m", [(1, 3), (3, 1), (0, 2)])
+def test_energy_reports_refuse_a_sector_other_than_the_specs(report, m, spec_m):
+    with pytest.raises(DomainError, match=f"m={m} differs from the spec's m={spec_m}"):
+        report(m, _spec(spec_m))
 
 
 def test_commutator_report_serializable():

@@ -519,6 +519,47 @@ def test_fixed_rules_round_alike_on_floats_and_arrays():
     assert np.abs(np.array(sf._k01_small(small)) / alone - 1.0).max() <= 1e-15
 
 
+def _bessel_k_unmemoised(m, x, scaled):
+    # the scalar K kernel rebuilding K_0, K_1 on every call, as before the
+    # pair memo
+    if x >= sf._hankel_switch(m):
+        ek = sf._hankel_sum(m, x, 1.0) * sf._SQRT_HALF_PI / math.sqrt(x)
+        return ek if scaled else ek * math.exp(-x)
+    if x <= 2.0:
+        k0, k1 = sf._k01_small(x)
+        scale = math.exp(x) if scaled else 1.0
+    else:
+        k0, k1 = sf._k01_rule_scaled(x)
+        scale = 1.0 if scaled else math.exp(-x)
+    return sf._k_upward(m, x, k0 * scale, k1 * scale)
+
+
+# both sides of 2 and of x0(m) for orders on the fixed switch (20) and past it
+_K_MEMO_X = np.geomspace(1e-3, 100.0, 24).tolist() + [
+    v for x0 in (2.0,) + tuple(sf._hankel_switch(m) for m in (0, 8, 20, 40))
+    for v in (math.nextafter(x0, 0.0), x0, math.nextafter(x0, math.inf), x0 * (1.0 - 1e-12))]
+
+
+@pytest.mark.parametrize("orders", [range(41), range(40, -1, -1)], ids=["up", "down"])
+def test_scalar_k_kernels_keep_the_bits_of_an_unmemoised_build(orders):
+    sf._k01_pair.cache_clear()
+    want = {(m, x): (_bessel_k_unmemoised(m, x, False).hex(),
+                     _bessel_k_unmemoised(m, x, True).hex())
+            for x in _K_MEMO_X for m in orders}
+    for _ in ("cold", "warm"):
+        for x in _K_MEMO_X:
+            for m in orders:
+                got = sf.bessel_k(m, x).hex(), sf.bessel_k_scaled(m, x).hex()
+                assert got == want[m, x], (m, x)
+
+
+def test_k_pair_memo_is_bounded():
+    assert sf._k01_pair.cache_info().maxsize == 64
+    for k in range(100):
+        sf.bessel_k(3, 0.05 * (k + 1))
+    assert sf._k01_pair.cache_info().currsize == 64
+
+
 _HANKEL_ORDERS = (0, 1, 2, 4, 6, 8, 30)
 
 
