@@ -18,22 +18,33 @@ the same kernel the other way, from the amplitudes, as one radial sum.
 
 Memos.  Every statistic of a label is a ratio of I_m, I_{m+1} and I_{m+2} at
 2|z|, and a label's state, statistics, overlap and matrix routes ask for the
-same few values.  Two private least-recently-used memos of 64 entries each
-serve those repeats from one evaluation: the real reduced series R_k(u)
-keyed by (k, u), and the StateVector of bgcs_state keyed by (label, the
-signs of its components, m, depth, tail_tol) and their types.  Only real
-floats reach the series memo.  No public specfun kernel's result is memoised
-(specfun memoises only the K_0/K_1 pair per float argument that bessel_k
-raises to each order), so past |z| = 40, where the ratios read e^{-x} I_k(x)
-instead of the series, each route evaluates its own.  A hit returns what a
-fresh build returns, field for field, and an exception is never stored, so a
-repeat raises again.  A label's state, statistics and overlap store one
-state and at most four series values, so the memos keep the last dozen or
-more labels.  A cyclic pass over more than 64 distinct labels, such as a
-benchmark round of 512, finds nothing from its previous pass but the one
-normaliser its last overlap stored for the first label, which hits only
-where those two labels share an order.  The state memo keeps up to 64
-amplitude vectors alive, 16 bytes per level.
+same few values.  Four private least-recently-used memos of 64 entries each
+serve those repeats from one evaluation:
+  - the real reduced series R_k(u), keyed by (k, u): one float each;
+  - the tuple (R_m, R_{m+1}, R_{m+2})(u) that each statistic reads in one
+    lookup, keyed by (m, u) and built from three reads of the first, so the
+    R_m a state build stored is read again: three floats each;
+  - the StateVector of bgcs_state, keyed by (label, the signs of its
+    components, m, depth, tail_tol) and their types: one amplitude vector
+    each, 16 bytes per level;
+  - the read-only rows nu, m/2 + nu and (ln nu! + ln (nu+m)!)/2 that the
+    amplitudes of sector m at n levels take from (m, n) alone, keyed by
+    (m, n) for n up to 1024 (a longer set is built on each call): 24 bytes
+    per level, at most 1.5 MiB in all.
+Only real floats reach the series memos.  No public specfun kernel's result
+is memoised (specfun memoises only the K_0/K_1 pair per float argument that
+bessel_k raises to each order), so past |z| = 40, where the ratios read
+e^{-x} I_k(x) instead of the series, each route evaluates its own.  A hit
+returns what a fresh build returns, bit for bit, and an exception is never
+stored, so a repeat raises again.  A label's state, statistics and overlap
+store one state, one tuple and at most four series values, so the label
+memos keep the last dozen or more labels.  A cyclic pass over more than 64
+distinct labels, such as a benchmark round of 512, finds nothing in them
+from its previous pass but the one normaliser its last overlap stored for
+the first label, which hits only where those two labels share an order.
+The rows depend on the sector and the size alone, so such a round finds
+them for most labels: nine keys (m <= 8 at the floor depth of 30) serve
+most of the 512.  fock keeps the sector's ladder matrices the same way.
 
 ln nu! + ln (nu+m)! comes from specfun alone: two slices of its exact ln k!
 table, which a call whose nu + m runs past 256 extends for itself alone by
@@ -78,14 +89,22 @@ _KERNEL_TAIL_TOL = 1e-300
 _RATIO_SWITCH = 40.0
 # ln k!, the exact table of specfun.ln_factorial through k = 256
 _LN_FACT = np.array(_LN_FACT_TABLE)
-# entries per memo (see the module docstring)
+# entries per memo, and the most levels an amplitude-rows entry holds (see
+# the module docstring)
 _MEMO_SIZE = 64
+_ROWS_MEMO_LEVELS = 1024
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
 def _reduced(k: int, u: float) -> float:
     # R_k(u) at real u >= 0
     return bessel_i_reduced(k, u)
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _series_triple(m: int, u: float) -> tuple[float, float, float]:
+    # (R_m, R_{m+1}, R_{m+2})(u), one _reduced read per order
+    return _reduced(m, u), _reduced(m + 1, u), _reduced(m + 2, u)
 
 
 @dataclass(frozen=True)
@@ -202,16 +221,40 @@ def _ln_fact_pairs(m: int, n: int) -> np.ndarray:
     return table[:n] + table[m:m + n]
 
 
+def _amplitude_rows(m: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(nu, m/2 + nu, (ln nu! + ln (nu+m)!)/2) for nu = 0 .. n-1, read-only:
+    what the amplitudes of sector m at n levels take from (m, n) alone.
+    Served from a memo of the last _MEMO_SIZE (64) while n is at most
+    _ROWS_MEMO_LEVELS (1024); a longer set is built on each call."""
+    if n <= _ROWS_MEMO_LEVELS:
+        return _rows(m, n)
+    return _rows.__wrapped__(m, n)
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _rows(m: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # the build behind _amplitude_rows
+    nu = np.arange(n)
+    rows = nu, 0.5 * m + nu, 0.5 * _ln_fact_pairs(m, n)
+    for row in rows:
+        row.flags.writeable = False
+    return rows
+
+
 def _ln_amplitude(m: int, ln_r, nu, ln_i):
     """ln a_nu = (m/2 + nu) ln r - ln I_m(2r)/2 - ln(nu! (nu+m)!)/2, for an
     int nu or for nu = np.arange(n), broadcast against ln r and ln I_m(2r)
     (floats, or columns over radii).  An int nu with float ln r and ln I_m
     runs on floats throughout; an array runs the same operations in the
-    same order elementwise, so either rounds alike."""
+    same order elementwise, on the rows of _amplitude_rows(m, n), so either
+    rounds alike."""
     if isinstance(nu, np.ndarray):
-        ln_fact = _ln_fact_pairs(m, nu.size)
-    else:
-        ln_fact = ln_factorial(nu) + ln_factorial(nu + m)
+        _, coef, half = _amplitude_rows(m, nu.size)
+        out = coef * ln_r
+        out -= 0.5 * ln_i
+        out -= half
+        return out
+    ln_fact = ln_factorial(nu) + ln_factorial(nu + m)
     return (0.5 * m + nu) * ln_r - 0.5 * ln_i - 0.5 * ln_fact
 
 
@@ -219,12 +262,16 @@ def _auto_depth(m: int, r: float, tail_tol: float, ln_i: float) -> int:
     """The first depth d >= max(30, ceil(nu*)) whose |a_d|^2 is below
     tail_tol, with nu* = (sqrt(m^2 + 4 r^2) - m)/2 the peak of the nu
     distribution.  Past the peak ln a_nu is concave and falling, so the test
-    holds from one depth on: steps doubling from the start bracket that
-    depth and a bisection finds it, the depth a linear scan from the same
-    start returns.  The tail test is _ln_amplitude at an int depth, on
-    floats: the operations of the amplitude vector's element, in the same
-    order, so the test reads the bits that element will have, and no step
-    builds an array."""
+    holds from one depth on, the depth a linear scan from the same start
+    returns.  The first probe is the Gaussian estimate of that depth,
+    nu* + sqrt(-2 ln tail_tol) sigma with sigma^2 = 1/(1/nu* + 1/(nu* + m + 1))
+    (about 8.6 widths at the default tail_tol), or the start where that is
+    not past it.  Where the probe holds, a bisection down to the start finds
+    the depth; where it fails, steps doubling from it bracket the depth and
+    a bisection finds it.  The tail test is _ln_amplitude at an int depth,
+    on floats: the operations of the amplitude vector's element, in the
+    same order, so the test reads the bits that element will have, and no
+    step builds an array."""
     ln_r, ln_tol = math.log(r), math.log(tail_tol)
 
     def below(depth: int) -> bool:
@@ -236,14 +283,20 @@ def _auto_depth(m: int, r: float, tail_tol: float, ln_i: float) -> int:
             raise DomainError("auto depth selection diverged")
         return False
 
-    lo = max(30, math.ceil(0.5 * (math.hypot(m, 2.0 * r) - m)))
-    if below(lo):
-        return lo
-    step = 1
-    while not below(lo + step):
-        lo += step
-        step *= 2
-    hi = lo + step
+    peak = 0.5 * (math.hypot(m, 2.0 * r) - m)
+    start = max(30, math.ceil(peak))
+    # lo is start - 1 or a depth that fails the test, hi one that passes it
+    lo, probe = start - 1, start
+    spread = -2.0 * ln_tol * peak * (peak + m + 1) / (2.0 * peak + m + 1)
+    if (start - peak) ** 2 < spread < math.inf:
+        probe = math.ceil(peak + math.sqrt(spread))
+    if not below(probe):
+        lo, step = probe, 1
+        while not below(lo + step):
+            lo += step
+            step *= 2
+        probe = lo + step
+    hi = probe
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if below(mid):
@@ -291,7 +344,7 @@ def _state(label: CoherentLabel, signs: tuple, m: int, depth: int | None,
         checked = tail_tol
     else:
         checked = None
-    nu = np.arange(depth + 1)
+    nu = _amplitude_rows(m, depth + 1)[0]
     ln_mag = _ln_amplitude(m, math.log(r), nu, ln_i)
     amps = np.exp(ln_mag) * np.exp(1j * label.phi * nu)
     return StateVector(m=m, amplitudes=amps, label=label, tail_tol=checked)
@@ -326,7 +379,7 @@ def probability_density(label, m: int, nu: int) -> float:
 
 # ------------------------------------------------------------------ kernel
 
-def _in_double_range(m: int, values: list[float]) -> list[float]:
+def _in_double_range(m: int, values: tuple[float, ...]) -> tuple[float, ...]:
     # series values of size ~1/m! go subnormal from m = 171 and underflow to
     # 0 from m = 178; past that no ratio of them means anything
     for v in values:
@@ -348,7 +401,7 @@ def overlap(zp, z, m: int) -> complex:
     m = _order(m, "m")
     zp, z = _as_label(zp), _as_label(z)
     num = bessel_i_reduced(m, zp.z.conjugate() * z.z)
-    d1, d2 = _in_double_range(m, [_reduced(m, zp.rho * zp.rho), _reduced(m, z.rho * z.rho)])
+    d1, d2 = _in_double_range(m, (_reduced(m, zp.rho * zp.rho), _reduced(m, z.rho * z.rho)))
     return num / (math.sqrt(d1) * math.sqrt(d2))
 
 
@@ -370,15 +423,15 @@ def kernel_idempotence_check(z, zp, m: int, grid: QuadratureGrid) -> float:
 
 # ------------------------------------------------------- photon statistics
 
-def _bessel_series(m: int, r: float) -> tuple[float, list[float]]:
-    # (u, [f0, f1, f2]) with r^k I_{m+k}(2r) / I_m(2r) = u^k f_k / f_0:
-    # reduced series at u = r^2 up to the switch, scaled Bessel at u = r
-    # beyond; both leave the double range at large m (the scaled one at
-    # m = 1500, r = 41)
+def _bessel_series(m: int, r: float) -> tuple[float, tuple[float, float, float]]:
+    # (u, (f0, f1, f2)) with r^k I_{m+k}(2r) / I_m(2r) = u^k f_k / f_0:
+    # reduced series at u = r^2 up to the switch, one read of the series
+    # memo, scaled Bessel at u = r beyond; both leave the double range at
+    # large m (the scaled one at m = 1500, r = 41)
     if r <= _RATIO_SWITCH:
         u = r * r
-        return u, [_reduced(m + k, u) for k in range(3)]
-    return r, _in_double_range(m, [bessel_i_scaled(m + k, 2.0 * r) for k in range(3)])
+        return u, _series_triple(m, u)
+    return r, _in_double_range(m, tuple(bessel_i_scaled(m + k, 2.0 * r) for k in range(3)))
 
 
 def _step_ratios(m: int, r: float, second: bool = True) -> tuple[float, float]:

@@ -21,7 +21,8 @@ checks and the thermal q^2 trace read it.  Each band is exact and depends
 on (m, dim, step, raising, dtype) alone, so it is built once and kept,
 read-only, in a memo of the last 64 bands: at most 10 MiB while each is a
 float64 band no longer than the q^2 trace's 20000 entries (see
-lowering_band).
+lowering_band).  ladder_matrix keeps its matrices the same way, keyed by
+(kind, m, dim), in a memo of the last 16 up to dim 128: at most 4 MiB.
 """
 
 from __future__ import annotations
@@ -37,6 +38,9 @@ from .specfun import DomainError, _order
 _LADDER_KINDS = ("k_plus", "k_minus", "k3", "number")
 # bands kept by the lowering_band memo
 _BAND_MEMO_SIZE = 64
+# ladder matrices kept by the ladder_matrix memo, and the largest dim kept
+_LADDER_MEMO_SIZE = 16
+_LADDER_MEMO_DIM = 128
 
 
 @dataclass(frozen=True)
@@ -210,11 +214,23 @@ def _band(m: int, dim: int, step: int, dtype: np.dtype, raising: int) -> np.ndar
 
 def ladder_matrix(kind: str, spec: SubspaceSpec) -> OperatorMatrix:
     """Truncated matrix of one su(1,1) generator on the m sector: k_plus,
-    k_minus, k3 or number, each exact within the sector."""
+    k_minus, k3 or number, each exact within the sector.
+
+    A matrix depends on (kind, m, dim) alone.  Up to dim _LADDER_MEMO_DIM
+    (128, 256 KiB of complex128 entries) it is built once and served, the
+    same read-only OperatorMatrix, from a memo of the last _LADDER_MEMO_SIZE
+    (16) asked for: at most 4 MiB.  A larger one is built on each call."""
     if kind not in _LADDER_KINDS:
         raise DomainError(f"unknown ladder kind {kind!r}; expected one of {_LADDER_KINDS}")
     n = spec.require_depth() + 1
-    m = spec.m
+    if n <= _LADDER_MEMO_DIM:
+        return _ladder(kind, spec.m, n)
+    return _ladder.__wrapped__(kind, spec.m, n)
+
+
+@functools.lru_cache(maxsize=_LADDER_MEMO_SIZE)
+def _ladder(kind: str, m: int, n: int) -> OperatorMatrix:
+    # the build behind ladder_matrix, on a checked kind and ints
     if kind in ("k_plus", "k_minus"):
         return OperatorMatrix(n, {1 if kind == "k_minus" else -1: lowering_band(m, n)},
                               label=kind)

@@ -247,24 +247,34 @@ def _interior(a: np.ndarray, margin: int) -> np.ndarray:
 
 
 def energy_operator_decomposition_check(m: int, spec: SubspaceSpec) -> DecompositionReport:
-    """Brute-force the quantized-energy operator identities on sector m.
+    """The quantized-energy operator identities on sector m, entry by entry
+    on the dense truncated matrices.
 
-    All products run in 80-bit extended precision.  In the untruncated
-    algebra the squared-coordinate residuals vanish identically (the
-    quantized z^2 equals the square of the quantized z, entry by entry); the
-    report records what the matrices actually say, and separately whether
-    that matches the claimed extra single-entry projector corrections.
-    m must be spec.m, else DomainError.
+    Everything runs in 80-bit extended precision.  The four products of the
+    quantized z (the K- band b on the superdiagonal) and z-bar (its
+    transpose) are each one shifted elementwise product of the band: z z
+    and z-bar z-bar are b[t] b[t+1] on diagonals +2 and -2, z z-bar is b^2
+    on the diagonal with a zero last, z-bar z is b^2 shifted down one.
+    Each entry is the one nonzero product the matrix product would sum with
+    exact zeros, so it has the same bits, in O(dim^2) rather than O(dim^3).
+    In the untruncated algebra the squared-coordinate residuals vanish
+    identically (the quantized z^2 equals the square of the quantized z,
+    entry by entry); the report records what the matrices actually say,
+    and separately whether that matches the claimed extra single-entry
+    projector corrections.  m must be spec.m, else DomainError.
     """
     m = _sector(m, spec)
     depth = spec.require_depth()
     dim = depth + 1
-    az = np.diag(lowering_band(m, dim, 1, np.longdouble), 1)
-    a2 = np.diag(lowering_band(m, dim, 2, np.longdouble), 2)
-    diag = np.diag(lowering_band(m, dim, 1, np.longdouble, raising=1))
-    azb = az.T
-    z_z, zb_zb, z_zb, zb_z = az @ az, azb @ azb, az @ azb, azb @ az
-    comm_half = (z_zb - zb_z) / np.longdouble(2)
+    ld = np.longdouble
+    band = lowering_band(m, dim, 1, ld)
+    a2 = np.diag(lowering_band(m, dim, 2, ld), 2)
+    diag = np.diag(lowering_band(m, dim, 1, ld, raising=1))
+    pairs, squares, zero = band[:-1] * band[1:], band * band, np.zeros(1, ld)
+    z_z, zb_zb = np.diag(pairs, 2), np.diag(pairs, -2)
+    z_zb = np.diag(np.concatenate((squares, zero)))
+    zb_z = np.diag(np.concatenate((zero, squares)))
+    comm_half = (z_zb - zb_z) / ld(2)
 
     q_sq_matrix = 0.5 * (z_z + zb_zb + z_zb + zb_z)
     p_sq_matrix = -0.5 * (z_z + zb_zb - z_zb - zb_z)

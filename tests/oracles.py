@@ -1,6 +1,7 @@
 """Brute-force series oracles, the pointwise symbol value, the recursive
-JSON writer, the matrix-product energy commutators and the constructor-built
-polar label that only the tests read."""
+JSON writer, the matrix-product energy commutators and operator
+decomposition, the amplitudes' log expression as one formula and the
+constructor-built polar label that only the tests read."""
 
 from __future__ import annotations
 
@@ -8,9 +9,10 @@ import math
 
 import numpy as np
 
-from landau_bgcs.bgcs import _TWO_PI, CoherentLabel
+from landau_bgcs.bgcs import _TWO_PI, CoherentLabel, _ln_fact_pairs
 from landau_bgcs.fock import SubspaceSpec, lowering_band
-from landau_bgcs.quantize import CommutatorCheck, CommutatorReport, _interior
+from landau_bgcs.quantize import (CommutatorCheck, CommutatorReport, DecompositionReport,
+                                  MatrixEntry, _interior, _sector)
 from landau_bgcs.specfun import (_MAX_TERMS, _REL_TOL, DomainError, EvaluationError,
                                  _order, ln_factorial)
 
@@ -157,6 +159,67 @@ def energy_commutators_reference(m: int, spec: SubspaceSpec) -> CommutatorReport
             example_value=float(comm[example]),
             expected_value=float(closed[example])))
     return CommutatorReport(m=m, depth=depth, checks=tuple(checks))
+
+
+def energy_operator_decomposition_reference(m: int, spec: SubspaceSpec) -> DecompositionReport:
+    """quantize.energy_operator_decomposition_check with its four products
+    as dense extended-precision matrix products, kept unchanged as the
+    reference whose report the band-product route must reproduce."""
+    m = _sector(m, spec)
+    depth = spec.require_depth()
+    dim = depth + 1
+    az = np.diag(lowering_band(m, dim, 1, np.longdouble), 1)
+    a2 = np.diag(lowering_band(m, dim, 2, np.longdouble), 2)
+    diag = np.diag(lowering_band(m, dim, 1, np.longdouble, raising=1))
+    azb = az.T
+    z_z, zb_zb, z_zb, zb_z = az @ az, azb @ azb, az @ azb, azb @ az
+    comm_half = (z_zb - zb_z) / np.longdouble(2)
+
+    q_sq_matrix = 0.5 * (z_z + zb_zb + z_zb + zb_z)
+    p_sq_matrix = -0.5 * (z_z + zb_zb - z_zb - zb_z)
+    a_qsq = diag + 0.5 * (a2 + a2.T)
+    a_psq = diag - 0.5 * (a2 + a2.T)
+
+    margin = 2
+    energy_split = diag - 0.5 * (q_sq_matrix + p_sq_matrix) - comm_half
+    resid_q = a_qsq - q_sq_matrix - comm_half
+    resid_p = a_psq - p_sq_matrix - comm_half
+    sym_sum = (resid_q + resid_p) - 2.0 * energy_split
+
+    def collect(a):
+        inner = _interior(a, margin)
+        out = []
+        for r, c in np.argwhere(np.abs(inner) > 1e-12):
+            out.append(MatrixEntry(int(r), int(c), float(inner[r, c])))
+        return tuple(out), float(np.max(np.abs(inner)))
+
+    q_entries, q_max = collect(resid_q)
+    p_entries, p_max = collect(resid_p)
+    claimed = math.sqrt((m + 1) * (m + 2) / 2.0)
+    at_claimed = float(resid_q[2, 0])
+    return DecompositionReport(
+        m=m, depth=depth, interior=dim - margin,
+        energy_split_max_err=float(np.max(np.abs(_interior(energy_split, margin)))),
+        symmetric_sum_max_err=float(np.max(np.abs(_interior(sym_sum, margin)))),
+        residual_q_entries=q_entries,
+        residual_p_entries=p_entries,
+        max_interior_residual_q=q_max,
+        max_interior_residual_p=p_max,
+        edge_residual_q=float(np.max(np.abs(resid_q))),
+        claimed_entry=(2, 0),
+        claimed_coefficient=claimed,
+        computed_at_claimed_entry_q=at_claimed,
+        matches_claimed_projectors=abs(at_claimed - claimed) < 1e-9,
+    )
+
+
+def ln_amplitude_reference(m: int, ln_r, n: int, ln_i):
+    """bgcs._ln_amplitude on nu = np.arange(n) as one expression, kept
+    unchanged as the reference whose every bit the memoised rows must
+    reproduce."""
+    nu = np.arange(n)
+    ln_fact = _ln_fact_pairs(m, n)
+    return (0.5 * m + nu) * ln_r - 0.5 * ln_i - 0.5 * ln_fact
 
 
 def from_polar_reference(rho: float, phi: float) -> CoherentLabel:

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from landau_bgcs import bgcs
 from landau_bgcs.bgcs import (
+    DEFAULT_TAIL_TOL,
     CoherentLabel,
     StateVector,
     bgcs_state,
@@ -28,7 +30,7 @@ from landau_bgcs.bgcs import (
     _node_amplitudes,
     snr,
 )
-from landau_bgcs.fock import PhysicalParams, SubspaceSpec, ladder_matrix
+from landau_bgcs.fock import PhysicalParams, SubspaceSpec, hamiltonian_matrix, ladder_matrix
 from landau_bgcs.measure import (build_grid, integrate, measure_density,
                                   resolution_of_identity_check)
 from landau_bgcs.quantize import dispersions
@@ -172,6 +174,30 @@ def test_auto_depth_is_the_first_tail_depth_past_the_peak(m, tail_tol):
         while 2.0 * _ln_amplitude(m, ln_r, depth, ln_i) >= math.log(tail_tol):
             depth += 1
         assert _auto_depth(m, rho, tail_tol, ln_i) == depth, rho
+
+
+def test_auto_depth_from_the_gaussian_probe_is_the_linear_scan_depth(monkeypatch):
+    # the first probe sits near the tail crossing, past the floor of 30 for
+    # the larger moduli; the depth is still the linear scan's, and a state
+    # takes fewer than four tail tests on average (doubling from the start
+    # would take about five)
+    tests = []
+    scalar = bgcs._ln_amplitude
+
+    def counted(m, ln_r, nu, ln_i):
+        tests.append(nu)
+        return scalar(m, ln_r, nu, ln_i)
+    rhos = np.geomspace(1.0, 60.0, 60).tolist() + [40.0, 41.9, 50.0]
+    points = [(m, rho) for m in (0, 1, 3, 8, 19, 50) for rho in rhos]
+    for m, rho in points:
+        ln_r, ln_i = math.log(rho), _ln_bessel_i(m, rho)
+        depth = max(30, math.ceil(0.5 * (math.hypot(m, 2.0 * rho) - m)))
+        while 2.0 * _ln_amplitude(m, ln_r, depth, ln_i) >= math.log(DEFAULT_TAIL_TOL):
+            depth += 1
+        monkeypatch.setattr(bgcs, "_ln_amplitude", counted)
+        assert _auto_depth(m, rho, DEFAULT_TAIL_TOL, ln_i) == depth, (m, rho)
+        monkeypatch.setattr(bgcs, "_ln_amplitude", scalar)
+    assert len(tests) < 4 * len(points)
 
 
 def test_auto_depth_serves_a_large_modulus():
@@ -628,6 +654,23 @@ def test_evolution_preserves_statistics_bitwise():
     assert mean_n(ev, 2) == mean_n(lab, 2)
     assert g2(ev, 2) == g2(lab, 2)
     assert mandel_q(ev, 2) == mandel_q(lab, 2)
+
+
+@pytest.mark.parametrize("t", [0.9, 2.3])
+@pytest.mark.parametrize("rho", [0.6, 1.7])
+@pytest.mark.parametrize("m", [0, 2, 5])
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 17: evolve_label rotates at omega_minus, "
+                   "hamiltonian_matrix is spaced by Omega")
+def test_evolved_label_is_the_hamiltonian_evolved_state(m, rho, t):
+    # temporal stability: e^{-iHt}|z> is the state of the evolved label up to
+    # a phase.  H is diagonal, so e^{-iHt} is one phase per level
+    p = PhysicalParams(omega0=0.8, omega_c=1.1)
+    spec = SubspaceSpec(m, depth=60)
+    energies = np.diag(hamiltonian_matrix(spec, p).entries).real
+    z = _label(rho, 0.4)
+    evolved = np.exp(-1j * energies * t) * bgcs_state(z, spec).amplitudes
+    moved = bgcs_state(evolve_label(z, t, p), spec).amplitudes
+    assert abs(abs(np.vdot(moved, evolved)) - 1.0) <= 1e-12
 
 
 def test_orbit_density_matches_bessel_product_form():

@@ -1,5 +1,5 @@
-"""The per-label memos of bgcs: a hit equals a fresh build, each distinct
-series value is evaluated once, and no exception is stored."""
+"""The memos of bgcs: a hit equals a fresh build, each distinct series value
+is evaluated once, and no exception is stored."""
 
 import inspect
 import math
@@ -12,11 +12,13 @@ from landau_bgcs.bgcs import CoherentLabel, StateVector, bgcs_state
 from landau_bgcs.fock import SubspaceSpec
 from landau_bgcs.specfun import EvaluationError
 
+from oracles import ln_amplitude_reference
+
 # the log grid crosses the ratio switch at rho = 40 and, for m = 19 and 50,
 # reaches the ratio recurrence (2|z| in [20, 0.4 m^2)) past it
 _ORDERS = (0, 1, 8, 19, 50)
 _RHOS = tuple(np.geomspace(1e-3, 60.0, 12).tolist()) + (40.0, 41.9)
-_MEMOS = (bgcs._reduced, bgcs._state)
+_MEMOS = (bgcs._reduced, bgcs._series_triple, bgcs._state, bgcs._rows)
 
 
 def _clear_memos():
@@ -122,9 +124,72 @@ def test_memos_are_bounded():
     for memo in _MEMOS:
         assert memo.cache_info().maxsize == 64
     for k in range(100):
-        bgcs_state(CoherentLabel(0.01 * (k + 1), 0.0), SubspaceSpec(0))
-    assert bgcs._state.cache_info().currsize == 64
-    assert bgcs._reduced.cache_info().currsize == 64
+        z = CoherentLabel(0.01 * (k + 1), 0.0)
+        bgcs_state(z, SubspaceSpec(0, depth=8 + k))
+        bgcs.g2(z, 0)
+    for memo in _MEMOS:
+        assert memo.cache_info().currsize == 64
+
+
+def test_amplitude_rows_are_read_only_and_capped():
+    rows = bgcs._amplitude_rows(3, 40)
+    assert rows is bgcs._amplitude_rows(3, 40)
+    for row in rows:
+        assert not row.flags.writeable
+        with pytest.raises(ValueError):
+            row[0] = 0
+    # past the cap of 1024 levels a set is built on each call, not stored
+    n = bgcs._ROWS_MEMO_LEVELS + 1
+    long = bgcs._amplitude_rows(3, n)
+    assert long is not bgcs._amplitude_rows(3, n)
+    assert [row.tobytes() for row in long] \
+        == [row.tobytes() for row in bgcs._rows.__wrapped__(3, n)]
+    assert bgcs._rows.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize("m", [0, 3, 50, 200, 300])
+def test_ln_amplitude_from_the_memo_equals_the_one_expression(m):
+    # float ln r and ln I, and columns over radii broadcast against the row;
+    # cold, then twice warm.  n = 1100 runs past the memo's cap, and with
+    # m >= 200 past the exact ln k! table
+    ln_r, ln_i = math.log(2.5), 1.7
+    cols = np.log(np.geomspace(0.01, 30.0, 7))[:, None], np.linspace(-3.0, 40.0, 7)[:, None]
+    for n in (1, 9, 31, 97, 1100):
+        for r, i in ((ln_r, ln_i), cols):
+            want = ln_amplitude_reference(m, r, n, i).tobytes()
+            for _ in range(3):
+                assert bgcs._ln_amplitude(m, r, np.arange(n), i).tobytes() == want, n
+
+
+def test_series_triple_is_one_lookup_per_statistic(series_calls):
+    z, m = CoherentLabel.from_polar(2.1, 0.3), 4
+    bgcs_state(z, SubspaceSpec(m))
+    for f in (bgcs.mean_n, bgcs.mean_n_sq, bgcs.g2, bgcs.mandel_q, bgcs.fano):
+        f(z, m)
+    info = bgcs._series_triple.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 4, 1)
+    # R_m was stored by the state build and read again, never re-evaluated
+    assert sorted(k for _, k, _ in series_calls) == [4, 5, 6]
+    entry = bgcs._series_triple(m, z.rho * z.rho)
+    assert type(entry) is tuple
+    assert entry == tuple(specfun.bessel_i_reduced(m + k, z.rho * z.rho) for k in range(3))
+
+
+def test_series_triple_stores_no_exception(monkeypatch):
+    u, m = 2.25, 1
+    real = bgcs.bessel_i_reduced
+
+    def failing(k, w):
+        raise EvaluationError("series failed")
+    monkeypatch.setattr(bgcs, "bessel_i_reduced", failing)
+    for _ in range(2):
+        with pytest.raises(EvaluationError):
+            bgcs.mean_n(CoherentLabel(1.5, 0.0), m)
+    assert bgcs._series_triple.cache_info().currsize == 0
+    monkeypatch.setattr(bgcs, "bessel_i_reduced", real)
+    assert bgcs.mean_n(CoherentLabel(1.5, 0.0), m) == u * real(m + 1, u) / real(m, u)
+    # at m = 200 the stored entry is three zeros, which _step_ratios divides by
+    assert bgcs._series_triple(200, 25.0) == (0.0, 0.0, 0.0)
 
 
 @pytest.mark.parametrize("a,b", [

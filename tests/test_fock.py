@@ -150,6 +150,46 @@ def test_band_memo_is_bounded():
     assert info.maxsize == fock._BAND_MEMO_SIZE == 64 and info.currsize == 64
 
 
+@pytest.mark.parametrize("kind", ["k_plus", "k_minus", "k3", "number"])
+@pytest.mark.parametrize("m", [0, 3, 50])
+def test_memoised_ladder_equals_a_fresh_build_and_is_read_only(kind, m):
+    # dims 9 and 31 are served from the memo, 129 is past its cap of 128
+    # and is built on every call without being stored
+    build = fock._ladder.__wrapped__
+    fock._ladder.cache_clear()
+    for dim in (9, 31, 129):
+        want = build(kind, m, dim)
+        ops = [ladder_matrix(kind, SubspaceSpec(m, depth=dim - 1)) for _ in range(2)]
+        for op in ops:
+            assert op.entries.tobytes() == want.entries.tobytes()
+            assert (op.band, op.label) == (want.band, want.label)
+            assert not op.entries.flags.writeable
+            with pytest.raises(ValueError):
+                op.entries[0, 0] = 1.0
+        assert (ops[0] is ops[1]) == (dim <= fock._LADDER_MEMO_DIM)
+    info = fock._ladder.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (2, 2, 2)
+
+
+def test_ladder_memo_is_bounded():
+    fock._ladder.cache_clear()
+    for m in range(40):
+        ladder_matrix("k_minus", SubspaceSpec(m, depth=127))
+    info = fock._ladder.cache_info()
+    assert info.maxsize == fock._LADDER_MEMO_SIZE == 16 and info.currsize == 16
+    assert fock._LADDER_MEMO_DIM == 128
+
+
+def test_ladder_memo_stores_no_refusal():
+    fock._ladder.cache_clear()
+    for _ in range(2):
+        with pytest.raises(DomainError):
+            ladder_matrix("k_bogus", SubspaceSpec(2, depth=8))
+        with pytest.raises(DomainError):
+            ladder_matrix("k3", SubspaceSpec(2))
+    assert fock._ladder.cache_info().currsize == 0
+
+
 @pytest.mark.parametrize("args", [
     (-2, 6), (3, 10, -1), (2.5, 10), (True, 10), (np.bool_(True), 10), (2, 0),
     (2, -3), (2, 10.5), (2, True), (2, 10, 1, np.float64, -1), (2, 10, 1.5),

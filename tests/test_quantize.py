@@ -24,7 +24,8 @@ from landau_bgcs.quantize import (
 )
 from landau_bgcs.specfun import DomainError, EvaluationError
 from conftest import panel_grid
-from oracles import energy_commutators_reference, symbol_value
+from oracles import (energy_commutators_reference, energy_operator_decomposition_reference,
+                     symbol_value)
 
 
 def _spec(m, depth=16):
@@ -527,6 +528,17 @@ def test_energy_commutators_equal_the_matrix_product_reference(m, depth):
     spec = _spec(m, depth=depth)
     assert energy_commutators(m, spec).as_dict() == \
         energy_commutators_reference(m, spec).as_dict()
+
+
+@pytest.mark.parametrize("depth", [8, 16, 120, 344])
+@pytest.mark.parametrize("m", [0, 1, 3, 7, 50])
+def test_energy_decomposition_equals_the_matrix_product_reference(m, depth):
+    # each product of the quantized z and z-bar is one shifted product of
+    # the K- band, the one nonzero term of the dense longdouble product, so
+    # every field of the report keeps its bits
+    spec = _spec(m, depth=depth)
+    assert energy_operator_decomposition_check(m, spec).as_dict() == \
+        energy_operator_decomposition_reference(m, spec).as_dict()
 
 
 @pytest.mark.parametrize("report", [energy_commutators, energy_operator_decomposition_check])
