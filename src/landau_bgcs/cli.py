@@ -360,13 +360,15 @@ def cmd_quantize(cfg: RunConfig):
     depth = cfg.depth if cfg.depth is not None else 12
     sp = SubspaceSpec(cfg.m, depth=depth)
     op = quantize_closed_form(SymbolSpec(cfg.symbol), sp)
-    herm = float(abs(op.entries - op.entries.conj().T).max())
+    # diagonal k of op - op^H is d_k - conj(d_-k), with d_-k = 0 where absent
+    d = op.diagonals
+    hermitian = not any((v - d.get(-k, 0).conjugate()).any() for k, v in d.items())
     payload = {
         "symbol": cfg.symbol,
         "m": cfg.m,
         "depth": depth,
         "band": op.band,
-        "self_adjoint": herm == 0.0,
+        "self_adjoint": hermitian,
         "entries": op.entries.tolist(),
     }
     return payload, False, None

@@ -14,15 +14,16 @@ and center-coordinate ladders change m and so leave the subspace; inside it
 only their products survive, and those are diagonal: the Hamiltonian they
 assemble is hamiltonian_matrix.
 
-Every operator is an OperatorMatrix built from its diagonals, which derives
-its band from them.  lowering_band alone builds every
-diagonal of K-^i K+^j; the ladders, the quantized symbols, their identity
-checks and the thermal q^2 trace read it.  Each band is exact and depends
-on (m, dim, step, raising, dtype) alone, so it is built once and kept,
-read-only, in a memo of the last 64 bands: at most 10 MiB while each is a
-float64 band no longer than the q^2 trace's 20000 entries (see
-lowering_band).  ladder_matrix keeps its matrices the same way, keyed by
-(kind, m, dim), in a memo of the last 16 up to dim 128: at most 4 MiB.
+Every operator is an OperatorMatrix kept as its diagonals, which derives its
+band from them and forms the dense entries only when they are first read.
+lowering_band alone builds every diagonal of K-^i K+^j; the ladders, the
+quantized symbols, their identity checks and the thermal q^2 trace read it.
+Each band is exact and depends on (m, dim, step, raising, dtype) alone, so
+it is built once and kept, read-only, in a memo of the last 64 bands: at
+most 10 MiB while each is a float64 band no longer than the q^2 trace's
+20000 entries (see lowering_band).  ladder_matrix keeps its operators the
+same way, keyed by (kind, m, dim), in a memo of the last 16 up to dim 128:
+at most 4 MiB once their entries are read.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -121,38 +123,52 @@ class SubspaceSpec:
 
 @dataclass(frozen=True, init=False, eq=False)
 class OperatorMatrix:
-    """Truncated operator built from its diagonals.
+    """Truncated operator kept as its diagonals.
 
-    OperatorMatrix(dim, {offset: values}, label) lays each diagonal out in a
-    fresh (dim, dim) complex128 array, entries, which is read-only; offset k
-    is the diagonal np.diag(entries, k), so it needs dim - |k| values.  band
-    is derived, never declared: the largest |k| whose diagonal has a nonzero
-    real or imaginary part (NaN counts, -0.0 does not), 0 for a diagonal or
-    zero operator.
+    OperatorMatrix(dim, {offset: values}, label) keeps a read-only copy of
+    each diagonal in diagonals, a read-only {offset: diagonal} mapping;
+    offset k is the diagonal np.diag(entries, k), so it needs dim - |k|
+    values.  entries, the dense read-only (dim, dim) complex128 layout, is
+    formed on its first read and kept, so an operator whose entries are
+    never read allocates nothing of size dim^2.  band is derived, never
+    declared: the largest |k| whose diagonal has a nonzero real or
+    imaginary part (NaN counts, -0.0 does not), 0 for a diagonal or zero
+    operator.
     """
 
-    entries: np.ndarray
+    diagonals: MappingProxyType
     band: int
     label: str
 
     def __init__(self, dim: int, diagonals: dict, label: str = ""):
-        entries = np.zeros((dim, dim), dtype=np.complex128)
-        flat = entries.reshape(-1)
-        band = 0
+        kept, band = {}, 0
         for k, values in diagonals.items():
             size = dim - abs(k)
-            d = np.asarray(values)
+            d = np.array(values)
             if size < 1 or d.shape != (size,):
                 raise DomainError(f"diagonal {k} of a dimension-{dim} operator "
                                   f"needs {max(size, 0)} values, got shape {d.shape}")
-            start = k if k >= 0 else -k * dim
-            flat[start::dim + 1][:size] = d
-            if d.any():
-                band = max(band, abs(k))
-        entries.flags.writeable = False
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "band", band)
-        object.__setattr__(self, "label", label)
+            d.setflags(write=False)
+            kept[k] = d
+            if abs(k) > band and np.count_nonzero(d):
+                band = abs(k)
+        # frozen: the fields are set once, here, past the dataclass __setattr__
+        self.__dict__.update(_dim=dim, _entries=None, diagonals=MappingProxyType(kept),
+                             band=band, label=label)
+
+    @property
+    def entries(self) -> np.ndarray:
+        """The dense read-only (dim, dim) complex128 layout, formed once."""
+        entries = self._entries
+        if entries is None:
+            dim = self._dim
+            entries = np.zeros((dim, dim), dtype=np.complex128)
+            flat = entries.reshape(-1)
+            for k, d in self.diagonals.items():
+                flat[k if k >= 0 else -k * dim::dim + 1][:d.size] = d
+            entries.setflags(write=False)
+            self.__dict__["_entries"] = entries
+        return entries
 
 
 def lowering_band(m: int, dim: int, step: int = 1, dtype=np.float64,
@@ -217,9 +233,10 @@ def ladder_matrix(kind: str, spec: SubspaceSpec) -> OperatorMatrix:
     k_minus, k3 or number, each exact within the sector.
 
     A matrix depends on (kind, m, dim) alone.  Up to dim _LADDER_MEMO_DIM
-    (128, 256 KiB of complex128 entries) it is built once and served, the
-    same read-only OperatorMatrix, from a memo of the last _LADDER_MEMO_SIZE
-    (16) asked for: at most 4 MiB.  A larger one is built on each call."""
+    (128, 256 KiB of complex128 entries once read) it is built once and
+    served, the same read-only OperatorMatrix, from a memo of the last
+    _LADDER_MEMO_SIZE (16) asked for: at most 4 MiB.  A larger one is built
+    on each call."""
     if kind not in _LADDER_KINDS:
         raise DomainError(f"unknown ladder kind {kind!r}; expected one of {_LADDER_KINDS}")
     n = spec.require_depth() + 1

@@ -8,11 +8,12 @@ diagonal i - j term by term: the closed form with K-^i K+^j
 A_f[nu, up] = int f(z) a_nu(z) conj(a_up(z)) dmeasure with one radial moment
 per term, the angular integral being exact.
 
-Matrix identities are always asserted on the interior block (excluding the
-last few rows/columns), because a projected product like Q @ Q necessarily
+Operator identities are always asserted on the interior block (excluding the
+last few rows/columns), because a projected product like Q Q necessarily
 loses the contributions that pass through basis states above the truncation.
-Identity reports run their matrix algebra in 80-bit extended precision so the
-1e-12 interior claims are not eaten by double-rounding of entries ~ depth^2.
+Identity reports work on the operators' diagonals, never on a dense matrix,
+in 80-bit extended precision so the 1e-12 interior claims are not eaten by
+double-rounding of entries ~ depth^2.
 """
 
 from __future__ import annotations
@@ -150,7 +151,7 @@ def quantize_by_quadrature(sym: SymbolSpec, spec: SubspaceSpec,
                           @ (amp[:, :depth + 1 - n] * amp[:, n:]))
 
     op = _term_operator(sym, depth + 1, band, f"quadrature({sym.tag})")
-    if not np.isfinite(op.entries).all():
+    if any(np.count_nonzero(np.isfinite(d)) < d.size for d in op.diagonals.values()):
         raise EvaluationError(f"non-finite quadrature entry of symbol {sym.tag!r}")
     return op
 
@@ -215,7 +216,7 @@ class DecompositionReport(_Record):
     D = (1/2)[A_z, A_zbar]; entries lists every interior element above
     1e-12.  The boundary-projector hypothesis (a single (2,0) element of
     size sqrt((m+1)(m+2)/2), with opposite signs for the two residuals) is
-    evaluated against the computed matrices rather than assumed.
+    evaluated against the computed residuals rather than assumed.
     """
 
     m: int
@@ -242,13 +243,9 @@ def _sector(m, spec: SubspaceSpec) -> int:
     return m
 
 
-def _interior(a: np.ndarray, margin: int) -> np.ndarray:
-    return a[:a.shape[0] - margin, :a.shape[1] - margin]
-
-
 def energy_operator_decomposition_check(m: int, spec: SubspaceSpec) -> DecompositionReport:
     """The quantized-energy operator identities on sector m, entry by entry
-    on the dense truncated matrices.
+    on the diagonals of the truncated operators.
 
     Everything runs in 80-bit extended precision.  The four products of the
     quantized z (the K- band b on the superdiagonal) and z-bar (its
@@ -256,57 +253,58 @@ def energy_operator_decomposition_check(m: int, spec: SubspaceSpec) -> Decomposi
     and z-bar z-bar are b[t] b[t+1] on diagonals +2 and -2, z z-bar is b^2
     on the diagonal with a zero last, z-bar z is b^2 shifted down one.
     Each entry is the one nonzero product the matrix product would sum with
-    exact zeros, so it has the same bits, in O(dim^2) rather than O(dim^3).
-    In the untruncated algebra the squared-coordinate residuals vanish
-    identically (the quantized z^2 equals the square of the quantized z,
-    entry by entry); the report records what the matrices actually say,
-    and separately whether that matches the claimed extra single-entry
-    projector corrections.  m must be spec.m, else DomainError.
+    exact zeros, so it has the same bits, and every residual lies on one of
+    two diagonals: on diagonal 0, r0 = diag - (z z-bar + z-bar z)/2 -
+    [z, z-bar]/2 (the q and p residuals and the energy split alike), on
+    +-2, r2 = (K-^2 band)/2 - b[t] b[t+1]/2 (the q residual; the p residual
+    is -r2).  In the untruncated algebra the squared-coordinate residuals
+    vanish identically (the quantized z^2 equals the square of the
+    quantized z, entry by entry); the report records what the truncation
+    actually gives, and separately whether that matches the claimed extra
+    single-entry projector corrections.  m must be spec.m, else
+    DomainError.
     """
     m = _sector(m, spec)
     depth = spec.require_depth()
     dim = depth + 1
     ld = np.longdouble
     band = lowering_band(m, dim, 1, ld)
-    a2 = np.diag(lowering_band(m, dim, 2, ld), 2)
-    diag = np.diag(lowering_band(m, dim, 1, ld, raising=1))
-    pairs, squares, zero = band[:-1] * band[1:], band * band, np.zeros(1, ld)
-    z_z, zb_zb = np.diag(pairs, 2), np.diag(pairs, -2)
-    z_zb = np.diag(np.concatenate((squares, zero)))
-    zb_z = np.diag(np.concatenate((zero, squares)))
-    comm_half = (z_zb - zb_z) / ld(2)
+    squares = band * band
+    z_zb, zb_z = np.append(squares, 0), np.insert(squares, 0, 0)
+    r0 = (lowering_band(m, dim, 1, ld, raising=1) - 0.5 * (z_zb + zb_z)) \
+        - (z_zb - zb_z) / ld(2)
+    r2 = 0.5 * lowering_band(m, dim, 2, ld) - 0.5 * (band[:-1] * band[1:])
 
-    q_sq_matrix = 0.5 * (z_z + zb_zb + z_zb + zb_z)
-    p_sq_matrix = -0.5 * (z_z + zb_zb - z_zb - zb_z)
-    a_qsq = diag + 0.5 * (a2 + a2.T)
-    a_psq = diag - 0.5 * (a2 + a2.T)
-
+    # the interior block, dim - margin rows, as (row, row + 2 (j - 1)) for
+    # j = 0, 1, 2: diagonals -2, 0 and +2, so its rows read in matrix order
     margin = 2
-    energy_split = diag - 0.5 * (q_sq_matrix + p_sq_matrix) - comm_half
-    resid_q = a_qsq - q_sq_matrix - comm_half
-    resid_p = a_psq - p_sq_matrix - comm_half
-    sym_sum = (resid_q + resid_p) - 2.0 * energy_split
+    n = dim - margin
+    inner_q = np.zeros((n, 3), ld)
+    inner_q[2:, 0] = inner_q[:-2, 2] = r2[:n - 2]
+    inner_q[:, 1] = r0[:n]
+    inner_p = inner_q * (-1.0, 1.0, -1.0)
+    sym_sum = inner_q + inner_p
+    sym_sum[:, 1] -= 2.0 * r0[:n]
 
-    def collect(a):
-        inner = _interior(a, margin)
-        out = []
-        for r, c in np.argwhere(np.abs(inner) > 1e-12):
-            out.append(MatrixEntry(int(r), int(c), float(inner[r, c])))
-        return tuple(out), float(np.max(np.abs(inner)))
+    def collect(inner):
+        rows, j = np.nonzero(np.abs(inner) > 1e-12)
+        out = tuple(map(MatrixEntry, rows.tolist(), (rows + 2 * j - 2).tolist(),
+                        inner[rows, j].astype(float).tolist()))
+        return out, float(np.max(np.abs(inner)))
 
-    q_entries, q_max = collect(resid_q)
-    p_entries, p_max = collect(resid_p)
+    q_entries, q_max = collect(inner_q)
+    p_entries, p_max = collect(inner_p)
     claimed = math.sqrt((m + 1) * (m + 2) / 2.0)
-    at_claimed = float(resid_q[2, 0])
+    at_claimed = float(r2[0])
     return DecompositionReport(
-        m=m, depth=depth, interior=dim - margin,
-        energy_split_max_err=float(np.max(np.abs(_interior(energy_split, margin)))),
-        symmetric_sum_max_err=float(np.max(np.abs(_interior(sym_sum, margin)))),
+        m=m, depth=depth, interior=n,
+        energy_split_max_err=float(np.max(np.abs(r0[:n]))),
+        symmetric_sum_max_err=float(np.max(np.abs(sym_sum))),
         residual_q_entries=q_entries,
         residual_p_entries=p_entries,
         max_interior_residual_q=q_max,
         max_interior_residual_p=p_max,
-        edge_residual_q=float(np.max(np.abs(resid_q))),
+        edge_residual_q=float(max(np.max(np.abs(r0)), np.max(np.abs(r2)))),
         claimed_entry=(2, 0),
         claimed_coefficient=claimed,
         computed_at_claimed_entry_q=at_claimed,
@@ -344,22 +342,21 @@ class CommutatorReport(_Record):
 
 def energy_commutators(m: int, spec: SubspaceSpec) -> CommutatorReport:
     """Commutators of the quantized energy with the four plain power symbols,
-    matrix algebra vs banded closed forms, on the interior block.
+    operator algebra vs banded closed forms, on the interior block.
 
     The quantized energy is the diagonal d of K- K+, so each commutator
-    [diag(d), X] is formed by scaling, d[row] X - X d[col], in 80-bit
-    extended precision: every entry is the one nonzero product a matrix
-    product would form, so it has the same bits, in O(dim^2).  The route
-    never reads the closed forms it is checked against.  m must be spec.m,
-    else DomainError."""
+    [diag(d), X] with X on the one diagonal k is d[row] x - x d[col] on that
+    diagonal, in 80-bit extended precision: every entry is the one nonzero
+    product a matrix product would form, so it has the same bits, in
+    O(dim).  The interior block drops the last margin entries of each
+    diagonal.  The route never reads the closed forms it is checked
+    against.  m must be spec.m, else DomainError."""
     m = _sector(m, spec)
     depth = spec.require_depth()
     dim = depth + 1
     ld = np.longdouble
     band = lowering_band(m, dim, 1, ld)
     band2 = lowering_band(m, dim, 2, ld)
-    az = np.diag(band, 1)
-    a2 = np.diag(band2, 2)
     d = lowering_band(m, dim, 1, ld, raising=1)
 
     # closed forms: the bands times their row factors, -(2 nu + m + 3) on the
@@ -367,23 +364,22 @@ def energy_commutators(m: int, spec: SubspaceSpec) -> CommutatorReport:
     # same numbers) and -2 (2 nu + m + 4) on the second superdiagonal
     nu = np.arange(dim - 1, dtype=ld)
     closed_band = (2 * nu + m + 3) * band
-    closed_z = -np.diag(closed_band, 1)
-    closed_zb = np.diag(closed_band, -1)
-    closed_z2 = -2.0 * np.diag((2 * nu[:-1] + m + 4) * band2, 2)
-    closed_zb2 = -closed_z2.T
+    closed_z2 = -2.0 * ((2 * nu[:-1] + m + 4) * band2)
 
+    # (name, offset, values, closed values, margin, example entry)
     cases = [
-        ("[abs_z_sq, z]", az, closed_z, 2, (0, 1)),
-        ("[abs_z_sq, z_bar]", az.T, closed_zb, 2, (2, 1)),
-        ("[abs_z_sq, z_sq]", a2, closed_z2, 3, (0, 2)),
-        ("[abs_z_sq, z_bar_sq]", a2.T, closed_zb2, 3, (2, 0)),
+        ("[abs_z_sq, z]", 1, band, -closed_band, 2, (0, 1)),
+        ("[abs_z_sq, z_bar]", -1, band, closed_band, 2, (2, 1)),
+        ("[abs_z_sq, z_sq]", 2, band2, closed_z2, 3, (0, 2)),
+        ("[abs_z_sq, z_bar_sq]", -2, band2, -closed_z2, 3, (2, 0)),
     ]
     checks = []
-    for name, other, closed, margin, example in cases:
-        comm = d[:, None] * other - other * d[None, :]
-        err = float(np.max(np.abs(_interior(comm - closed, margin))))
+    for name, k, x, closed, margin, example in cases:
+        rows, cols = (d[:dim - k], d[k:]) if k > 0 else (d[-k:], d[:dim + k])
+        comm = rows * x - x * cols
+        t = min(example)
         checks.append(CommutatorCheck(
-            name=name, max_interior_err=err, example_entry=example,
-            example_value=float(comm[example]),
-            expected_value=float(closed[example])))
+            name=name, max_interior_err=float(np.max(np.abs((comm - closed)[:-margin]))),
+            example_entry=example, example_value=float(comm[t]),
+            expected_value=float(closed[t])))
     return CommutatorReport(m=m, depth=depth, checks=tuple(checks))

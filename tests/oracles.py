@@ -1,6 +1,7 @@
 """Brute-force series oracles, the pointwise symbol value, the recursive
 JSON writer, the matrix-product energy commutators and operator
-decomposition, the amplitudes' log expression as one formula and the
+decomposition, the dense forms of the commutator and cross-route suite
+checks, the amplitudes' log expression as one formula and the
 constructor-built polar label that only the tests read."""
 
 from __future__ import annotations
@@ -10,9 +11,11 @@ import math
 import numpy as np
 
 from landau_bgcs.bgcs import _TWO_PI, CoherentLabel, _ln_fact_pairs
-from landau_bgcs.fock import SubspaceSpec, lowering_band
+from landau_bgcs.fock import SubspaceSpec, ladder_matrix, lowering_band
+from landau_bgcs.measure import build_grid
 from landau_bgcs.quantize import (CommutatorCheck, CommutatorReport, DecompositionReport,
-                                  MatrixEntry, _interior, _sector)
+                                  MatrixEntry, SymbolSpec, _sector, quantize_by_quadrature,
+                                  quantize_closed_form)
 from landau_bgcs.specfun import (_MAX_TERMS, _REL_TOL, DomainError, EvaluationError,
                                  _order, ln_factorial)
 
@@ -119,6 +122,38 @@ def jsonify_reference(obj, indent: int = 0) -> str:
             f'{pad}  "{k}": {jsonify_reference(v, indent + 1)}' for k, v in obj.items())
         return f"{{\n{inner}\n{pad}}}"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _interior(a: np.ndarray, margin: int) -> np.ndarray:
+    # the block without the last margin rows and columns
+    return a[:a.shape[0] - margin, :a.shape[1] - margin]
+
+
+def ladder_commutator_reference(m: int, depth: int = 16) -> float:
+    """The lowering_raising_commutator residual of checks.suite_commutators
+    as dense matrix products, az @ azb - azb @ az - 2 k3 on the interior
+    block, kept as the reference whose bits the diagonal route must
+    reproduce."""
+    sp = SubspaceSpec(m, depth=depth)
+    az = quantize_closed_form(SymbolSpec("z"), sp).entries
+    azb = quantize_closed_form(SymbolSpec("z_bar"), sp).entries
+    want = 2.0 * ladder_matrix("k3", sp).entries
+    return float(np.max(np.abs(_interior(az @ azb - azb @ az - want, 1))))
+
+
+def cross_route_reference(m: int, depth: int = 16) -> float:
+    """The quantization_cross_route residual of checks.suite_quantize as
+    dense entry differences on the interior block, kept as the reference
+    whose bits the diagonal route must reproduce."""
+    sp = SubspaceSpec(m, depth=depth)
+    grid = build_grid(max_degree=2 * depth + m + 3)
+    worst = 0.0
+    for tag in ("z", "z_bar", "abs_z_sq", "z_sq", "q_sq"):
+        quad = quantize_by_quadrature(SymbolSpec(tag), sp, grid)
+        closed = quantize_closed_form(SymbolSpec(tag), sp)
+        worst = max(worst, float(np.max(np.abs(
+            _interior(quad.entries - closed.entries, 2)))))
+    return worst
 
 
 def energy_commutators_reference(m: int, spec: SubspaceSpec) -> CommutatorReport:

@@ -344,17 +344,36 @@ def test_operator_matrix_rejects_diagonal_of_wrong_length(offset, values):
 
 
 def test_ladder_builds_one_dense_array():
-    # a band ladder allocates its entries and nothing else of their size;
-    # one warm call first, so first-call allocations are not counted
-    ladder_matrix("k_minus", SubspaceSpec(3, depth=20))
+    # a band ladder and its first entries read allocate the entries and
+    # nothing else of their size; one warm call first, so first-call
+    # allocations are not counted
+    ladder_matrix("k_minus", SubspaceSpec(3, depth=20)).entries
     tracemalloc.start()
     try:
-        op = ladder_matrix("k_minus", SubspaceSpec(3, depth=344))
+        entries = ladder_matrix("k_minus", SubspaceSpec(3, depth=344)).entries
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert op.entries.nbytes == 345 ** 2 * 16
-    assert peak <= 1.25 * op.entries.nbytes
+    assert entries.nbytes == 345 ** 2 * 16
+    assert peak <= 1.25 * entries.nbytes
+
+
+def test_entries_are_formed_once_and_equal_an_eager_layout():
+    # two reads return the same read-only array, bit for bit the layout of
+    # every kept diagonal into zeros, and the diagonals are read-only copies
+    lower = np.array([-0.0, 2.5j, math.nan])
+    op = OperatorMatrix(5, {2: np.arange(3.0), -2: lower, 0: np.full(5, -0.0)})
+    first = op.entries
+    assert op.entries is first and not first.flags.writeable
+    want = np.zeros((5, 5), np.complex128)
+    for k, d in op.diagonals.items():
+        t = np.arange(5 - abs(k))
+        want[t + max(-k, 0), t + max(k, 0)] = d
+    assert first.tobytes() == want.tobytes()
+    lower[1] = 0.0
+    assert op.diagonals[-2][1] == 2.5j and not op.diagonals[-2].flags.writeable
+    with pytest.raises(TypeError):
+        op.diagonals[1] = np.ones(4)
 
 
 def test_operator_matrix_read_only():

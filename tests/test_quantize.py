@@ -2,13 +2,16 @@
 
 import dataclasses
 import math
+import tracemalloc
 from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from landau_bgcs import cli
 from landau_bgcs.bgcs import CoherentLabel, bgcs_state, mean_k3
+from landau_bgcs.checks import run_suite
 from landau_bgcs.fock import SubspaceSpec, ladder_matrix
 from landau_bgcs.measure import _TAIL_TOL, build_grid, integrate
 from landau_bgcs.quantize import (
@@ -24,7 +27,8 @@ from landau_bgcs.quantize import (
 )
 from landau_bgcs.specfun import DomainError, EvaluationError
 from conftest import panel_grid
-from oracles import (energy_commutators_reference, energy_operator_decomposition_reference,
+from oracles import (cross_route_reference, energy_commutators_reference,
+                     energy_operator_decomposition_reference, ladder_commutator_reference,
                      symbol_value)
 
 
@@ -523,11 +527,12 @@ def test_energy_commutator_example_entries():
 @pytest.mark.parametrize("depth", [8, 16, 40, 120])
 @pytest.mark.parametrize("m", [0, 1, 3, 7, 50])
 def test_energy_commutators_equal_the_matrix_product_reference(m, depth):
-    # scaling by the diagonal forms each entry's one nonzero product, so
-    # every field keeps the bits of the dense longdouble products
+    # d[row] x - x d[col] on x's one diagonal is each entry's one nonzero
+    # product, so the printed report keeps the bytes of the dense longdouble
+    # products, the sign of every zero included
     spec = _spec(m, depth=depth)
-    assert energy_commutators(m, spec).as_dict() == \
-        energy_commutators_reference(m, spec).as_dict()
+    assert cli._jsonify(energy_commutators(m, spec).as_dict()) == \
+        cli._jsonify(energy_commutators_reference(m, spec).as_dict())
 
 
 @pytest.mark.parametrize("depth", [8, 16, 120, 344])
@@ -535,10 +540,51 @@ def test_energy_commutators_equal_the_matrix_product_reference(m, depth):
 def test_energy_decomposition_equals_the_matrix_product_reference(m, depth):
     # each product of the quantized z and z-bar is one shifted product of
     # the K- band, the one nonzero term of the dense longdouble product, so
-    # every field of the report keeps its bits
+    # the printed report keeps its bytes, the sign of every zero included
     spec = _spec(m, depth=depth)
-    assert energy_operator_decomposition_check(m, spec).as_dict() == \
-        energy_operator_decomposition_reference(m, spec).as_dict()
+    assert cli._jsonify(energy_operator_decomposition_check(m, spec).as_dict()) == \
+        cli._jsonify(energy_operator_decomposition_reference(m, spec).as_dict())
+
+
+def test_suite_residuals_equal_their_dense_references():
+    # the diagonal routes of the commutator and cross-route suite checks
+    # keep the bits of the dense matrix products and entry differences
+    got = {c.name: c.residual for c in run_suite("commutators") + run_suite("quantize")}
+    for m in (0, 1, 3):
+        assert got[f"lowering_raising_commutator_m{m}"].hex() == \
+            ladder_commutator_reference(m).hex()
+        assert got[f"quantization_cross_route_m{m}"].hex() == cross_route_reference(m).hex()
+
+
+def test_energy_reports_build_no_dense_matrix():
+    # both reports read three bands and work on their diagonals, so at depth
+    # 344 they allocate far less than one (dim, dim) longdouble matrix
+    spec = _spec(3, depth=344)
+    energy_commutators(3, _spec(3, depth=20))
+    energy_operator_decomposition_check(3, _spec(3, depth=20))
+    tracemalloc.start()
+    try:
+        energy_operator_decomposition_check(3, spec)
+        energy_commutators(3, spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_closed_form_allocates_its_entries_only_when_read():
+    # the operator keeps its three diagonals; the dense layout waits for
+    # the first entries read
+    spec = _spec(3, depth=344)
+    quantize_closed_form(SymbolSpec("p_sq"), _spec(3, depth=20))
+    tracemalloc.start()
+    try:
+        op = quantize_closed_form(SymbolSpec("p_sq"), spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 345 ** 2 * 16
+    assert sorted(op.diagonals) == [-2, 0, 2]
 
 
 @pytest.mark.parametrize("report", [energy_commutators, energy_operator_decomposition_check])
