@@ -25,9 +25,12 @@ one radial sum against the weight (quantize.quantize_by_quadrature, and the
 frame's Gram diagonal G_nu, which resolution_of_identity_check and the
 kernel check bgcs.kernel_idempotence_check read from the grid's cache).
 
-integrate alone forms angles.  It writes the complex node matrix r e^{i phi}
-into one reusable workspace per thread, at most 10.5 MiB (the node matrix of
-the cutoff-600 grid at 256 angles; a larger one is allocated per call), and
+integrate alone forms angles.  It keeps the complex node matrix r e^{i phi}
+in one reusable workspace per thread, at most 10.5 MiB (the node matrix of
+the cutoff-600 grid at 256 angles; a larger one is allocated per call),
+read-only between fills, with the radius behind each row: a call rewrites
+only the rows whose radius changed (every library grid shares its panel
+edges, so grids of different cutoffs differ only in their last panel), and
 hands its integrand a read-only view that is valid only during the call.  No
 library route calls it; it stays here as the full 2-D rule that the
 benchmark (perfbench) times and that the tests use as an independent check.
@@ -84,7 +87,8 @@ _MAX_CUTOFF = 600.0
 # max_mode above 62
 _MIN_ANGLES = 256
 # grids build_grid keeps, least recently used dropped first; each holds at
-# most _PROFILE_CACHE_SIZE profiles of at most 2688 doubles (cutoff 600)
+# most _PROFILE_CACHE_SIZE profiles of at most 2688 doubles (cutoff 600),
+# or node amplitude matrices of n_radial x n doubles
 _SHARED_GRIDS = 8
 # entries of the node matrix of the largest library grid, cutoff 600 at
 # _MIN_ANGLES angles: 2688 x 256 complex, 10.5 MiB.  integrate keeps one
@@ -166,9 +170,11 @@ class QuadratureGrid:
     starts empty) of the scaled logs ln(e^{-x} I_m(x)) and ln(e^x K_m(x)) at
     x = (2.0 * nodes) * factor, keyed by (kind, order, factor), of the
     per-sector radial factor radial_weight(m), keyed by ("weight", order),
-    of the Gram diagonal, keyed by ("gram", order, n), and of the thermal P
-    profile, keyed by ("p", order, beta gap).  The thermal profiles, the
-    coherent amplitudes and the moment check read their Bessel logs through
+    of the coherent amplitudes at the nodes that quantize_by_quadrature
+    reads, an (n_radial, n) matrix keyed by ("amp", order, n), of the Gram
+    diagonal, keyed by ("gram", order, n), and of the thermal P profile,
+    keyed by ("p", order, beta gap).  The thermal profiles, the coherent
+    amplitudes and the moment check read their Bessel logs through
     _ln_bessel, so each is evaluated once per grid.
     """
 
@@ -376,26 +382,66 @@ def _unit_phases(n_angular: int) -> tuple[np.ndarray, np.ndarray]:
     return angles, phases
 
 
-def _take_workspace(size: int) -> np.ndarray:
-    # this thread's buffer if it holds size entries, else a fresh one; the
+class _NodeRows:
+    # integrate's node matrix: a flat complex buffer, read-only between
+    # fills, and the radius behind each of its rows at the angle count it was
+    # last filled for (NaN: no row).  A row r e^{i phi} depends on its radius
+    # and the angle count alone, so a call rewrites only the rows whose
+    # radius changed
+    __slots__ = ("buffer", "radii", "n_angular")
+
+    def __init__(self, size: int):
+        self.buffer = np.empty(size, dtype=np.complex128)
+        self.buffer.flags.writeable = False
+        self.radii = None
+        self.n_angular = 0
+
+    def matrix(self, nodes: np.ndarray, phases: np.ndarray) -> np.ndarray:
+        # the read-only (nodes.size, phases.size) matrix nodes e^{i phi}
+        n, a = nodes.size, phases.size
+        if a != self.n_angular:
+            self.radii = np.full(self.buffer.size // a, np.nan)
+            self.n_angular = a
+        radii = self.radii[:n]
+        stale = radii != nodes
+        if stale.any():
+            # each run of stale rows is one np.multiply, which gives a row
+            # the bits it has inside a whole-matrix fill; a fill cut short
+            # leaves its rows marked stale
+            radii[stale] = np.nan
+            edges = np.flatnonzero(np.diff(stale, prepend=False, append=False))
+            self.buffer.flags.writeable = True
+            try:
+                rows = self.buffer[:n * a].reshape(n, a)
+                for lo, hi in zip(edges[::2], edges[1::2]):
+                    np.multiply(nodes[lo:hi, None], phases, out=rows[lo:hi])
+            finally:
+                self.buffer.flags.writeable = False
+            radii[stale] = nodes[stale]
+        return self.buffer[:n * a].reshape(n, a)
+
+
+def _take_workspace(size: int) -> _NodeRows:
+    # this thread's node rows if they hold size entries, else fresh ones; the
     # slot stays empty until _return_workspace, so an integrand that calls
-    # integrate gets a buffer of its own
-    held = getattr(_WORKSPACE, "buffer", None)
-    if held is not None and held.size >= size:
-        _WORKSPACE.buffer = None
+    # integrate gets rows of its own
+    held = getattr(_WORKSPACE, "rows", None)
+    if held is not None and held.buffer.size >= size:
+        _WORKSPACE.rows = None
         return held
     if size <= _WORKSPACE_ENTRIES:
         # the larger buffer replaces the held one, which is freed first: the
         # first call on a larger grid then peaks as a per-call matrix did
-        _WORKSPACE.buffer = None
+        _WORKSPACE.rows = None
     del held
-    return np.empty(size, dtype=np.complex128)
+    return _NodeRows(size)
 
 
-def _return_workspace(buf: np.ndarray) -> None:
-    held = getattr(_WORKSPACE, "buffer", None)
-    if buf.size <= _WORKSPACE_ENTRIES and (held is None or held.size < buf.size):
-        _WORKSPACE.buffer = buf
+def _return_workspace(rows: _NodeRows) -> None:
+    held = getattr(_WORKSPACE, "rows", None)
+    size = rows.buffer.size
+    if size <= _WORKSPACE_ENTRIES and (held is None or held.buffer.size < size):
+        _WORKSPACE.rows = rows
 
 
 def integrate(f, m: int, grid: QuadratureGrid, vectorized: bool = False) -> complex:
@@ -406,21 +452,23 @@ def integrate(f, m: int, grid: QuadratureGrid, vectorized: bool = False) -> comp
     labels r e^{i phi}.  With vectorized=True, f is called once with the full
     (n_radial, n_angular) complex node matrix and must return a like-shaped
     array.  That matrix is read-only and valid only during the call: it is
-    written into one reusable workspace per thread, at most 10.5 MiB (the
-    node matrix of the cutoff-600 grid at 256 angles; a larger matrix is
-    allocated per call), and an integrand that itself calls integrate gets
-    a workspace of its own.  Summation is angular-first then radial, both
-    via pairwise reduction, for run-to-run bit identity.  A non-finite
-    sample raises EvaluationError naming its r and phi, and so do finite
-    samples whose sum overflows.
+    kept in one reusable workspace per thread, at most 10.5 MiB (the node
+    matrix of the cutoff-600 grid at 256 angles; a larger matrix is
+    allocated per call), whose buffer stays read-only between calls, so an
+    integrand cannot make its view writeable.  The workspace records the
+    radius behind each row and the angle count, and a call rewrites only
+    the rows whose radius changed, each with the bits of a whole-matrix
+    fill; an integrand that itself calls integrate gets a workspace of its
+    own.  Summation is angular-first then radial, both via pairwise
+    reduction, for run-to-run bit identity.  A non-finite sample raises
+    EvaluationError naming its r and phi, and so do finite samples whose sum
+    overflows.
     """
     n_radial, n_angular = grid.nodes.size, grid.n_angular
     angles, phases = _unit_phases(n_angular)
-    buf = _take_workspace(n_radial * n_angular)
+    rows = _take_workspace(n_radial * n_angular)
     try:
-        z_nodes = buf[:n_radial * n_angular].reshape(n_radial, n_angular)
-        np.multiply(grid.nodes[:, None], phases[None, :], out=z_nodes)
-        z_nodes.flags.writeable = False
+        z_nodes = rows.matrix(grid.nodes, phases)
         if vectorized:
             vals = f(z_nodes)
         else:
@@ -432,7 +480,7 @@ def integrate(f, m: int, grid: QuadratureGrid, vectorized: bool = False) -> comp
             total = complex((weight * angular).sum())
         return _checked_total(total, vals, grid.nodes, angles)
     finally:
-        _return_workspace(buf)
+        _return_workspace(rows)
 
 
 def integrate_radial(vals, m: int, grid: QuadratureGrid) -> float:

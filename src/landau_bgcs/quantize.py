@@ -87,18 +87,22 @@ def _term_operator(sym: SymbolSpec, dim: int, band, label: str) -> OperatorMatri
     # the sum over terms (i, j, c) of c band(i, j) on diagonal i - j; a term
     # whose diagonal lies outside the truncation adds nothing.  K-^j K+^i is
     # the transpose of K-^i K+^j, so band(i, j) depends on i + j and |i - j|
-    # alone, and each is built once
+    # alone, and each is built once.  Both routes come here, so a product
+    # that leaves double range raises EvaluationError, never a warning
     bands, diagonals = {}, {}
-    for i, j, c in sym.terms:
-        if not cmath.isfinite(c):
-            raise EvaluationError(f"non-finite coefficient {c!r} of z^{i} conj(z)^{j}")
-        k = i - j
-        if abs(k) < dim:
-            key = (i + j, abs(k))
-            if key not in bands:
-                bands[key] = band(i, j)
-            values = c * bands[key]
-            diagonals[k] = values if k not in diagonals else diagonals[k] + values
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, j, c in sym.terms:
+            if not cmath.isfinite(c):
+                raise EvaluationError(f"non-finite coefficient {c!r} of z^{i} conj(z)^{j}")
+            k = i - j
+            if abs(k) < dim:
+                key = (i + j, abs(k))
+                if key not in bands:
+                    bands[key] = band(i, j)
+                values = c * bands[key]
+                diagonals[k] = values if k not in diagonals else diagonals[k] + values
+    if any(np.count_nonzero(np.isfinite(d)) < d.size for d in diagonals.values()):
+        raise EvaluationError(f"non-finite entry of {label}")
     return OperatorMatrix(dim, diagonals, label)
 
 
@@ -112,7 +116,8 @@ def quantize_closed_form(sym: SymbolSpec, spec: SubspaceSpec) -> OperatorMatrix:
     K-^i K+^j exactly: its one diagonal, i - j, is fock.lowering_band(m,
     dim, i, raising=j), and each term adds c times it.  Named and custom
     symbols take the same route; the quantized z is the K- band, its square
-    the K-^2 band and |z|^2 the diagonal (nu+1)(m+nu+1).
+    the K-^2 band and |z|^2 the diagonal (nu+1)(m+nu+1).  An entry that
+    leaves double range raises EvaluationError, as in the quadrature route.
     """
     dim = spec.require_depth() + 1
     m = spec.m
@@ -142,7 +147,9 @@ def quantize_by_quadrature(sym: SymbolSpec, spec: SubspaceSpec,
     m = spec.m
     grid._require_degree(2 * depth + m + sym.degree + 1)
 
-    amp = _node_amplitudes(m, grid, depth + 1)
+    # every call on this (grid, sector, depth) reads the same amplitudes; the
+    # Gram diagonal is cached itself, so it builds its own and keeps none
+    amp = grid._cached(("amp", m, depth + 1), lambda: _node_amplitudes(m, grid, depth + 1))
     weight = grid.radial_weight(m)
 
     def band(i, j):
@@ -150,10 +157,7 @@ def quantize_by_quadrature(sym: SymbolSpec, spec: SubspaceSpec,
         return _TWO_PI * ((weight * grid.nodes ** (i + j))
                           @ (amp[:, :depth + 1 - n] * amp[:, n:]))
 
-    op = _term_operator(sym, depth + 1, band, f"quadrature({sym.tag})")
-    if any(np.count_nonzero(np.isfinite(d)) < d.size for d in op.diagonals.values()):
-        raise EvaluationError(f"non-finite quadrature entry of symbol {sym.tag!r}")
-    return op
+    return _term_operator(sym, depth + 1, band, f"quadrature({sym.tag})")
 
 
 # ------------------------------------------------------------- dispersions

@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from landau_bgcs import checks, cli, measure, thermo
+from landau_bgcs import checks, cli, measure, quantize, thermo
 from landau_bgcs.bgcs import _node_amplitudes
 from landau_bgcs.fock import PhysicalParams, SubspaceSpec
+from landau_bgcs.quantize import SymbolSpec, quantize_by_quadrature
 from landau_bgcs.measure import (
     QuadratureGrid,
     build_grid,
@@ -231,7 +232,7 @@ _WORKSPACE_CUTOFFS = [(292.0, 1440), (42.0, 448), (120.0, 768), (600.0, 2688),
 
 
 def test_workspace_grows_and_is_reused_bit_for_bit():
-    measure._WORKSPACE.buffer = None
+    measure._WORKSPACE.rows = None
     largest = 0
     for cutoff, n_radial in _WORKSPACE_CUTOFFS:
         g = build_grid(cutoff=cutoff)
@@ -246,14 +247,14 @@ def test_workspace_grows_and_is_reused_bit_for_bit():
         assert repr(got) == repr(want)
         assert seen == [z_nodes.tobytes()]
         largest = max(largest, n_radial * g.n_angular)
-        assert measure._WORKSPACE.buffer.size == largest
+        assert measure._WORKSPACE.rows.buffer.size == largest
     assert largest == measure._WORKSPACE_ENTRIES
 
 
 def test_growing_workspace_frees_the_smaller_buffer_first():
-    measure._WORKSPACE.buffer = None
+    measure._WORKSPACE.rows = None
     integrate(_angular_integrand, 0, build_grid(cutoff=42.0), vectorized=True)
-    smaller = weakref.ref(measure._WORKSPACE.buffer)
+    smaller = weakref.ref(measure._WORKSPACE.rows.buffer)
     alive = []
 
     def f(u):
@@ -266,10 +267,94 @@ def test_growing_workspace_frees_the_smaller_buffer_first():
 def test_workspace_larger_than_the_bound_is_not_kept():
     g = build_grid(max_degree=0, max_mode=64, cutoff=600.0)
     assert g.nodes.size * g.n_angular > measure._WORKSPACE_ENTRIES
-    measure._WORKSPACE.buffer = None
+    measure._WORKSPACE.rows = None
     want, _ = _fresh_integrate(_angular_integrand, 0, g)
     assert repr(integrate(_angular_integrand, 0, g, vectorized=True)) == repr(want)
-    assert measure._WORKSPACE.buffer is None
+    assert measure._WORKSPACE.rows is None
+
+
+# the distinct thermal cutoffs (1440/800/512/448 radial nodes), which share
+# every row but those of their last panel, then the cutoff-600 grid (2688)
+# and the smallest again
+_CYCLE_CUTOFFS = (292.0, 130.0, 60.0, 42.0, 600.0, 42.0)
+
+
+def _seen_and_result(m, grid):
+    seen = []
+
+    def f(u):
+        seen.append(u.tobytes())
+        return _angular_integrand(u)
+    return seen, integrate(f, m, grid, vectorized=True)
+
+
+def test_kept_rows_give_the_fresh_bits_across_grids_and_angle_counts():
+    measure._WORKSPACE.rows = None
+    coarse = panel_grid(8, max_degree=4, cutoff=20.0, n_angular=32)
+    # the same radii at another angle count share no row
+    narrow = dataclasses.replace(build_grid(cutoff=42.0), n_angular=32)
+    grids = [build_grid(cutoff=c) for c in _CYCLE_CUTOFFS] + [coarse, narrow]
+    inner = build_grid(cutoff=60.0)
+    for _ in range(2):
+        for g in grids:
+            seen, got = _seen_and_result(1, g)
+            want, z_nodes = _fresh_integrate(_angular_integrand, 1, g)
+            assert repr(got) == repr(want)
+            assert seen == [z_nodes.tobytes()]
+        # a nested call fills rows of its own and leaves the outer ones whole
+        outer_grid = grids[0]
+        _, z_outer = _fresh_integrate(_angular_integrand, 1, outer_grid)
+
+        def outer(u):
+            seen, c = _seen_and_result(1, inner)
+            want, z_inner = _fresh_integrate(_angular_integrand, 1, inner)
+            assert repr(c) == repr(want) and seen == [z_inner.tobytes()]
+            assert u.tobytes() == z_outer.tobytes()
+            return _angular_integrand(u) * c
+        c = _fresh_integrate(_angular_integrand, 1, inner)[0]
+        want = _fresh_integrate(lambda u: _angular_integrand(u) * c, 1, outer_grid)[0]
+        assert repr(integrate(outer, 1, outer_grid, vectorized=True)) == repr(want)
+
+
+def _mark_first_row():
+    # write a value no fill produces into the kept buffer's first entry
+    buf = measure._WORKSPACE.rows.buffer
+    buf.flags.writeable = True
+    buf[0] = -7.0
+    buf.flags.writeable = False
+
+
+def _first_entry(grid):
+    # the first node integrate hands its integrand on grid
+    seen = []
+    integrate(lambda u: seen.append(u[0, 0]) or _angular_integrand(u), 0, grid,
+              vectorized=True)
+    return seen[0]
+
+
+def test_warm_repeat_on_the_same_grid_recomputes_no_row():
+    g = build_grid(cutoff=292.0)
+    integrate(_angular_integrand, 0, g, vectorized=True)
+    _mark_first_row()
+    assert _first_entry(g) == -7.0
+    # a grid that shares the first radius keeps that row too, and a changed
+    # radius or angle count refills it
+    assert _first_entry(build_grid(cutoff=42.0)) == -7.0
+    coarse = panel_grid(8, max_degree=4, cutoff=20.0, n_angular=256)
+    assert _first_entry(coarse) == coarse.nodes[0]
+    _mark_first_row()
+    assert _first_entry(dataclasses.replace(coarse, n_angular=32)) == coarse.nodes[0]
+
+
+def test_integrand_cannot_make_its_argument_writeable(grid):
+    def write(u):
+        u.flags.writeable = True
+        u[0, 0] = 1.0
+        return u
+    with pytest.raises(ValueError):
+        integrate(write, 0, grid, vectorized=True)
+    want, _ = _fresh_integrate(_angular_integrand, 0, grid)
+    assert repr(integrate(_angular_integrand, 0, grid, vectorized=True)) == repr(want)
 
 
 def _scale_in_place(u):
@@ -730,6 +815,26 @@ def test_profile_cache_is_per_instance_and_bounded():
     assert ("k", 0, 1.0) not in a._profiles
     assert np.array_equal(a._ln_bessel("k", 0, 1.0), first)
     assert np.array_equal(b._ln_bessel("k", 0, 1.0), first)
+
+
+def test_quadrature_amplitudes_are_built_once_per_grid_sector_and_depth(monkeypatch):
+    g = dataclasses.replace(build_grid(max_degree=2 * 8 + 3 + 3))
+    builds = []
+
+    def counted(m, grid, n):
+        builds.append((m, n))
+        return _node_amplitudes(m, grid, n)
+    monkeypatch.setattr(quantize, "_node_amplitudes", counted)
+    sym, spec = SymbolSpec("q_sq"), SubspaceSpec(3, depth=8)
+    cold = quantize_by_quadrature(sym, spec, g)
+    warm = quantize_by_quadrature(sym, spec, g)
+    assert builds == [(3, 9)]
+    assert cold.entries.tobytes() == warm.entries.tobytes()
+    amp = g._profiles[("amp", 3, 9)]
+    assert amp.tobytes() == _node_amplitudes(3, g, 9).tobytes() and not amp.flags.writeable
+    # the Gram diagonal is cached itself and keeps no amplitude entry
+    resolution_of_identity_check(SubspaceSpec(3, depth=10), 8, g)
+    assert [k for k in g._profiles if k[0] == "amp"] == [("amp", 3, 9)]
 
 
 def test_profile_cache_input_rules(monkeypatch):

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -346,6 +347,20 @@ def test_quadrature_non_finite_symbol_raises(grid):
     for c in (math.nan, math.inf, complex(0.0, -math.inf)):
         with pytest.raises(EvaluationError, match="non-finite"):
             quantize_closed_form(SymbolSpec("custom", terms=((1, 0, c),)), SubspaceSpec(0, depth=8))
+
+
+@pytest.mark.parametrize("route", ["closed", "quadrature"])
+def test_overflowing_entries_raise_without_a_warning(route, grid):
+    # finite coefficients whose product with the band leaves double range
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EvaluationError, match="non-finite entry"):
+            if route == "closed":
+                quantize_closed_form(SymbolSpec("custom", terms=((2, 0, 1e305),)),
+                                     SubspaceSpec(0, depth=344))
+            else:
+                quantize_by_quadrature(SymbolSpec("custom", terms=((2, 0, 1e307),)),
+                                       SubspaceSpec(0, depth=8), grid)
 
 
 def test_quadrature_grid_validation(grid):
