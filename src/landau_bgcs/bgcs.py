@@ -84,6 +84,8 @@ _TWO_PI = 2.0 * math.pi
 DEFAULT_TAIL_TOL = 1e-16
 # label truncation for the kernel check: the last kept |a_nu|^2 is below this
 _KERNEL_TAIL_TOL = 1e-300
+# Newton steps _auto_depth takes at most toward its first probe
+_NEWTON_STEPS = 16
 
 # reduced-series vs scaled-Bessel switchover radius for mean-value ratios
 _RATIO_SWITCH = 40.0
@@ -263,15 +265,24 @@ def _auto_depth(m: int, r: float, tail_tol: float, ln_i: float) -> int:
     tail_tol, with nu* = (sqrt(m^2 + 4 r^2) - m)/2 the peak of the nu
     distribution.  Past the peak ln a_nu is concave and falling, so the test
     holds from one depth on, the depth a linear scan from the same start
-    returns.  The first probe is the Gaussian estimate of that depth,
+    returns.  The Gaussian estimate of that depth,
     nu* + sqrt(-2 ln tail_tol) sigma with sigma^2 = 1/(1/nu* + 1/(nu* + m + 1))
-    (about 8.6 widths at the default tail_tol), or the start where that is
-    not past it.  Where the probe holds, a bisection down to the start finds
-    the depth; where it fails, steps doubling from it bracket the depth and
-    a bisection finds it.  The tail test is _ln_amplitude at an int depth,
-    on floats: the operations of the amplitude vector's element, in the
-    same order, so the test reads the bits that element will have, and no
-    step builds an array."""
+    (about 8.6 widths at the default tail_tol), starts Newton steps on
+    F(nu) = (m + 2 nu) ln r - ln I_m(2r) - ln Gamma(nu+1) - ln Gamma(nu+m+1)
+    - ln tail_tol, the log tail test on real nu, with the slope
+    2 ln r - ln(nu+1) - ln(nu+m+1), the exact change of 2 ln a_nu from nu
+    to nu + 1; where that estimate is not past the start, the start is
+    tested first and the steps start there.  The tail falls like
+    r^(2 nu)/(nu! (nu+m)!), far from a Gaussian at small r and tiny
+    tail_tol (the kernel check's 1e-300 lies 54 to 615 widths out there),
+    so the steps, not the estimate, find the probe: the depth above the
+    root of F.  Steps doubling from it, down where it holds and up where
+    it fails, bracket the depth for a bisection; most often the probe and
+    the depth below it settle it, in two tail tests where the doubling from
+    the estimate took 10 to 14 at 1e-300.  The tail test is _ln_amplitude at
+    an int depth, on floats: the operations of the amplitude vector's
+    element, in the same order, so the test reads the bits that element
+    will have, and no step builds an array."""
     ln_r, ln_tol = math.log(r), math.log(tail_tol)
 
     def below(depth: int) -> bool:
@@ -286,17 +297,41 @@ def _auto_depth(m: int, r: float, tail_tol: float, ln_i: float) -> int:
     peak = 0.5 * (math.hypot(m, 2.0 * r) - m)
     start = max(30, math.ceil(peak))
     # lo is start - 1 or a depth that fails the test, hi one that passes it
-    lo, probe = start - 1, start
+    lo, nu = start - 1, float(start)
     spread = -2.0 * ln_tol * peak * (peak + m + 1) / (2.0 * peak + m + 1)
     if (start - peak) ** 2 < spread < math.inf:
-        probe = math.ceil(peak + math.sqrt(spread))
-    if not below(probe):
-        lo, step = probe, 1
+        nu = peak + math.sqrt(spread)
+    elif below(start):
+        return start
+    else:
+        lo = start
+    for _ in range(_NEWTON_STEPS):
+        try:
+            gap = ((m + 2.0 * nu) * ln_r - ln_i - math.lgamma(nu + 1.0)
+                   - math.lgamma(nu + m + 1.0) - ln_tol)
+            step = gap / (math.log(nu + 1.0) + math.log(nu + m + 1.0) - 2.0 * ln_r)
+        except (OverflowError, ZeroDivisionError):
+            # a depth past 1e305 or a slope lost to rounding: probe from here
+            break
+        if not math.isfinite(nu + step):
+            break
+        nu += step
+        if nu <= lo or abs(step) < 0.5:
+            break
+    probe = max(math.ceil(nu), lo + 1)
+    step = 1
+    if below(probe):
+        hi = probe
+        while hi - step > lo and below(hi - step):
+            hi -= step
+            step *= 2
+        lo = max(hi - step, lo)
+    else:
+        lo = probe
         while not below(lo + step):
             lo += step
             step *= 2
-        probe = lo + step
-    hi = probe
+        hi = lo + step
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if below(mid):

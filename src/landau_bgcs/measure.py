@@ -5,12 +5,19 @@ The radial direction uses composite 32-point Gauss-Legendre panels on
 (0, R]: eight panels graded geometrically toward the origin up to r = 0.5
 (the weight has a log singularity at the origin for m = 0 and steep power
 behavior for larger m), one panel [0.5, 4], and uniform panels 8 wide from
-r = 4 to R, where every library integrand is a smooth e^{-c r} (c <= 2)
-times a slowly varying factor (see build_grid).  The angular direction uses
-the uniform trapezoid rule, which is spectrally exact for trigonometric
-polynomials below the node count.  Integration is deterministic:
-fixed radial-then-angular order with pairwise reductions, so identical inputs
-give bit-identical results.
+r = 4 to the degree's own cutoff R_p, where every library integrand is a
+smooth e^{-c r} (c <= 2) times a slowly varying factor (see build_grid).
+On a grid cut off at R > R_p (a hot thermal grid), the panels past R_p are
+8 R / R_p wide: there the degree moments are already below the tail
+tolerance and the thermal profiles decay like e^{-c r} with c R <= 2 R_p,
+so the Bernstein-ellipse bound of the 8-wide panels holds on the wider
+ones, and at degree 24 no grid has more than 640 radial nodes, whatever
+the temperature.  A grid cut off at R_p (each degree grid, the cold
+thermal grid) has no widened panel, and grids of one degree share every
+node up to R_p.  The angular direction uses the uniform trapezoid rule,
+which is spectrally exact for trigonometric polynomials below the node
+count.  Integration is deterministic: fixed radial-then-angular order with
+pairwise reductions, so identical inputs give bit-identical results.
 
 Every Bessel profile the quadrature and thermal routes read depends only on
 the grid, so each grid evaluates it once: QuadratureGrid keeps the scaled
@@ -27,13 +34,13 @@ kernel check bgcs.kernel_idempotence_check read from the grid's cache).
 
 integrate alone forms angles.  It keeps the complex node matrix r e^{i phi}
 in one reusable workspace per thread, at most 10.5 MiB (the node matrix of
-the cutoff-600 grid at 256 angles; a larger one is allocated per call),
-read-only between fills, with the radius behind each row: a call rewrites
-only the rows whose radius changed (every library grid shares its panel
-edges, so grids of different cutoffs differ only in their last panel), and
-hands its integrand a read-only view that is valid only during the call.  No
-library route calls it; it stays here as the full 2-D rule that the
-benchmark (perfbench) times and that the tests use as an independent check.
+8-wide panels to cutoff 600 at 256 angles; a larger one is allocated per
+call), read-only between fills, with the radius behind each row: a call
+rewrites only the rows whose radius changed (grids of one degree and
+different cutoffs share every row up to the degree's cutoff), and hands its
+integrand a read-only view that is valid only during the call.  No library
+route calls it; it stays here as the full 2-D rule that the benchmark
+(perfbench) times and that the tests use as an independent check.
 
 Note the plane carries infinite total mass under this measure: the radial
 density (2/pi) I_m K_m r tends to the constant 1/(2 pi), exactly as for the
@@ -87,10 +94,11 @@ _MAX_CUTOFF = 600.0
 # max_mode above 62
 _MIN_ANGLES = 256
 # grids build_grid keeps, least recently used dropped first; each holds at
-# most _PROFILE_CACHE_SIZE profiles of at most 2688 doubles (cutoff 600),
-# or node amplitude matrices of n_radial x n doubles
+# most _PROFILE_CACHE_SIZE profiles of at most 2688 doubles (8-wide panels
+# to cutoff 600), or node amplitude matrices of n_radial x n doubles
 _SHARED_GRIDS = 8
-# entries of the node matrix of the largest library grid, cutoff 600 at
+# entries of the node matrix of the largest grid build_grid makes, 8-wide
+# panels to cutoff 600 (a degree whose own cutoff is about 600) at
 # _MIN_ANGLES angles: 2688 x 256 complex, 10.5 MiB.  integrate keeps one
 # reusable buffer of at most this size per thread and allocates a larger
 # matrix per call
@@ -293,20 +301,33 @@ def build_grid(max_degree: int = 24,
     whose edges shrink geometrically toward the origin by _GRADING_RATIO, so
     the near-origin weight behavior is captured without ever placing a node
     at r = 0.  The next panel is [0.5, 2 _PANEL_WIDTH] = [0.5, 4], and
-    uniform panels _FAR_PANEL_WIDTH = 8 wide follow (edges 4, 12, 20, ...),
-    the last one cut short at R.  Every panel has _PANEL_POINTS = 32
-    Gauss-Legendre nodes.  Past r = 4 every library integrand is e^{-c r}
-    (c <= 2) times a factor whose nearest singularity is the origin, at
-    least half a far panel away.  The Bernstein-ellipse bound for an
-    n-point rule, 64 M / (15 (rho^2 - 1) rho^(2n)) with M the bound on the
-    ellipse (Trefethen, SIAM Rev. 50, 67 (2008), Thm 4.5), puts e^{-2r} on
-    an 8-wide panel below 1.2e-51 of its midpoint value (rho = 16.6), and
-    the factor's singularity (rho < 2 + sqrt 3) still leaves about 1e-29,
-    so the wide far panels cost no accuracy.  Without a cutoff, R leaves a
-    max_degree moment tail below _TAIL_TOL; a cutoff outside
-    (0, _MAX_CUTOFF] raises DomainError.  max_mode only sets
-    n_angular = max(256, 4 max_mode + 8); every library route but integrate
-    is radial.  Each rule (max_degree, n_angular, R) is one shared grid, its
+    uniform panels _FAR_PANEL_WIDTH = 8 wide follow (edges 4, 12, 20, ...)
+    up to R_p = _required_cutoff(max_degree), the cutoff that leaves a
+    max_degree moment tail below _TAIL_TOL, the last one cut short there.
+    Every panel has _PANEL_POINTS = 32 Gauss-Legendre nodes.  Past r = 4
+    every library integrand is e^{-c r} (c <= 2) times a factor whose
+    nearest singularity is the origin, at least half a far panel away.  The
+    Bernstein-ellipse bound for an n-point rule,
+    64 M / (15 (rho^2 - 1) rho^(2n)) with M the bound on the ellipse
+    (Trefethen, SIAM Rev. 50, 67 (2008), Thm 4.5), puts e^{-2r} on an
+    8-wide panel below 1.2e-51 of its midpoint value (rho = 16.6), and the
+    factor's singularity (rho < 2 + sqrt 3) still leaves about 1e-29, so
+    the wide far panels cost no accuracy.
+
+    Without a cutoff, R = R_p.  A cutoff R > R_p (a thermal grid whose
+    decay is slow) lays uniform panels _FAR_PANEL_WIDTH R / R_p wide from
+    R_p on, the last one cut short at R.  There every max_degree moment is
+    already below _TAIL_TOL of its value, and an integrand e^{-c r} with
+    c R <= 2 R_p (the thermal Husimi and P profiles reach c R = 29 and 41)
+    falls by no more across one panel than e^{-2r} falls across an 8-wide
+    one, so the bound above carries over.  At most ceil(R_p / 8) panels
+    lie past R_p, so at degree 24 (R_p = 42) no grid has more than 640
+    nodes.  The panels up to R_p are the ones of R = R_p, bit for bit, so
+    a grid with R <= R_p (each degree grid, the cold thermal grid) has the
+    layout of 8-wide panels all the way, and grids of one degree share
+    every node up to R_p.  A cutoff outside (0, _MAX_CUTOFF] raises
+    DomainError.  max_mode only sets n_angular = max(256, 4 max_mode + 8);
+    every library route but integrate is radial.  Each rule (max_degree, n_angular, R) is one shared grid, its
     profile cache with it, and _SHARED_GRIDS of them are kept.
     """
     max_degree = _order(max_degree, "max_degree")
@@ -322,15 +343,24 @@ def _shared_grid(max_degree: int, n_angular: int, radius: float) -> QuadratureGr
     edges = [0.0]
     edges += [_PANEL_WIDTH * _GRADING_RATIO ** (k - _GRADING_LEVELS)
               for k in range(_GRADING_LEVELS)]
+    try:
+        inner = min(_required_cutoff(max_degree), radius)
+    except DomainError:
+        # no step of _required_cutoff's ladder meets the tail, but radius may
+        inner = radius
     # the first step closes the panel [_PANEL_WIDTH / 4, 2 _PANEL_WIDTH];
-    # every later one is a far panel
-    b, width = _PANEL_WIDTH, _PANEL_WIDTH
-    while b < radius - 1e-9:
-        b = min(b + width, radius)
-        edges.append(b)
-        width = _FAR_PANEL_WIDTH
-    if edges[-1] < radius:
-        edges.append(radius)
+    # every later one is a far panel, _FAR_PANEL_WIDTH wide up to the
+    # degree's own cutoff inner and _FAR_PANEL_WIDTH radius / inner wide
+    # past it, the last of each run cut short at its end; an edge within
+    # 1e-9 of that end is the end, so no panel is a sliver
+    wide = _FAR_PANEL_WIDTH * radius / inner
+    b = _PANEL_WIDTH
+    for stop, width, far_width in ((inner, _PANEL_WIDTH, _FAR_PANEL_WIDTH),
+                                   (radius, wide, wide)):
+        while b < stop:
+            b = b + width if b + width < stop - 1e-9 else stop
+            edges.append(b)
+            width = far_width
 
     # the rule is formed here, not at import, so numpy.polynomial loads
     # only in a process that builds a grid; the memo forms it once per grid
@@ -453,13 +483,13 @@ def integrate(f, m: int, grid: QuadratureGrid, vectorized: bool = False) -> comp
     (n_radial, n_angular) complex node matrix and must return a like-shaped
     array.  That matrix is read-only and valid only during the call: it is
     kept in one reusable workspace per thread, at most 10.5 MiB (the node
-    matrix of the cutoff-600 grid at 256 angles; a larger matrix is
+    matrix of 8-wide panels to cutoff 600 at 256 angles; a larger matrix is
     allocated per call), whose buffer stays read-only between calls, so an
     integrand cannot make its view writeable.  The workspace records the
     radius behind each row and the angle count, and a call rewrites only
-    the rows whose radius changed, each with the bits of a whole-matrix
-    fill; an integrand that itself calls integrate gets a workspace of its
-    own.  Summation is angular-first then radial, both via pairwise
+    the rows whose radius changed (grids of one degree share every row up
+    to the degree's cutoff), each with the bits of a whole-matrix fill; an
+    integrand that itself calls integrate gets a workspace of its own.  Summation is angular-first then radial, both via pairwise
     reduction, for run-to-run bit identity.  A non-finite sample raises
     EvaluationError naming its r and phi, and so do finite samples whose sum
     overflows.

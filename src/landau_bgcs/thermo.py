@@ -285,6 +285,10 @@ def thermal_grid(ts: ThermalSpec) -> QuadratureGrid:
     as the temperature rises.  The grid is build_grid's shared grid at that
     even cutoff, so every temperature and sector with the same cutoff reads
     the same profile cache; at cutoff 42 it is build_grid(max_degree=24).
+    Past 42, the degree's own cutoff, its panels are 8 cutoff / 42 wide, so
+    the node count stops growing as the temperature rises: 448 at cutoff
+    42, 480 to 608 above it (608 from cutoff 178 to the 600 cap), and the
+    first 448 nodes are the cutoff-42 grid's at every temperature.
     """
     a = ts.half_beta_gap
     rate = 2.0 * (1.0 - math.exp(-a))

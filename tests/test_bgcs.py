@@ -200,6 +200,60 @@ def test_auto_depth_from_the_gaussian_probe_is_the_linear_scan_depth(monkeypatch
     assert len(tests) < 4 * len(points)
 
 
+def _counted_auto_depth(monkeypatch, m, rho, tail_tol):
+    # (_auto_depth, the linear scan's depth, the tail tests it took)
+    ln_r, ln_i = math.log(rho), _ln_bessel_i(m, rho)
+    depth = max(30, math.ceil(0.5 * (math.hypot(m, 2.0 * rho) - m)))
+    while 2.0 * _ln_amplitude(m, ln_r, depth, ln_i) >= math.log(tail_tol):
+        depth += 1
+    tests = []
+    scalar = bgcs._ln_amplitude
+
+    def counted(m, ln_r, nu, ln_i):
+        tests.append(nu)
+        return scalar(m, ln_r, nu, ln_i)
+    monkeypatch.setattr(bgcs, "_ln_amplitude", counted)
+    got = _auto_depth(m, rho, tail_tol, ln_i)
+    monkeypatch.setattr(bgcs, "_ln_amplitude", scalar)
+    return got, depth, len(tests)
+
+
+@pytest.mark.parametrize("tail_tol", [1e-16, 1e-300])
+def test_auto_depth_from_the_newton_probe_is_the_linear_scan_depth(monkeypatch, tail_tol):
+    # at small moduli the 1e-300 crossing lies far past the Gaussian
+    # estimate; the Newton probe still lands next to it, so no state takes
+    # more than five tail tests
+    for m in (0, 1, 3, 8, 19, 50):
+        for rho in np.geomspace(1e-3, 60.0, 80).tolist():
+            got, depth, tests = _counted_auto_depth(monkeypatch, m, rho, tail_tol)
+            assert got == depth, (m, rho)
+            assert tests <= 5, (m, rho)
+
+
+def test_kernel_check_labels_take_at_most_five_tail_tests(monkeypatch):
+    # the kernel check truncates its labels at 1e-300; the benchmark's
+    # quadrature labels have |z| in [0.05, 3] on sectors 0 and 2, where the
+    # doubling from a Gaussian probe took 10 to 14 tests per state
+    assert bgcs._KERNEL_TAIL_TOL == 1e-300
+    for m in (0, 2):
+        for rho in np.linspace(0.05, 3.0, 60).tolist():
+            got, depth, tests = _counted_auto_depth(monkeypatch, m, rho, 1e-300)
+            assert got == depth and tests <= 5, (m, rho)
+
+
+def test_auto_depth_where_the_newton_slope_or_lgamma_leaves_double_range():
+    # at 1e100 the slope rounds to zero: the probe falls back to the
+    # estimate, and the depth is still the first one that passes the tail
+    # test; at 1e306 lgamma overflows, and the tail test itself leaves
+    # double range, which is the typed error it was before the Newton steps
+    ln_r, ln_i, ln_tol = math.log(1e100), _ln_bessel_i(0, 1e100), math.log(1e-300)
+    depth = _auto_depth(0, 1e100, 1e-300, ln_i)
+    assert 2.0 * _ln_amplitude(0, ln_r, depth, ln_i) < ln_tol
+    assert 2.0 * _ln_amplitude(0, ln_r, depth - 1, ln_i) >= ln_tol
+    with pytest.raises(DomainError, match="auto depth selection diverged"):
+        _auto_depth(0, 1e306, 1e-300, _ln_bessel_i(0, 1e306))
+
+
 def test_auto_depth_serves_a_large_modulus():
     v = bgcs_state(_label(5e4), SubspaceSpec(0))
     assert v.depth == 51247

@@ -226,16 +226,18 @@ def _fresh_integrate(f, m, grid):
     return complex((grid.radial_weight(m) * angular).sum()), z_nodes
 
 
-# build_grid cutoffs of 1440, 448, 768, 2688 and 448 radial nodes
-_WORKSPACE_CUTOFFS = [(292.0, 1440), (42.0, 448), (120.0, 768), (600.0, 2688),
-                      (42.0, 448)]
+# build_grid (max_degree, cutoff) rules of 608, 448, 576, 608, 2688 and 448
+# radial nodes; at degree 934 no panel widens, and its cutoff-600 grid is the
+# largest that build_grid makes
+_WORKSPACE_GRIDS = [(24, 292.0, 608), (24, 42.0, 448), (24, 120.0, 576),
+                    (24, 600.0, 608), (934, 600.0, 2688), (24, 42.0, 448)]
 
 
 def test_workspace_grows_and_is_reused_bit_for_bit():
     measure._WORKSPACE.rows = None
     largest = 0
-    for cutoff, n_radial in _WORKSPACE_CUTOFFS:
-        g = build_grid(cutoff=cutoff)
+    for degree, cutoff, n_radial in _WORKSPACE_GRIDS:
+        g = build_grid(max_degree=degree, cutoff=cutoff)
         assert g.nodes.size == n_radial
         seen = []
 
@@ -265,7 +267,7 @@ def test_growing_workspace_frees_the_smaller_buffer_first():
 
 
 def test_workspace_larger_than_the_bound_is_not_kept():
-    g = build_grid(max_degree=0, max_mode=64, cutoff=600.0)
+    g = build_grid(max_degree=934, max_mode=64, cutoff=600.0)
     assert g.nodes.size * g.n_angular > measure._WORKSPACE_ENTRIES
     measure._WORKSPACE.rows = None
     want, _ = _fresh_integrate(_angular_integrand, 0, g)
@@ -273,9 +275,9 @@ def test_workspace_larger_than_the_bound_is_not_kept():
     assert measure._WORKSPACE.rows is None
 
 
-# the distinct thermal cutoffs (1440/800/512/448 radial nodes), which share
-# every row but those of their last panel, then the cutoff-600 grid (2688)
-# and the smallest again
+# the distinct thermal cutoffs (608/576/512/448 radial nodes), which share
+# every row up to the degree's cutoff 42, then the cutoff-600 grid (608) and
+# the smallest again
 _CYCLE_CUTOFFS = (292.0, 130.0, 60.0, 42.0, 600.0, 42.0)
 
 
@@ -584,7 +586,7 @@ def test_library_grids_are_the_plain_radial_grids(monkeypatch):
     assert thermo._THERMAL_MIN_CUTOFF == 42.0
     for g in built + thermal:
         assert g is build_grid(max_degree=g.max_degree, cutoff=g.cutoff)
-        want = panel_grid(32, far_width=measure._FAR_PANEL_WIDTH,
+        want = panel_grid(32, far_width=measure._FAR_PANEL_WIDTH, widen=True,
                           max_degree=g.max_degree, cutoff=g.cutoff)
         assert g.nodes.tobytes() == want.nodes.tobytes()
         assert g.weights.tobytes() == want.weights.tobytes()
@@ -634,6 +636,123 @@ def test_far_panels_keep_the_p_normalization(beta_gap, m):
     ts = thermo.ThermalSpec(params, beta=beta_gap / params.epsilon_gap, m=m)
     got = thermo.p_normalization_check(ts, thermo.thermal_grid(ts))
     assert got <= _P_NORM_2_WIDE[beta_gap, m]
+
+
+# ------------------------------------------ panels past the degree's cutoff
+
+# beta gap of the hot thermal grids: cutoffs 596, 292, 130 and 60 against the
+# degree-24 cutoff 42
+_HOT_BETA_GAPS = (0.0495, 0.1, 0.227, 0.514)
+
+
+def _thermal(beta_gap, m=0):
+    return thermo.ThermalSpec(PhysicalParams(), beta=beta_gap, m=m, gap_energy=1.0)
+
+
+def _mp_gauss_legendre(n):
+    # the n-point Gauss-Legendre rule to the working precision: numpy's
+    # nodes refined by Newton steps on P_n
+    import mpmath as mp
+    nodes, weights = [], []
+    for x0 in np.polynomial.legendre.leggauss(n)[0]:
+        t = mp.mpf(x0)
+        for _ in range(4):
+            dp = n * (t * mp.legendre(n, t) - mp.legendre(n - 1, t)) / (t * t - 1)
+            t -= mp.legendre(n, t) / dp
+        dp = n * (t * mp.legendre(n, t) - mp.legendre(n - 1, t)) / (t * t - 1)
+        nodes.append(t)
+        weights.append(2 / ((1 - t * t) * dp * dp))
+    return nodes, weights
+
+
+@pytest.mark.parametrize("beta_gap", _HOT_BETA_GAPS)
+def test_widened_panels_hold_the_moments_and_the_thermal_decay(beta_gap):
+    # on each panel past 42, the 32-point rule misses r^p e^{-2r} (p <= 24)
+    # and r e^{-c r}, at the grid's Husimi and P rates c, by at most 1e-16
+    # of the integral over (0, inf)
+    import mpmath as mp
+    with mp.workdps(40):
+        x, w = _mp_gauss_legendre(32)
+        g = thermo.thermal_grid(_thermal(beta_gap))
+        assert g.cutoff > 42.0 and g.max_degree == 24
+        mids = g.nodes.reshape(-1, 32).mean(axis=1)
+        halves = g.weights.reshape(-1, 32).sum(axis=1) / 2.0
+        panels = [(mp.mpf(c) - h, mp.mpf(c) + h) for c, h in zip(mids, halves)
+                  if c - h > 42.0 - 1e-9]
+        assert len(panels) >= 2 and panels[-1][1] == pytest.approx(g.cutoff)
+        a = 0.5 * beta_gap
+        cases = [(p, mp.mpf(2)) for p in range(25)]
+        cases += [(1, mp.mpf(2.0 * (1.0 - math.exp(-a)))), (1, mp.mpf(2.0 * math.expm1(a)))]
+        for p, c in cases:
+            full = mp.factorial(p) / c ** (p + 1)
+            for lo, hi in panels:
+                mid, half = (lo + hi) / 2, (hi - lo) / 2
+                rule = half * mp.fsum(wi * (mid + half * xi) ** p * mp.exp(-c * (mid + half * xi))
+                                      for xi, wi in zip(x, w))
+                exact = mp.gammainc(p + 1, c * lo, c * hi) / c ** (p + 1)
+                assert abs(rule - exact) <= 1e-16 * full, (p, c, lo, hi)
+
+
+def _thermal_routes(ts, g):
+    return {"husimi_norm": thermo.husimi_normalization_check(ts, g),
+            "p_norm": thermo.p_normalization_check(ts, g),
+            "occupancy": thermo.thermal_mean_n_quadrature(ts, g),
+            "g": thermo.thermal_g_quadrature(ts, g),
+            "q2": thermo.thermal_q2_three_ways(ts, g).p_quadrature,
+            "population_0": thermo.fock_population_reconstruction(0, ts, g),
+            "population_5": thermo.fock_population_reconstruction(5, ts, g),
+            "wehrl": thermo.wehrl_entropy(ts, g).quadrature}
+
+
+@pytest.mark.parametrize("beta_gap", _HOT_BETA_GAPS)
+@pytest.mark.parametrize("m", [0, 1, 4, 20, 36])
+def test_thermal_routes_on_widened_panels_agree_with_8_wide_panels(beta_gap, m):
+    # the same routes on 8-wide panels all the way to the cutoff: the two
+    # normalisation residuals to 1e-13, every other value to 1e-13 relative
+    ts = _thermal(beta_gap, m)
+    g = thermo.thermal_grid(ts)
+    full = panel_grid(32, far_width=8.0, max_degree=24, cutoff=g.cutoff)
+    assert full.nodes.size >= g.nodes.size
+    assert full.nodes[-32:].tobytes() != g.nodes[-32:].tobytes()
+    got, want = _thermal_routes(ts, g), _thermal_routes(ts, full)
+    for name, value in want.items():
+        scale = 1.0 if name.endswith("_norm") else abs(value)
+        assert abs(got[name] - value) <= 1e-13 * scale, name
+
+
+def test_thermal_grids_stop_growing_with_the_temperature():
+    # beta gap 0.0492 needs the 600 cap; past 42 no cutoff lays more than
+    # six widened panels, so no thermal grid has more than 20 panels
+    sizes = {}
+    for beta_gap in np.geomspace(0.0492, 1.0, 200).tolist():
+        g = thermo.thermal_grid(_thermal(beta_gap))
+        sizes[g.cutoff] = g.nodes.size
+    assert max(sizes) == 600.0 and min(sizes) == 42.0
+    assert max(sizes.values()) <= 640
+    assert sizes[600.0] == sizes[292.0] == 608 and sizes[42.0] == 448
+
+
+def test_cold_grid_nodes_are_a_prefix_of_every_hot_grid():
+    # the panels up to the degree's cutoff 42 are the cold grid's, bit for
+    # bit, at every even cutoff a thermal grid takes
+    cold = build_grid(max_degree=24)
+    assert cold.cutoff == 42.0
+    n = cold.nodes.size
+    for cutoff in range(44, 601, 2):
+        g = build_grid(max_degree=24, cutoff=float(cutoff))
+        assert g.nodes[:n].tobytes() == cold.nodes.tobytes(), cutoff
+        assert g.weights[:n].tobytes() == cold.weights.tobytes(), cutoff
+        assert g.nodes[n] > 42.0
+
+
+def test_no_panel_is_a_sliver():
+    # 42 + 4 (8 x 176.4 / 42) rounds to within 1e-9 of the cutoff 176.4: that
+    # edge is the cutoff, not the start of a panel 3e-14 wide
+    g = build_grid(max_degree=24, cutoff=176.4)
+    halves = g.weights.reshape(-1, 32).sum(axis=1) / 2.0
+    assert g.nodes.size == 576 and halves.min() > 1e-5
+    assert g.nodes.tobytes() == panel_grid(32, far_width=8.0, widen=True,
+                                           max_degree=24, cutoff=176.4).nodes.tobytes()
 
 
 # ------------------------------------------------------------- shared grids
