@@ -18,12 +18,17 @@ the same kernel the other way, from the amplitudes, as one radial sum.
 
 Memos.  Every statistic of a label is a ratio of I_m, I_{m+1} and I_{m+2} at
 2|z|, and a label's state, statistics, overlap and matrix routes ask for the
-same few values.  Four private least-recently-used memos of 64 entries each
+same few values.  Five private least-recently-used memos of 64 entries each
 serve those repeats from one evaluation:
   - the real reduced series R_k(u), keyed by (k, u): one float each;
   - the tuple (R_m, R_{m+1}, R_{m+2})(u) that each statistic reads in one
     lookup, keyed by (m, u) and built from three reads of the first, so the
     R_m a state build stored is read again: three floats each;
+  - past |z| = 40, where the ratios read e^{-x} I_k(x) instead of the
+    series, the tuple e^{-x} (I_m, I_{m+1}, I_{m+2})(x) at x = 2|z|, keyed
+    by (m, |z|), whose first entry is the state build's ln I_m(2|z|): three
+    floats each, so a label's state and statistics evaluate three scaled
+    Bessels;
   - the StateVector of bgcs_state, keyed by (label, the signs of its
     components, m, depth, tail_tol) and their types: one amplitude vector
     each, 16 bytes per level;
@@ -33,12 +38,11 @@ serve those repeats from one evaluation:
     per level, at most 1.5 MiB in all.
 Only real floats reach the series memos.  No public specfun kernel's result
 is memoised (specfun memoises only the K_0/K_1 pair per float argument that
-bessel_k raises to each order), so past |z| = 40, where the ratios read
-e^{-x} I_k(x) instead of the series, each route evaluates its own.  A hit
-returns what a fresh build returns, bit for bit, and an exception is never
-stored, so a repeat raises again.  A label's state, statistics and overlap
-store one state, one tuple and at most four series values, so the label
-memos keep the last dozen or more labels.  A cyclic pass over more than 64
+bessel_k raises to each order); these memos are bgcs's own.  A hit returns
+what a fresh build returns, bit for bit, and an exception is never stored,
+so a repeat raises again.  A label's state, statistics and overlap store
+one state, one tuple and at most four series values, so the label memos
+keep the last dozen or more labels.  A cyclic pass over more than 64
 distinct labels, such as a benchmark round of 512, finds nothing in them
 from its previous pass but the one normaliser its last overlap stored for
 the first label, which hits only where those two labels share an order.
@@ -107,6 +111,12 @@ def _reduced(k: int, u: float) -> float:
 def _series_triple(m: int, u: float) -> tuple[float, float, float]:
     # (R_m, R_{m+1}, R_{m+2})(u), one _reduced read per order
     return _reduced(m, u), _reduced(m + 1, u), _reduced(m + 2, u)
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _scaled_triple(m: int, r: float) -> tuple[float, float, float]:
+    # e^{-x} (I_m, I_{m+1}, I_{m+2})(x) at x = 2r, read past the ratio switch
+    return tuple(bessel_i_scaled(m + k, 2.0 * r) for k in range(3))
 
 
 @dataclass(frozen=True)
@@ -178,17 +188,22 @@ class StateVector:
         if a.ndim != 1 or a.size == 0:
             raise DomainError("amplitudes must be a nonempty 1-d array")
         object.__setattr__(self, "m", _order(self.m, "m"))
-        norm = _norm_sq(a)
-        if norm > 1.0 + 1e-12:
-            raise ValueError(f"amplitude norm {norm} exceeds 1")
-        if self.tail_tol is not None:
-            last = abs(a[-1]) ** 2
-            if last >= self.tail_tol:
-                raise ValueError(
-                    f"tail amplitude |a_K|^2 = {last:.3e} above tolerance")
+        _check_amplitudes(a, self.tail_tol)
         a = a.copy()
         a.flags.writeable = False
         object.__setattr__(self, "amplitudes", a)
+
+    @classmethod
+    def _owning(cls, m: int, amplitudes: np.ndarray, label: CoherentLabel | None,
+                tail_tol: float | None) -> "StateVector":
+        # the constructor on a fresh nonempty 1-d complex128 array that no
+        # caller keeps and an m already checked: the same norm and tail
+        # checks, and the array itself made read-only, with no copy
+        _check_amplitudes(amplitudes, tail_tol)
+        amplitudes.flags.writeable = False
+        state = object.__new__(cls)
+        state.__dict__.update(m=m, amplitudes=amplitudes, label=label, tail_tol=tail_tol)
+        return state
 
     @property
     def depth(self) -> int:
@@ -204,11 +219,23 @@ def _norm_sq(a: np.ndarray) -> float:
     return math.fsum((a.real ** 2 + a.imag ** 2).tolist())
 
 
+def _check_amplitudes(a: np.ndarray, tail_tol: float | None) -> None:
+    # the norm and tail checks of both StateVector constructors
+    norm = _norm_sq(a)
+    if norm > 1.0 + 1e-12:
+        raise ValueError(f"amplitude norm {norm} exceeds 1")
+    if tail_tol is not None:
+        last = abs(a[-1]) ** 2
+        if last >= tail_tol:
+            raise ValueError(
+                f"tail amplitude |a_K|^2 = {last:.3e} above tolerance")
+
+
 def _ln_bessel_i(m: int, r: float) -> float:
     # log of I_m(2r) without overflow or small-argument underflow
     if r <= _RATIO_SWITCH:
         return m * math.log(r) + math.log(_reduced(m, r * r))
-    return math.log(bessel_i_scaled(m, 2.0 * r)) + 2.0 * r
+    return math.log(_scaled_triple(m, r)[0]) + 2.0 * r
 
 
 def _ln_fact_pairs(m: int, n: int) -> np.ndarray:
@@ -371,8 +398,7 @@ def _state(label: CoherentLabel, signs: tuple, m: int, depth: int | None,
     if r == 0.0:
         amps = np.zeros((depth if depth is not None else 30) + 1, dtype=np.complex128)
         amps[0] = 1.0
-        return StateVector(m=m, amplitudes=amps, label=label,
-                           tail_tol=tail_tol if depth is None else None)
+        return StateVector._owning(m, amps, label, tail_tol if depth is None else None)
     ln_i = _ln_bessel_i(m, r)
     if depth is None:
         depth = _auto_depth(m, r, tail_tol, ln_i)
@@ -382,7 +408,7 @@ def _state(label: CoherentLabel, signs: tuple, m: int, depth: int | None,
     nu = _amplitude_rows(m, depth + 1)[0]
     ln_mag = _ln_amplitude(m, math.log(r), nu, ln_i)
     amps = np.exp(ln_mag) * np.exp(1j * label.phi * nu)
-    return StateVector(m=m, amplitudes=amps, label=label, tail_tol=checked)
+    return StateVector._owning(m, amps, label, checked)
 
 
 def _node_amplitudes(m: int, grid: QuadratureGrid, n: int) -> np.ndarray:
@@ -460,13 +486,13 @@ def kernel_idempotence_check(z, zp, m: int, grid: QuadratureGrid) -> float:
 
 def _bessel_series(m: int, r: float) -> tuple[float, tuple[float, float, float]]:
     # (u, (f0, f1, f2)) with r^k I_{m+k}(2r) / I_m(2r) = u^k f_k / f_0:
-    # reduced series at u = r^2 up to the switch, one read of the series
-    # memo, scaled Bessel at u = r beyond; both leave the double range at
+    # reduced series at u = r^2 up to the switch, scaled Bessels at u = r
+    # beyond, each one read of its memo; both leave the double range at
     # large m (the scaled one at m = 1500, r = 41)
     if r <= _RATIO_SWITCH:
         u = r * r
         return u, _series_triple(m, u)
-    return r, _in_double_range(m, tuple(bessel_i_scaled(m + k, 2.0 * r) for k in range(3)))
+    return r, _in_double_range(m, _scaled_triple(m, r))
 
 
 def _step_ratios(m: int, r: float, second: bool = True) -> tuple[float, float]:

@@ -26,10 +26,13 @@ polynomials at x <= 2, a 27-node trapezoid rule above) raised to order m by
 the stable upward recurrence; the reflection formula with a ``sin(m pi)``
 denominator is useless at integer order.  The scalar K kernels read that
 K_0/K_1 pair from a memo of the last 64 float arguments, so the orders
-asked for at one x build it once.  A scalar call costs 2-4
+asked for at one x build it once.  A scalar call costs 1-3
 microseconds on every branch but the I recurrence, whose O(m) loop takes
-10-40 microseconds for m <= 50.  The reduced series, which stays scalar,
-and the logs of the I ratios use compensated (Kahan) accumulation.
+10-40 microseconds for m <= 50 (Python 3.11 on a 2-core x86-64 host).  The
+reduced series, which stays scalar, and the logs of the I ratios use
+compensated (Kahan) accumulation; on a Python float w >= 0, every real
+call the package makes, the series runs a loop of its own that takes no
+abs, with the bits of the general loop.
 """
 
 from __future__ import annotations
@@ -174,7 +177,7 @@ def bessel_i_scaled(m: int, x: float) -> float:
     It takes the branch that ln_bessel_i takes at (m, x), on its float: the
     fixed polynomial times e^{-x} at x < 20, the Hankel sum from x0(m), and
     on [20, x0(m)) (m >= 8 only) the exp of the ratio recurrence's log, an
-    O(m) loop against 2-4 microseconds on the other branches.  No
+    O(m) loop against 1-3 microseconds on the other branches.  No
     intermediate quantity leaves double range up to x = DBL_MAX.
     """
     m = _order(m)
@@ -225,12 +228,17 @@ def bessel_i_reduced(m: int, w):
     the single-valued series used by overlap kernels.  Accepts real or complex
     scalar w and keeps its arithmetic: a real w is summed in floats and
     gives a float, a complex w in complex (ndarray support lives in the
-    quadrature layer).  One loop serves both, on Python scalars: each term
-    forms its divisor k (k + m) once, in floats, and the stopping test
-    compares that divisor with |w| before it takes any abs.  A real and a
-    complex w see the same operations in the same order.
+    quadrature layer).  Each term forms its divisor k (k + m) once, in
+    floats, and the stopping test compares that divisor with |w| before it
+    looks at the term.  A Python float w >= 0, every real call bgcs makes,
+    has a loop of its own, where term and sum are >= 0 and so the test
+    reads them without an abs; any other w takes the general loop.  The two
+    loops, and a real and a complex w, see the same operations in the same
+    order, so they round alike.
     """
     m = _order(m)
+    if type(w) is float and w >= 0.0:
+        return _reduced_nonnegative(m, w)
     s = comp = 0j if isinstance(w, complex) else 0.0
     term = s + math.exp(-ln_factorial(m))
     aw = abs(w)
@@ -252,6 +260,29 @@ def bessel_i_reduced(m: int, w):
             f"reduced I series (m={m}, |w|={aw:.3g}) did not converge "
             f"in {_MAX_TERMS} terms", partial=s, terms=_MAX_TERMS)
     return s
+
+
+def _reduced_nonnegative(m: int, w: float) -> float:
+    # the loop of bessel_i_reduced on a float w >= 0 (-0.0 too, which
+    # compares as 0): term and s stay >= 0, so abs(term), abs(s) and abs(w)
+    # are term, s and w in every test; the policy constants are locals
+    tol, cap = _REL_TOL, _MAX_TERMS
+    s = comp = 0.0
+    term = math.exp(-ln_factorial(m))
+    k, order = 0.0, float(m)
+    for _ in range(cap):
+        y = term - comp
+        t = s + y
+        comp = (t - s) - y
+        s = t
+        k += 1.0
+        d = k * (k + order)
+        term *= w / d
+        if d > w and term <= tol * (s + 1e-300):
+            return s
+    raise EvaluationError(
+        f"reduced I series (m={m}, |w|={abs(w):.3g}) did not converge "
+        f"in {cap} terms", partial=s, terms=cap)
 
 
 # ---------------------------------------------------------------------------
@@ -422,8 +453,15 @@ def _with_hankel(m: int, x: np.ndarray, sign: float, below) -> np.ndarray:
 
 def _horner(coefs, q):
     # sum_k coefs[k] q^(n-1-k), coefficients highest degree first, on a
-    # float or an array (two in-place ufuncs per term)
-    p = np.full_like(q, coefs[0]) if isinstance(q, np.ndarray) else coefs[0]
+    # float or an array (two in-place ufuncs per term).  On a finite float
+    # the first step 0 q + coefs[0] is coefs[0] exactly, so the loop runs
+    # over the whole table with no slice of it
+    if not isinstance(q, np.ndarray):
+        p = 0.0
+        for c in coefs:
+            p = p * q + c
+        return p
+    p = np.full_like(q, coefs[0])
     for c in coefs[1:]:
         p *= q
         p += c

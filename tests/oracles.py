@@ -1,8 +1,9 @@
-"""Brute-force series oracles, the pointwise symbol value, the recursive
-JSON writer, the matrix-product energy commutators and operator
-decomposition, the dense forms of the commutator and cross-route suite
-checks, the amplitudes' log expression as one formula and the
-constructor-built polar label that only the tests read."""
+"""Brute-force series oracles, the general reduced-series loop, the
+pointwise symbol value, the recursive JSON writer, the matrix-product
+energy commutators and operator decomposition, the dense forms of the
+commutator and cross-route suite checks, the amplitudes' log expression as
+one formula and the constructor-built polar label that only the tests
+read."""
 
 from __future__ import annotations
 
@@ -47,6 +48,32 @@ def bessel_power_sum(power: int, order: int, x: float) -> float:
     raise EvaluationError(
         f"bessel_power_sum({power},{order},{x}) did not converge",
         partial=s, terms=_MAX_TERMS)
+
+
+def reduced_series_reference(m: int, w):
+    """specfun.bessel_i_reduced as one loop for complex, negative and real w
+    alike, kept unchanged as the reference whose every bit, exception and
+    message the loop on a float w >= 0 must reproduce."""
+    m = _order(m)
+    s = comp = 0j if isinstance(w, complex) else 0.0
+    term = s + math.exp(-ln_factorial(m))
+    aw = abs(w)
+    k, order = 0.0, float(m)
+    for _ in range(_MAX_TERMS):
+        y = term - comp
+        t = s + y
+        comp = (t - s) - y
+        s = t
+        k += 1.0
+        d = k * (k + order)
+        term *= w / d
+        if d > aw and abs(term) <= _REL_TOL * (abs(s) + 1e-300):
+            break
+    else:
+        raise EvaluationError(
+            f"reduced I series (m={m}, |w|={aw:.3g}) did not converge "
+            f"in {_MAX_TERMS} terms", partial=s, terms=_MAX_TERMS)
+    return s
 
 
 def gauss_2f1(a: float, b: float, c: float, x: float) -> float:

@@ -288,6 +288,47 @@ def test_state_vector_stores_an_integral_m_as_int():
     assert type(v.m) is int and v.m == 2
 
 
+def test_state_vector_copies_a_callers_array():
+    # the public constructor owns a copy: the caller's array stays writable
+    # and a later write to it leaves the state as built
+    mine = np.array([0.6, 0.8j])
+    v = StateVector(m=0, amplitudes=mine)
+    mine[0] = 0.0
+    assert mine.flags.writeable
+    assert v.amplitudes.tolist() == [0.6, 0.8j]
+
+
+def test_state_vector_amplitudes_are_read_only_on_both_paths():
+    built = bgcs_state(_label(1.3, 0.4), SubspaceSpec(2))
+    for v in (StateVector(m=0, amplitudes=np.array([0.6, 0.8j])), built,
+              bgcs_state(_label(0.0), SubspaceSpec(1)),
+              StateVector._owning(0, np.array([0.6, 0.8j]), None, None)):
+        assert not v.amplitudes.flags.writeable
+        with pytest.raises(ValueError):
+            v.amplitudes[0] = 0.0
+
+
+@pytest.mark.parametrize("amps,tail_tol", [
+    ([1.0, 0.5], None),
+    ([0.5, 0.5], 1e-16),
+])
+def test_state_vector_private_path_raises_the_public_errors(amps, tail_tol):
+    # the constructor that owns a fresh array runs the same norm and tail
+    # checks with the same messages
+    with pytest.raises(ValueError) as public:
+        StateVector(m=0, amplitudes=np.array(amps), tail_tol=tail_tol)
+    with pytest.raises(ValueError) as private:
+        StateVector._owning(0, np.array(amps, dtype=np.complex128), None, tail_tol)
+    assert type(private.value) is type(public.value) is ValueError
+    assert str(private.value) == str(public.value)
+
+
+def test_over_norm_state_raises_the_norm_message():
+    # at m = 170 the amplitudes' norm passes 1 by more than 1e-12
+    with pytest.raises(ValueError, match=r"^amplitude norm 1\.0000000002\d* exceeds 1$"):
+        bgcs_state(_label(5.0), SubspaceSpec(170))
+
+
 def test_lowering_eigenvector_property():
     z = _label(1.5, math.pi / 3.0)
     v = bgcs_state(z, SubspaceSpec(2))

@@ -18,7 +18,7 @@ from oracles import ln_amplitude_reference
 # reaches the ratio recurrence (2|z| in [20, 0.4 m^2)) past it
 _ORDERS = (0, 1, 8, 19, 50)
 _RHOS = tuple(np.geomspace(1e-3, 60.0, 12).tolist()) + (40.0, 41.9)
-_MEMOS = (bgcs._reduced, bgcs._series_triple, bgcs._state, bgcs._rows)
+_MEMOS = (bgcs._reduced, bgcs._series_triple, bgcs._scaled_triple, bgcs._state, bgcs._rows)
 
 
 def _clear_memos():
@@ -127,6 +127,8 @@ def test_memos_are_bounded():
         z = CoherentLabel(0.01 * (k + 1), 0.0)
         bgcs_state(z, SubspaceSpec(0, depth=8 + k))
         bgcs.g2(z, 0)
+        # past the ratio switch, for the scaled triple
+        bgcs.g2(CoherentLabel(41.0 + 0.01 * k, 0.0), 0)
     for memo in _MEMOS:
         assert memo.cache_info().currsize == 64
 
@@ -190,6 +192,50 @@ def test_series_triple_stores_no_exception(monkeypatch):
     assert bgcs.mean_n(CoherentLabel(1.5, 0.0), m) == u * real(m + 1, u) / real(m, u)
     # at m = 200 the stored entry is three zeros, which _step_ratios divides by
     assert bgcs._series_triple(200, 25.0) == (0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("m", [2, 30])
+def test_label_past_the_ratio_switch_evaluates_three_scaled_bessels(series_calls, capsys, m):
+    # at |z| = 45 the state's ln I_m(2|z|) and every statistic read one
+    # triple e^{-x} I_{m+k}(x), k < 3, at x = 90: 13 evaluations unmemoised
+    # for the state and the four statistics alone, 3 here with a stats call
+    z = CoherentLabel.from_complex(45.0)
+    bgcs_state(z, SubspaceSpec(m))
+    for f in (bgcs.mean_n, bgcs.mean_n_sq, bgcs.g2, bgcs.mandel_q):
+        f(z, m)
+    assert cli.main(["stats", "--z=45,0", "--m", str(m)]) == 0
+    capsys.readouterr()
+    assert sorted(series_calls) == [("bessel_i_scaled", m + k, 90.0) for k in range(3)]
+    info = bgcs._scaled_triple.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+
+
+def test_scaled_triple_warm_equals_cold_and_the_kernel():
+    for m, r in ((0, 40.5), (2, 45.0), (30, 45.0), (171, 41.0), (1500, 41.0)):
+        want = tuple(specfun.bessel_i_scaled(m + k, 2.0 * r).hex() for k in range(3))
+        for _ in range(3):
+            entry = bgcs._scaled_triple(m, r)
+            assert type(entry) is tuple
+            assert tuple(v.hex() for v in entry) == want, (m, r)
+        bgcs._scaled_triple.cache_clear()
+
+
+def test_scaled_triple_stores_no_exception(monkeypatch):
+    z, m = CoherentLabel(45.0, 0.0), 2
+    real = bgcs.bessel_i_scaled
+
+    def failing(k, x):
+        raise EvaluationError("scaled Bessel failed")
+    monkeypatch.setattr(bgcs, "bessel_i_scaled", failing)
+    for call in (bgcs.mean_n, bgcs.g2, lambda z, m: bgcs_state(z, SubspaceSpec(m))):
+        with pytest.raises(EvaluationError, match="scaled Bessel failed"):
+            call(z, m)
+    assert bgcs._scaled_triple.cache_info().currsize == 0
+    monkeypatch.setattr(bgcs, "bessel_i_scaled", real)
+    assert bgcs.mean_n(z, m) == 45.0 * real(m + 1, 90.0) / real(m, 90.0)
+    # at m = 1500 the stored entry has left the double range, which the
+    # statistics refuse on every read
+    assert bgcs._scaled_triple(1500, 41.0)[2] == 0.0
 
 
 @pytest.mark.parametrize("a,b", [

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from landau_bgcs import checks, specfun as sf
-from oracles import bessel_power_sum, gauss_2f1
+from oracles import bessel_power_sum, gauss_2f1, reduced_series_reference
 
 # (name, got, want, rel_tol)
 _FROZEN = [
@@ -142,6 +142,44 @@ def test_reduced_series_keeps_real_arithmetic():
             assert type(got) is float
             assert got.hex() == sf.bessel_i_reduced(m, complex(w)).real.hex(), (m, w)
     assert sf.bessel_i_reduced(200, 5.0) == 0.0
+
+
+def _reduced_outcome(fn, m, w):
+    # the bits of a result, or the type, message, partial sum and term count
+    # of the exception
+    try:
+        got = fn(m, w)
+    except (sf.DomainError, sf.EvaluationError) as exc:
+        return type(exc), str(exc), repr(getattr(exc, "partial", None)), getattr(exc, "terms", None)
+    return type(got), got.hex()
+
+
+@pytest.mark.parametrize("m", [*range(61), 169, 170, 171, 177, 178, 200])
+def test_reduced_series_on_a_nonnegative_float_keeps_the_general_bits(m):
+    # the loop of a float w >= 0 against the one loop for every w; inf runs
+    # out of terms and NaN takes the general loop, and both must raise
+    # alike, as must 1.2345e6 where its terms overflow (m < 178)
+    ws = (0.0, -0.0, 5e-324, 1e-300, 1e-5, 0.3, 7.5, 99.9, 400.0, 1600.0, 2500.0,
+          1.2345e6, math.inf, math.nan)
+    for w in ws:
+        want = _reduced_outcome(reduced_series_reference, m, w)
+        assert _reduced_outcome(sf.bessel_i_reduced, m, w) == want, (m, w)
+    for w in (math.inf, math.nan):
+        assert _reduced_outcome(sf.bessel_i_reduced, m, w)[0] is sf.EvaluationError
+
+
+def test_horner_rounds_alike_on_a_float_and_an_array():
+    # the float loop starts from 0 and runs the whole table, the array loop
+    # starts from the first coefficient: the same bits at every q either
+    # rule meets (h = x/2 with x < 20 for I_m, x <= 2 for K_0 and K_1)
+    tables = [(sf._i_poly_coefs(m), 100.0) for m in range(61)]
+    tables += [(coefs, 1.0) for coefs in (sf._K_I0, sf._K_PSI0, sf._K_I1, sf._K_PSI1)]
+    for coefs, top in tables:
+        qs = [0.0, 5e-324, 1e-300, *np.geomspace(1e-12, top, 40).tolist()]
+        for q in qs:
+            got = sf._horner(coefs, q)
+            assert type(got) is float
+            assert got.hex() == float(sf._horner(coefs, np.array([q]))[0]).hex(), q
 
 
 def test_negative_real_axis_parity():
