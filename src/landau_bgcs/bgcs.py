@@ -5,10 +5,13 @@ statistics and label dynamics.
 Amplitudes in the nu-basis are
     a_nu = |z|^(m/2) z^nu / (sqrt(I_m(2|z|)) sqrt(nu! (nu+m)!)),
 always assembled in log space.  Whatever takes one number runs on Python
-floats: ln I_m(2|z|), the auto-depth tail test and the reduced series.  The
-amplitude vector is the same formula elementwise, with ln nu! + ln (nu+m)!
+floats: ln I_m(2|z|), a single level's probability and the reduced series.
+The amplitude vector is the same formula elementwise, with ln nu! + ln (nu+m)!
 read from specfun's ln k! (below).  A float and an array element see the
-same operations in the same order, so they round alike.  Every overlap is
+same operations in the same order, so they round alike.  The auto depth is
+read off the vector's own ln a_nu row, whose prefix the amplitudes then
+exponentiate, so the tail test reads the bits of the amplitude it tests.
+Every overlap is
 evaluated through the single-valued series in w = conj(z') z,
     sum_nu w^nu / (nu! (nu+m)!),
 so no fractional power of a complex argument is ever taken: the kernel is
@@ -54,8 +57,7 @@ ln nu! + ln (nu+m)! comes from specfun alone: two slices of its exact ln k!
 table, which a call whose nu + m runs past 256 extends for itself alone by
 ln_factorial's Stirling form (specfun._stirling), run once on the array of
 k past 256 and their math.log: the bits of the scalar ln_factorial of each
-k, which the auto-depth tail test reads.  No ln k! table is grown or kept
-here.
+k, which probability_density reads.  No ln k! table is grown or kept here.
 """
 
 from __future__ import annotations
@@ -88,8 +90,6 @@ _TWO_PI = 2.0 * math.pi
 DEFAULT_TAIL_TOL = 1e-16
 # label truncation for the kernel check: the last kept |a_nu|^2 is below this
 _KERNEL_TAIL_TOL = 1e-300
-# Newton steps _auto_depth takes at most toward its first probe
-_NEWTON_STEPS = 16
 
 # reduced-series vs scaled-Bessel switchover radius for mean-value ratios
 _RATIO_SWITCH = 40.0
@@ -274,9 +274,10 @@ def _ln_amplitude(m: int, ln_r, nu, ln_i):
     """ln a_nu = (m/2 + nu) ln r - ln I_m(2r)/2 - ln(nu! (nu+m)!)/2, for an
     int nu or for nu = np.arange(n), broadcast against ln r and ln I_m(2r)
     (floats, or columns over radii).  An int nu with float ln r and ln I_m
-    runs on floats throughout; an array runs the same operations in the
-    same order elementwise, on the rows of _amplitude_rows(m, n), so either
-    rounds alike."""
+    runs on floats throughout (probability_density); an array runs the same
+    operations in the same order elementwise, on the rows of
+    _amplitude_rows(m, n), so either rounds alike.  The array is the row a
+    state's depth is searched on and its amplitudes exponentiate."""
     if isinstance(nu, np.ndarray):
         _, coef, half = _amplitude_rows(m, nu.size)
         out = coef * ln_r
@@ -287,85 +288,39 @@ def _ln_amplitude(m: int, ln_r, nu, ln_i):
     return (0.5 * m + nu) * ln_r - 0.5 * ln_i - 0.5 * ln_fact
 
 
-def _auto_depth(m: int, r: float, tail_tol: float, ln_i: float) -> int:
-    """The first depth d >= max(30, ceil(nu*)) whose |a_d|^2 is below
-    tail_tol, with nu* = (sqrt(m^2 + 4 r^2) - m)/2 the peak of the nu
-    distribution.  Past the peak ln a_nu is concave and falling, so the test
-    holds from one depth on, the depth a linear scan from the same start
-    returns.  The Gaussian estimate of that depth,
-    nu* + sqrt(-2 ln tail_tol) sigma with sigma^2 = 1/(1/nu* + 1/(nu* + m + 1))
-    (about 8.6 widths at the default tail_tol), starts Newton steps on
-    F(nu) = (m + 2 nu) ln r - ln I_m(2r) - ln Gamma(nu+1) - ln Gamma(nu+m+1)
-    - ln tail_tol, the log tail test on real nu, with the slope
-    2 ln r - ln(nu+1) - ln(nu+m+1), the exact change of 2 ln a_nu from nu
-    to nu + 1; where that estimate is not past the start, the start is
-    tested first and the steps start there.  The tail falls like
-    r^(2 nu)/(nu! (nu+m)!), far from a Gaussian at small r and tiny
-    tail_tol (the kernel check's 1e-300 lies 54 to 615 widths out there),
-    so the steps, not the estimate, find the probe: the depth above the
-    root of F.  Steps doubling from it, down where it holds and up where
-    it fails, bracket the depth for a bisection; most often the probe and
-    the depth below it settle it, in two tail tests where the doubling from
-    the estimate took 10 to 14 at 1e-300.  The tail test is _ln_amplitude at
-    an int depth, on floats: the operations of the amplitude vector's
-    element, in the same order, so the test reads the bits that element
-    will have, and no step builds an array."""
-    ln_r, ln_tol = math.log(r), math.log(tail_tol)
-
-    def below(depth: int) -> bool:
-        twice = 2.0 * _ln_amplitude(m, ln_r, depth, ln_i)
-        if twice < ln_tol:
-            return True
-        if not twice < math.inf:
-            # a NaN or infinite amplitude passes at no depth
-            raise DomainError("auto depth selection diverged")
-        return False
-
+def _tail_row(m: int, r: float, ln_r: float, ln_i: float,
+              tail_tol: float) -> tuple[int, np.ndarray, np.ndarray]:
+    """(depth, nu, ln a_nu): the first depth d >= start = max(30, ceil(nu*))
+    whose |a_d|^2 is below tail_tol, with nu* = (sqrt(m^2 + 4 r^2) - m)/2 the
+    peak of the nu distribution, and the rows nu and ln a_nu (_ln_amplitude
+    on _amplitude_rows) that d was read from, which run to d or past it.
+    The rows grow in windows, each testing its elements past the last one,
+    so d is the depth a linear scan from start returns, read off the bits of
+    the element the amplitude takes.  The first window ends at start, where
+    most labels pass, or, where the Gaussian estimate of the depth,
+    nu* + sqrt(-2 ln tail_tol) sigma with sigma^2 = 1/(1/nu* + 1/(nu* + m + 1)),
+    lies past start, at twice its distance past the peak: the tail falls
+    slower than a Gaussian.  Each later window ends at twice the last end.
+    A window of more levels than an array can index raises DomainError."""
+    ln_tol = math.log(tail_tol)
     peak = 0.5 * (math.hypot(m, 2.0 * r) - m)
-    start = max(30, math.ceil(peak))
-    # lo is start - 1 or a depth that fails the test, hi one that passes it
-    lo, nu = start - 1, float(start)
+    lo = end = max(30, math.ceil(peak))
     spread = -2.0 * ln_tol * peak * (peak + m + 1) / (2.0 * peak + m + 1)
-    if (start - peak) ** 2 < spread < math.inf:
-        nu = peak + math.sqrt(spread)
-    elif below(start):
-        return start
-    else:
-        lo = start
-    for _ in range(_NEWTON_STEPS):
-        try:
-            gap = ((m + 2.0 * nu) * ln_r - ln_i - math.lgamma(nu + 1.0)
-                   - math.lgamma(nu + m + 1.0) - ln_tol)
-            step = gap / (math.log(nu + 1.0) + math.log(nu + m + 1.0) - 2.0 * ln_r)
-        except (OverflowError, ZeroDivisionError):
-            # a depth past 1e305 or a slope lost to rounding: probe from here
-            break
-        if not math.isfinite(nu + step):
-            break
-        nu += step
-        if nu <= lo or abs(step) < 0.5:
-            break
-    probe = max(math.ceil(nu), lo + 1)
-    step = 1
-    if below(probe):
-        hi = probe
-        while hi - step > lo and below(hi - step):
-            hi -= step
-            step *= 2
-        lo = max(hi - step, lo)
-    else:
-        lo = probe
-        while not below(lo + step):
-            lo += step
-            step *= 2
-        hi = lo + step
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if below(mid):
-            hi = mid
+    if (end - peak) ** 2 < spread < math.inf:
+        end = math.ceil(peak + 2.0 * math.sqrt(spread))
+    while end < sys.maxsize:
+        nu = _amplitude_rows(m, end + 1)[0]
+        ln_mag = _ln_amplitude(m, ln_r, nu, ln_i)
+        if lo == end:
+            # one element: a float test, at a tenth of the array search's cost
+            if 2.0 * ln_mag[end] < ln_tol:
+                return end, nu, ln_mag
         else:
-            lo = mid
-    return hi
+            below = np.flatnonzero(2.0 * ln_mag[lo:] < ln_tol)
+            if below.size:
+                return lo + int(below[0]), nu, ln_mag
+        lo, end = end + 1, 2 * end
+    raise DomainError("auto depth selection diverged")
 
 
 def bgcs_state(label, spec: SubspaceSpec,
@@ -374,8 +329,11 @@ def bgcs_state(label, spec: SubspaceSpec,
 
     With spec.depth None the truncation is the first depth past the peak of
     the nu distribution (and at least 30) whose probability is below
-    tail_tol; an explicit depth is honored as given (without the tail
-    guarantee).  Served from the state memo on a repeat (module docstring).
+    tail_tol, found on the state's own ln a_nu row (_tail_row); a tail_tol
+    that is not > 0, or a depth past what an array can index, raises
+    DomainError.  An explicit depth is honored as given (without the tail
+    guarantee, and tail_tol is not read).  Served from the state memo on a
+    repeat (module docstring).
     """
     return _memo_state(_as_label(label), spec.m, spec.depth, tail_tol)
 
@@ -394,20 +352,23 @@ def _state(label: CoherentLabel, signs: tuple, m: int, depth: int | None,
            tail_tol: float) -> StateVector:
     # the build behind bgcs_state; signs keeps apart labels that differ only
     # in the sign of a zero component, which compare and hash equal
+    if depth is None and not tail_tol > 0.0:
+        raise DomainError(f"tail_tol must be > 0, got {tail_tol!r}")
     r = label.rho
     if r == 0.0:
         amps = np.zeros((depth if depth is not None else 30) + 1, dtype=np.complex128)
         amps[0] = 1.0
         return StateVector._owning(m, amps, label, tail_tol if depth is None else None)
-    ln_i = _ln_bessel_i(m, r)
+    ln_r, ln_i = math.log(r), _ln_bessel_i(m, r)
     if depth is None:
-        depth = _auto_depth(m, r, tail_tol, ln_i)
+        depth, nu, ln_mag = _tail_row(m, r, ln_r, ln_i, tail_tol)
         checked = tail_tol
     else:
+        nu = _amplitude_rows(m, depth + 1)[0]
+        ln_mag = _ln_amplitude(m, ln_r, nu, ln_i)
         checked = None
-    nu = _amplitude_rows(m, depth + 1)[0]
-    ln_mag = _ln_amplitude(m, math.log(r), nu, ln_i)
-    amps = np.exp(ln_mag) * np.exp(1j * label.phi * nu)
+    n = depth + 1
+    amps = np.exp(ln_mag[:n]) * np.exp(1j * label.phi * nu[:n])
     return StateVector._owning(m, amps, label, checked)
 
 

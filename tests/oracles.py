@@ -2,8 +2,8 @@
 pointwise symbol value, the recursive JSON writer, the matrix-product
 energy commutators and operator decomposition, the dense forms of the
 commutator and cross-route suite checks, the amplitudes' log expression as
-one formula and the constructor-built polar label that only the tests
-read."""
+one formula, the auto depth as a linear scan and the constructor-built
+polar label that only the tests read."""
 
 from __future__ import annotations
 
@@ -11,7 +11,8 @@ import math
 
 import numpy as np
 
-from landau_bgcs.bgcs import _TWO_PI, CoherentLabel, _ln_fact_pairs
+from landau_bgcs.bgcs import (_TWO_PI, CoherentLabel, _ln_amplitude, _ln_bessel_i,
+                              _ln_fact_pairs)
 from landau_bgcs.fock import SubspaceSpec, ladder_matrix, lowering_band
 from landau_bgcs.measure import build_grid
 from landau_bgcs.quantize import (CommutatorCheck, CommutatorReport, DecompositionReport,
@@ -282,6 +283,18 @@ def ln_amplitude_reference(m: int, ln_r, n: int, ln_i):
     nu = np.arange(n)
     ln_fact = _ln_fact_pairs(m, n)
     return (0.5 * m + nu) * ln_r - 0.5 * ln_i - 0.5 * ln_fact
+
+
+def tail_depth_reference(m: int, rho: float, tail_tol: float) -> int:
+    """The auto depth of the state labelled rho > 0 on sector m as a linear
+    scan: the first depth from max(30, ceil(nu*)), nu* the peak of the nu
+    distribution, whose 2 ln a_nu, one float _ln_amplitude each, is below
+    ln tail_tol."""
+    ln_r, ln_i, ln_tol = math.log(rho), _ln_bessel_i(m, rho), math.log(tail_tol)
+    depth = max(30, math.ceil(0.5 * (math.hypot(m, 2.0 * rho) - m)))
+    while 2.0 * _ln_amplitude(m, ln_r, depth, ln_i) >= ln_tol:
+        depth += 1
+    return depth
 
 
 def from_polar_reference(rho: float, phi: float) -> CoherentLabel:

@@ -23,11 +23,11 @@ from landau_bgcs.bgcs import (
     mean_n_sq,
     overlap,
     probability_density,
-    _auto_depth,
     _ln_amplitude,
     _ln_fact_pairs,
     _ln_bessel_i,
     _node_amplitudes,
+    _tail_row,
     snr,
 )
 from landau_bgcs.fock import PhysicalParams, SubspaceSpec, hamiltonian_matrix, ladder_matrix
@@ -46,7 +46,8 @@ from landau_bgcs.specfun import (
     ln_factorial,
 )
 from conftest import panel_grid
-from oracles import bessel_power_sum, from_polar_reference
+from oracles import (bessel_power_sum, from_polar_reference, ln_amplitude_reference,
+                     tail_depth_reference)
 
 # frozen 60-digit reference values
 _OV_OPP = -0.035140024107915261894          # <-2|2> at m = 0
@@ -158,100 +159,91 @@ def test_norm_and_tail_with_auto_depth():
 
 
 def test_explicit_depth_honored():
-    v = bgcs_state(_label(1.0), SubspaceSpec(0, depth=16))
-    assert v.depth == 16
-    assert v.tail_tol is None
+    # tail_tol is not read at an explicit depth, not even one the auto depth refuses
+    for tail_tol in (DEFAULT_TAIL_TOL, math.nan, 0.0, -1.0):
+        v = bgcs_state(_label(1.0), SubspaceSpec(0, depth=16), tail_tol=tail_tol)
+        assert v.depth == 16
+        assert v.tail_tol is None
 
 
-@pytest.mark.parametrize("tail_tol", [1e-16, 1e-300])
-@pytest.mark.parametrize("m", [0, 1, 8, 50])
+# the moduli the auto-depth checks run over: log-spaced to 1e4, dense below
+# 60, the ratio switch at 40, and the kernel check's labels in [0.05, 3]
+_DEPTH_RHOS = sorted(set(np.logspace(-3.0, 4.0, 29).tolist() + np.geomspace(1.0, 60.0, 60).tolist()
+                         + np.geomspace(1e-3, 60.0, 80).tolist() + [40.0, 41.9, 50.0]
+                         + np.linspace(0.05, 3.0, 60).tolist()))
+_DEPTH_ORDERS = (0, 1, 2, 3, 8, 19, 50)
+
+
+def _searched(m, rho, tail_tol):
+    return _tail_row(m, rho, math.log(rho), _ln_bessel_i(m, rho), tail_tol)
+
+
+@pytest.mark.parametrize("tail_tol", [1e-16, 1e-300, 5e-324, 1e-3, 0.5])
+@pytest.mark.parametrize("m", _DEPTH_ORDERS)
 def test_auto_depth_is_the_first_tail_depth_past_the_peak(m, tail_tol):
-    # the doubling-and-bisection search returns what a linear scan from the
-    # same start, max(30, ceil(peak)), returns
-    for rho in np.logspace(-3.0, 4.0, 29).tolist():
-        ln_r, ln_i = math.log(rho), _ln_bessel_i(m, rho)
-        depth = max(30, math.ceil(0.5 * (math.hypot(m, 2.0 * rho) - m)))
-        while 2.0 * _ln_amplitude(m, ln_r, depth, ln_i) >= math.log(tail_tol):
-            depth += 1
-        assert _auto_depth(m, rho, tail_tol, ln_i) == depth, rho
+    # the windowed search returns what a linear scan from the same start,
+    # max(30, ceil(peak)), returns, on a row that reaches that depth
+    for rho in _DEPTH_RHOS:
+        depth, nu, row = _searched(m, rho, tail_tol)
+        assert depth == tail_depth_reference(m, rho, tail_tol), rho
+        assert nu.size == row.size > depth, rho
 
 
-def test_auto_depth_from_the_gaussian_probe_is_the_linear_scan_depth(monkeypatch):
-    # the first probe sits near the tail crossing, past the floor of 30 for
-    # the larger moduli; the depth is still the linear scan's, and a state
-    # takes fewer than four tail tests on average (doubling from the start
-    # would take about five)
-    tests = []
-    scalar = bgcs._ln_amplitude
+def test_auto_depth_takes_few_windows(monkeypatch):
+    # one _ln_amplitude row per window: most labels pass at the start or
+    # within twice the Gaussian estimate's reach at 1e-16; the kernel
+    # check's 1e-300 lies far past that estimate at small moduli, where the
+    # windows double from 30
+    windows = []
+    row = bgcs._ln_amplitude
 
-    def counted(m, ln_r, nu, ln_i):
-        tests.append(nu)
-        return scalar(m, ln_r, nu, ln_i)
-    rhos = np.geomspace(1.0, 60.0, 60).tolist() + [40.0, 41.9, 50.0]
-    points = [(m, rho) for m in (0, 1, 3, 8, 19, 50) for rho in rhos]
-    for m, rho in points:
-        ln_r, ln_i = math.log(rho), _ln_bessel_i(m, rho)
-        depth = max(30, math.ceil(0.5 * (math.hypot(m, 2.0 * rho) - m)))
-        while 2.0 * _ln_amplitude(m, ln_r, depth, ln_i) >= math.log(DEFAULT_TAIL_TOL):
-            depth += 1
-        monkeypatch.setattr(bgcs, "_ln_amplitude", counted)
-        assert _auto_depth(m, rho, DEFAULT_TAIL_TOL, ln_i) == depth, (m, rho)
-        monkeypatch.setattr(bgcs, "_ln_amplitude", scalar)
-    assert len(tests) < 4 * len(points)
-
-
-def _counted_auto_depth(monkeypatch, m, rho, tail_tol):
-    # (_auto_depth, the linear scan's depth, the tail tests it took)
-    ln_r, ln_i = math.log(rho), _ln_bessel_i(m, rho)
-    depth = max(30, math.ceil(0.5 * (math.hypot(m, 2.0 * rho) - m)))
-    while 2.0 * _ln_amplitude(m, ln_r, depth, ln_i) >= math.log(tail_tol):
-        depth += 1
-    tests = []
-    scalar = bgcs._ln_amplitude
-
-    def counted(m, ln_r, nu, ln_i):
-        tests.append(nu)
-        return scalar(m, ln_r, nu, ln_i)
+    def counted(*args):
+        windows.append(args)
+        return row(*args)
     monkeypatch.setattr(bgcs, "_ln_amplitude", counted)
-    got = _auto_depth(m, rho, tail_tol, ln_i)
-    monkeypatch.setattr(bgcs, "_ln_amplitude", scalar)
-    return got, depth, len(tests)
+    for tail_tol, most in ((1e-16, 2), (1e-300, 4)):
+        for m in _DEPTH_ORDERS:
+            for rho in _DEPTH_RHOS:
+                windows.clear()
+                _searched(m, rho, tail_tol)
+                assert 1 <= len(windows) <= most, (tail_tol, m, rho)
 
 
 @pytest.mark.parametrize("tail_tol", [1e-16, 1e-300])
-def test_auto_depth_from_the_newton_probe_is_the_linear_scan_depth(monkeypatch, tail_tol):
-    # at small moduli the 1e-300 crossing lies far past the Gaussian
-    # estimate; the Newton probe still lands next to it, so no state takes
-    # more than five tail tests
-    for m in (0, 1, 3, 8, 19, 50):
-        for rho in np.geomspace(1e-3, 60.0, 80).tolist():
-            got, depth, tests = _counted_auto_depth(monkeypatch, m, rho, tail_tol)
-            assert got == depth, (m, rho)
-            assert tests <= 5, (m, rho)
+@pytest.mark.parametrize("m,rho", [(0, 0.3), (3, 12.0), (8, 35.0), (2, 2.9), (1, 300.0)])
+def test_state_amplitudes_are_the_exp_of_the_searched_row(m, rho, tail_tol):
+    # the state keeps the searched row's prefix through its depth, bit for
+    # bit: the row is the amplitudes' log expression, its exp the moduli at
+    # phase 0, and at a phase the product with e^{i phi nu}
+    depth, nu, row = _searched(m, rho, tail_tol)
+    prefix = row[:depth + 1]
+    assert prefix.tobytes() == ln_amplitude_reference(
+        m, math.log(rho), depth + 1, _ln_bessel_i(m, rho)).tobytes()
+    flat = bgcs_state(_label(rho), SubspaceSpec(m), tail_tol=tail_tol)
+    assert flat.depth == depth
+    assert flat.amplitudes.real.tobytes() == np.exp(prefix).tobytes()
+    turned = bgcs_state(_label(rho, 0.7), SubspaceSpec(m), tail_tol=tail_tol)
+    want = np.exp(prefix) * np.exp(1j * 0.7 * np.arange(depth + 1))
+    assert turned.amplitudes.tobytes() == want.tobytes()
 
 
-def test_kernel_check_labels_take_at_most_five_tail_tests(monkeypatch):
-    # the kernel check truncates its labels at 1e-300; the benchmark's
-    # quadrature labels have |z| in [0.05, 3] on sectors 0 and 2, where the
-    # doubling from a Gaussian probe took 10 to 14 tests per state
-    assert bgcs._KERNEL_TAIL_TOL == 1e-300
-    for m in (0, 2):
-        for rho in np.linspace(0.05, 3.0, 60).tolist():
-            got, depth, tests = _counted_auto_depth(monkeypatch, m, rho, 1e-300)
-            assert got == depth and tests <= 5, (m, rho)
+@pytest.mark.parametrize("rho", [0.0, 2.0])
+@pytest.mark.parametrize("tail_tol", [0.0, -0.0, -1.0, math.nan, -math.inf])
+def test_auto_depth_refuses_a_tail_tol_not_above_zero(rho, tail_tol):
+    with pytest.raises(DomainError, match="tail_tol must be > 0"):
+        bgcs_state(_label(rho), SubspaceSpec(0), tail_tol=tail_tol)
 
 
-def test_auto_depth_where_the_newton_slope_or_lgamma_leaves_double_range():
-    # at 1e100 the slope rounds to zero: the probe falls back to the
-    # estimate, and the depth is still the first one that passes the tail
-    # test; at 1e306 lgamma overflows, and the tail test itself leaves
-    # double range, which is the typed error it was before the Newton steps
-    ln_r, ln_i, ln_tol = math.log(1e100), _ln_bessel_i(0, 1e100), math.log(1e-300)
-    depth = _auto_depth(0, 1e100, 1e-300, ln_i)
-    assert 2.0 * _ln_amplitude(0, ln_r, depth, ln_i) < ln_tol
-    assert 2.0 * _ln_amplitude(0, ln_r, depth - 1, ln_i) >= ln_tol
+@pytest.mark.parametrize("tail_tol", [1.0, 5.0, math.inf])
+def test_auto_depth_at_a_tail_tol_of_one_or_more_is_the_start(tail_tol):
+    assert bgcs_state(_label(2.0), SubspaceSpec(0), tail_tol=tail_tol).depth == 30
+
+
+@pytest.mark.parametrize("rho", [1e100, 1e306])
+def test_auto_depth_past_any_array_raises(rho):
+    # the start depth alone, about rho, is more levels than an array can index
     with pytest.raises(DomainError, match="auto depth selection diverged"):
-        _auto_depth(0, 1e306, 1e-300, _ln_bessel_i(0, 1e306))
+        bgcs_state(_label(rho), SubspaceSpec(0))
 
 
 def test_auto_depth_serves_a_large_modulus():
